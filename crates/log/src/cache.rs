@@ -7,12 +7,16 @@
 //! unique log id — and is split into shards so concurrent readers of
 //! different segments never contend on one mutex.
 //!
-//! Capacity is counted in *bytes of cached payload*, split evenly
-//! across the shards. When a fill pushes a shard over its share, the
-//! least-recently-used entries are evicted under the shard lock; each
-//! eviction is a fault-injection decision point (`log.cache-evict`), so
-//! chaos runs can crash a broker mid-fill and check that nothing torn
-//! is ever served.
+//! Capacity is counted in *bytes an entry retains*, split evenly
+//! across the shards: the encoded size of its records plus one `Record`
+//! struct each. The records' keys and values are slices of the chunks
+//! the fill read — over `MemStorage` the stored frames themselves,
+//! shared, not copied — and a chunk is never longer than what was
+//! decoded from it, so that sum is what the entry pins. When a fill
+//! pushes a shard over its share, the least-recently-used entries are
+//! evicted under the shard lock; each eviction is a fault-injection
+//! decision point (`log.cache-evict`), so chaos runs can crash a broker
+//! mid-fill and check that nothing torn is ever served.
 //!
 //! Determinism: shard selection is a fixed multiplicative hash and the
 //! entries live in `BTreeMap`s, so two runs with the same seed make
@@ -20,6 +24,7 @@
 //! same-seed-same-report invariant.
 
 use std::collections::BTreeMap;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use liquid_obs::{CounterHandle, Obs};
@@ -32,7 +37,9 @@ use crate::record::Record;
 /// Configuration for a [`SegmentReadCache`].
 #[derive(Debug, Clone)]
 pub struct ReadCacheConfig {
-    /// Total cached-payload budget in bytes, split across the shards.
+    /// Total budget in bytes the entries retain — their records'
+    /// encoded size plus one `Record` struct each — split across the
+    /// shards.
     pub capacity_bytes: u64,
     /// Number of independently locked shards (at least 1).
     pub shards: usize,
@@ -74,7 +81,7 @@ impl CacheMetrics {
 struct CacheEntry {
     /// The segment's records, shared with every reader that hit it.
     records: Arc<Vec<Record>>,
-    /// Encoded size of `records` — what counts against capacity.
+    /// [`entry_charge`] of `records` — what counts against capacity.
     bytes: u64,
     /// Shard-local logical clock value of the last touch (LRU order).
     last_used: u64,
@@ -168,7 +175,7 @@ impl SegmentReadCache {
         records: Vec<Record>,
         injector: &FailureInjector,
     ) -> crate::Result<Arc<Vec<Record>>> {
-        let bytes: u64 = records.iter().map(|r| r.wire_size() as u64).sum();
+        let bytes = entry_charge(&records);
         let records = Arc::new(records);
         let Some(slot) = self.shard_slot(sid) else {
             return Ok(records);
@@ -237,6 +244,14 @@ impl SegmentReadCache {
             .map(|s| s.shard.lock().entries.len())
             .sum()
     }
+}
+
+/// What a cached segment is charged against capacity: the bytes it
+/// retains — every record's encoding (the chunk bytes its slices pin)
+/// plus the `Record` struct itself.
+pub(crate) fn entry_charge(records: &[Record]) -> u64 {
+    let wire: u64 = records.iter().map(|r| r.wire_size() as u64).sum();
+    wire.saturating_add((records.len() as u64).saturating_mul(size_of::<Record>() as u64))
 }
 
 /// Slices a cached segment the way `Segment::read_from` reads storage:
@@ -334,7 +349,9 @@ mod tests {
 
     #[test]
     fn eviction_prefers_least_recently_used() {
-        let (c, _) = cache(200, 1);
+        // Each entry is charged 80 B of encoding + one 80 B `Record`:
+        // two fit, a third does not.
+        let (c, _) = cache(400, 1);
         let inj = FailureInjector::disabled();
         let payload = "y".repeat(50);
         c.insert(1, vec![rec(0, &payload)], &inj).unwrap();
@@ -344,6 +361,29 @@ mod tests {
         c.insert(3, vec![rec(0, &payload)], &inj).unwrap();
         assert!(c.get(1, 0, u64::MAX).is_some(), "recently used survives");
         assert!(c.get(2, 0, u64::MAX).is_none(), "LRU entry was evicted");
+    }
+
+    #[test]
+    fn entries_are_charged_the_bytes_they_retain() {
+        let (c, obs) = cache(1_000, 1);
+        let inj = FailureInjector::disabled();
+        let records = vec![rec(0, "abc"), rec(1, "defgh"), rec(2, "")];
+        let wire: u64 = records.iter().map(|r| r.wire_size() as u64).sum();
+        let charge = wire + 3 * std::mem::size_of::<Record>() as u64;
+        c.insert(1, records.clone(), &inj).unwrap();
+        assert_eq!(c.cached_bytes(), charge);
+        c.insert(2, records, &inj).unwrap();
+        assert_eq!(c.cached_bytes(), 2 * charge, "grows by exactly the charge");
+        // An entry larger than its shard's share is still handed back
+        // to the reader that filled it, then evicted (with everything
+        // older): nothing panics, nothing oversized stays.
+        let big: Vec<Record> = (0..20).map(|i| rec(i, "0123456789")).collect();
+        let served = c.insert(3, big, &inj).unwrap();
+        assert_eq!(served.len(), 20);
+        assert_eq!(c.cached_segments(), 0);
+        assert_eq!(c.cached_bytes(), 0);
+        assert!(c.get(3, 0, u64::MAX).is_none());
+        assert_eq!(obs.snapshot().counter("log.cache-evict"), 3);
     }
 
     #[test]
@@ -359,7 +399,7 @@ mod tests {
 
     #[test]
     fn injected_eviction_aborts_fill() {
-        let (c, _) = cache(64, 1);
+        let (c, _) = cache(160, 1); // room for one entry
         let inj = FailureInjector::disabled();
         c.insert(1, vec![rec(0, &"z".repeat(30))], &inj).unwrap();
         inj.fail_at(1);

@@ -153,9 +153,7 @@ impl Log {
             .collect();
         let storage = self.storage_kind().create(base)?;
         let mut rebuilt = Segment::new(base, storage, self.index_interval());
-        for rec in &survivors {
-            rebuilt.append(rec)?;
-        }
+        rebuilt.append_frame(&survivors)?;
         rebuilt.seal();
         stats.records_after += rebuilt.record_count();
         stats.bytes_after += rebuilt.size_bytes();

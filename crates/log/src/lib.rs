@@ -21,9 +21,13 @@
 //!   active segment also rolls on age via `segment_ms`), so
 //!   **retention** is an O(1) whole-segment drop by age or total size
 //!   ([`Log::enforce_retention`]) — never a record rewrite;
-//! * reads of sealed segments are served from a **sharded LRU read
-//!   cache** of decoded records as zero-copy slices ([`cache`]); only a
-//!   miss touches the storage underneath;
+//! * an append is one **frame** per batch — one encode buffer, frozen
+//!   once, one storage write — and reads are **one layered path**: the
+//!   active segment's records are served from an in-memory tail
+//!   (slices of the stored frames), sealed segments from a **sharded
+//!   LRU read cache** of decoded records ([`cache`]), and only a cache
+//!   miss (or a log without a cache) scans storage, one window at a
+//!   time, CRC-checking every record it decodes ([`Log::read`]);
 //! * **compaction** de-duplicates keyed records, keeping only the most
 //!   recent value per key ([`compaction`]) — the mechanism changelogs
 //!   rely on for bounded size and fast recovery (§4.1). It rewrites one

@@ -12,7 +12,7 @@ use liquid_sim::lockdep::Mutex;
 use liquid_sim::pagecache::PageCache;
 
 use crate::batch::RecordBatch;
-use crate::cache::SegmentReadCache;
+use crate::cache::{slice_from, SegmentReadCache};
 use crate::error::LogError;
 use crate::record::Record;
 use crate::segment::Segment;
@@ -242,8 +242,29 @@ pub struct Log {
     read_cache: Option<(Arc<SegmentReadCache>, u64)>,
     /// Number of completed compaction passes (tombstone lifecycle).
     compaction_generation: u64,
+    /// The hot head: every record of the active segment, in offset
+    /// order, as appended — each key and value a slice of the frame
+    /// its append stored, so tail, `MemStorage` and (once the segment
+    /// is sealed and cached) the read cache share one copy of the
+    /// bytes. Reads at or after the active base are served from here
+    /// and never touch storage (paper §4.1: the head of the log is
+    /// served from memory). Plain data under the `&mut self` of the
+    /// write path; cleared on roll, rebuilt by `truncate_to`, empty
+    /// after `open`. Bound: one active segment of `Record` structs
+    /// (80 B each) — plus, on a file-backed log, that segment's frames.
+    tail: Vec<Record>,
     /// Registry handles for the hot paths.
     metrics: LogMetrics,
+}
+
+/// What one layer of the read path served from one segment.
+struct Served {
+    records: Vec<Record>,
+    /// `(start position, bytes)` of the storage span behind the
+    /// records: what an attached page-cache model is charged for.
+    /// `None` for a read-cache hit, which touches nothing on the medium
+    /// (and for a tail read with no model attached to look at it).
+    scanned: Option<(u64, u64)>,
 }
 
 impl Log {
@@ -271,6 +292,7 @@ impl Log {
             cache: None,
             read_cache: None,
             compaction_generation: 0,
+            tail: Vec::new(),
         };
         // The newest recovered segment becomes active again; if none,
         // start fresh at offset 0.
@@ -350,20 +372,9 @@ impl Log {
         if self.config.injector.tick("log.append") {
             return Err(LogError::Injected("log.append"));
         }
-        let offset = self.next_offset();
-        let record = Record {
-            offset,
-            timestamp,
-            key,
-            value,
-        };
         self.maybe_roll()?;
-        let file_id = self.file_id(self.active_base());
-        let (pos, len) = self.active_mut().append(&record)?;
-        if let Some((cache, _)) = &self.cache {
-            cache.lock().write(file_id, pos, len as usize);
-        }
-        Ok(offset)
+        let mut record = Record::new(key, value, timestamp);
+        self.append_at_end(std::slice::from_mut(&mut record))
     }
 
     /// Appends a batch of `(key, value)` pairs as one group-commit,
@@ -379,8 +390,9 @@ impl Log {
 
     /// Group-commit append: the whole batch is one decision point — one
     /// fault-injector tick (`log.append-batch`), one roll check, one
-    /// metrics record — instead of one per record, which is what makes
-    /// the batched produce path scale (ROADMAP item 1).
+    /// metrics record, one encoded frame and one storage append —
+    /// instead of one per record, which is what makes the batched
+    /// produce path scale.
     ///
     /// Atomicity: the injector tick happens *before* the first record
     /// is written, so an injected crash drops the batch whole — a torn
@@ -406,23 +418,46 @@ impl Log {
             return Err(LogError::Injected("log.append-batch"));
         }
         self.maybe_roll()?;
-        let base = self.next_offset();
-        let file_id = self.file_id(self.active_base());
-        // Accumulate the page span so the cache model is charged once
-        // for the whole group-commit write.
-        let mut span: Option<(u64, u64)> = None;
-        for mut record in batch.into_records() {
-            record.offset = self.next_offset();
-            let (pos, len) = self.active_mut().append(&record)?;
-            span = Some(match span {
-                Some((start, total)) => (start, total + len),
-                None => (pos, len),
-            });
-        }
-        if let (Some((cache, _)), Some((start, total))) = (&self.cache, span) {
-            cache.lock().write(file_id, start, total as usize);
-        }
+        let mut batch = batch.into_records();
+        let base = self.append_at_end(&mut batch)?;
         Ok((base, records, payload_bytes))
+    }
+
+    /// The one write function under every `append*`: assigns offsets
+    /// from the log end and appends `records` to the active segment as
+    /// one frame (one encode buffer, one storage append, one page-cache
+    /// model charge). The tail keeps slices of that frame, not the
+    /// caller's buffers: those are released when the caller drops
+    /// `records`, while they are still hot. Returns the first offset.
+    fn append_at_end(&mut self, records: &mut [Record]) -> crate::Result<u64> {
+        let base = self.next_offset();
+        let mut next = base;
+        for record in records.iter_mut() {
+            record.offset = next;
+            // Saturates like `Segment::next_offset` does at the end of
+            // the offset space.
+            next = next.saturating_add(1);
+        }
+        self.append_to_active(records)?;
+        Ok(base)
+    }
+
+    /// Appends `records`, offsets already assigned, to the active
+    /// segment as one frame and extends the tail with them, re-sliced
+    /// from that frame.
+    fn append_to_active(&mut self, records: &[Record]) -> crate::Result<()> {
+        let file_id = self.file_id(self.active_base());
+        let (pos, frame) = self.active_mut().append_frame(records)?;
+        self.tail.reserve(records.len());
+        let mut at = 0usize;
+        for record in records {
+            self.tail.push(record.sliced_from(&frame, at));
+            at = at.saturating_add(record.wire_size());
+        }
+        if let Some((cache, _)) = &self.cache {
+            cache.lock().write(file_id, pos, frame.len());
+        }
+        Ok(())
     }
 
     /// Reads up to `max_bytes` of records starting at `offset`,
@@ -450,6 +485,7 @@ impl Log {
             .or_else(|| self.segments.iter().next())
             .map(|(&b, _)| b)
             .unwrap_or(cursor);
+        let active_base = self.active_base();
         for (&base, seg) in self.segments.range(start_base..) {
             if budget == 0 {
                 break;
@@ -458,37 +494,18 @@ impl Log {
             if from >= seg.next_offset() {
                 continue;
             }
-            // Hot path: sealed (immutable) segments are served from the
-            // read cache as zero-copy slices; only a miss decodes the
-            // segment from storage below and pays the page-cache cost.
-            let mut storage_read: Option<(u64, u64)> = None;
-            let cached = match (&self.read_cache, seg.is_sealed()) {
-                (Some((rc, _)), true) => {
-                    let sid = self.read_cache_id(base);
-                    match rc.get(sid, from, budget) {
-                        Some(slice) => Some(slice),
-                        None => {
-                            let read = seg.read_from(seg.base_offset(), u64::MAX)?;
-                            storage_read = Some((read.start_pos, read.bytes_scanned));
-                            let whole = rc.insert(sid, read.records, &self.config.injector)?;
-                            Some(crate::cache::slice_from(&whole, from, budget))
-                        }
-                    }
-                }
-                _ => None,
+            // One layered path: the in-memory tail serves the active
+            // segment, the read cache serves sealed ones (filling
+            // itself on a miss), the storage cursor serves the rest.
+            let served = if base == active_base {
+                self.read_tail(seg, from, budget)
+            } else if let Some((rc, _)) = &self.read_cache {
+                self.read_cached(rc, seg, from, budget)?
+            } else {
+                Self::read_storage(seg, from, budget)?
             };
-            let segment_records = match cached {
-                Some(slice) => slice,
-                None => {
-                    let read = seg.read_from(from, budget)?;
-                    storage_read = Some((read.start_pos, read.bytes_scanned));
-                    read.records
-                }
-            };
-            // One page-cache charge per storage read, at a single lock
-            // site after all fallible work; cache hits never touch
-            // storage and skip the charge entirely.
-            if let (Some((cache, _)), Some((start_pos, scanned))) = (&self.cache, storage_read) {
+            // The one page-cache charge site, after all fallible work.
+            if let (Some((cache, _)), Some((start_pos, scanned))) = (&self.cache, served.scanned) {
                 let file_id = self.file_id(base);
                 cost = cost.saturating_add(
                     cache
@@ -497,20 +514,105 @@ impl Log {
                         .cost_ns,
                 );
             }
-            let bytes: u64 = segment_records.iter().map(|r| r.wire_size() as u64).sum();
+            let bytes: u64 = served.records.iter().map(|r| r.wire_size() as u64).sum();
             budget = budget.saturating_sub(bytes);
-            if let Some(last) = segment_records.last() {
+            if let Some(last) = served.records.last() {
                 cursor = last.offset.checked_add(1).ok_or(LogError::OffsetOverflow {
                     what: "advancing the read cursor past the last record",
                     value: last.offset,
                 })?;
             }
-            records.extend(segment_records);
+            records.extend(served.records);
         }
         Ok(ReadOutcome {
             records,
             simulated_cost_ns: cost,
         })
+    }
+
+    /// Tail layer: the active segment's records from memory, under the
+    /// `read_from` budget rule. They were never read back, so there is
+    /// nothing to verify; a page-cache model, if attached, is still
+    /// charged the span a storage scan of the same read would cover
+    /// (from the sparse-index entry through the last record returned),
+    /// so the simulated costs of E1/E3 do not depend on this layer.
+    fn read_tail(&self, seg: &Segment, from: u64, budget: u64) -> Served {
+        let records = slice_from(&self.tail, from, budget);
+        let scanned = self.cache.as_ref().map(|_| {
+            let (scan_from, start_pos) = seg.seek_entry(from);
+            let scan_to = records.last().map_or(from, |r| r.offset);
+            let first = self.tail.partition_point(|r| r.offset < scan_from);
+            let bytes = self
+                .tail
+                .iter()
+                .skip(first)
+                .take_while(|r| r.offset <= scan_to)
+                .map(|r| r.wire_size() as u64)
+                .sum();
+            (start_pos, bytes)
+        });
+        Served { records, scanned }
+    }
+
+    /// Cache layer: a sealed segment from the read cache; a miss
+    /// decodes the whole segment through the storage cursor (CRC
+    /// checked) and offers it to the cache. Only a fill scans storage.
+    fn read_cached(
+        &self,
+        rc: &SegmentReadCache,
+        seg: &Segment,
+        from: u64,
+        budget: u64,
+    ) -> crate::Result<Served> {
+        let sid = self.read_cache_id(seg.base_offset());
+        if let Some(records) = rc.get(sid, from, budget) {
+            return Ok(Served {
+                records,
+                scanned: None,
+            });
+        }
+        let read = seg.read_from(seg.base_offset(), u64::MAX)?;
+        let scanned = Some((read.start_pos, read.bytes_scanned));
+        let whole = rc.insert(sid, read.records, &self.config.injector)?;
+        Ok(Served {
+            records: slice_from(&whole, from, budget),
+            scanned,
+        })
+    }
+
+    /// Storage layer: one index seek, one cursor scan, every record
+    /// CRC-checked as it is decoded.
+    fn read_storage(seg: &Segment, from: u64, budget: u64) -> crate::Result<Served> {
+        let read = seg.read_from(from, budget)?;
+        Ok(Served {
+            records: read.records,
+            scanned: Some((read.start_pos, read.bytes_scanned)),
+        })
+    }
+
+    /// The record at exactly `offset`, or `None` when the log does not
+    /// hold it (out of range, or compacted away). A point lookup: the
+    /// tail by binary search, a sealed segment by one index-bounded
+    /// cursor scan. It never consults or fills the read cache —
+    /// decoding a whole segment to answer for one record is what a
+    /// scan cache is not for — and is not charged to a page-cache
+    /// model.
+    pub fn record_at(&self, offset: u64) -> crate::Result<Option<Record>> {
+        if offset < self.start_offset || offset >= self.next_offset() {
+            return Ok(None);
+        }
+        if offset >= self.active_base() {
+            let found = self.tail.binary_search_by_key(&offset, |r| r.offset);
+            return Ok(found.ok().and_then(|i| self.tail.get(i)).cloned());
+        }
+        let Some((_, seg)) = self.segments.range(..=offset).next_back() else {
+            return Ok(None);
+        };
+        if offset >= seg.next_offset() {
+            return Ok(None);
+        }
+        let first = seg.read_from(offset, 1)?.records.into_iter().next();
+        Ok(first.filter(|r| r.offset == offset))
     }
 
     /// First offset whose record timestamp is `>= ts` (rewind by time).
@@ -574,17 +676,16 @@ impl Log {
         for base in doomed {
             self.drop_segment_keep_start(base)?;
         }
-        // Rebuild the boundary segment without the suffix.
+        // Rebuild the boundary segment without the suffix: it becomes
+        // the active segment again, its kept records one frame and the
+        // new tail.
         if let Some((&base, seg)) = self.segments.iter().next_back() {
             if seg.next_offset() > offset {
-                let keep = seg.read_from(seg.base_offset(), u64::MAX)?;
+                let mut keep = seg.read_from(seg.base_offset(), u64::MAX)?.records;
+                keep.retain(|r| r.offset < offset);
                 self.drop_segment_keep_start(base)?;
-                let storage = self.config.storage.create(base)?;
-                let mut rebuilt = Segment::new(base, storage, self.config.index_interval_bytes);
-                for rec in keep.records.into_iter().filter(|r| r.offset < offset) {
-                    rebuilt.append(&rec)?;
-                }
-                self.segments.insert(base, rebuilt);
+                self.roll_new_segment(base)?;
+                self.append_to_active(&keep)?;
             }
         }
         if self.segments.is_empty() {
@@ -705,12 +806,15 @@ impl Log {
         Ok(())
     }
 
+    /// Starts a fresh active segment at `base`; the tail starts over
+    /// with it.
     fn roll_new_segment(&mut self, base: u64) -> crate::Result<()> {
         let storage = self.config.storage.create(base)?;
         self.segments.insert(
             base,
             Segment::new(base, storage, self.config.index_interval_bytes),
         );
+        self.tail.clear();
         Ok(())
     }
 
@@ -762,6 +866,7 @@ mod tests {
     use super::*;
     use liquid_sim::clock::SimClock;
     use liquid_sim::pagecache::{PageCache, PageCacheConfig};
+    use proptest::prelude::*;
 
     fn log_with(segment_bytes: u64) -> (Log, SimClock) {
         let clock = SimClock::new(0);
@@ -993,6 +1098,130 @@ mod tests {
     }
 
     #[test]
+    fn tail_reads_are_charged_the_span_a_storage_scan_covers() {
+        // A tail read touches no storage, but a log with a page-cache
+        // model attached must still cost what it did before the tail
+        // existed: `page_cache_charging_hot_vs_cold` only checks cold >
+        // hot, which a hot cost of 0 satisfies. The numbers are the
+        // parent commit's for this exact sequence of reads (later ones
+        // depend on which pages the earlier ones touched).
+        let clock = SimClock::new(0);
+        let cache = Arc::new(Mutex::new(
+            "log.pagecache",
+            PageCache::new(
+                PageCacheConfig {
+                    capacity_pages: 8,
+                    prefetch_pages: 0,
+                    ..PageCacheConfig::default()
+                },
+                clock.shared(),
+            ),
+        ));
+        let cfg = LogConfig {
+            segment_bytes: 64 * 1024,
+            index_interval_bytes: 1024,
+            ..LogConfig::default()
+        };
+        let mut log = Log::open(cfg, clock.shared()).unwrap();
+        log.attach_cache(cache, 1);
+        let payload = "p".repeat(300);
+        for _ in 0..100 {
+            log.append(None, b(&payload)).unwrap();
+        }
+        assert_eq!(log.segment_count(), 1, "every read below is a tail read");
+        let end = log.next_offset();
+        let reads = [
+            (end - 2, u64::MAX),
+            (end - 40, 1_000),
+            (end - 60, u64::MAX),
+            (0, u64::MAX),
+            (10, 5_000),
+            (end - 2, u64::MAX),
+        ];
+        // The span itself, against the storage scan of the same read.
+        let active = log.active();
+        for (from, budget) in reads {
+            let scan = active.read_from(from, budget).unwrap();
+            let served = log.read_tail(active, from, budget);
+            assert_eq!(served.records, scan.records);
+            assert_eq!(served.scanned, Some((scan.start_pos, scan.bytes_scanned)));
+        }
+        let costs: Vec<u64> = reads
+            .iter()
+            .map(|&(from, budget)| log.read(from, budget).unwrap().simulated_cost_ns)
+            .collect();
+        assert_eq!(costs, [200, 200, 600, 252_000, 4_084_000, 200]);
+    }
+
+    #[test]
+    fn point_lookup_does_not_fill_the_read_cache() {
+        use crate::cache::{ReadCacheConfig, SegmentReadCache};
+        let obs = Obs::default();
+        let cache = SegmentReadCache::new(ReadCacheConfig {
+            capacity_bytes: 1 << 20,
+            shards: 2,
+            obs: obs.clone(),
+        });
+        let (mut log, _) = log_with(512);
+        log.attach_read_cache(cache.clone(), 1);
+        while log.segment_count() < 2 {
+            log.append(Some(b("k")), b("value-0123456789")).unwrap();
+        }
+        // What replication's divergence probe asks at every roll: the
+        // last offset of the segment that was just sealed.
+        let last_sealed = log.active_base() - 1;
+        let found = log.record_at(last_sealed).unwrap().unwrap();
+        assert_eq!(found.offset, last_sealed);
+        assert_eq!(obs.snapshot().counter("log.cache.miss"), 0);
+        assert_eq!(cache.cached_segments(), 0);
+        // A scan of the same segment is what fills it.
+        log.read(0, u64::MAX).unwrap();
+        assert_eq!(obs.snapshot().counter("log.cache.miss"), 1);
+        assert_eq!(cache.cached_segments(), 1);
+        log.record_at(last_sealed).unwrap().unwrap();
+        assert_eq!(obs.snapshot().counter("log.cache.miss"), 1);
+        assert_eq!(obs.snapshot().counter("log.cache.hit"), 0);
+        // In the tail, in a gap, and out of range.
+        let newest = log.next_offset() - 1;
+        assert_eq!(log.record_at(newest).unwrap().unwrap().offset, newest);
+        assert_eq!(log.record_at(log.next_offset()).unwrap(), None);
+        assert_eq!(log.record_at(u64::MAX).unwrap(), None);
+    }
+
+    #[test]
+    fn tail_follows_roll_and_truncate() {
+        let (mut log, _) = log_with(512);
+        assert!(log.tail.is_empty());
+        for i in 0..40 {
+            log.append(None, b(&format!("value-{i:04}"))).unwrap();
+        }
+        assert!(log.segment_count() > 2);
+        let active = |log: &Log| {
+            let seg = log.active();
+            seg.read_from(seg.base_offset(), u64::MAX).unwrap().records
+        };
+        assert_eq!(log.tail, active(&log));
+        // The tail holds slices of the stored frame, not the caller's
+        // buffers: what storage hands out is the same memory.
+        let stored = active(&log);
+        let (t, s) = (log.tail.last().unwrap(), stored.last().unwrap());
+        assert_eq!(t.value.as_slice().as_ptr(), s.value.as_slice().as_ptr());
+        // Inside the active segment, inside a sealed one, at a boundary.
+        let base = log.active_base();
+        for cut in [
+            log.next_offset() - 1,
+            base - 3,
+            log.segments().keys().nth(1).copied().unwrap(),
+        ] {
+            log.truncate_to(cut).unwrap();
+            assert_eq!(log.next_offset(), cut);
+            assert_eq!(log.tail, active(&log), "after truncate_to({cut})");
+            log.append(None, b("after")).unwrap();
+            assert_eq!(log.tail, active(&log));
+        }
+    }
+
+    #[test]
     fn batch_append_returns_first_offset() {
         let (mut log, _) = log_with(1 << 20);
         log.append(None, b("pre")).unwrap();
@@ -1201,5 +1430,100 @@ mod tests {
         assert_eq!(log.record_count(), 20);
         assert!(log.size_bytes() > 0);
         assert!(!log.sealed_segment_info().is_empty());
+    }
+
+    /// Everything in the log as storage holds it: each segment scanned
+    /// through `Segment::read_from`, no tail, no cache.
+    fn stored_records(log: &Log) -> Vec<Record> {
+        log.segments()
+            .values()
+            .flat_map(|s| s.read_from(s.base_offset(), u64::MAX).unwrap().records)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Tail ≡ storage, and the lookup ≡ the read: after every
+        /// operation of a random history — batch and single appends,
+        /// rolls (tiny segments), truncation, retention, compaction,
+        /// with and without a read cache — `Log::read` returns what the
+        /// segments' own storage scans return under the same budget
+        /// rule, for budgets of 1, a few records and everything, also
+        /// from inside compaction gaps; and `record_at` agrees with a
+        /// one-record read.
+        #[test]
+        fn reads_equal_storage_scans_after_every_operation(
+            ops in prop::collection::vec((0u8..8, 0u16..400, 0u16..400), 1..60),
+            segment_bytes in 96u64..700,
+            with_cache in any::<bool>(),
+        ) {
+            use crate::cache::{ReadCacheConfig, SegmentReadCache};
+            let clock = SimClock::new(0);
+            let cfg = LogConfig {
+                segment_bytes,
+                index_interval_bytes: 100,
+                retention: RetentionPolicy::Compact { max_age_ms: None, max_bytes: Some(2_000) },
+                ..LogConfig::default()
+            };
+            let mut log = Log::open(cfg, clock.shared()).unwrap();
+            if with_cache {
+                // Small enough that fills evict one another.
+                let cache = SegmentReadCache::new(ReadCacheConfig {
+                    capacity_bytes: 3_000,
+                    shards: 2,
+                    obs: Obs::default(),
+                });
+                log.attach_read_cache(cache, 9);
+            }
+            let mut written = 0u32;
+            for (op, x, y) in ops {
+                match op {
+                    0..=2 => {
+                        let pairs = (0..x % 6 + 1).map(|i| {
+                            written += 1;
+                            let key = (y + i) % 5;
+                            let value = "v".repeat((x + 7 * i) as usize % 60);
+                            (Some(b(&format!("k{key}"))), b(&format!("{written}:{value}")))
+                        });
+                        log.append_batch(pairs.collect()).unwrap();
+                    }
+                    3 | 4 => {
+                        written += 1;
+                        let value = if x % 9 == 0 { Bytes::new() } else { b(&format!("{written}")) };
+                        log.append(Some(b(&format!("k{}", y % 5))), value).unwrap();
+                    }
+                    5 => {
+                        let span = log.next_offset() - log.start_offset();
+                        log.truncate_to(log.start_offset() + u64::from(x) % (span + 1)).unwrap();
+                    }
+                    6 => drop(log.enforce_retention().unwrap()),
+                    _ => drop(log.compact().unwrap()),
+                }
+                let stored = stored_records(&log);
+                let active = log.active();
+                prop_assert_eq!(
+                    &log.tail,
+                    &active.read_from(active.base_offset(), u64::MAX).unwrap().records
+                );
+                let (start, end) = (log.start_offset(), log.next_offset());
+                let span = end - start;
+                for from in [start, end, start + u64::from(x) % (span + 1), start + u64::from(y) % (span + 1)] {
+                    for budget in [1, 40 + u64::from(y), u64::MAX] {
+                        let read = log.read(from, budget).unwrap().records;
+                        prop_assert_eq!(&read, &slice_from(&stored, from, budget));
+                    }
+                    let looked_up = log.record_at(from).unwrap();
+                    let first = log.read(from, 1).unwrap().records.into_iter().next();
+                    prop_assert_eq!(looked_up, first.filter(|r| r.offset == from));
+                }
+                prop_assert!(log.read(end + 1, 1).is_err());
+                prop_assert_eq!(log.record_at(end + 1).unwrap(), None);
+                if start > 0 {
+                    prop_assert!(log.read(start - 1, 1).is_err());
+                    prop_assert_eq!(log.record_at(start - 1).unwrap(), None);
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,13 @@
 //! * a **time index** — `(timestamp, offset)` entries with monotonically
 //!   increasing timestamps, supporting offset-for-timestamp queries
 //!   (rewindability, §3.1).
+//!
+//! Everything that reads a segment's bytes — ranged reads, recovery,
+//! the timestamp scan — goes through one private `ChunkCursor`: one
+//! storage read per *window*, many records decoded out of it, each a
+//! zero-copy slice of the window.
 
+use bytes::Bytes;
 use liquid_sim::clock::Ts;
 
 use crate::error::LogError;
@@ -29,6 +35,104 @@ pub struct SegmentRead {
     pub start_pos: u64,
     /// Bytes scanned (index seek + record decode).
     pub bytes_scanned: u64,
+}
+
+/// Smallest window a scan asks storage for.
+const MIN_WINDOW: u64 = 4096;
+/// Added to a read's window beyond its byte budget and one index
+/// interval, so the record that reaches the budget usually still fits.
+const WINDOW_SLACK: u64 = 512;
+/// Window of a scan that keeps no records (recovery): bounds what such
+/// a scan holds in memory, whatever the segment's size.
+const SCAN_WINDOW: u64 = 64 * 1024;
+
+/// Sequential decoder over a segment's storage: one storage read per
+/// window, then records decoded out of it until it is used up. A
+/// record cut off by the end of a window is read again from its own
+/// position; one that does not fit a whole window is read with a window
+/// four times larger. When a wider read brings no more bytes — the end
+/// of storage, or of what was appended together — the record is corrupt
+/// or torn and its decode error is returned.
+///
+/// The cursor owns no borrow of the storage — each step is handed it —
+/// so recovery can update the segment between steps.
+struct ChunkCursor {
+    /// Size of the storage when the scan began.
+    total: u64,
+    /// Position of the next record to decode: just after the last
+    /// one returned.
+    pos: u64,
+    /// Bytes asked of storage per read.
+    window: u64,
+    /// The current window and how far into it `pos` is.
+    chunk: Option<Bytes>,
+    at: usize,
+}
+
+impl ChunkCursor {
+    fn new(storage: &dyn SegmentStorage, pos: u64, window: u64) -> Self {
+        ChunkCursor {
+            total: storage.len(),
+            pos,
+            window: window.max(MIN_WINDOW),
+            chunk: None,
+            at: 0,
+        }
+    }
+
+    /// Decodes the next record; returns it with its position and
+    /// encoded length, or `None` at the end of storage.
+    fn next_record(
+        &mut self,
+        storage: &dyn SegmentStorage,
+    ) -> crate::Result<Option<(Record, u64, u64)>> {
+        loop {
+            let chunk = match &self.chunk {
+                Some(chunk) if self.at < chunk.len() => chunk,
+                _ if self.pos >= self.total => return Ok(None),
+                _ => {
+                    // Nothing read before the end means the storage
+                    // shrank under the scan; stop rather than spin.
+                    if self.refill(storage)? == 0 {
+                        return Ok(None);
+                    }
+                    continue;
+                }
+            };
+            match Record::decode_at(chunk, self.at) {
+                Ok((record, used)) => {
+                    let pos = self.pos;
+                    self.at = self.at.saturating_add(used);
+                    self.pos = self.pos.saturating_add(used as u64);
+                    return Ok(Some((record, pos, used as u64)));
+                }
+                Err(LogError::Corrupt(why)) => {
+                    // The record may only be cut off by the window:
+                    // read on from its own position, wider if a whole
+                    // window was too small for it.
+                    let had = chunk.len().saturating_sub(self.at);
+                    if self.at == 0 {
+                        self.window = self.window.saturating_mul(4);
+                    }
+                    if self.refill(storage)? <= had {
+                        return Err(LogError::Corrupt(why));
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Reads the next window, starting at `pos`; returns its length.
+    fn refill(&mut self, storage: &dyn SegmentStorage) -> crate::Result<usize> {
+        let remaining = self.total.saturating_sub(self.pos);
+        let len = usize::try_from(self.window.min(remaining)).unwrap_or(usize::MAX);
+        let chunk = storage.read_at(self.pos, len)?;
+        let got = chunk.len();
+        self.chunk = Some(chunk);
+        self.at = 0;
+        Ok(got)
+    }
 }
 
 /// One segment of the log.
@@ -80,21 +184,17 @@ impl Segment {
         index_interval_bytes: u64,
     ) -> crate::Result<Self> {
         let mut seg = Segment::new(base_offset, storage, index_interval_bytes);
-        let total = seg.storage.len();
-        let mut pos = 0u64;
-        while pos < total {
-            let remaining = total.saturating_sub(pos) as usize;
-            let chunk = seg.storage.read_at(pos, remaining)?;
-            match Record::decode(&chunk) {
-                Ok((rec, used)) => {
-                    seg.note_appended(&rec, pos, used as u64);
-                    pos = pos.saturating_add(used as u64);
-                }
-                Err(_) => {
+        let mut cursor = ChunkCursor::new(seg.storage.as_ref(), 0, SCAN_WINDOW);
+        loop {
+            match cursor.next_record(seg.storage.as_ref()) {
+                Ok(Some((rec, pos, len))) => seg.note_appended(&rec, pos, len),
+                Ok(None) => break,
+                Err(LogError::Corrupt(_)) => {
                     // Torn tail: discard everything from here.
-                    seg.storage.truncate(pos)?;
+                    seg.storage.truncate(cursor.pos)?;
                     break;
                 }
+                Err(e) => return Err(e),
             }
         }
         Ok(seg)
@@ -152,23 +252,50 @@ impl Segment {
     }
 
     /// Appends a record whose `offset` must equal [`next_offset`]
-    /// (offsets are assigned by the owning [`Log`](crate::Log)).
+    /// (offsets are assigned by the owning [`Log`](crate::Log)): a
+    /// frame of one, through the same function a batch goes through.
     /// Returns `(byte position, encoded length)`.
     ///
     /// [`next_offset`]: Self::next_offset
     pub fn append(&mut self, record: &Record) -> crate::Result<(u64, u64)> {
+        let (pos, frame) = self.append_frame(std::slice::from_ref(record))?;
+        Ok((pos, frame.len() as u64))
+    }
+
+    /// Appends `records` — offsets assigned, increasing, none below
+    /// [`next_offset`](Self::next_offset) — as **one frame**: one
+    /// encode buffer, frozen once, one storage append. Returns the
+    /// frame and its byte position; record `i` sits in it at the sum
+    /// of the wire sizes before it.
+    pub(crate) fn append_frame(&mut self, records: &[Record]) -> crate::Result<(u64, Bytes)> {
         assert!(!self.sealed, "append to sealed segment");
-        assert!(
-            record.offset >= self.next_offset,
-            "segment offsets must increase: {} < {}",
-            record.offset,
-            self.next_offset
-        );
-        let mut buf = Vec::with_capacity(record.wire_size());
-        record.encode(&mut buf);
-        let pos = self.storage.append(&buf)?;
-        self.note_appended(record, pos, buf.len() as u64);
-        Ok((pos, buf.len() as u64))
+        let mut next = self.next_offset;
+        let mut wire_bytes = 0usize;
+        for record in records {
+            assert!(
+                record.offset >= next,
+                "segment offsets must increase: {} < {}",
+                record.offset,
+                next
+            );
+            next = record.offset.saturating_add(1);
+            wire_bytes = wire_bytes.saturating_add(record.wire_size());
+        }
+        let mut buf = Vec::with_capacity(wire_bytes);
+        for record in records {
+            record.encode(&mut buf);
+        }
+        // The one copy of the write path: the vendored `Bytes` owns an
+        // `Arc<[u8]>`, so freezing the buffer copies it.
+        let frame = Bytes::from(buf);
+        let pos = self.storage.append(frame.clone())?;
+        let mut at = pos;
+        for record in records {
+            let len = record.wire_size() as u64;
+            self.note_appended(record, at, len);
+            at = at.saturating_add(len);
+        }
+        Ok((pos, frame))
     }
 
     fn note_appended(&mut self, record: &Record, pos: u64, len: u64) {
@@ -197,13 +324,21 @@ impl Segment {
     /// Byte position where a scan for `offset` should begin, via the
     /// sparse index.
     pub fn seek_position(&self, offset: u64) -> u64 {
-        match self.index.binary_search_by_key(&offset, |&(o, _)| o) {
-            // A miss falls back to byte 0: scanning from the segment
-            // start is always correct, just slower.
-            Ok(i) => self.index.get(i).map_or(0, |&(_, p)| p),
-            Err(0) => 0,
-            Err(i) => self.index.get(i.saturating_sub(1)).map_or(0, |&(_, p)| p),
-        }
+        self.seek_entry(offset).1
+    }
+
+    /// The sparse-index entry a scan for `offset` begins at: `(offset
+    /// of the record there, its byte position)`.
+    pub(crate) fn seek_entry(&self, offset: u64) -> (u64, u64) {
+        let at = match self.index.binary_search_by_key(&offset, |&(o, _)| o) {
+            Ok(i) => Some(i),
+            Err(i) => i.checked_sub(1),
+        };
+        // A miss falls back to byte 0: scanning from the segment start
+        // is always correct, just slower.
+        at.and_then(|i| self.index.get(i))
+            .copied()
+            .unwrap_or((self.base_offset, 0))
     }
 
     /// Reads records starting at `offset` until `max_bytes` of encoded
@@ -217,43 +352,32 @@ impl Segment {
             });
         }
         let start_pos = self.seek_position(offset);
-        let total = self.storage.len();
-        let mut pos = start_pos;
+        let window = max_bytes
+            .saturating_add(self.index_interval_bytes)
+            .saturating_add(WINDOW_SLACK);
+        let mut cursor = ChunkCursor::new(self.storage.as_ref(), start_pos, window);
         let mut out = Vec::new();
         let mut returned_bytes = 0u64;
-        while pos < total {
-            let remaining = total.saturating_sub(pos) as usize;
-            let chunk = self.storage.read_at(pos, remaining.min(64 * 1024))?;
-            let (rec, used) = match Record::decode(&chunk) {
-                Ok(ok) => ok,
-                Err(LogError::Corrupt(_)) if chunk.len() < remaining => {
-                    // Record longer than our probe window: read it fully.
-                    let chunk = self.storage.read_at(pos, remaining)?;
-                    Record::decode(&chunk)?
-                }
-                Err(e) => return Err(e),
-            };
+        while let Some((rec, _, used)) = cursor.next_record(self.storage.as_ref())? {
             if rec.offset >= offset {
-                returned_bytes = returned_bytes.saturating_add(used as u64);
+                returned_bytes = returned_bytes.saturating_add(used);
                 out.push(rec);
                 if returned_bytes >= max_bytes {
-                    pos = pos.saturating_add(used as u64);
                     break;
                 }
             }
-            pos = pos.saturating_add(used as u64);
         }
         Ok(SegmentRead {
             records: out,
             start_pos,
-            bytes_scanned: pos.saturating_sub(start_pos),
+            bytes_scanned: cursor.pos.saturating_sub(start_pos),
         })
     }
 
     /// First offset whose record timestamp is `>= ts`, if any.
     pub fn offset_for_timestamp(&self, ts: Ts) -> crate::Result<Option<u64>> {
         // Find the latest time-index entry strictly before ts to bound
-        // the scan, then walk records.
+        // the scan, then walk records from there in one pass.
         let start_offset = match self.time_index.binary_search_by_key(&ts, |&(t, _)| t) {
             Ok(i) => return Ok(self.time_index.get(i).map(|&(_, o)| o)),
             Err(0) => self.base_offset,
@@ -262,18 +386,11 @@ impl Segment {
                 .get(i - 1)
                 .map_or(self.base_offset, |&(_, o)| o),
         };
-        let mut offset = start_offset;
-        while offset < self.next_offset {
-            let read = self.read_from(offset, 1)?;
-            match read.records.first() {
-                Some(rec) if rec.timestamp >= ts => return Ok(Some(rec.offset)),
-                Some(rec) => {
-                    offset = rec.offset.checked_add(1).ok_or(LogError::OffsetOverflow {
-                        what: "advancing the timestamp scan past a record",
-                        value: rec.offset,
-                    })?;
-                }
-                None => break,
+        let start_pos = self.seek_position(start_offset);
+        let mut cursor = ChunkCursor::new(self.storage.as_ref(), start_pos, SCAN_WINDOW);
+        while let Some((rec, _, _)) = cursor.next_record(self.storage.as_ref())? {
+            if rec.offset >= start_offset && rec.timestamp >= ts {
+                return Ok(Some(rec.offset));
             }
         }
         Ok(None)
@@ -290,7 +407,8 @@ impl Segment {
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
-    use bytes::Bytes;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn seg(interval: u64) -> Segment {
         Segment::new(100, Box::new(MemStorage::new()), interval)
@@ -467,7 +585,7 @@ mod tests {
         for i in 0..5u64 {
             rec(200 + i, 10 + i * 7, "val").encode(&mut buf);
         }
-        storage.append(&buf).unwrap();
+        storage.append(Bytes::from(buf)).unwrap();
         let s = Segment::recover(200, Box::new(storage), 64).unwrap();
         assert_eq!(s.time_range(), Some((10, 38)));
     }
@@ -491,7 +609,7 @@ mod tests {
         for i in 0..5u64 {
             rec(200 + i, i, "val").encode(&mut buf);
         }
-        storage.append(&buf).unwrap();
+        storage.append(Bytes::from(buf)).unwrap();
         let s = Segment::recover(200, Box::new(storage), 64).unwrap();
         assert_eq!(s.next_offset(), 205);
         let r = s.read_from(202, u64::MAX).unwrap();
@@ -509,9 +627,215 @@ mod tests {
         let mut torn = Vec::new();
         rec(3, 3, "val").encode(&mut torn);
         buf.extend_from_slice(&torn[..torn.len() / 2]);
-        storage.append(&buf).unwrap();
+        storage.append(Bytes::from(buf)).unwrap();
         let s = Segment::recover(0, Box::new(storage), 64).unwrap();
         assert_eq!(s.next_offset(), 3, "torn record must be dropped");
+    }
+
+    /// Storage that counts what is read from it.
+    struct Counting {
+        inner: MemStorage,
+        calls: Arc<AtomicU64>,
+        bytes: Arc<AtomicU64>,
+    }
+
+    impl SegmentStorage for Counting {
+        fn append(&mut self, frame: Bytes) -> std::io::Result<u64> {
+            self.inner.append(frame)
+        }
+        fn read_at(&self, pos: u64, max_len: usize) -> std::io::Result<Bytes> {
+            let read = self.inner.read_at(pos, max_len)?;
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_add(read.len() as u64, Ordering::Relaxed);
+            Ok(read)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+        fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+            self.inner.truncate(len)
+        }
+    }
+
+    /// Read counters of a [`Counting`] storage.
+    struct Reads {
+        calls: Arc<AtomicU64>,
+        bytes: Arc<AtomicU64>,
+    }
+
+    impl Reads {
+        /// `(calls, bytes)` since the last call; resets both.
+        fn take(&self) -> (u64, u64) {
+            (
+                self.calls.swap(0, Ordering::Relaxed),
+                self.bytes.swap(0, Ordering::Relaxed),
+            )
+        }
+    }
+
+    fn counting() -> (Box<Counting>, Reads) {
+        let reads = Reads {
+            calls: Arc::new(AtomicU64::new(0)),
+            bytes: Arc::new(AtomicU64::new(0)),
+        };
+        let storage = Counting {
+            inner: MemStorage::new(),
+            calls: reads.calls.clone(),
+            bytes: reads.bytes.clone(),
+        };
+        (Box::new(storage), reads)
+    }
+
+    /// Counting storage holding `records` as one contiguous run of
+    /// bytes, the way a file does: a window can end inside a record.
+    fn contiguous(records: &[Record]) -> (Box<Counting>, Reads) {
+        let (mut storage, reads) = counting();
+        let mut buf = Vec::new();
+        for r in records {
+            r.encode(&mut buf);
+        }
+        storage.append(Bytes::from(buf)).unwrap();
+        (storage, reads)
+    }
+
+    /// 420 records of ~165 B: a 64 KiB segment.
+    fn history() -> Vec<Record> {
+        (0..420u64)
+            .map(|i| rec(i, i / 3, &"v".repeat(128 + (i % 7) as usize)))
+            .collect()
+    }
+
+    #[test]
+    fn full_read_touches_each_byte_once() {
+        // Regression: `read_from` used to ask storage for up to 64 KiB
+        // per record — 400 calls and 13 MB for a segment like this.
+        let (storage, reads) = counting();
+        let mut s = Segment::new(0, storage, 4096);
+        for r in &history() {
+            s.append(r).unwrap();
+        }
+        let size = s.size_bytes();
+        assert!(size >= 64 * 1024);
+        let all = s.read_from(0, u64::MAX).unwrap();
+        assert_eq!(all.records, history());
+        assert_eq!(all.bytes_scanned, size);
+        // Appended one by one, every record is a frame of its own.
+        assert_eq!(reads.take(), (420, size));
+
+        // The same bytes as a file holds them: one window, one read.
+        let (storage, reads) = contiguous(&history());
+        let s = Segment::recover(0, storage, 4096).unwrap();
+        reads.take();
+        assert_eq!(s.read_from(0, u64::MAX).unwrap().records, history());
+        assert_eq!(reads.take(), (1, size));
+    }
+
+    #[test]
+    fn probe_reads_one_small_window() {
+        // A 1-byte-budget read decodes up to one index interval of
+        // records to reach its target — out of a single window of
+        // budget + interval + slack bytes, not 64 KiB for each.
+        let (storage, reads) = contiguous(&history());
+        let s = Segment::recover(0, storage, 4096).unwrap();
+        reads.take();
+        let probe = s.read_from(418, 1).unwrap();
+        assert_eq!(probe.records.len(), 1);
+        assert_eq!(probe.records[0].offset, 418);
+        let (calls, bytes) = reads.take();
+        assert_eq!(calls, 1);
+        assert!(bytes <= 1 + 4096 + WINDOW_SLACK);
+    }
+
+    #[test]
+    fn timestamp_scan_is_one_pass() {
+        // Regression: the scan used to call `read_from(offset, 1)` per
+        // record, each an index seek plus the decodes up to it. Only
+        // the first and last record enter the time index here, so the
+        // lookup walks everything between them.
+        let mut records = vec![rec(0, 50, "first")];
+        records.extend((1..300).map(|i| rec(i, i % 40, "an older timestamp")));
+        records.push(rec(300, 60, "last"));
+        let (storage, reads) = contiguous(&records);
+        let s = Segment::recover(0, storage, 4096).unwrap();
+        reads.take();
+        assert_eq!(s.offset_for_timestamp(55).unwrap(), Some(300));
+        let (calls, bytes) = reads.take();
+        assert_eq!(calls, 1);
+        assert_eq!(bytes, s.size_bytes());
+        assert_eq!(s.offset_for_timestamp(50).unwrap(), Some(0));
+        assert_eq!(s.offset_for_timestamp(61).unwrap(), None);
+    }
+
+    #[test]
+    fn recover_touches_each_byte_about_once() {
+        // Regression: `recover` used to read the whole rest of the
+        // file once per record — ~13 MB to reopen a 64 KiB segment.
+        let (storage, reads) = contiguous(&history());
+        let s = Segment::recover(0, storage, 4096).unwrap();
+        let size = s.size_bytes();
+        assert_eq!(s.record_count(), 420);
+        assert_eq!(s.next_offset(), 420);
+        assert!(s.index_entries() > 10, "the sparse index is rebuilt");
+        // 64 KiB windows; the record each one cuts off is read again.
+        let (calls, bytes) = reads.take();
+        assert!(calls <= 3, "{calls} reads");
+        assert!(bytes <= size + 2 * 200, "{bytes} bytes for {size}");
+    }
+
+    #[test]
+    fn records_cut_off_by_a_window_are_read_again_whole() {
+        // Windows of ~5 KiB over contiguous bytes end inside a record
+        // nearly every time: the cut-off record is read again from its
+        // own position with the same window — never skipped, never
+        // returned twice, and the window does not grow.
+        let (storage, reads) = contiguous(&history());
+        let mut cursor = ChunkCursor::new(storage.as_ref(), 0, 5_000);
+        let mut seen = Vec::new();
+        while let Some((r, pos, len)) = cursor.next_record(storage.as_ref()).unwrap() {
+            assert_eq!(len, r.wire_size() as u64);
+            assert_eq!(pos + len, cursor.pos);
+            seen.push(r);
+        }
+        assert_eq!(seen, history());
+        let (calls, bytes) = reads.take();
+        assert!(calls <= storage.len() / 4_800 + 1, "{calls} reads");
+        assert!(bytes <= storage.len() + calls * 200, "{bytes} bytes");
+    }
+
+    #[test]
+    fn corruption_in_the_middle_is_an_error_not_a_loop() {
+        let mut buf = Vec::new();
+        for r in &history() {
+            r.encode(&mut buf);
+        }
+        let at = buf.len() / 2;
+        buf[at] ^= 0xFF;
+        // As one run of bytes (a file), and as two frames with the
+        // damaged record the last of its frame: there a wider read
+        // brings nothing more, which must end the scan too.
+        for frames in [vec![&buf[..]], vec![&buf[..at + 1], &buf[at + 1..]]] {
+            let mut storage = MemStorage::new();
+            for frame in frames {
+                storage.append(Bytes::copy_from_slice(frame)).unwrap();
+            }
+            let mut cursor = ChunkCursor::new(&storage, 0, MIN_WINDOW);
+            let mut decoded = 0;
+            let err = loop {
+                match cursor.next_record(&storage) {
+                    Ok(Some(_)) => decoded += 1,
+                    Ok(None) => panic!("the damaged record was skipped"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(err, LogError::Corrupt(_)));
+            assert!((100..420).contains(&decoded), "{decoded} decoded first");
+            // Recovery keeps the records before the damage.
+            let s = Segment::recover(0, Box::new(storage), 4096).unwrap();
+            assert_eq!(s.record_count(), decoded);
+        }
     }
 
     #[test]

@@ -2,11 +2,18 @@
 //!
 //! Two backends implement [`SegmentStorage`]:
 //!
-//! * [`MemStorage`] — a `Vec<u8>`; fast and deterministic, used by most
-//!   tests and by experiments where the page-cache *model* supplies the
-//!   I/O costs (charging real disk I/O would double-count).
+//! * [`MemStorage`] — the appended frames themselves, kept as frozen
+//!   `Bytes`; fast and deterministic, used by most tests and by
+//!   experiments where the page-cache *model* supplies the I/O costs
+//!   (charging real disk I/O would double-count).
 //! * [`FileStorage`] — a real file using positional reads; used by the
 //!   durability examples and recovery tests.
+//!
+//! The unit of a write is a **frame**: the encoding of one batch of
+//! whole records, frozen into one `Bytes` by the segment. `MemStorage`
+//! keeps that `Bytes`, so the bytes a reader is handed, the active
+//! segment's in-memory tail and a read-cache entry are all slices of
+//! the one buffer the append made.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -17,14 +24,21 @@ use bytes::Bytes;
 /// Byte-level storage for one segment: append-at-end plus positional
 /// reads.
 pub trait SegmentStorage: Send + Sync {
-    /// Appends `data`, returning the byte position it was written at.
-    fn append(&mut self, data: &[u8]) -> io::Result<u64>;
-    /// Reads exactly `len` bytes starting at `pos`. Short data is an
-    /// error. Returns `Bytes` so decode can hand out zero-copy record
-    /// slices of the chunk: the storage boundary is the *one* place the
-    /// fetch path is allowed to copy, and each chunk copy is amortized
-    /// across every record decoded from it.
-    fn read_at(&self, pos: u64, len: usize) -> io::Result<Bytes>;
+    /// Appends one frame, returning the byte position it was written
+    /// at. One call is one write to the medium, however many records
+    /// the frame holds.
+    fn append(&mut self, frame: Bytes) -> io::Result<u64>;
+    /// Reads up to `max_len` bytes starting at `pos`, like `pread`:
+    /// the result is empty only at (or past) the end of storage, and
+    /// is shorter than `min(max_len, len() - pos)` only where the
+    /// backend saves a copy by stopping early — `MemStorage` stops at
+    /// the end of the frame holding `pos` and hands out a slice of it.
+    /// Bytes appended together always come back together (given a
+    /// large enough `max_len`), so a reader that moves by whole
+    /// records never sees one cut in two by a frame boundary. Returns
+    /// `Bytes` so decode can hand out zero-copy record slices of what
+    /// was read.
+    fn read_at(&self, pos: u64, max_len: usize) -> io::Result<Bytes>;
     /// Current size in bytes.
     fn len(&self) -> u64;
     /// Whether the storage is empty.
@@ -110,44 +124,54 @@ impl StorageKind {
     }
 }
 
-/// In-memory segment storage.
+/// In-memory segment storage: the appended frames, each a frozen
+/// `Bytes`, with their start positions. A read is a slice of the frame
+/// holding its position — this backend never copies.
 #[derive(Debug, Default)]
 pub struct MemStorage {
-    data: Vec<u8>,
+    /// `(start position, frame)` in position order; contiguous, no
+    /// empty frames.
+    frames: Vec<(u64, Bytes)>,
+    len: u64,
 }
 
 impl MemStorage {
     /// New, empty storage.
     pub fn new() -> Self {
-        MemStorage { data: Vec::new() }
+        MemStorage::default()
+    }
+
+    /// The frame holding byte `pos`, if `pos` is inside the storage.
+    fn frame_at(&self, pos: u64) -> Option<&(u64, Bytes)> {
+        if pos >= self.len {
+            return None;
+        }
+        let after = self.frames.partition_point(|&(start, _)| start <= pos);
+        self.frames.get(after.checked_sub(1)?)
     }
 }
 
 impl SegmentStorage for MemStorage {
-    fn append(&mut self, data: &[u8]) -> io::Result<u64> {
-        let pos = self.data.len() as u64;
-        // lint:allow(hot-copy, reason=storage boundary: append copies the frame into the durable medium, the one sanctioned copy on the write path)
-        self.data.extend_from_slice(data);
+    fn append(&mut self, frame: Bytes) -> io::Result<u64> {
+        let pos = self.len;
+        if !frame.is_empty() {
+            self.len = self.len.saturating_add(frame.len() as u64);
+            self.frames.push((pos, frame));
+        }
         Ok(pos)
     }
 
-    fn read_at(&self, pos: u64, len: usize) -> io::Result<Bytes> {
-        let start = pos as usize;
-        let end = start
-            .checked_add(len)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "overflow"))?;
-        if end > self.data.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("read [{start}, {end}) beyond len {}", self.data.len()),
-            ));
-        }
-        // lint:allow(hot-copy, reason=storage boundary: one chunk copy out of the medium per read, amortized across every record decoded from the chunk)
-        Ok(Bytes::copy_from_slice(&self.data[start..end]))
+    fn read_at(&self, pos: u64, max_len: usize) -> io::Result<Bytes> {
+        let Some((start, frame)) = self.frame_at(pos) else {
+            return Ok(Bytes::new());
+        };
+        let lo = pos.saturating_sub(*start) as usize;
+        let hi = lo.saturating_add(max_len).min(frame.len());
+        Ok(frame.slice(lo..hi))
     }
 
     fn len(&self) -> u64 {
-        self.data.len() as u64
+        self.len
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -155,8 +179,17 @@ impl SegmentStorage for MemStorage {
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        // lint:allow(dropped-result, reason=this is std Vec::truncate returning unit, not the Result-returning Storage::truncate it shadows by name)
-        self.data.truncate(len as usize);
+        if len >= self.len {
+            return Ok(());
+        }
+        while let Some((start, frame)) = self.frames.pop() {
+            if start < len {
+                let keep = len.saturating_sub(start) as usize;
+                self.frames.push((start, frame.slice(..keep)));
+                break;
+            }
+        }
+        self.len = len;
         Ok(())
     }
 }
@@ -189,16 +222,25 @@ impl FileStorage {
 }
 
 impl SegmentStorage for FileStorage {
-    fn append(&mut self, data: &[u8]) -> io::Result<u64> {
+    fn append(&mut self, frame: Bytes) -> io::Result<u64> {
+        // One positioned write per frame, however many records it
+        // holds. Seeking first (rather than trusting the cursor) makes
+        // a write that failed half-way harmless: the next append starts
+        // at `len` again and overwrites what it left.
         let pos = self.len;
         self.file.seek(SeekFrom::Start(pos))?;
-        self.file.write_all(data)?;
-        self.len += data.len() as u64;
+        self.file.write_all(&frame)?;
+        self.len = self.len.saturating_add(frame.len() as u64);
         Ok(pos)
     }
 
-    fn read_at(&self, pos: u64, len: usize) -> io::Result<Bytes> {
-        // Bytes::from adopts the read buffer without copying.
+    fn read_at(&self, pos: u64, max_len: usize) -> io::Result<Bytes> {
+        let remaining = usize::try_from(self.len.saturating_sub(pos)).unwrap_or(usize::MAX);
+        let len = max_len.min(remaining);
+        // One read into a scratch buffer, then the one copy `Bytes`
+        // needs to own it (the vendored `Bytes::from(Vec<u8>)` copies
+        // into its `Arc<[u8]>`); every record decoded from the result
+        // is a slice of it.
         #[cfg(unix)]
         {
             use std::os::unix::fs::FileExt;
@@ -208,6 +250,7 @@ impl SegmentStorage for FileStorage {
         }
         #[cfg(not(unix))]
         {
+            use std::io::Read;
             let mut file = self.file.try_clone()?;
             file.seek(SeekFrom::Start(pos))?;
             let mut buf = vec![0u8; len];
@@ -237,18 +280,30 @@ mod tests {
 
     fn exercise(mut s: Box<dyn SegmentStorage>) {
         assert!(s.is_empty());
-        let p0 = s.append(b"hello").unwrap();
-        let p1 = s.append(b" world").unwrap();
+        let p0 = s.append(Bytes::from_static(b"hello")).unwrap();
+        let p1 = s.append(Bytes::from_static(b" world")).unwrap();
         assert_eq!(p0, 0);
         assert_eq!(p1, 5);
         assert_eq!(s.len(), 11);
         assert_eq!(s.read_at(0, 5).unwrap(), b"hello");
         assert_eq!(s.read_at(6, 5).unwrap(), b"world");
-        assert!(s.read_at(8, 10).is_err(), "read past end must fail");
+        assert_eq!(s.read_at(8, 10).unwrap(), b"rld", "clipped at the end");
+        assert!(s.read_at(11, 4).unwrap().is_empty());
+        // A read is never empty before the end, never longer than
+        // asked, and reads walked in order give back the bytes.
+        let mut walked = Vec::new();
+        while (walked.len() as u64) < s.len() {
+            let chunk = s.read_at(walked.len() as u64, 4).unwrap();
+            assert!(!chunk.is_empty() && chunk.len() <= 4);
+            walked.extend_from_slice(&chunk);
+        }
+        assert_eq!(walked, b"hello world");
+        // What was appended together comes back together.
+        assert_eq!(s.read_at(5, 64).unwrap(), b" world");
         s.truncate(5).unwrap();
         assert_eq!(s.len(), 5);
         assert_eq!(s.read_at(0, 5).unwrap(), b"hello");
-        let p2 = s.append(b"!").unwrap();
+        let p2 = s.append(Bytes::from_static(b"!")).unwrap();
         assert_eq!(p2, 5);
         s.flush().unwrap();
     }
@@ -256,6 +311,27 @@ mod tests {
     #[test]
     fn mem_storage_contract() {
         exercise(Box::new(MemStorage::new()));
+    }
+
+    #[test]
+    fn mem_storage_reads_inside_a_frame_share_its_buffer() {
+        let mut s = MemStorage::new();
+        s.append(Bytes::from_static(b"first-frame")).unwrap();
+        let frame = Bytes::from_static(b"second-frame");
+        let base = frame.as_slice().as_ptr() as usize;
+        s.append(frame).unwrap();
+        let inside = s.read_at(11 + 7, 5).unwrap();
+        assert_eq!(inside, b"frame");
+        assert_eq!(inside.as_slice().as_ptr() as usize, base + 7, "a slice");
+        // A read stops at the end of its frame instead of copying.
+        assert_eq!(s.read_at(6, 64).unwrap(), b"frame");
+        // Truncating inside a frame keeps its head, still shared.
+        s.truncate(11 + 6).unwrap();
+        assert_eq!(s.len(), 17);
+        let head = s.read_at(11, 6).unwrap();
+        assert_eq!(head, b"second");
+        assert_eq!(head.as_slice().as_ptr() as usize, base);
+        assert_eq!(s.read_at(11, 7).unwrap(), b"second");
     }
 
     #[test]
@@ -274,7 +350,7 @@ mod tests {
         let path = dir.join("persist.seg");
         {
             let mut s = FileStorage::create(&path).unwrap();
-            s.append(b"durable").unwrap();
+            s.append(Bytes::from_static(b"durable")).unwrap();
             s.flush().unwrap();
         }
         let s = FileStorage::open(&path).unwrap();
@@ -287,7 +363,7 @@ mod tests {
     fn storage_kind_memory_roundtrip() {
         let kind = StorageKind::Memory;
         let mut s = kind.create(0).unwrap();
-        s.append(b"x").unwrap();
+        s.append(Bytes::from_static(b"x")).unwrap();
         assert_eq!(s.len(), 1);
         assert!(kind.existing_segments().unwrap().is_empty());
         kind.destroy(0).unwrap();
@@ -299,9 +375,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let kind = StorageKind::Files(dir.clone());
         let mut a = kind.create(0).unwrap();
-        a.append(b"a").unwrap();
+        a.append(Bytes::from_static(b"a")).unwrap();
         let mut b = kind.create(1024).unwrap();
-        b.append(b"b").unwrap();
+        b.append(Bytes::from_static(b"b")).unwrap();
         assert_eq!(kind.existing_segments().unwrap(), vec![0, 1024]);
         kind.destroy(0).unwrap();
         assert_eq!(kind.existing_segments().unwrap(), vec![1024]);

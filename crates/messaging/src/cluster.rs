@@ -1377,20 +1377,6 @@ impl Cluster {
     }
 }
 
-/// Reads the single record at exactly `offset`, or `None` when the log
-/// does not hold it (out of range, or compacted away).
-fn record_at(log: &Log, offset: u64) -> Option<liquid_log::Record> {
-    if offset < log.start_offset() || offset >= log.next_offset() {
-        return None;
-    }
-    log.read(offset, 1)
-        .ok()?
-        .records
-        .into_iter()
-        .next()
-        .filter(|r| r.offset == offset)
-}
-
 /// Copies missing records leader → follower; returns `(messages, bytes)`.
 ///
 /// Before copying, the follower's tail is reconciled against the
@@ -1419,8 +1405,12 @@ fn catch_up(
         else {
             break;
         };
-        let leader_rec = record_at(leader_log, off);
-        let follower_rec = record_at(follower_log, off);
+        // Point lookups: they never fill the segment cache, so probing
+        // the last offset of a just-sealed segment at every roll does
+        // not decode the whole segment for one record. A record that
+        // cannot be read is treated like one that is not there.
+        let leader_rec = leader_log.record_at(off).ok().flatten();
+        let follower_rec = follower_log.record_at(off).ok().flatten();
         match (leader_rec, follower_rec) {
             (Some(l), Some(f)) => {
                 if l.key == f.key && l.value == f.value && l.timestamp == f.timestamp {

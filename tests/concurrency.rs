@@ -3,6 +3,7 @@
 //! safely (hundreds of clients per topic, §3.1).
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -65,13 +66,20 @@ fn producers_and_consumers_race_to_a_consistent_end() {
         .create_topic("t", TopicConfig::with_partitions(2))
         .unwrap();
     let cluster = Arc::new(cluster);
+    // Readers may only give up once the writer has finished: an idle
+    // streak while it is descheduled says nothing about the end of the
+    // stream, and a reader that quit early used to leave its partition
+    // uncovered (the faster the read path, the likelier).
+    let written = Arc::new(AtomicBool::new(false));
     let writer = {
         let cluster = cluster.clone();
+        let written = written.clone();
         thread::spawn(move || {
             let producer = Producer::new(&cluster, "t").unwrap();
             for i in 0..5_000 {
                 producer.send(None, Bytes::from(format!("m{i}"))).unwrap();
             }
+            written.store(true, Ordering::SeqCst);
         })
     };
     // Two consumers in one group chase the head while it is written.
@@ -81,6 +89,7 @@ fn producers_and_consumers_race_to_a_consistent_end() {
     let readers: Vec<_> = (0..2)
         .map(|m| {
             let cluster = cluster.clone();
+            let written = written.clone();
             thread::spawn(move || {
                 let consumer = Consumer::in_group(&cluster, "race", &format!("m{m}"));
                 consumer
@@ -89,7 +98,7 @@ fn producers_and_consumers_race_to_a_consistent_end() {
                 let mut got: HashSet<(u32, u64)> = HashSet::new();
                 let mut deliveries = 0usize;
                 let mut idle = 0;
-                while idle < 50 {
+                while idle < 50 || !written.load(Ordering::SeqCst) {
                     let mut n = 0;
                     for (tp, batch) in consumer.poll_batches().unwrap() {
                         for msg in batch.records() {
