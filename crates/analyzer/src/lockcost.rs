@@ -32,7 +32,7 @@
 //!
 //! Counts are *static* (a call site counts once, however often the
 //! loop around it spins), so the score is a ranking signal, not a
-//! cycle count; E12 provides the dynamic twin.
+//! cycle count; `lbench`'s `firehose_*` workloads are the dynamic twin.
 //!
 //! Lint findings fire only for guards in the **hot** closure (the
 //! [`HOT_ROOTS`] reachability shared with the hot-copy pass) that hold

@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use liquid_log::RetentionPolicy;
 use liquid_messaging::{AckLevel, Cluster, ClusterConfig, Message, TopicConfig, TopicPartition};
 use liquid_processing::window::TumblingWindow;
 use liquid_processing::{FnTask, Job, JobConfig, StateStore, TaskContext};
@@ -90,7 +91,10 @@ fn state_store_ops(c: &mut Criterion) {
     group.bench_function("put_with_changelog", |b| {
         let cluster = Cluster::new(ClusterConfig::with_brokers(1), SimClock::new(0).shared());
         cluster
-            .create_topic("cl", TopicConfig::with_partitions(1).compacted())
+            .create_topic(
+                "cl",
+                TopicConfig::with_partitions(1).retention(RetentionPolicy::compact()),
+            )
             .unwrap();
         let mut store = StateStore::with_changelog(cluster, TopicPartition::new("cl", 0)).unwrap();
         let mut i = 0u64;
@@ -127,7 +131,7 @@ fn changelog_restore(c: &mut Criterion) {
                 .create_topic(
                     "cl",
                     TopicConfig::with_partitions(1)
-                        .compacted()
+                        .retention(RetentionPolicy::compact())
                         .segment_bytes(64 * 1024),
                 )
                 .unwrap();

@@ -8,6 +8,7 @@
 
 use bytes::Bytes;
 use liquid_bench::report::{fmt_bytes, table_header, table_row};
+use liquid_log::RetentionPolicy;
 use liquid_messaging::{AckLevel, Cluster, ClusterConfig, TopicConfig, TopicPartition};
 use liquid_sim::clock::SimClock;
 use liquid_sim::rng::{seeded, Zipf};
@@ -27,7 +28,7 @@ fn run(keys: usize, obs: &liquid_obs::Obs) -> (u64, u64, u64, u64, f64) {
         .create_topic(
             "changelog",
             TopicConfig::with_partitions(1)
-                .compacted()
+                .retention(RetentionPolicy::compact())
                 .segment_bytes(256 * 1024),
         )
         .unwrap();

@@ -18,6 +18,7 @@
 
 use bytes::Bytes;
 use liquid_dfs::{Dfs, DfsConfig};
+use liquid_log::RetentionPolicy;
 use liquid_messaging::{AckLevel, Cluster, Message, TopicConfig, TopicPartition};
 use liquid_mr::{Emitter, MrJobConfig};
 use liquid_processing::{FnTask, Job, JobConfig, JobStart, TaskContext};
@@ -50,7 +51,10 @@ fn seed_cluster(history: u64, delta: u64, keys: u64) -> (Cluster, TopicPartition
         .create_topic("events", TopicConfig::with_partitions(1))
         .unwrap();
     cluster
-        .create_topic("counts", TopicConfig::with_partitions(1).compacted())
+        .create_topic(
+            "counts",
+            TopicConfig::with_partitions(1).retention(RetentionPolicy::compact()),
+        )
         .unwrap();
     let tp = TopicPartition::new("events", 0);
     for i in 0..(history + delta) {
@@ -150,7 +154,10 @@ pub fn run_kappa(history: u64, delta: u64, keys: u64) -> ArchReport {
     let steady = live.processed();
     // Logic change: replay everything from offset 0 in parallel.
     cluster
-        .create_topic("counts-v2", TopicConfig::with_partitions(1).compacted())
+        .create_topic(
+            "counts-v2",
+            TopicConfig::with_partitions(1).retention(RetentionPolicy::compact()),
+        )
         .unwrap();
     let mut replay = Job::new(
         &cluster,

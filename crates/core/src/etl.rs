@@ -11,8 +11,8 @@
 
 use std::sync::Arc;
 
+use liquid_obs::stats::Histogram;
 use liquid_processing::Job;
-use liquid_sim::stats::Histogram;
 use liquid_yarn::{ContainerId, ResourceManager};
 
 /// A job running under a resource container.

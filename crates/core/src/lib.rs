@@ -170,7 +170,7 @@ pub mod prelude {
     pub use crate::stack::{FeedConfig, FeedKind, Liquid, LiquidConfig};
     pub use crate::{LiquidError, Result};
     pub use bytes::Bytes;
-    pub use liquid_log::{BatchBuilder, RecordBatch};
+    pub use liquid_log::{BatchBuilder, RecordBatch, RetentionPolicy};
     pub use liquid_messaging::consumer::StartPosition;
     pub use liquid_messaging::{
         AckLevel, AssignmentStrategy, BatchConfig, Consumer, Message, MessageBatch, Partitioner,

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use liquid_log::RetentionPolicy;
 use liquid_messaging::consumer::StartPosition;
 use liquid_messaging::{Cluster, ClusterConfig, Consumer, Producer, TopicConfig, TopicPartition};
 use liquid_processing::{Job, JobConfig, StreamTask};
@@ -58,12 +59,8 @@ pub struct FeedConfig {
     pub partitions: u32,
     /// Replication factor.
     pub replication: u32,
-    /// Keep only the latest record per key.
-    pub compacted: bool,
-    /// Time-based retention.
-    pub retention_ms: Option<u64>,
-    /// Size-based retention.
-    pub retention_bytes: Option<u64>,
+    /// What is reclaimed, and whether the feed is compacted.
+    pub retention: RetentionPolicy,
     /// Segment roll size.
     pub segment_bytes: u64,
     /// Fault injector threaded into every replica log of the feed.
@@ -75,9 +72,7 @@ impl Default for FeedConfig {
         FeedConfig {
             partitions: 1,
             replication: 1,
-            compacted: false,
-            retention_ms: None,
-            retention_bytes: None,
+            retention: RetentionPolicy::KeepAll,
             segment_bytes: 1 << 20,
             log_injector: FailureInjector::disabled(),
         }
@@ -97,31 +92,17 @@ impl FeedConfig {
         self
     }
 
-    /// Marks the feed compacted.
-    pub fn compacted(mut self) -> Self {
-        self.compacted = true;
-        self
-    }
-
-    /// Sets time-based retention.
-    pub fn retention_ms(mut self, ms: u64) -> Self {
-        self.retention_ms = Some(ms);
+    /// Sets the retention policy.
+    pub fn retention(mut self, policy: RetentionPolicy) -> Self {
+        self.retention = policy;
         self
     }
 
     fn to_topic_config(&self) -> TopicConfig {
         let mut tc = TopicConfig::with_partitions(self.partitions)
             .replication(self.replication)
+            .retention(self.retention)
             .segment_bytes(self.segment_bytes);
-        if self.compacted {
-            tc = tc.compacted();
-        }
-        if let Some(ms) = self.retention_ms {
-            tc = tc.retention_ms(ms);
-        }
-        if let Some(b) = self.retention_bytes {
-            tc = tc.retention_bytes(b);
-        }
         tc.log.injector = self.log_injector.clone();
         tc
     }

@@ -64,6 +64,14 @@ impl RetentionPolicy {
         RetentionPolicy::KeepAll
     }
 
+    /// Compaction with no age or size bound (changelog topics, §4.1).
+    pub fn compact() -> Self {
+        RetentionPolicy::Compact {
+            max_age_ms: None,
+            max_bytes: None,
+        }
+    }
+
     /// The age bound, if this policy has one.
     pub fn max_age_ms(&self) -> Option<u64> {
         match *self {
@@ -86,55 +94,6 @@ impl RetentionPolicy {
     /// Whether the latest record per key is kept by compaction.
     pub fn is_compacted(&self) -> bool {
         matches!(self, RetentionPolicy::Compact { .. })
-    }
-
-    /// Returns the policy with an age bound of `max_age_ms`, keeping
-    /// any size bound and the compaction choice it already carries.
-    pub fn with_max_age_ms(self, max_age_ms: u64) -> Self {
-        match self {
-            RetentionPolicy::KeepAll => RetentionPolicy::DropByAge {
-                max_age_ms,
-                max_bytes: None,
-            },
-            RetentionPolicy::DropByAge { max_bytes, .. } => RetentionPolicy::DropByAge {
-                max_age_ms,
-                max_bytes,
-            },
-            RetentionPolicy::DropByBytes { max_bytes } => RetentionPolicy::DropByAge {
-                max_age_ms,
-                max_bytes: Some(max_bytes),
-            },
-            RetentionPolicy::Compact { max_bytes, .. } => RetentionPolicy::Compact {
-                max_age_ms: Some(max_age_ms),
-                max_bytes,
-            },
-        }
-    }
-
-    /// Returns the policy with a size bound of `max_bytes`, keeping any
-    /// age bound and the compaction choice it already carries.
-    pub fn with_max_bytes(self, max_bytes: u64) -> Self {
-        match self {
-            RetentionPolicy::KeepAll => RetentionPolicy::DropByBytes { max_bytes },
-            RetentionPolicy::DropByAge { max_age_ms, .. } => RetentionPolicy::DropByAge {
-                max_age_ms,
-                max_bytes: Some(max_bytes),
-            },
-            RetentionPolicy::DropByBytes { .. } => RetentionPolicy::DropByBytes { max_bytes },
-            RetentionPolicy::Compact { max_age_ms, .. } => RetentionPolicy::Compact {
-                max_age_ms,
-                max_bytes: Some(max_bytes),
-            },
-        }
-    }
-
-    /// Returns the compacted form of the policy, carrying over any
-    /// age/size bounds it already declares.
-    pub fn compacted(self) -> Self {
-        RetentionPolicy::Compact {
-            max_age_ms: self.max_age_ms(),
-            max_bytes: self.max_bytes(),
-        }
     }
 
     /// Rejects degenerate bounds (a zero bound would drop every sealed
@@ -194,7 +153,6 @@ impl Default for LogConfig {
 #[derive(Debug, Clone)]
 pub(crate) struct LogMetrics {
     pub(crate) append: CounterHandle,
-    pub(crate) append_batch: CounterHandle,
     pub(crate) roll: CounterHandle,
     pub(crate) compact: CounterHandle,
     pub(crate) segment_drop: CounterHandle,
@@ -207,7 +165,6 @@ impl LogMetrics {
         let reg = obs.registry();
         LogMetrics {
             append: reg.counter("log.append"),
-            append_batch: reg.counter("log.append-batch"),
             roll: reg.counter("log.roll"),
             compact: reg.counter("log.compact"),
             segment_drop: reg.counter("log.segment-drop"),
@@ -354,82 +311,49 @@ impl Log {
         self.segments.len()
     }
 
-    /// Appends with the current clock time as the record timestamp.
+    /// Appends one record stamped with the current clock time: sugar
+    /// for a batch of one through
+    /// [`append_record_batch`](Self::append_record_batch). Returns its
+    /// offset.
     pub fn append(&mut self, key: Option<Bytes>, value: Bytes) -> crate::Result<u64> {
-        let now = self.clock.now();
-        self.append_with_timestamp(key, value, now)
+        let record = Record::new(key, value, self.clock.now());
+        let (offset, _, _) = self.append_record_batch(RecordBatch::from_records(vec![record]))?;
+        Ok(offset)
     }
 
-    /// Appends a record with an explicit timestamp; returns its offset.
-    pub fn append_with_timestamp(
-        &mut self,
-        key: Option<Bytes>,
-        value: Bytes,
-        timestamp: Ts,
-    ) -> crate::Result<u64> {
-        self.metrics.append.inc();
-        self.metrics.append_bytes.record(value.len() as u64);
-        if self.config.injector.tick("log.append") {
-            return Err(LogError::Injected("log.append"));
-        }
-        self.maybe_roll()?;
-        let mut record = Record::new(key, value, timestamp);
-        self.append_at_end(std::slice::from_mut(&mut record))
-    }
-
-    /// Appends a batch of `(key, value)` pairs as one group-commit,
-    /// stamping every record with the current clock time. Returns the
-    /// offset of the first record. See
-    /// [`append_record_batch`](Self::append_record_batch).
-    pub fn append_batch(&mut self, batch: Vec<(Option<Bytes>, Bytes)>) -> crate::Result<u64> {
-        let now = self.clock.now();
-        let base = self.next_offset();
-        self.append_record_batch(RecordBatch::from_pairs(batch, now))?;
-        Ok(base)
-    }
-
-    /// Group-commit append: the whole batch is one decision point — one
-    /// fault-injector tick (`log.append-batch`), one roll check, one
-    /// metrics record, one encoded frame and one storage append —
-    /// instead of one per record, which is what makes the batched
-    /// produce path scale.
+    /// The write function: every append is one batch — one
+    /// fault-injector tick (`log.append`), one roll check, one metrics
+    /// record, one encoded frame, one storage append and one page-cache
+    /// model charge — however many records it carries, which is what
+    /// makes the batched produce path scale. The tail keeps slices of
+    /// that frame, not the caller's buffers: those are released when
+    /// the batch is dropped here, while they are still hot.
     ///
-    /// Atomicity: the injector tick happens *before* the first record
-    /// is written, so an injected crash drops the batch whole — a torn
-    /// batch is never half-appended by fault injection. Offsets are
-    /// assigned sequentially from the current log end, overwriting
-    /// whatever offsets the records carried. Because the batch is
-    /// indivisible, the roll threshold is checked once up front and the
-    /// active segment may overshoot `segment_bytes` by up to one batch.
+    /// Atomicity: the injector tick happens *before* the first byte of
+    /// the frame is written, so an injected crash drops the batch whole
+    /// — a torn batch is never half-appended by fault injection.
+    /// Offsets are assigned sequentially from the current log end,
+    /// overwriting whatever offsets the records carried; timestamps are
+    /// kept as given. Because the batch is indivisible, the roll
+    /// threshold is checked once up front and the active segment may
+    /// overshoot `segment_bytes` by up to one batch.
     ///
     /// Returns `(base_offset, records, payload_bytes)` of the appended
     /// run; an empty batch appends nothing and ticks nothing.
     pub fn append_record_batch(&mut self, batch: RecordBatch) -> crate::Result<(u64, u64, u64)> {
-        let records = batch.len() as u64;
-        if records == 0 {
+        let count = batch.len() as u64;
+        if count == 0 {
             return Ok((self.next_offset(), 0, 0));
         }
         let payload_bytes = batch.payload_bytes();
-        self.metrics.append_batch.inc();
-        self.metrics.batch_records.record(records);
-        self.metrics.append.add(records);
+        self.metrics.append.inc();
+        self.metrics.batch_records.record(count);
         self.metrics.append_bytes.record(payload_bytes);
-        if self.config.injector.tick("log.append-batch") {
-            return Err(LogError::Injected("log.append-batch"));
+        if self.config.injector.tick("log.append") {
+            return Err(LogError::Injected("log.append"));
         }
         self.maybe_roll()?;
-        let mut batch = batch.into_records();
-        let base = self.append_at_end(&mut batch)?;
-        Ok((base, records, payload_bytes))
-    }
-
-    /// The one write function under every `append*`: assigns offsets
-    /// from the log end and appends `records` to the active segment as
-    /// one frame (one encode buffer, one storage append, one page-cache
-    /// model charge). The tail keeps slices of that frame, not the
-    /// caller's buffers: those are released when the caller drops
-    /// `records`, while they are still hot. Returns the first offset.
-    fn append_at_end(&mut self, records: &mut [Record]) -> crate::Result<u64> {
+        let mut records = batch.into_records();
         let base = self.next_offset();
         let mut next = base;
         for record in records.iter_mut() {
@@ -438,8 +362,8 @@ impl Log {
             // the offset space.
             next = next.saturating_add(1);
         }
-        self.append_to_active(records)?;
-        Ok(base)
+        self.append_to_active(&records)?;
+        Ok((base, count, payload_bytes))
     }
 
     /// Appends `records`, offsets already assigned, to the active
@@ -1225,53 +1149,24 @@ mod tests {
     fn batch_append_returns_first_offset() {
         let (mut log, _) = log_with(1 << 20);
         log.append(None, b("pre")).unwrap();
-        let first = log
-            .append_batch(vec![(None, b("a")), (None, b("b")), (None, b("c"))])
+        let pairs = vec![(None, b("a")), (None, b("b")), (None, b("c"))];
+        let appended = log
+            .append_record_batch(RecordBatch::from_pairs(pairs, 0))
             .unwrap();
-        assert_eq!(first, 1);
+        assert_eq!(appended, (1, 3, 3), "(base offset, records, payload bytes)");
         assert_eq!(log.next_offset(), 4);
-    }
-
-    #[test]
-    fn retention_policy_builders_compose() {
-        let p = RetentionPolicy::keep_forever();
-        assert_eq!(p, RetentionPolicy::KeepAll);
-        assert_eq!(p.max_age_ms(), None);
-        assert_eq!(p.max_bytes(), None);
-        assert!(!p.is_compacted());
-        let aged = p.with_max_age_ms(1_000);
-        assert_eq!(aged.max_age_ms(), Some(1_000));
-        let both = aged.with_max_bytes(2_048);
         assert_eq!(
-            both,
-            RetentionPolicy::DropByAge {
-                max_age_ms: 1_000,
-                max_bytes: Some(2_048),
-            }
-        );
-        // Compacting carries the bounds along; adding bounds to a
-        // compacted policy keeps it compacted.
-        let compact = both.compacted();
-        assert!(compact.is_compacted());
-        assert_eq!(compact.max_age_ms(), Some(1_000));
-        assert_eq!(compact.max_bytes(), Some(2_048));
-        let compact2 = RetentionPolicy::KeepAll.compacted().with_max_bytes(512);
-        assert!(compact2.is_compacted());
-        assert_eq!(compact2.max_bytes(), Some(512));
-        // Switching from bytes-only to an age bound keeps the bytes.
-        let switched = RetentionPolicy::DropByBytes { max_bytes: 9 }.with_max_age_ms(7);
-        assert_eq!(
-            switched,
-            RetentionPolicy::DropByAge {
-                max_age_ms: 7,
-                max_bytes: Some(9),
-            }
+            log.append_record_batch(RecordBatch::new()).unwrap(),
+            (4, 0, 0),
+            "an empty batch appends nothing"
         );
     }
 
     #[test]
     fn retention_policy_validation_rejects_zero_bounds() {
         assert!(RetentionPolicy::KeepAll.validate().is_ok());
+        assert!(RetentionPolicy::compact().is_compacted());
+        assert!(RetentionPolicy::compact().validate().is_ok());
         assert!(RetentionPolicy::DropByBytes { max_bytes: 1 }
             .validate()
             .is_ok());
@@ -1486,7 +1381,7 @@ mod tests {
                             let value = "v".repeat((x + 7 * i) as usize % 60);
                             (Some(b(&format!("k{key}"))), b(&format!("{written}:{value}")))
                         });
-                        log.append_batch(pairs.collect()).unwrap();
+                        log.append_record_batch(RecordBatch::from_pairs(pairs.collect(), 0)).unwrap();
                     }
                     3 | 4 => {
                         written += 1;

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use liquid_coord::{CoordService, Session};
-use liquid_log::{Log, LogError, ReadCacheConfig, RecordBatch, SegmentReadCache};
+use liquid_log::{Log, LogError, ReadCacheConfig, Record, RecordBatch, SegmentReadCache};
 use liquid_obs::{CounterHandle, GaugeHandle, HistogramHandle, Obs};
 use liquid_sim::clock::SharedClock;
 use liquid_sim::failure::FailureInjector;
@@ -44,7 +44,7 @@ use liquid_sim::sched::Shared;
 
 use crate::config::{AckLevel, TopicConfig};
 use crate::error::MessagingError;
-use crate::ids::{BrokerId, Message, MessageBatch, TopicPartition};
+use crate::ids::{BrokerId, MessageBatch, TopicPartition};
 use crate::offsets::OffsetManager;
 
 /// Cluster-wide configuration.
@@ -52,9 +52,8 @@ use crate::offsets::OffsetManager;
 pub struct ClusterConfig {
     /// Number of brokers.
     pub brokers: u32,
-    /// Replication factor topics default to when built through
-    /// [`TopicConfigBuilder::build_for`](crate::config::TopicConfigBuilder::build_for)
-    /// without an explicit factor.
+    /// Default topic replication factor; [`ClusterConfigBuilder::build`]
+    /// holds it to `1..=brokers`.
     pub default_replication: u32,
     /// A follower may lag the leader by at most this many records and
     /// remain in the ISR.
@@ -200,9 +199,9 @@ struct ClusterMetrics {
     produce_failures: CounterHandle,
     producer_ids: CounterHandle,
     replication_fetch: CounterHandle,
-    replication_fetch_batch: CounterHandle,
     cluster_election: CounterHandle,
-    /// Records per produced batch (group-commit size distribution).
+    /// Records per produce call (group-commit size distribution; a
+    /// single-record produce counts as 1).
     produce_batch_records: HistogramHandle,
     /// Records per served fetch batch.
     fetch_batch_records: HistogramHandle,
@@ -222,7 +221,6 @@ impl ClusterMetrics {
             produce_failures: reg.counter("cluster.produce_failures"),
             producer_ids: reg.counter("cluster.producer_ids"),
             replication_fetch: reg.counter("replication.fetch"),
-            replication_fetch_batch: reg.counter("replication.fetch-batch"),
             cluster_election: reg.counter("cluster.election"),
             produce_batch_records: reg.histogram("cluster.produce.batch_records"),
             fetch_batch_records: reg.histogram("cluster.fetch.batch_records"),
@@ -250,10 +248,11 @@ struct PartitionState {
     /// tracked cell: under a model run every read/write is a schedule
     /// point and feeds the happens-before race detector.
     high_watermark: Shared<u64>,
-    /// Highest sequence number accepted per idempotent producer id
-    /// (duplicate suppression; the exactly-once groundwork §4.3 calls
-    /// "an ongoing effort").
-    producer_seqs: HashMap<u64, u64>,
+    /// Per idempotent producer id: the highest sequence number whose
+    /// batch the leader appended, and that batch's base offset — what a
+    /// duplicate retry is answered with (the exactly-once groundwork
+    /// §4.3 calls "an ongoing effort").
+    producer_seqs: HashMap<u64, (u64, u64)>,
     /// Registry gauge mirroring `high_watermark`
     /// (`partition.high_watermark{tp=topic-p}`).
     hw_gauge: GaugeHandle,
@@ -466,10 +465,15 @@ impl Cluster {
     }
 
     /// Creates a topic; partitions are assigned to brokers round-robin
-    /// and replicas to the following brokers.
+    /// and replicas to the following brokers. Rejects zero partitions,
+    /// a replication factor outside `1..=brokers` and a retention
+    /// policy with a zero bound.
     pub fn create_topic(&self, name: &str, config: TopicConfig) -> crate::Result<()> {
         if config.partitions == 0 {
             return Err(MessagingError::ZeroPartitions);
+        }
+        if let Err(reason) = config.log.retention.validate() {
+            return Err(MessagingError::InvalidRetention { reason });
         }
         let mut st = self.inner.state.write();
         let broker_count = st.brokers.len() as u32;
@@ -560,7 +564,8 @@ impl Cluster {
             .ok_or_else(|| MessagingError::UnknownTopic(topic.to_string()))
     }
 
-    /// Produces one message to a specific partition. Returns its offset.
+    /// Produces one message to a specific partition: a batch of one
+    /// through [`produce_batch`](Self::produce_batch). Returns its offset.
     pub fn produce_to(
         &self,
         tp: &TopicPartition,
@@ -568,7 +573,9 @@ impl Cluster {
         value: Bytes,
         acks: AckLevel,
     ) -> crate::Result<u64> {
-        self.produce_idempotent(tp, key, value, acks, None)
+        // One allocation: `from_pairs` would collect into a second Vec.
+        let one = RecordBatch::from_records(vec![Record::new(key, value, 0)]);
+        self.produce_batch(tp, one, acks, None)
     }
 
     /// Registers an idempotent producer session; the returned id is
@@ -578,133 +585,26 @@ impl Cluster {
         self.inner.producer_ids.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Produce with optional `(producer_id, sequence)` for duplicate
-    /// suppression: a sequence at or below the highest accepted one for
-    /// that producer is dropped and the produce reports the current
-    /// log-end offset without appending (at-most-once per sequence, so
-    /// retries become exactly-once on the partition).
-    pub fn produce_idempotent(
-        &self,
-        tp: &TopicPartition,
-        key: Option<Bytes>,
-        value: Bytes,
-        acks: AckLevel,
-        dedup: Option<(u64, u64)>,
-    ) -> crate::Result<u64> {
-        let now = self.inner.clock.now();
-        let value_len = value.len() as u64;
-        // Metadata read only: snapshot broker liveness, resolve the
-        // partition's shard, and release the cluster-wide lock before
-        // the append critical section.
-        let st = self.inner.state.read();
-        let brokers_online: HashMap<BrokerId, bool> =
-            st.brokers.iter().map(|(&id, b)| (id, b.online)).collect();
-        let shard = partition_shard(&st, tp)?;
-        drop(st);
-        let mut ps = shard.part.lock();
-        let leader = match ps
-            .leader
-            // lint:allow(atomicity, reason=brokers_online is a conservative liveness hint: leadership itself is revalidated via ps.leader under the shard lock (kill/restart update it there), and a broker dying after this check is indistinguishable from dying just after the ack — the acks=all ISR sync carries the durability contract)
-            .filter(|b| brokers_online.get(b).copied().unwrap_or(false))
-        {
-            Some(l) => l,
-            None => {
-                self.inner.metrics.produce_failures.inc();
-                return Err(MessagingError::PartitionUnavailable(tp.clone()));
-            }
-        };
-        if let Some((producer_id, sequence)) = dedup {
-            let last = ps.producer_seqs.get(&producer_id).copied();
-            if last.is_some_and(|l| sequence <= l) {
-                // Duplicate retry: already appended.
-                return Ok(ps.log_end(leader).saturating_sub(1));
-            }
-            ps.producer_seqs.insert(producer_id, sequence);
-        }
-        let leader_log = ps
-            .replicas
-            .get_mut(&leader)
-            .ok_or_else(|| MessagingError::PartitionUnavailable(tp.clone()))?;
-        let offset = leader_log.append_with_timestamp(key.clone(), value.clone(), now)?;
-        // Causal span: minted at the produce, stamped onto every
-        // downstream replicate/fetch/deliver event for this record.
-        let span = self.inner.obs.tracer().mint();
-        self.inner
-            .obs
-            .tracer()
-            .record(span, "produce", &ps.tp_label, offset);
-        ps.remember_span(offset, span);
-        // First offset past the appended record; checked because a wrapped
-        // value here would move the high watermark back to zero.
-        let next_end = offset
-            .checked_add(1)
-            .ok_or(MessagingError::OffsetOverflow {
-                what: "advancing past the appended record",
-                value: offset,
-            })?;
-        match acks {
-            AckLevel::All => {
-                // Synchronously bring every live ISR follower fully up to
-                // date, then advance the high watermark.
-                let isr = ps.isr.clone();
-                let mut synced_ends = vec![next_end];
-                for b in isr {
-                    // lint:allow(atomicity, reason=stale liveness here only skips the catch-up of a follower that just went offline; the high watermark advances over synced_ends alone, so a skipped follower never counts as synced and the acks=all contract holds)
-                    if b == leader || !brokers_online.get(&b).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    self.inner.metrics.replication_fetch.inc();
-                    if self.inner.config.injector.tick("replication.fetch") {
-                        // Crash mid-replication: the leader appended but
-                        // not every ISR member confirmed. The high
-                        // watermark stays put, so the record is unacked.
-                        return Err(MessagingError::Injected("replication.fetch"));
-                    }
-                    let copied = catch_up(&mut ps, leader, b)?;
-                    self.note_replicated(copied);
-                    if copied.0 > 0 {
-                        self.inner
-                            .obs
-                            .tracer()
-                            .record(span, "replicate", &ps.tp_label, copied.0);
-                    }
-                    synced_ends.push(ps.log_end(b));
-                }
-                let min_end = synced_ends.iter().copied().min().unwrap_or(next_end);
-                let hw = ps.high_watermark.get();
-                ps.high_watermark.set(hw.max(min_end));
-            }
-            AckLevel::Leader | AckLevel::None => {
-                // Followers catch up on the next replication tick; the
-                // high watermark advances then. With a single replica the
-                // leader *is* the full ISR, so advance immediately.
-                if ps.isr == [leader] {
-                    ps.high_watermark.set(next_end);
-                }
-            }
-        }
-        ps.publish_gauges();
-        self.inner.metrics.messages_in.inc();
-        self.inner.metrics.bytes_in.add(value_len);
-        Ok(offset)
-    }
-
-    /// Produces a whole [`RecordBatch`] as one **group commit**: one
-    /// lock acquisition, one leader append
+    /// The write path: produces a [`RecordBatch`] as one **group
+    /// commit** — one lock acquisition, one leader append
     /// ([`Log::append_record_batch`]), and — at [`AckLevel::All`] — one
     /// replication fetch per follower for the entire batch. Returns the
     /// batch's base offset; records occupy `base..base + len`
     /// contiguously.
     ///
-    /// Semantics match `len` calls to
-    /// [`produce_idempotent`](Self::produce_idempotent) exactly, except
-    /// atomically: a fault injected at the `log.append-batch` or
-    /// `replication.fetch-batch` site drops or un-acks the batch as a
-    /// whole — the high watermark never lands inside it, so a torn
-    /// batch is never partially acknowledged. Records are re-stamped
-    /// with broker time at append, and `dedup` carries one
-    /// `(producer_id, sequence)` for the whole batch, so a retry either
-    /// re-appends everything or nothing.
+    /// Batch boundaries are invisible to readers — `len` batches of one
+    /// leave the same log — but each batch is atomic: a fault injected
+    /// at the `log.append` or `replication.fetch` site drops or un-acks
+    /// it as a whole — the high watermark never lands inside it, so a
+    /// torn batch is never partially acknowledged. Records are
+    /// re-stamped with broker time at append.
+    ///
+    /// `dedup` carries one `(producer_id, sequence)` for the whole
+    /// batch: a sequence at or below the highest one whose batch the
+    /// leader appended is a duplicate retry and is answered with that
+    /// batch's base offset without appending, so a retry re-appends
+    /// everything or nothing. A produce whose leader append failed
+    /// spends no sequence: its retry appends.
     pub fn produce_batch(
         &self,
         tp: &TopicPartition,
@@ -712,12 +612,11 @@ impl Cluster {
         acks: AckLevel,
         dedup: Option<(u64, u64)>,
     ) -> crate::Result<u64> {
-        let count = batch.len() as u64;
-        let payload_bytes = batch.payload_bytes();
         let now = self.inner.clock.now();
-        // Metadata read only; the append itself runs under the
-        // partition's own shard, so producers on other partitions are
-        // never blocked by this batch.
+        // Metadata read only: snapshot broker liveness, resolve the
+        // partition's shard, and release the cluster-wide lock. The
+        // append itself runs under the shard alone, so producers on
+        // other partitions are never blocked by this batch.
         let st = self.inner.state.read();
         let brokers_online: HashMap<BrokerId, bool> =
             st.brokers.iter().map(|(&id, b)| (id, b.online)).collect();
@@ -736,22 +635,25 @@ impl Cluster {
                 return Err(MessagingError::PartitionUnavailable(tp.clone()));
             }
         };
-        if count == 0 {
+        if batch.is_empty() {
             return Ok(ps.log_end(leader));
         }
         if let Some((producer_id, sequence)) = dedup {
-            let last = ps.producer_seqs.get(&producer_id).copied();
-            if last.is_some_and(|l| sequence <= l) {
-                // Duplicate retry: the whole batch already landed.
-                return Ok(ps.log_end(leader).saturating_sub(count));
+            if let Some(&(last, base)) = ps.producer_seqs.get(&producer_id) {
+                if sequence <= last {
+                    // Duplicate retry: the whole batch already landed.
+                    return Ok(base);
+                }
             }
-            ps.producer_seqs.insert(producer_id, sequence);
         }
         let leader_log = ps
             .replicas
             .get_mut(&leader)
             .ok_or_else(|| MessagingError::PartitionUnavailable(tp.clone()))?;
-        let (base, appended, _) = leader_log.append_record_batch(batch.stamped(now))?;
+        let (base, appended, payload_bytes) = leader_log.append_record_batch(batch.stamped(now))?;
+        if let Some((producer_id, sequence)) = dedup {
+            ps.producer_seqs.insert(producer_id, (sequence, base));
+        }
         // Spans stay per-record even though the append was one group
         // commit — every record gets its own causal identity, so
         // downstream fetch/deliver events remain attributable.
@@ -779,6 +681,8 @@ impl Cluster {
             })?;
         match acks {
             AckLevel::All => {
+                // Synchronously bring every live ISR follower fully up to
+                // date, then advance the high watermark.
                 let isr = ps.isr.clone();
                 let mut synced_ends = vec![next_end];
                 for b in isr {
@@ -786,14 +690,14 @@ impl Cluster {
                     if b == leader || !brokers_online.get(&b).copied().unwrap_or(false) {
                         continue;
                     }
-                    self.inner.metrics.replication_fetch_batch.inc();
-                    if self.inner.config.injector.tick("replication.fetch-batch") {
+                    self.inner.metrics.replication_fetch.inc();
+                    if self.inner.config.injector.tick("replication.fetch") {
                         // Crash mid group-commit: the leader holds the
                         // batch but not every ISR member confirmed. The
                         // high watermark stays below the batch's base,
                         // so the whole batch is unacked — never a
                         // partial acknowledgement.
-                        return Err(MessagingError::Injected("replication.fetch-batch"));
+                        return Err(MessagingError::Injected("replication.fetch"));
                     }
                     let copied = catch_up(&mut ps, leader, b)?;
                     self.note_replicated(copied);
@@ -812,6 +716,9 @@ impl Cluster {
                 ps.high_watermark.set(hw.max(min_end));
             }
             AckLevel::Leader | AckLevel::None => {
+                // Followers catch up on the next replication tick; the
+                // high watermark advances then. With a single replica the
+                // leader *is* the full ISR, so advance immediately.
                 if ps.isr == [leader] {
                     ps.high_watermark.set(next_end);
                 }
@@ -822,25 +729,6 @@ impl Cluster {
         self.inner.metrics.bytes_in.add(payload_bytes);
         self.inner.metrics.produce_batch_records.record(appended);
         Ok(base)
-    }
-
-    /// Fetches up to `max_bytes` of committed messages from `offset`.
-    /// Fetching at the high watermark returns an empty batch (the
-    /// consumer is tailing). Decomposes the underlying
-    /// [`fetch_batch`](Self::fetch_batch) — payloads are still shared,
-    /// not copied.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use fetch_batch, which also carries the exact next \
-                fetch position and the observed high watermark"
-    )]
-    pub fn fetch(
-        &self,
-        tp: &TopicPartition,
-        offset: u64,
-        max_bytes: u64,
-    ) -> crate::Result<Vec<Message>> {
-        Ok(self.fetch_batch(tp, offset, max_bytes)?.into_messages())
     }
 
     /// Fetches up to `max_bytes` of committed records from `offset` as
@@ -1444,7 +1332,7 @@ fn catch_up(
     };
     // The missing suffix moves as one batch: payload `Bytes` are shared
     // with the leader's log (no copy), and the follower appends it as a
-    // single group commit — one `log.append-batch` decision point, so an
+    // single group commit — one `log.append` decision point, so an
     // injected crash drops the whole transfer, never half of it.
     let to_copy: Vec<liquid_log::Record> =
         records.into_iter().filter(|r| r.offset >= from).collect();
@@ -1535,7 +1423,13 @@ fn partition_shard(st: &State, tp: &TopicPartition) -> crate::Result<Arc<Partiti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liquid_log::RetentionPolicy;
     use liquid_sim::clock::SimClock;
+
+    const DROP_AFTER_1S: RetentionPolicy = RetentionPolicy::DropByAge {
+        max_age_ms: 1_000,
+        max_bytes: None,
+    };
 
     fn b(s: &str) -> Bytes {
         Bytes::from(s.to_string())
@@ -1934,24 +1828,24 @@ mod tests {
 
     #[test]
     fn topic_config_builder_validates_against_cluster() {
-        let cluster_cfg = ClusterConfig::builder().brokers(2).build().unwrap();
+        let (c, _) = cluster(2);
         assert!(matches!(
-            TopicConfig::builder().partitions(0).build(),
+            c.create_topic("t", TopicConfig::with_partitions(0)),
             Err(MessagingError::ZeroPartitions)
         ));
-        assert!(matches!(
-            TopicConfig::builder()
-                .partitions(1)
-                .replication(3)
-                .build_for(&cluster_cfg),
-            Err(MessagingError::ReplicationOutOfRange { .. })
-        ));
-        let tc = TopicConfig::builder()
-            .partitions(4)
-            .replication(2)
-            .build_for(&cluster_cfg)
+        for replication in [0, 3] {
+            assert!(matches!(
+                c.create_topic(
+                    "t",
+                    TopicConfig::with_partitions(1).replication(replication)
+                ),
+                Err(MessagingError::ReplicationOutOfRange { brokers: 2, .. })
+            ));
+        }
+        c.create_topic("t", TopicConfig::with_partitions(4).replication(2))
             .unwrap();
-        assert_eq!((tc.partitions, tc.replication), (4, 2));
+        assert_eq!(c.partition_count("t").unwrap(), 4);
+        assert_eq!(c.isr(&TopicPartition::new("t", 3)).unwrap().len(), 2);
     }
 
     #[test]
@@ -1970,7 +1864,7 @@ mod tests {
         c.create_topic(
             "changelog",
             TopicConfig::with_partitions(1)
-                .compacted()
+                .retention(RetentionPolicy::compact())
                 .segment_bytes(512),
         )
         .unwrap();
@@ -2001,7 +1895,7 @@ mod tests {
         c.create_topic(
             "short",
             TopicConfig::with_partitions(1)
-                .retention_ms(1_000)
+                .retention(DROP_AFTER_1S)
                 .segment_bytes(256),
         )
         .unwrap();
@@ -2016,27 +1910,6 @@ mod tests {
         let deleted = c.enforce_retention().unwrap();
         assert!(deleted > 0);
         assert!(c.earliest_offset(&tp).unwrap() > 0);
-    }
-
-    /// Compat shim: the deprecated record-level `fetch` must keep
-    /// decomposing `fetch_batch` byte-for-byte.
-    #[test]
-    fn deprecated_fetch_decomposes_fetch_batch() {
-        let (c, _) = cluster(1);
-        c.create_topic("t", TopicConfig::with_partitions(1))
-            .unwrap();
-        let tp = TopicPartition::new("t", 0);
-        for i in 0..5 {
-            c.produce_to(&tp, None, b(&format!("m{i}")), AckLevel::Leader)
-                .unwrap();
-        }
-        #[allow(deprecated)]
-        let via_fetch = c.fetch(&tp, 0, u64::MAX).unwrap();
-        let via_batch = c.fetch_batch(&tp, 0, u64::MAX).unwrap().into_messages();
-        assert_eq!(via_fetch.len(), via_batch.len());
-        for (a, b) in via_fetch.iter().zip(via_batch.iter()) {
-            assert_eq!((a.offset, &a.key, &a.value), (b.offset, &b.key, &b.value));
-        }
     }
 
     #[cfg(not(feature = "obs-off"))]
@@ -2078,7 +1951,7 @@ mod tests {
         c.create_topic(
             "short",
             TopicConfig::with_partitions(1)
-                .retention_ms(1_000)
+                .retention(DROP_AFTER_1S)
                 .segment_bytes(256),
         )
         .unwrap();

@@ -18,7 +18,9 @@ pub enum AckLevel {
     All,
 }
 
-/// Per-topic configuration.
+/// Per-topic configuration. The setters check nothing:
+/// [`Cluster::create_topic`](crate::Cluster::create_topic) validates the
+/// whole config against the cluster it lands on.
 #[derive(Debug, Clone)]
 pub struct TopicConfig {
     /// Number of partitions.
@@ -40,12 +42,6 @@ impl Default for TopicConfig {
 }
 
 impl TopicConfig {
-    /// A validating builder; prefer this over struct literals so
-    /// impossible combinations are rejected before the topic exists.
-    pub fn builder() -> TopicConfigBuilder {
-        TopicConfigBuilder::default()
-    }
-
     /// `partitions` partitions, replication factor 1, default log.
     pub fn with_partitions(partitions: u32) -> Self {
         TopicConfig {
@@ -67,27 +63,6 @@ impl TopicConfig {
         self
     }
 
-    /// Marks the topic compacted (changelog topics, §4.1), keeping any
-    /// retention bounds already set.
-    pub fn compacted(mut self) -> Self {
-        self.log.retention = self.log.retention.compacted();
-        self
-    }
-
-    /// Sets time-based retention (sugar for
-    /// [`RetentionPolicy::with_max_age_ms`] on the current policy).
-    pub fn retention_ms(mut self, ms: u64) -> Self {
-        self.log.retention = self.log.retention.with_max_age_ms(ms);
-        self
-    }
-
-    /// Sets size-based retention (sugar for
-    /// [`RetentionPolicy::with_max_bytes`] on the current policy).
-    pub fn retention_bytes(mut self, bytes: u64) -> Self {
-        self.log.retention = self.log.retention.with_max_bytes(bytes);
-        self
-    }
-
     /// Sets the segment roll size.
     pub fn segment_bytes(mut self, bytes: u64) -> Self {
         self.log.segment_bytes = bytes;
@@ -102,184 +77,71 @@ impl TopicConfig {
     }
 }
 
-/// Builder for [`TopicConfig`] that validates at
-/// [`build`](TopicConfigBuilder::build) time with typed errors instead
-/// of letting an impossible config reach the cluster.
-#[derive(Debug, Clone, Default)]
-pub struct TopicConfigBuilder {
-    config: TopicConfig,
-}
-
-impl TopicConfigBuilder {
-    /// Sets the partition count (must end up > 0).
-    pub fn partitions(mut self, partitions: u32) -> Self {
-        self.config.partitions = partitions;
-        self
-    }
-
-    /// Sets the replication factor (must end up > 0).
-    pub fn replication(mut self, replication: u32) -> Self {
-        self.config.replication = replication;
-        self
-    }
-
-    /// Replaces the whole retention policy; validated at build time.
-    pub fn retention(mut self, policy: RetentionPolicy) -> Self {
-        self.config = self.config.retention(policy);
-        self
-    }
-
-    /// Marks the topic compacted (changelog topics, §4.1).
-    pub fn compacted(mut self) -> Self {
-        self.config = self.config.compacted();
-        self
-    }
-
-    /// Sets time-based retention.
-    pub fn retention_ms(mut self, ms: u64) -> Self {
-        self.config = self.config.retention_ms(ms);
-        self
-    }
-
-    /// Sets size-based retention.
-    pub fn retention_bytes(mut self, bytes: u64) -> Self {
-        self.config = self.config.retention_bytes(bytes);
-        self
-    }
-
-    /// Sets the segment roll size.
-    pub fn segment_bytes(mut self, bytes: u64) -> Self {
-        self.config = self.config.segment_bytes(bytes);
-        self
-    }
-
-    /// Sets the segment roll age (time-partitioned segments).
-    pub fn segment_ms(mut self, ms: u64) -> Self {
-        self.config = self.config.segment_ms(ms);
-        self
-    }
-
-    /// Replaces the whole log config.
-    pub fn log(mut self, log: LogConfig) -> Self {
-        self.config.log = log;
-        self
-    }
-
-    fn validate(&self) -> crate::Result<()> {
-        if self.config.partitions == 0 {
-            return Err(crate::MessagingError::ZeroPartitions);
-        }
-        if self.config.replication == 0 {
-            return Err(crate::MessagingError::ReplicationOutOfRange {
-                replication: 0,
-                brokers: u32::MAX,
-            });
-        }
-        if let Err(reason) = self.config.log.retention.validate() {
-            return Err(crate::MessagingError::InvalidRetention { reason });
-        }
-        Ok(())
-    }
-
-    /// Validates partition and replication counts and the retention
-    /// policy in isolation.
-    pub fn build(self) -> crate::Result<TopicConfig> {
-        self.validate()?;
-        Ok(self.config)
-    }
-
-    /// Validates against the cluster the topic will be created on:
-    /// additionally rejects `replication > config.brokers`, the
-    /// combination [`build`](Self::build) alone cannot see.
-    pub fn build_for(self, cluster: &crate::ClusterConfig) -> crate::Result<TopicConfig> {
-        self.validate()?;
-        if self.config.replication > cluster.brokers {
-            return Err(crate::MessagingError::ReplicationOutOfRange {
-                replication: self.config.replication,
-                brokers: cluster.brokers,
-            });
-        }
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Cluster, ClusterConfig, MessagingError};
+    use liquid_sim::clock::SimClock;
 
     #[test]
     fn builder_chains() {
         let c = TopicConfig::with_partitions(8)
             .replication(3)
-            .compacted()
-            .retention_ms(1000)
-            .retention_bytes(2048)
+            .retention(RetentionPolicy::Compact {
+                max_age_ms: Some(1000),
+                max_bytes: Some(2048),
+            })
             .segment_bytes(512)
             .segment_ms(60_000);
         assert_eq!(c.partitions, 8);
         assert_eq!(c.replication, 3);
-        assert_eq!(
-            c.log.retention,
-            RetentionPolicy::Compact {
-                max_age_ms: Some(1000),
-                max_bytes: Some(2048),
-            }
-        );
         assert!(c.log.retention.is_compacted());
+        assert_eq!(c.log.retention.max_age_ms(), Some(1000));
+        assert_eq!(c.log.retention.max_bytes(), Some(2048));
         assert_eq!(c.log.segment_bytes, 512);
         assert_eq!(c.log.segment_ms, Some(60_000));
     }
 
     #[test]
     fn typed_retention_replaces_policy() {
-        let c = TopicConfig::builder()
-            .partitions(2)
-            .replication(1)
-            .retention(RetentionPolicy::DropByBytes { max_bytes: 4096 })
-            .build()
-            .unwrap();
+        let c = TopicConfig::with_partitions(2)
+            .retention(RetentionPolicy::compact())
+            .retention(RetentionPolicy::DropByBytes { max_bytes: 4096 });
         assert_eq!(
             c.log.retention,
             RetentionPolicy::DropByBytes { max_bytes: 4096 }
         );
     }
 
-    #[test]
-    fn sugar_composes_into_one_policy() {
-        let c = TopicConfig::with_partitions(1)
-            .retention_ms(500)
-            .retention_bytes(9000);
-        assert_eq!(
-            c.log.retention,
-            RetentionPolicy::DropByAge {
-                max_age_ms: 500,
-                max_bytes: Some(9000),
-            }
-        );
-    }
-
+    /// The chained setters check nothing; `create_topic` is where a
+    /// policy that would drop every sealed segment on every pass stops.
     #[test]
     fn builder_rejects_degenerate_retention() {
-        let err = TopicConfig::builder()
-            .partitions(1)
-            .replication(1)
-            .retention(RetentionPolicy::DropByBytes { max_bytes: 0 })
-            .build();
+        let c = Cluster::new(ClusterConfig::default(), SimClock::new(0).shared());
+        let zero_bytes = RetentionPolicy::DropByBytes { max_bytes: 0 };
         assert!(matches!(
-            err,
-            Err(crate::MessagingError::InvalidRetention { .. })
+            c.create_topic("t", TopicConfig::default().retention(zero_bytes)),
+            Err(MessagingError::InvalidRetention {
+                reason: "max_bytes must be > 0"
+            })
         ));
-        let err = TopicConfig::builder()
-            .partitions(1)
-            .replication(1)
-            .retention_ms(0)
-            .build();
+        let zero_age = RetentionPolicy::Compact {
+            max_age_ms: Some(0),
+            max_bytes: None,
+        };
         assert!(matches!(
-            err,
-            Err(crate::MessagingError::InvalidRetention {
+            c.create_topic("t", TopicConfig::default().retention(zero_age)),
+            Err(MessagingError::InvalidRetention {
                 reason: "max_age_ms must be > 0"
             })
         ));
+        assert!(
+            c.topic_names().is_empty(),
+            "a rejected topic is not created"
+        );
+        let one_byte = RetentionPolicy::DropByBytes { max_bytes: 1 };
+        c.create_topic("t", TopicConfig::default().retention(one_byte))
+            .unwrap();
     }
 
     #[test]

@@ -12,7 +12,7 @@ use liquid_sim::lockdep::Mutex;
 
 use crate::cluster::Cluster;
 use crate::group::AssignmentStrategy;
-use crate::ids::{Message, MessageBatch, TopicPartition};
+use crate::ids::{MessageBatch, TopicPartition};
 
 /// Where a newly assigned consumer starts reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,22 +209,6 @@ impl Consumer {
             self.seek(tp, offset);
         }
         Ok(target)
-    }
-
-    /// Pulls the next batch from every assigned partition, advancing
-    /// positions past what was returned. Decomposes the batches of
-    /// [`poll_batches`](Self::poll_batches); payloads stay shared.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use poll_batches, which keeps batch boundaries, spans, \
-                the exact next position and the observed high watermark"
-    )]
-    pub fn poll(&self) -> crate::Result<Vec<(TopicPartition, Vec<Message>)>> {
-        Ok(self
-            .poll_batches()?
-            .into_iter()
-            .map(|(tp, batch)| (tp, batch.into_messages()))
-            .collect())
     }
 
     /// Pulls one [`MessageBatch`] per assigned partition, advancing each
@@ -566,36 +550,6 @@ mod tests {
         assert_eq!(consumer.lag(&tp), Some(0));
         fill(&c, &tp, 3);
         assert_eq!(consumer.lag(&tp), Some(3));
-    }
-
-    /// Compat shim: the deprecated record-level `poll` must keep
-    /// decomposing `poll_batches` byte-for-byte.
-    #[test]
-    fn deprecated_poll_decomposes_poll_batches() {
-        let c = setup(1);
-        let tp = TopicPartition::new("t", 0);
-        fill(&c, &tp, 6);
-        let old = Consumer::new(&c, "old");
-        let new = Consumer::new(&c, "new");
-        old.assign(tp.clone(), StartPosition::Earliest).unwrap();
-        new.assign(tp.clone(), StartPosition::Earliest).unwrap();
-        #[allow(deprecated)]
-        let via_poll = old.poll().unwrap();
-        let via_batches: Vec<(TopicPartition, Vec<Message>)> = new
-            .poll_batches()
-            .unwrap()
-            .into_iter()
-            .map(|(tp, batch)| (tp, batch.into_messages()))
-            .collect();
-        assert_eq!(via_poll.len(), via_batches.len());
-        for ((tp_a, ms_a), (tp_b, ms_b)) in via_poll.iter().zip(via_batches.iter()) {
-            assert_eq!(tp_a, tp_b);
-            assert_eq!(ms_a.len(), ms_b.len());
-            for (a, b) in ms_a.iter().zip(ms_b.iter()) {
-                assert_eq!((a.offset, &a.value), (b.offset, &b.value));
-            }
-        }
-        assert_eq!(old.position(&tp), new.position(&tp));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod quotas;
 
 pub use admin::{ClusterDescription, PartitionInfo, TopicInfo};
 pub use cluster::{Cluster, ClusterConfig, ClusterConfigBuilder};
-pub use config::{AckLevel, TopicConfig, TopicConfigBuilder};
+pub use config::{AckLevel, TopicConfig};
 pub use consumer::Consumer;
 pub use error::MessagingError;
 pub use group::{AssignmentStrategy, GroupAssignment};

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use liquid_log::BatchBuilder;
+use liquid_log::{BatchBuilder, Record, RecordBatch};
 use liquid_sim::clock::Ts;
 use liquid_sim::lockdep::Mutex;
 
@@ -138,13 +138,9 @@ impl Producer {
         };
         let partition = self.pick_partition(key.as_deref());
         let tp = TopicPartition::new(self.topic.clone(), partition);
-        let offset = self.cluster.produce_idempotent(
-            &tp,
-            key,
-            value,
-            self.acks,
-            Some((*producer_id, sequence)),
-        )?;
+        let one = RecordBatch::from_records(vec![Record::new(key, value, 0)]);
+        let dedup = Some((*producer_id, sequence));
+        let offset = self.cluster.produce_batch(&tp, one, self.acks, dedup)?;
         Ok((partition, offset))
     }
 
@@ -275,19 +271,26 @@ impl Producer {
 
     /// Group-commits every pending batch (partition order, so injector
     /// tick order is deterministic). Returns `(partition, base_offset,
-    /// record_count)` per flushed batch.
+    /// record_count)` per flushed batch. Every drained partition is
+    /// attempted: a failing commit costs that partition's batch alone,
+    /// and the first such error is returned once the rest have landed.
     pub fn flush(&self) -> crate::Result<Vec<(u32, u64, u64)>> {
         let Some((_, pending)) = &self.batching else {
             return Ok(Vec::new());
         };
         let drained = std::mem::take(&mut *pending.lock());
         let mut out = Vec::with_capacity(drained.len());
+        let mut first_error = None;
         for (partition, p) in drained {
             let count = p.builder.len() as u64;
-            let base = self.commit_batch(partition, p.builder)?;
-            out.push((partition, base, count));
+            match self.commit_batch(partition, p.builder) {
+                Ok(base) => out.push((partition, base, count)),
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
         }
-        Ok(out)
+        first_error.map_or(Ok(out), Err)
     }
 
     /// Records buffered but not yet committed, across all partitions.
@@ -357,12 +360,19 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::config::TopicConfig;
     use liquid_sim::clock::SimClock;
+    use liquid_sim::failure::FailureInjector;
 
     fn setup(partitions: u32) -> Cluster {
+        setup_with_log_faults(partitions).0
+    }
+
+    /// Topic `t` whose partition logs all consult the returned injector.
+    fn setup_with_log_faults(partitions: u32) -> (Cluster, FailureInjector) {
         let c = Cluster::new(ClusterConfig::with_brokers(1), SimClock::new(0).shared());
-        c.create_topic("t", TopicConfig::with_partitions(partitions))
-            .unwrap();
-        c
+        let config = TopicConfig::with_partitions(partitions);
+        let faults = config.log.injector.clone();
+        c.create_topic("t", config).unwrap();
+        (c, faults)
     }
 
     fn b(s: &str) -> Bytes {
@@ -475,6 +485,28 @@ mod tests {
                 .len(),
             3
         );
+    }
+
+    /// Regression: the sequence used to be recorded before the append,
+    /// so a retry after a failed append was dropped as a duplicate; and
+    /// a duplicate was answered with the current log end, not its own
+    /// offset.
+    #[test]
+    fn idempotent_retry_appends_once_and_duplicates_keep_their_offset() {
+        let (c, faults) = setup_with_log_faults(1);
+        let tp = TopicPartition::new("t", 0);
+        let p = Producer::new(&c, "t").unwrap().idempotent();
+        faults.fail_at(1);
+        assert!(p.send_with_sequence(None, b("m1"), 1).is_err());
+        assert_eq!(c.log_end_offset(&tp).unwrap(), 0);
+        assert_eq!(p.send_with_sequence(None, b("m1"), 1).unwrap(), (0, 0));
+        assert_eq!(p.send_with_sequence(None, b("m1"), 1).unwrap(), (0, 0));
+        assert_eq!(c.log_end_offset(&tp).unwrap(), 1, "appended exactly once");
+        // Someone else appends between a send and its duplicate retry.
+        c.produce_to(&tp, None, b("foreign"), AckLevel::Leader)
+            .unwrap();
+        assert_eq!(p.send_with_sequence(None, b("m1"), 1).unwrap(), (0, 0));
+        assert_eq!(c.log_end_offset(&tp).unwrap(), 2);
     }
 
     #[test]
@@ -638,6 +670,31 @@ mod tests {
         let mut sorted = parts.clone();
         sorted.sort_unstable();
         assert_eq!(parts, sorted);
+    }
+
+    /// Regression: `flush` used to return at the first failing
+    /// partition and drop the drained batches behind it.
+    #[test]
+    fn flush_lands_every_partition_behind_a_failing_one() {
+        let (c, faults) = setup_with_log_faults(4);
+        let p = Producer::new(&c, "t")
+            .unwrap()
+            .with_partitioner(Partitioner::RoundRobin)
+            .with_batching(BatchConfig {
+                max_records: 1000,
+                max_bytes: 1 << 20,
+                linger_ms: 0,
+            });
+        for i in 0..8 {
+            p.buffer_value(format!("m{i}")).unwrap();
+        }
+        faults.fail_at(1);
+        assert!(p.flush().is_err(), "partition 0's append was crashed");
+        assert_eq!(p.pending_records(), 0);
+        let ends: Vec<u64> = (0..4)
+            .map(|part| c.log_end_offset(&TopicPartition::new("t", part)).unwrap())
+            .collect();
+        assert_eq!(ends, vec![0, 2, 2, 2], "only the failing batch is lost");
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! * a **causal event tracer** ([`trace`]): span IDs minted at produce
 //!   time, propagated through replication, fetch, task delivery, and
 //!   checkpoint, recorded into a bounded ring buffer with JSON export;
-//! * the log-bucketed [`stats::Histogram`] and [`stats::Counter`]
-//!   (moved here from `liquid_sim::stats`, which now re-exports them);
+//! * the log-bucketed [`stats::Histogram`] and [`stats::Counter`];
 //! * a tiny dependency-free JSON writer/parser ([`json`]) used for
 //!   snapshot export, round-trip tests, and the CI schema check.
 //!

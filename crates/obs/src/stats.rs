@@ -1,8 +1,7 @@
 //! Counters and log-bucketed latency histograms.
 //!
-//! Moved here from `liquid_sim::stats` (which re-exports these types
-//! for compatibility) so the registry, the benchmark harness, and the
-//! fault-crate hot paths share one implementation. The histogram is
+//! One implementation shared by the registry, the benchmark harness
+//! and the fault-crate hot paths. The histogram is
 //! HDR-style: bounded relative error (~1.5% with 6 sub-bucket bits) and
 //! O(1) recording.
 //!

@@ -257,11 +257,15 @@ mod tests {
 
     #[test]
     fn aggregates_survive_changelog_recovery() {
+        use liquid_log::RetentionPolicy;
         use liquid_messaging::{Cluster, ClusterConfig, TopicConfig, TopicPartition};
         use liquid_sim::clock::SimClock;
         let c = Cluster::new(ClusterConfig::with_brokers(1), SimClock::new(0).shared());
-        c.create_topic("cl", TopicConfig::with_partitions(1).compacted())
-            .unwrap();
+        c.create_topic(
+            "cl",
+            TopicConfig::with_partitions(1).retention(RetentionPolicy::compact()),
+        )
+        .unwrap();
         let tp = TopicPartition::new("cl", 0);
         {
             let mut s = StateStore::with_changelog(c.clone(), tp.clone()).unwrap();

@@ -10,6 +10,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use liquid_kv::LsmConfig;
+use liquid_log::RetentionPolicy;
 use liquid_messaging::{AckLevel, Cluster, TopicConfig, TopicPartition};
 use liquid_obs::{CounterHandle, GaugeHandle, Obs};
 use liquid_sim::failure::FailureInjector;
@@ -195,7 +196,7 @@ impl Job {
             match cluster.create_topic(
                 &changelog,
                 TopicConfig::with_partitions(partitions)
-                    .compacted()
+                    .retention(RetentionPolicy::compact())
                     .segment_bytes(64 * 1024),
             ) {
                 Ok(()) => {}

@@ -159,6 +159,7 @@ impl StateStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liquid_log::RetentionPolicy;
     use liquid_messaging::{ClusterConfig, TopicConfig};
     use liquid_sim::clock::SimClock;
 
@@ -171,7 +172,7 @@ mod tests {
         c.create_topic(
             "changelog",
             TopicConfig::with_partitions(1)
-                .compacted()
+                .retention(RetentionPolicy::compact())
                 .segment_bytes(1024),
         )
         .unwrap();

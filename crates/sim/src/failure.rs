@@ -26,7 +26,6 @@ use crate::rng::seeded;
 pub const SITES: &[&str] = &[
     // log crate
     "log.append",
-    "log.append-batch",
     "log.roll",
     "log.compact",
     "log.segment-drop",
@@ -39,7 +38,6 @@ pub const SITES: &[&str] = &[
     "kv.sst-drop",
     // messaging crate
     "replication.fetch",
-    "replication.fetch-batch",
     "cluster.election",
     "offsets.commit",
     // processing crate

@@ -17,8 +17,6 @@
 //! * [`failure`] — deterministic and probabilistic failure injection.
 //! * [`chaos`] — seeded chaos plans: reproducible operation/fault
 //!   interleavings interpreted by the integration-level chaos harness.
-//! * [`stats`] — re-exports the counters and log-bucketed histograms
-//!   that now live in `liquid_obs::stats`.
 //! * [`sched`] — liquid-check: the deterministic model-checking
 //!   scheduler (virtual threads, DFS interleaving explorer, schedule
 //!   replay) and its [`sched::Shared`] tracked cells.
@@ -37,7 +35,6 @@ pub mod lockdep;
 pub mod pagecache;
 pub mod rng;
 pub mod sched;
-pub mod stats;
 pub mod vclock;
 
 /// Schedulable stand-ins for `std::thread`: the only spawn primitives

@@ -51,7 +51,7 @@ fn main() -> liquid::Result<()> {
     liquid.create_source_feed("profiles-raw", FeedConfig::default())?;
     liquid.create_derived_feed(
         "profiles-clean",
-        FeedConfig::default().compacted(),
+        FeedConfig::default().retention(RetentionPolicy::compact()),
         Lineage::new("profile-cleaner", "v1", &["profiles-raw"]),
     )?;
 
@@ -90,7 +90,7 @@ fn main() -> liquid::Result<()> {
     // isolation means they don't interfere; A/B testing per §5.1).
     liquid.create_derived_feed(
         "profiles-clean-v2",
-        FeedConfig::default().compacted(),
+        FeedConfig::default().retention(RetentionPolicy::compact()),
         Lineage::new("profile-cleaner", "v2", &["profiles-raw"]),
     )?;
     let _v2 = liquid.submit_job(

@@ -139,9 +139,10 @@ struct RunReport {
     final_kv_fold: BTreeMap<Bytes, Bytes>,
     /// (operations, failures) per injector: log, cluster, job, state.
     injector_counts: [(u64, u64); 4],
-    /// (operations, failures) at the two batch-boundary fault sites:
-    /// `log.append-batch`, `replication.fetch-batch`.
-    batch_site_counts: [(u64, u64); 2],
+    /// Armed faults that landed on a `ChaosOp::ProduceBatch`, by the
+    /// stage of the group commit they crashed: an append (`log.append`)
+    /// or a synchronous follower fetch (`replication.fetch`).
+    torn_batches: [u64; 2],
     /// (operations, failures) at the two segment-lifecycle fault sites:
     /// `log.segment-drop`, `log.cache-evict`.
     retention_site_counts: [(u64, u64); 2],
@@ -164,6 +165,8 @@ struct Harness {
     /// fault so `log.cache-evict` absorbs injected crashes.
     sweeps: u64,
     crashes: u64,
+    /// See [`RunReport::torn_batches`].
+    torn_batches: [u64; 2],
     trace: Vec<String>,
 }
 
@@ -196,30 +199,21 @@ impl Harness {
             .segment_cache_shards(2)
             .build()
             .expect("valid cluster config");
-        let mut tc = TopicConfig::builder()
-            .partitions(1)
+        let mut tc = TopicConfig::with_partitions(1)
             .replication(3)
-            .segment_bytes(4096)
-            .build_for(&cluster_config)
-            .expect("valid events topic");
+            .segment_bytes(4096);
         tc.log.injector = inj.log.clone();
-        let mut kv_tc = TopicConfig::builder()
-            .partitions(1)
+        let mut kv_tc = TopicConfig::with_partitions(1)
             .replication(3)
-            .compacted()
-            .segment_bytes(2048)
-            .build_for(&cluster_config)
-            .expect("valid kv topic");
+            .retention(RetentionPolicy::compact())
+            .segment_bytes(2048);
         kv_tc.log.injector = inj.log.clone();
-        let mut retained_tc = TopicConfig::builder()
-            .partitions(1)
+        let mut retained_tc = TopicConfig::with_partitions(1)
             .replication(3)
-            .retention(liquid_log::RetentionPolicy::DropByBytes {
+            .retention(RetentionPolicy::DropByBytes {
                 max_bytes: 3 * 1024,
             })
-            .segment_bytes(1024)
-            .build_for(&cluster_config)
-            .expect("valid retained topic");
+            .segment_bytes(1024);
         retained_tc.log.injector = inj.log.clone();
         let cluster = Cluster::new(cluster_config, clock.shared());
         cluster.create_topic(EVENTS, tc).unwrap();
@@ -239,6 +233,7 @@ impl Harness {
             consume_pos: 0,
             sweeps: 0,
             crashes: 0,
+            torn_batches: [0; 2],
             trace: Vec::new(),
         }
     }
@@ -396,8 +391,8 @@ impl Harness {
     /// The acknowledgement model is all-or-nothing: only when the
     /// cluster acknowledges the *entire* batch at `AckLevel::All` are
     /// its records added to the acked sets. A crash mid-batch (armed
-    /// injector firing at `log.append-batch` or
-    /// `replication.fetch-batch`) acknowledges nothing — the durability
+    /// injector firing at `log.append` or `replication.fetch`, counted
+    /// in `torn_batches`) acknowledges nothing — the durability
     /// invariant then proves the system never partially commits what it
     /// partially acked, because there is no partial ack to begin with,
     /// and anything it *did* ack must survive in full.
@@ -442,7 +437,10 @@ impl Harness {
                 }
             }
             Err(MessagingError::PartitionUnavailable(_)) => return Ok(()),
-            Err(e) if messaging_injected(&e) => return Err(format!("produce-batch events: {e}")),
+            Err(e) if messaging_injected(&e) => {
+                self.note_torn_batch(&e);
+                return Err(format!("produce-batch events: {e}"));
+            }
             Err(e) => panic!("unexpected produce_batch error: {e}"),
         }
         match self
@@ -459,8 +457,21 @@ impl Harness {
                 Ok(())
             }
             Err(MessagingError::PartitionUnavailable(_)) => Ok(()),
-            Err(e) if messaging_injected(&e) => Err(format!("produce-batch kv: {e}")),
+            Err(e) if messaging_injected(&e) => {
+                self.note_torn_batch(&e);
+                Err(format!("produce-batch kv: {e}"))
+            }
             Err(e) => panic!("unexpected produce_batch error: {e}"),
+        }
+    }
+
+    /// Files an injected `produce_batch` failure under the stage of the
+    /// group commit it crashed (a crashed segment roll is neither).
+    fn note_torn_batch(&mut self, e: &MessagingError) {
+        match e {
+            MessagingError::Log(LogError::Injected("log.append")) => self.torn_batches[0] += 1,
+            MessagingError::Injected("replication.fetch") => self.torn_batches[1] += 1,
+            _ => {}
         }
     }
 
@@ -839,10 +850,7 @@ impl Harness {
                 (self.inj.job.operations(), self.inj.job.failures()),
                 (self.inj.state.operations(), self.inj.state.failures()),
             ],
-            batch_site_counts: [
-                site_count(&self.inj.log, "log.append-batch"),
-                site_count(&self.inj.cluster, "replication.fetch-batch"),
-            ],
+            torn_batches: self.torn_batches,
             retention_site_counts: [
                 site_count(&self.inj.log, "log.segment-drop"),
                 site_count(&self.inj.log, "log.cache-evict"),
@@ -939,7 +947,7 @@ fn chaos_seeds_hold_invariants() {
     let mut crashes = 0;
     let mut acked = 0;
     let mut fired = [0u64; 4];
-    let mut batch_sites = [(0u64, 0u64); 2];
+    let mut torn_batches = [0u64; 2];
     let mut retention_sites = [(0u64, 0u64); 2];
     for seed in 0..SEEDS {
         let report = run_seed_checked(seed);
@@ -948,9 +956,8 @@ fn chaos_seeds_hold_invariants() {
         for (i, &(_, f)) in report.injector_counts.iter().enumerate() {
             fired[i] += f;
         }
-        for (i, &(o, f)) in report.batch_site_counts.iter().enumerate() {
-            batch_sites[i].0 += o;
-            batch_sites[i].1 += f;
+        for (i, &torn) in report.torn_batches.iter().enumerate() {
+            torn_batches[i] += torn;
         }
         for (i, &(o, f)) in report.retention_site_counts.iter().enumerate() {
             retention_sites[i].0 += o;
@@ -973,23 +980,15 @@ fn chaos_seeds_hold_invariants() {
             "the {name} injector never fired across {SEEDS} seeds"
         );
     }
-    // The batch-boundary fault sites must be both exercised and
-    // actually hit by armed faults — mid-batch crashes are the point of
+    // Armed faults must actually land on multi-record group commits,
+    // at both stages — mid-batch crashes are the point of
     // `ChaosOp::ProduceBatch`, and a sweep where no injected failure
-    // ever lands on a group commit would test nothing new.
-    for (i, name) in ["log.append-batch", "replication.fetch-batch"]
-        .iter()
-        .enumerate()
-    {
-        let (ops, hit) = batch_sites[i];
+    // ever tears one would test nothing new.
+    for (i, stage) in ["log.append", "replication.fetch"].iter().enumerate() {
         assert!(
-            ops > 0,
-            "fault site {name} never reached across {SEEDS} seeds"
-        );
-        assert!(
-            hit > 0,
-            "no armed fault ever fired at {name} across {SEEDS} seeds \
-             ({ops} ops) — torn-batch crashes are untested"
+            torn_batches[i] > 0,
+            "no armed fault ever fired at {stage} inside a ProduceBatch across \
+             {SEEDS} seeds — torn-batch crashes are untested"
         );
     }
     // Same for the segment-lifecycle sites: whole-segment drops and

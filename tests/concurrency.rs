@@ -138,7 +138,7 @@ fn maintenance_runs_concurrently_with_traffic() {
         .create_topic(
             "t",
             TopicConfig::with_partitions(1)
-                .compacted()
+                .retention(liquid_log::RetentionPolicy::compact())
                 .segment_bytes(4_096),
         )
         .unwrap();

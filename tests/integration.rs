@@ -29,7 +29,9 @@ fn multi_stage_dataflow_through_the_messaging_layer() {
     liquid
         .create_derived_feed(
             "counts",
-            FeedConfig::default().partitions(2).compacted(),
+            FeedConfig::default()
+                .partitions(2)
+                .retention(RetentionPolicy::compact()),
             Lineage::new("counter", "v1", &["clean"]),
         )
         .unwrap();
@@ -273,7 +275,10 @@ fn retention_and_rewind_interact_correctly() {
         .create_source_feed(
             "short-lived",
             FeedConfig {
-                retention_ms: Some(60_000),
+                retention: RetentionPolicy::DropByAge {
+                    max_age_ms: 60_000,
+                    max_bytes: None,
+                },
                 segment_bytes: 2_048,
                 ..FeedConfig::default()
             },

@@ -20,11 +20,7 @@ fn stack(obs: &Obs) -> Cluster {
         .obs(obs.clone())
         .build()
         .expect("valid cluster config");
-    let tc = TopicConfig::builder()
-        .partitions(2)
-        .replication(2)
-        .build_for(&config)
-        .expect("valid topic config");
+    let tc = TopicConfig::with_partitions(2).replication(2);
     let cluster = Cluster::new(config, SimClock::new(0).shared());
     cluster.create_topic("in", tc).unwrap();
     cluster
@@ -206,7 +202,7 @@ fn batch_poll_keeps_lag_exact_across_compaction_holes() {
     // Tiny segments so sealed segments exist for the compactor; three
     // keys overwritten repeatedly so it actually drops records.
     let tc = TopicConfig::with_partitions(1)
-        .compacted()
+        .retention(RetentionPolicy::compact())
         .segment_bytes(64);
     cluster.create_topic("cmp", tc).unwrap();
     let tp = TopicPartition::new("cmp", 0);

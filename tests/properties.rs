@@ -11,8 +11,8 @@ use liquid::log::{
 };
 use liquid_messaging::consumer::StartPosition;
 use liquid_messaging::{
-    AssignmentStrategy, BatchConfig, Cluster, ClusterConfig, Consumer, Producer, TopicConfig,
-    TopicPartition,
+    AckLevel, AssignmentStrategy, BatchConfig, Cluster, ClusterConfig, Consumer, Producer,
+    TopicConfig, TopicPartition,
 };
 use liquid_sim::clock::SimClock;
 use proptest::prelude::*;
@@ -269,11 +269,12 @@ proptest! {
         prop_assert!(max - min <= 1, "imbalanced: max {max} min {min}");
     }
 
-    /// Batch-semantics: for an arbitrary message stream, producing
-    /// through batch accumulation (`buffer`/`flush`, group-commit
-    /// appends) is observationally identical to the unbatched seed path
-    /// (`send`, one append per record) — per partition, the same
-    /// offsets, the same ordering, the same key and payload bytes.
+    /// Batch boundaries are invisible: for an arbitrary message stream,
+    /// N batches of one (`send`) and ⌈N/k⌉ batches of up to k
+    /// (`buffer`/`flush`) through the one produce protocol leave — per
+    /// partition, replicated or not, at either ack level — the same
+    /// offsets, ordering, keys, payload bytes, timestamps and high
+    /// watermark.
     #[test]
     fn batched_produce_equals_unbatched_seed_path(
         stream in prop::collection::vec(
@@ -283,20 +284,26 @@ proptest! {
         ),
         max_records in 1usize..24,
         max_bytes in 16usize..512,
+        replicas in 1u32..=2,
+        acks_all in any::<bool>(),
     ) {
+        let acks = if acks_all { AckLevel::All } else { AckLevel::Leader };
         let build = || {
-            let c = Cluster::new(ClusterConfig::with_brokers(1), SimClock::new(0).shared());
-            c.create_topic("t", TopicConfig::with_partitions(2)).unwrap();
+            let c = Cluster::new(ClusterConfig::with_brokers(replicas), SimClock::new(0).shared());
+            c.create_topic("t", TopicConfig::with_partitions(2).replication(replicas)).unwrap();
             c
         };
         let seed_cluster = build();
         let batch_cluster = build();
-        let seed = Producer::new(&seed_cluster, "t").unwrap();
-        let batched = Producer::new(&batch_cluster, "t").unwrap().with_batching(BatchConfig {
-            max_records,
-            max_bytes,
-            linger_ms: 0,
-        });
+        let seed = Producer::new(&seed_cluster, "t").unwrap().with_acks(acks);
+        let batched = Producer::new(&batch_cluster, "t")
+            .unwrap()
+            .with_acks(acks)
+            .with_batching(BatchConfig {
+                max_records,
+                max_bytes,
+                linger_ms: 0,
+            });
         for (key_id, value) in &stream {
             let key = (*key_id < 8).then(|| Bytes::from(format!("k{key_id}")));
             let value = Bytes::copy_from_slice(value);
@@ -305,11 +312,18 @@ proptest! {
         }
         batched.flush().unwrap();
         prop_assert_eq!(batched.pending_records(), 0);
+        if acks == AckLevel::Leader {
+            // Followers fetch, and the watermark moves, on the tick.
+            seed_cluster.replicate_tick().unwrap();
+            batch_cluster.replicate_tick().unwrap();
+        }
         for p in 0..2 {
             let tp = TopicPartition::new("t", p);
             let a = seed_cluster.fetch_batch(&tp, 0, u64::MAX).unwrap().into_messages();
             let b = batch_cluster.fetch_batch(&tp, 0, u64::MAX).unwrap().into_messages();
             prop_assert_eq!(a.len(), b.len(), "partition {} length", p);
+            let produced = seed_cluster.log_end_offset(&tp).unwrap();
+            prop_assert_eq!(a.len() as u64, produced, "partition {} not fully committed", p);
             for (x, y) in a.iter().zip(b.iter()) {
                 prop_assert_eq!(x.offset, y.offset);
                 prop_assert_eq!(&x.key, &y.key);
@@ -326,8 +340,9 @@ proptest! {
 
     /// Splitting and merging batches at arbitrary boundaries is
     /// observationally a no-op: a log fed the two halves, a log fed the
-    /// re-merged batch, and a log fed each record singly all end up
-    /// byte-identical (offsets, keys, values, timestamps).
+    /// re-merged batch, and a log fed each record by its own `append`
+    /// (n batches of one, stamped by the log's clock, which stands at
+    /// 0) all end up byte-identical (offsets, keys, values, timestamps).
     #[test]
     fn batch_split_and_merge_boundaries_are_invisible(
         records in prop::collection::vec(
@@ -345,7 +360,7 @@ proptest! {
                 )
             })
             .collect();
-        let whole = RecordBatch::from_pairs(pairs.clone(), 7);
+        let whole = RecordBatch::from_pairs(pairs.clone(), 0);
         let mid = mid_pct * whole.len() / 100;
         let (head, tail) = whole.clone().split_at(mid);
         let merged = head.clone().merge(tail.clone());
@@ -358,7 +373,7 @@ proptest! {
         via_whole.append_record_batch(whole).unwrap();
         let mut via_singles = small_log(512, false);
         for (key, value) in pairs {
-            via_singles.append_with_timestamp(key, value, 7).unwrap();
+            via_singles.append(key, value).unwrap();
         }
         let dump = |log: &Log| {
             log.read(0, u64::MAX)
@@ -435,7 +450,8 @@ proptest! {
         for g in &gaps {
             ts += g;
             stamps.push(ts);
-            log.append_with_timestamp(None, Bytes::from_static(b"v"), ts).unwrap();
+            let stamped = RecordBatch::from_pairs(vec![(None, Bytes::from_static(b"v"))], ts);
+            log.append_record_batch(stamped).unwrap();
         }
         let probe = stamps[probe_idx % stamps.len()];
         let offset = log.offset_for_timestamp(probe).unwrap();
