@@ -481,10 +481,13 @@ mod tests {
                 .send_keyed(format!("k{}", i % 3), format!("v{i}"))
                 .unwrap();
         }
+        // A round's changelog writes are coalesced per key, so one big
+        // round would leave three records and nothing to compact: grant
+        // three messages a tick, one changelog record per input.
         l.submit_job(
             JobConfig::new("counter", &["in"]),
             ContainerRequest {
-                cpu_per_tick: 10_000,
+                cpu_per_tick: 3,
                 memory_mb: 64,
             },
             |_| {
@@ -496,7 +499,7 @@ mod tests {
             },
         )
         .unwrap();
-        l.run_until_idle(10).unwrap();
+        assert_eq!(l.run_until_idle(2_000).unwrap(), 4000);
         let (_, compacted) = l.maintenance().unwrap();
         assert!(compacted > 0, "changelog should shrink under compaction");
     }

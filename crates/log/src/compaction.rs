@@ -13,11 +13,12 @@
 //! the tombstone itself is retained for one compaction pass (so lagging
 //! consumers observe the deletion) and removed on the next.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use bytes::Bytes;
 
 use crate::log::Log;
+use crate::record::Record;
 use crate::segment::Segment;
 
 /// Outcome of one compaction pass.
@@ -47,113 +48,78 @@ impl CompactionStats {
 }
 
 impl Log {
-    /// Runs one compaction pass over all sealed segments, one segment at
-    /// a time: the pass is a loop of independent
-    /// [`compact_segment`](Self::compact_segment) rewrites, so appends
-    /// (which only touch the active segment) are never blocked for
-    /// longer than one segment's rewrite, and a crash mid-pass leaves
-    /// every untouched segment exactly as it was.
+    /// Runs one compaction pass over all sealed segments, newest first,
+    /// decoding each **once**: walking back from the newest record, a
+    /// keyed record survives only if no newer sealed record has its key
+    /// — so by the time a segment is decoded, everything that decides
+    /// its survivors has been seen. A segment that loses nothing is
+    /// left exactly as it is (no rewrite, no new storage, its read-cache
+    /// entry stays valid); one that loses every record is removed, so
+    /// later passes do not visit it again; only the others are
+    /// rewritten. A pass therefore costs one scan plus what changed, and
+    /// a K-key log settles at no more than K sealed segments plus those
+    /// sealed since the last pass.
+    ///
+    /// Appends only touch the active segment and are never blocked for
+    /// longer than one segment's rewrite; a crash mid-pass leaves every
+    /// segment not yet visited exactly as it was, and the generation
+    /// un-bumped — the state a real mid-compaction crash leaves.
     ///
     /// Records keep their original offsets, so consumer positions remain
-    /// valid; compacted segments simply contain offset gaps.
+    /// valid; compacted segments simply contain offset gaps, and a
+    /// removed segment is one more gap.
     pub fn compact(&mut self) -> crate::Result<CompactionStats> {
-        let sealed = self.sealed_bases();
         let mut stats = CompactionStats::default();
-        if sealed.is_empty() {
-            return Ok(stats);
-        }
-        let latest = self.latest_keyed_offsets(&sealed, &mut stats)?;
-
         // A tombstone written in the most recent sealed segment is kept
         // for this pass; older tombstones (from segments already compacted
         // at least once) are dropped. We approximate "already survived a
         // pass" by tracking compaction generations per log.
         let drop_tombstones = self.compaction_generation() > 0;
-
-        // A crash between segments leaves some rewritten and the
-        // generation un-bumped — exactly the state a real mid-compaction
-        // crash leaves.
-        for &base in &sealed {
-            self.compact_segment(base, &latest, drop_tombstones, &mut stats)?;
+        let mut seen: HashSet<Bytes> = HashSet::new();
+        let sealed = self.sealed_bases();
+        for &base in sealed.iter().rev() {
+            self.metrics().compact.inc();
+            if self.config().injector.tick("log.compact") {
+                return Err(crate::LogError::Injected("log.compact"));
+            }
+            let Some(seg) = self.segments().get(&base) else {
+                continue;
+            };
+            let (records_before, bytes_before) = (seg.record_count(), seg.size_bytes());
+            stats.records_before += records_before;
+            stats.bytes_before += bytes_before;
+            let mut survivors = seg.read_from(base, u64::MAX)?.records;
+            // `retain` visits in order, so reversed it walks newest first.
+            survivors.reverse();
+            survivors.retain(|rec| survives(rec, &mut seen, drop_tombstones, &mut stats));
+            survivors.reverse();
+            if survivors.len() as u64 == records_before {
+                stats.records_after += records_before;
+                stats.bytes_after += bytes_before;
+            } else if survivors.is_empty() {
+                self.remove_segment(base)?;
+            } else {
+                self.rewrite_segment(base, &survivors, &mut stats)?;
+            }
         }
-        self.bump_compaction_generation();
+        if !sealed.is_empty() {
+            self.bump_compaction_generation();
+        }
         Ok(stats)
     }
 
-    /// Pass 1: newest surviving offset per key across the listed sealed
-    /// segments. Keys whose newest sealed record is a tombstone that has
-    /// already survived one pass are dropped entirely.
-    fn latest_keyed_offsets(
-        &self,
-        sealed: &[u64],
-        stats: &mut CompactionStats,
-    ) -> crate::Result<HashMap<Bytes, (u64, bool)>> {
-        let mut latest: HashMap<Bytes, (u64, bool)> = HashMap::new();
-        for &base in sealed {
-            let seg = match self.segments().get(&base) {
-                Some(s) => s,
-                None => continue, // dropped by retention since we listed it
-            };
-            let read = seg.read_from(seg.base_offset(), u64::MAX)?;
-            stats.records_before = stats
-                .records_before
-                .saturating_add(read.records.len() as u64);
-            stats.bytes_before += seg.size_bytes();
-            for rec in read.records {
-                if let Some(k) = rec.key.clone() {
-                    latest.insert(k, (rec.offset, rec.is_tombstone()));
-                }
-            }
-        }
-        Ok(latest)
-    }
-
-    /// Rewrites the one sealed segment at `base`, keeping only the
-    /// records that survive against `latest`. The rewrite replaces the
-    /// segment in place (same base offset) and invalidates its read-
-    /// cache entry so readers never see the pre-compaction records.
-    fn compact_segment(
+    /// Replaces the sealed segment at `base` with one holding
+    /// `survivors` (same base offset) and invalidates its read-cache
+    /// entry so readers never see the pre-compaction records.
+    fn rewrite_segment(
         &mut self,
         base: u64,
-        latest: &HashMap<Bytes, (u64, bool)>,
-        drop_tombstones: bool,
+        survivors: &[Record],
         stats: &mut CompactionStats,
     ) -> crate::Result<()> {
-        self.metrics().compact.inc();
-        if self.config().injector.tick("log.compact") {
-            return Err(crate::LogError::Injected("log.compact"));
-        }
-        let seg = match self.segments().get(&base) {
-            Some(s) => s,
-            None => return Ok(()), // dropped by retention since listed
-        };
-        let read = seg.read_from(seg.base_offset(), u64::MAX)?;
-        let survivors: Vec<_> = read
-            .records
-            .into_iter()
-            .filter(|rec| match &rec.key {
-                None => true,
-                Some(k) => match latest.get(k) {
-                    Some(&(newest, is_tomb)) => {
-                        if rec.offset != newest {
-                            return false;
-                        }
-                        if is_tomb && drop_tombstones {
-                            stats.tombstones_removed += 1;
-                            return false;
-                        }
-                        true
-                    }
-                    // Pass 1 indexed every keyed record in these same
-                    // segments; if an entry is somehow absent, keeping
-                    // the record is the safe direction.
-                    None => true,
-                },
-            })
-            .collect();
         let storage = self.storage_kind().create(base)?;
         let mut rebuilt = Segment::new(base, storage, self.index_interval());
-        rebuilt.append_frame(&survivors)?;
+        rebuilt.append_frame(survivors)?;
         rebuilt.seal();
         stats.records_after += rebuilt.record_count();
         stats.bytes_after += rebuilt.size_bytes();
@@ -163,9 +129,34 @@ impl Log {
     }
 }
 
+/// Whether `rec` outlives this pass, given the keys of every newer
+/// sealed record: keyless records always do; a keyed one only as the
+/// newest of its key, and not as a tombstone that already survived a
+/// pass.
+fn survives(
+    rec: &Record,
+    seen: &mut HashSet<Bytes>,
+    drop_tombstones: bool,
+    stats: &mut CompactionStats,
+) -> bool {
+    let Some(key) = &rec.key else {
+        return true;
+    };
+    if !seen.insert(key.clone()) {
+        return false;
+    }
+    if drop_tombstones && rec.is_tombstone() {
+        stats.tombstones_removed += 1;
+        return false;
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use crate::log::{Log, LogConfig, RetentionPolicy};
+    use crate::storage::counting::Reads;
+    use crate::storage::StorageKind;
     use bytes::Bytes;
     use liquid_sim::clock::SimClock;
 
@@ -314,6 +305,138 @@ mod tests {
             !out.records.iter().any(|r| r.offset == 2),
             "cache served a stale pre-compaction record"
         );
+    }
+
+    /// A compacting log on storage that counts creations and reads.
+    fn counting_log(segment_bytes: u64) -> (Log, Reads) {
+        let reads = Reads::default();
+        let cfg = LogConfig {
+            segment_bytes,
+            storage: StorageKind::Counting(reads.clone()),
+            ..compacting_log(segment_bytes).config().clone()
+        };
+        (Log::open(cfg, SimClock::new(0).shared()).unwrap(), reads)
+    }
+
+    fn sealed_bytes(log: &Log) -> u64 {
+        log.sealed_segment_info().iter().map(|&(_, _, b)| b).sum()
+    }
+
+    #[test]
+    fn a_pass_reads_each_sealed_segment_once_and_rewrites_only_what_changed() {
+        use crate::cache::{ReadCacheConfig, SegmentReadCache};
+        let (mut log, reads) = counting_log(256);
+        let cache = SegmentReadCache::new(ReadCacheConfig::default());
+        log.attach_read_cache(cache.clone(), 3);
+        for i in 0..200 {
+            log.append(Some(b(&format!("k{}", i % 10))), b(&format!("v{i}")))
+                .unwrap();
+        }
+        let (sealed, sealed_size) = (log.sealed_segment_info().len(), sealed_bytes(&log));
+        assert!(sealed > 10);
+        reads.take();
+        reads.take_created();
+        let first = log.compact().unwrap();
+        assert_eq!(first.bytes_before, sealed_size);
+        assert_eq!(reads.take().1, sealed_size, "every sealed byte read once");
+        assert!(reads.take_created() < sealed as u64, "some segment kept");
+
+        // Nothing was appended, so nothing can lose a record: the second
+        // pass scans, rewrites nothing, and leaves cached segments valid.
+        let before = log.read(0, u64::MAX).unwrap().records;
+        let cached = cache.cached_segments();
+        assert!(cached > 0);
+        reads.take();
+        let second = log.compact().unwrap();
+        assert_eq!(second.records_before, first.records_after);
+        assert_eq!(second.records_after, first.records_after);
+        assert_eq!(second.bytes_after, first.bytes_after);
+        assert_eq!(reads.take().1, first.bytes_after);
+        assert_eq!(reads.take_created(), 0, "an unchanged log is not rewritten");
+        assert_eq!(cache.cached_segments(), cached);
+        assert_eq!(log.read(0, u64::MAX).unwrap().records, before);
+    }
+
+    #[test]
+    fn sealed_segments_settle_at_the_key_count() {
+        const KEYS: usize = 5;
+        let (mut log, reads) = counting_log(200);
+        let mut kept_bytes = 0;
+        for pass in 0..12 {
+            for i in 0..120 {
+                let key = format!("k{}", (i * 7 + pass) % KEYS);
+                log.append(Some(b(&key)), b(&format!("v{pass}-{i}")))
+                    .unwrap();
+            }
+            assert!(log.sealed_segment_info().len() > KEYS, "something to cut");
+            // What a pass scans is the survivors of the last one plus
+            // what was sealed since — not the log's history.
+            let to_scan = sealed_bytes(&log);
+            assert!(to_scan <= kept_bytes + 120 * 40);
+            reads.take();
+            log.compact().unwrap();
+            assert_eq!(reads.take().1, to_scan);
+            // Every surviving segment holds the newest sealed record of
+            // some key, so there are no more of them than keys — and an
+            // emptied segment is gone, not kept to be scanned again.
+            let after = log.sealed_segment_info();
+            assert!(after.len() <= KEYS, "pass {pass}: {} sealed", after.len());
+            assert!(after.iter().all(|&(_, records, _)| records > 0));
+            kept_bytes = sealed_bytes(&log);
+        }
+        // The latest value of every key is still there.
+        let all = log.read(log.start_offset(), u64::MAX).unwrap().records;
+        for k in 0..KEYS {
+            let key = format!("k{k}");
+            assert!(all.iter().any(|r| r.key.as_deref() == Some(key.as_bytes())));
+        }
+    }
+
+    #[test]
+    fn reads_cross_a_removed_segment() {
+        use crate::cache::{ReadCacheConfig, SegmentReadCache};
+        let mut log = compacting_log(128);
+        log.attach_read_cache(SegmentReadCache::new(ReadCacheConfig::default()), 3);
+        // Offsets 0..40 are all superseded by 40..80; "tail" keeps the
+        // last sealed segments from being the newest of k0..k3.
+        for i in 0..80 {
+            log.append(Some(b(&format!("k{}", i % 4))), b(&format!("v{i}")))
+                .unwrap();
+        }
+        for i in 0..20 {
+            log.append(Some(b("tail")), b(&format!("t{i}"))).unwrap();
+        }
+        let active_base = log.active_base();
+        assert!(active_base > 80);
+        // What must be left: the newest sealed record per key, and the
+        // active segment. Reading it all also warms the cache with the
+        // segments about to be removed.
+        let all = log.read(0, u64::MAX).unwrap().records;
+        let expected: Vec<_> = all
+            .iter()
+            .filter(|r| {
+                r.offset >= active_base
+                    || !all
+                        .iter()
+                        .any(|n| n.key == r.key && n.offset > r.offset && n.offset < active_base)
+            })
+            .cloned()
+            .collect();
+        assert_eq!(expected.first().map(|r| r.offset), Some(76));
+        let segments = log.segment_count();
+        log.compact().unwrap();
+        assert!(log.segment_count() < segments, "emptied segments are gone");
+        assert_eq!(log.start_offset(), 0, "compaction never moves the start");
+        assert!(log.segments().keys().next().is_some_and(|&b| b > 40));
+        // A read from the start, or from inside the removed range, runs
+        // on into the first record that is left — from the log, not
+        // from a cached copy of a removed segment.
+        for from in [0, 17, 40] {
+            let read = log.read(from, u64::MAX).unwrap().records;
+            assert_eq!(read, expected);
+            assert_eq!(log.record_at(from).unwrap(), None);
+        }
+        assert_eq!(log.record_at(79).unwrap().map(|r| r.value), Some(b("v79")));
     }
 
     #[test]

@@ -406,9 +406,8 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::counting::{Counting, Reads};
     use crate::storage::MemStorage;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
 
     fn seg(interval: u64) -> Segment {
         Segment::new(100, Box::new(MemStorage::new()), interval)
@@ -632,61 +631,9 @@ mod tests {
         assert_eq!(s.next_offset(), 3, "torn record must be dropped");
     }
 
-    /// Storage that counts what is read from it.
-    struct Counting {
-        inner: MemStorage,
-        calls: Arc<AtomicU64>,
-        bytes: Arc<AtomicU64>,
-    }
-
-    impl SegmentStorage for Counting {
-        fn append(&mut self, frame: Bytes) -> std::io::Result<u64> {
-            self.inner.append(frame)
-        }
-        fn read_at(&self, pos: u64, max_len: usize) -> std::io::Result<Bytes> {
-            let read = self.inner.read_at(pos, max_len)?;
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(read.len() as u64, Ordering::Relaxed);
-            Ok(read)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.inner.flush()
-        }
-        fn truncate(&mut self, len: u64) -> std::io::Result<()> {
-            self.inner.truncate(len)
-        }
-    }
-
-    /// Read counters of a [`Counting`] storage.
-    struct Reads {
-        calls: Arc<AtomicU64>,
-        bytes: Arc<AtomicU64>,
-    }
-
-    impl Reads {
-        /// `(calls, bytes)` since the last call; resets both.
-        fn take(&self) -> (u64, u64) {
-            (
-                self.calls.swap(0, Ordering::Relaxed),
-                self.bytes.swap(0, Ordering::Relaxed),
-            )
-        }
-    }
-
     fn counting() -> (Box<Counting>, Reads) {
-        let reads = Reads {
-            calls: Arc::new(AtomicU64::new(0)),
-            bytes: Arc::new(AtomicU64::new(0)),
-        };
-        let storage = Counting {
-            inner: MemStorage::new(),
-            calls: reads.calls.clone(),
-            bytes: reads.bytes.clone(),
-        };
-        (Box::new(storage), reads)
+        let reads = Reads::default();
+        (Box::new(Counting::new(reads.clone())), reads)
     }
 
     /// Counting storage holding `records` as one contiguous run of

@@ -60,6 +60,9 @@ pub enum StorageKind {
     /// File-backed segments under this directory, one file per segment
     /// named `<base_offset>.seg`.
     Files(PathBuf),
+    /// In-memory segments that count what is created and read.
+    #[cfg(test)]
+    Counting(counting::Reads),
 }
 
 impl StorageKind {
@@ -67,6 +70,8 @@ impl StorageKind {
     pub fn create(&self, base_offset: u64) -> io::Result<Box<dyn SegmentStorage>> {
         match self {
             StorageKind::Memory => Ok(Box::new(MemStorage::new())),
+            #[cfg(test)]
+            StorageKind::Counting(reads) => Ok(Box::new(counting::Counting::created(reads))),
             StorageKind::Files(dir) => {
                 std::fs::create_dir_all(dir)?;
                 let path = dir.join(format!("{base_offset:020}.seg"));
@@ -91,6 +96,8 @@ impl StorageKind {
     pub fn existing_segments(&self) -> io::Result<Vec<u64>> {
         match self {
             StorageKind::Memory => Ok(Vec::new()),
+            #[cfg(test)]
+            StorageKind::Counting(_) => Ok(Vec::new()),
             StorageKind::Files(dir) => {
                 if !dir.exists() {
                     return Ok(Vec::new());
@@ -116,6 +123,8 @@ impl StorageKind {
     pub fn open(&self, base_offset: u64) -> io::Result<Box<dyn SegmentStorage>> {
         match self {
             StorageKind::Memory => Ok(Box::new(MemStorage::new())),
+            #[cfg(test)]
+            StorageKind::Counting(_) => self.create(base_offset),
             StorageKind::Files(dir) => {
                 let path = dir.join(format!("{base_offset:020}.seg"));
                 Ok(Box::new(FileStorage::open(&path)?))
@@ -271,6 +280,82 @@ impl SegmentStorage for FileStorage {
         self.file.set_len(len)?;
         self.len = len;
         Ok(())
+    }
+}
+
+/// Test storage that counts what is created and read, shared by the
+/// segment and compaction tests.
+#[cfg(test)]
+pub(crate) mod counting {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Counters of every [`Counting`] storage made from one handle.
+    #[derive(Debug, Clone, Default)]
+    pub struct Reads {
+        created: Arc<AtomicU64>,
+        calls: Arc<AtomicU64>,
+        bytes: Arc<AtomicU64>,
+    }
+
+    impl Reads {
+        /// `(read calls, bytes read)` since the last call; resets both.
+        pub fn take(&self) -> (u64, u64) {
+            (
+                self.calls.swap(0, Ordering::Relaxed),
+                self.bytes.swap(0, Ordering::Relaxed),
+            )
+        }
+
+        /// Storages created through [`StorageKind::Counting`] since the
+        /// last call; resets the count.
+        pub fn take_created(&self) -> u64 {
+            self.created.swap(0, Ordering::Relaxed)
+        }
+    }
+
+    /// A [`MemStorage`] that reports its reads.
+    pub struct Counting {
+        inner: MemStorage,
+        reads: Reads,
+    }
+
+    impl Counting {
+        pub fn new(reads: Reads) -> Self {
+            Counting {
+                inner: MemStorage::new(),
+                reads,
+            }
+        }
+
+        pub(super) fn created(reads: &Reads) -> Self {
+            reads.created.fetch_add(1, Ordering::Relaxed);
+            Counting::new(reads.clone())
+        }
+    }
+
+    impl SegmentStorage for Counting {
+        fn append(&mut self, frame: Bytes) -> io::Result<u64> {
+            self.inner.append(frame)
+        }
+        fn read_at(&self, pos: u64, max_len: usize) -> io::Result<Bytes> {
+            let read = self.inner.read_at(pos, max_len)?;
+            self.reads.calls.fetch_add(1, Ordering::Relaxed);
+            self.reads
+                .bytes
+                .fetch_add(read.len() as u64, Ordering::Relaxed);
+            Ok(read)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+        fn truncate(&mut self, len: u64) -> io::Result<()> {
+            self.inner.truncate(len)
+        }
     }
 }
 

@@ -271,6 +271,7 @@ mod tests {
             let mut s = StateStore::with_changelog(c.clone(), tp.clone()).unwrap();
             let agg = KeyedAggregate::new("n");
             agg.add(&mut s, b"k", 7).unwrap();
+            s.flush().unwrap();
         }
         let mut restored = StateStore::with_changelog(c, tp).unwrap();
         restored.restore_from_changelog().unwrap();

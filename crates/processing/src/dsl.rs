@@ -235,9 +235,9 @@ impl StreamTask for DslTask {
             }
             batch = next;
         }
-        if let Some(sink) = self.sink.clone() {
+        if let Some(sink) = &self.sink {
             for record in batch {
-                ctx.send(&sink, record.key, record.value)?;
+                ctx.send(sink, record.key, record.value)?;
             }
         }
         Ok(())

@@ -7,7 +7,7 @@
 //! it restores state from the changelog and continues from its last
 //! committed offsets instead of re-reading history (§4.2).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use liquid_kv::LsmConfig;
 use liquid_log::RetentionPolicy;
@@ -156,12 +156,41 @@ struct TaskInstance {
     task: Box<dyn StreamTask>,
     store: StateStore,
     outputs: Outputs,
-    positions: HashMap<TopicPartition, u64>,
+    /// Next offset per input partition, in delivery order: bootstrap
+    /// inputs first (drained before anything else), then sorted.
+    positions: Vec<(TopicPartition, u64)>,
     since_checkpoint: u64,
     /// Span of the last message this task processed (0 = none seen);
     /// stamped onto the task's checkpoint trace events so a checkpoint
     /// is causally linked to the produce that triggered it.
     last_span: u64,
+}
+
+impl TaskInstance {
+    /// The task's commit unit: buffered changelog writes first, then
+    /// buffered outputs. The caller moves the input position only
+    /// after both are in the log.
+    fn flush(&mut self) -> crate::Result<()> {
+        self.store.flush()?;
+        self.outputs.flush()
+    }
+
+    /// Runs a task callback that sees no input message (`init`,
+    /// `window`) and flushes what it buffered, even when it failed.
+    fn call(
+        &mut self,
+        callback: fn(&mut dyn StreamTask, &mut TaskContext<'_>) -> crate::Result<()>,
+    ) -> crate::Result<()> {
+        let mut ctx = TaskContext {
+            partition: self.partition,
+            input: None,
+            store: &mut self.store,
+            outputs: &mut self.outputs,
+        };
+        let outcome = callback(self.task.as_mut(), &mut ctx);
+        self.flush()?;
+        outcome
+    }
 }
 
 /// A running job.
@@ -233,7 +262,7 @@ impl Job {
                 }
                 restored_records += store.restore_from_changelog()?;
             }
-            let mut positions = HashMap::new();
+            let mut positions = Vec::new();
             for input in &config.inputs {
                 if p >= cluster.partition_count(input)? {
                     continue;
@@ -247,8 +276,12 @@ impl Job {
                     }
                     (JobStart::Latest, _) => cluster.latest_offset(&tp)?,
                 };
-                positions.insert(tp, offset);
+                positions.push((tp, offset));
             }
+            positions.sort_by(|(a, _), (b, _)| {
+                let rank = |tp: &TopicPartition| !config.bootstrap.contains(&tp.topic);
+                rank(a).cmp(&rank(b)).then_with(|| a.cmp(b))
+            });
             let mut instance = TaskInstance {
                 partition: p,
                 task: factory(p),
@@ -258,13 +291,7 @@ impl Job {
                 since_checkpoint: 0,
                 last_span: 0,
             };
-            let mut ctx = TaskContext {
-                partition: p,
-                input: None,
-                store: &mut instance.store,
-                outputs: &mut instance.outputs,
-            };
-            instance.task.init(&mut ctx)?;
+            instance.call(|task, ctx| task.init(ctx))?;
             tasks.push(instance);
         }
         Ok(Job {
@@ -393,13 +420,7 @@ impl Job {
     /// Invokes every task's `window` callback.
     pub fn tick_windows(&mut self) -> crate::Result<()> {
         for t in &mut self.tasks {
-            let mut ctx = TaskContext {
-                partition: t.partition,
-                input: None,
-                store: &mut t.store,
-                outputs: &mut t.outputs,
-            };
-            t.task.window(&mut ctx)?;
+            t.call(|task, ctx| task.window(ctx))?;
         }
         Ok(())
     }
@@ -417,8 +438,8 @@ impl Job {
     pub fn lag(&self) -> crate::Result<u64> {
         let mut lag = 0u64;
         for t in &self.tasks {
-            for (tp, &pos) in &t.positions {
-                lag = lag.saturating_add(self.cluster.latest_offset(tp)?.saturating_sub(pos));
+            for (tp, pos) in &t.positions {
+                lag = lag.saturating_add(self.cluster.latest_offset(tp)?.saturating_sub(*pos));
             }
         }
         Ok(lag)
@@ -428,10 +449,11 @@ impl Job {
     /// primitive (§3.1). No-op if the task does not consume that
     /// partition.
     pub fn seek_input(&mut self, topic: &str, partition: u32, offset: u64) {
-        let tp = TopicPartition::new(topic, partition);
-        for t in &mut self.tasks {
-            if t.partition == partition && t.positions.contains_key(&tp) {
-                t.positions.insert(tp.clone(), offset);
+        for t in self.tasks.iter_mut().filter(|t| t.partition == partition) {
+            for (tp, pos) in &mut t.positions {
+                if tp.partition == partition && tp.topic == topic {
+                    *pos = offset;
+                }
             }
         }
     }
@@ -451,7 +473,12 @@ impl Job {
 }
 
 /// One task's fetch-and-process round (shared by the sequential and
-/// parallel drivers).
+/// parallel drivers). Each input batch is one commit unit: its messages
+/// are processed, then the changelog writes and the outputs they
+/// buffered are flushed, then the position moves — so a position never
+/// covers a message whose effects are not in the log. A failed flush
+/// leaves the position at the batch start (at-least-once); a failed
+/// task still commits the messages before the one that failed.
 fn run_task_once(
     cluster: &Cluster,
     config: &JobConfig,
@@ -459,68 +486,80 @@ fn run_task_once(
     max_messages: u64,
     metrics: &JobMetrics,
 ) -> crate::Result<u64> {
-    let bootstrap = &config.bootstrap;
+    let TaskInstance {
+        partition,
+        task,
+        store,
+        outputs,
+        positions,
+        since_checkpoint,
+        last_span,
+    } = t;
     let mut processed = 0;
     let mut budget = max_messages;
-    // Deterministic order: bootstrap inputs first (fully drained before
-    // anything else), then the rest sorted.
-    let mut tps: Vec<TopicPartition> = t.positions.keys().cloned().collect();
-    tps.sort_by_key(|tp| (!bootstrap.contains(&tp.topic), tp.clone()));
     let mut bootstrap_lag = 0u64;
-    for tp in tps {
-        let is_bootstrap = bootstrap.contains(&tp.topic);
-        if !is_bootstrap && bootstrap_lag > 0 {
-            // Bootstrap streams not yet caught up: defer.
-            continue;
-        }
-        if budget == 0 {
+    for (tp, pos) in positions.iter_mut() {
+        let is_bootstrap = config.bootstrap.contains(&tp.topic);
+        if budget == 0 || (!is_bootstrap && bootstrap_lag > 0) {
+            // Out of budget, or bootstrap streams not yet caught up:
+            // everything from here on is deferred.
             break;
         }
-        let Some(&pos) = t.positions.get(&tp) else {
-            continue; // partition dropped from the task's inputs
-        };
         // Task input arrives as one batch whose payloads still share
         // the log's buffers; messages are materialized lazily one at a
         // time, so a budget cut mid-batch never pays for the tail.
-        let batch = cluster.fetch_batch(&tp, pos, config.fetch_bytes)?;
+        let batch = cluster.fetch_batch(tp, *pos, config.fetch_bytes)?;
         // Rendered lazily, once per partition batch, only when a traced
         // message actually needs it.
         let mut tp_site: Option<String> = None;
+        let mut next = *pos;
+        let mut delivered = 0u64;
+        let mut outcome = Ok(());
         for msg in batch.messages() {
-            if budget == 0 {
+            if delivered == budget {
                 break;
             }
             let mut ctx = TaskContext {
-                partition: t.partition,
-                input: Some(tp.clone()),
-                store: &mut t.store,
-                outputs: &mut t.outputs,
+                partition: *partition,
+                input: Some(tp),
+                store,
+                outputs,
             };
-            t.task.process(&msg, &mut ctx)?;
+            let step = task.process(&msg, &mut ctx).and_then(|()| {
+                msg.offset
+                    .checked_add(1)
+                    .ok_or(ProcessingError::OffsetOverflow {
+                        what: "advancing the task position past a message",
+                        value: msg.offset,
+                    })
+            });
+            match step {
+                Ok(after) => next = after,
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            }
             if msg.span != 0 {
-                t.last_span = msg.span;
+                *last_span = msg.span;
                 let site = tp_site.get_or_insert_with(|| tp.to_string());
                 cluster
                     .obs()
                     .tracer()
                     .record(msg.span, "task.deliver", site, msg.offset);
             }
-            let next = msg
-                .offset
-                .checked_add(1)
-                .ok_or(crate::ProcessingError::OffsetOverflow {
-                    what: "advancing the task position past a message",
-                    value: msg.offset,
-                })?;
-            t.positions.insert(tp.clone(), next);
-            t.since_checkpoint += 1;
-            budget -= 1;
-            processed += 1;
+            delivered += 1;
         }
+        store.flush()?;
+        outputs.flush()?;
+        *pos = next;
+        *since_checkpoint += delivered;
+        budget -= delivered;
+        processed += delivered;
+        outcome?;
         if is_bootstrap {
-            let current = t.positions.get(&tp).copied().unwrap_or(pos);
             bootstrap_lag =
-                bootstrap_lag.saturating_add(cluster.latest_offset(&tp)?.saturating_sub(current));
+                bootstrap_lag.saturating_add(cluster.latest_offset(tp)?.saturating_sub(next));
         }
     }
     metrics.messages.add(processed);
@@ -534,6 +573,9 @@ fn checkpoint_task(
     t: &mut TaskInstance,
     metrics: &JobMetrics,
 ) -> crate::Result<()> {
+    // A committed position must never cover a write that is not in the
+    // log, whoever buffered it (a round flushes its own).
+    t.flush()?;
     metrics.task_checkpoint.inc();
     if config.injector.tick("task.checkpoint") {
         // Crash before any position is committed: on restart the task
@@ -543,22 +585,18 @@ fn checkpoint_task(
     let group = config.checkpoint_group();
     let mut metadata = BTreeMap::new();
     metadata.insert("version".to_string(), config.version.clone());
-    // Sorted so a fault injected mid-checkpoint hits a deterministic
-    // partial prefix of commits (still at-least-once on restart).
-    let mut positions: Vec<(&TopicPartition, u64)> =
-        t.positions.iter().map(|(tp, &o)| (tp, o)).collect();
-    positions.sort_by(|a, b| a.0.cmp(b.0));
-    for (tp, offset) in positions {
+    // Delivery order is fixed at construction, so a fault injected
+    // mid-checkpoint hits a deterministic partial prefix of commits
+    // (still at-least-once on restart).
+    for (tp, offset) in &t.positions {
         cluster
             .offsets()
-            .commit(&group, tp, offset, metadata.clone())?;
+            .commit(&group, tp, *offset, metadata.clone())?;
     }
-    cluster.obs().tracer().record(
-        t.last_span,
-        "task.checkpoint",
-        &config.checkpoint_group(),
-        t.since_checkpoint,
-    );
+    cluster
+        .obs()
+        .tracer()
+        .record(t.last_span, "task.checkpoint", &group, t.since_checkpoint);
     t.since_checkpoint = 0;
     metrics.checkpoints.inc();
     Ok(())
@@ -858,6 +896,65 @@ mod tests {
             Box::new(FnTask(|_: &Message, _: &mut TaskContext<'_>| Ok(())))
         })
         .is_err());
+    }
+
+    #[test]
+    fn task_error_commits_the_messages_before_it() {
+        let c = setup(1);
+        fill(&c, "in", 0, 5);
+        let mut job = Job::new(&c, JobConfig::new("half", &["in"]), |_| {
+            Box::new(FnTask(|m: &Message, ctx: &mut TaskContext<'_>| {
+                if m.value == b("m2") {
+                    return Err(ProcessingError::Task("boom".into()));
+                }
+                ctx.store().add_counter(b"seen", 1)?;
+                ctx.send("out", m.key.clone(), m.value.clone())?;
+                Ok(())
+            }))
+        })
+        .unwrap();
+        assert!(job.run_once().is_err());
+        // What m0 and m1 buffered is in the log, and the position is at
+        // the message that failed: a retry fails on it again.
+        let out = TopicPartition::new("out", 0);
+        let changelog = TopicPartition::new("__half-state", 0);
+        assert_eq!(c.latest_offset(&out).unwrap(), 2);
+        assert_eq!(c.latest_offset(&changelog).unwrap(), 1);
+        assert_eq!(job.lag().unwrap(), 3);
+        assert!(job.run_once().is_err());
+        assert_eq!(c.latest_offset(&out).unwrap(), 2);
+        assert_eq!(job.lag().unwrap(), 3);
+        job.seek_input("in", 0, 3);
+        assert_eq!(job.run_once().unwrap(), 2);
+        assert_eq!(job.state(0).unwrap().get_counter(b"seen"), 4);
+        assert_eq!(c.latest_offset(&out).unwrap(), 4);
+    }
+
+    #[test]
+    fn callbacks_without_input_flush_what_they_buffer() {
+        struct Windowed;
+        impl StreamTask for Windowed {
+            fn init(&mut self, ctx: &mut TaskContext<'_>) -> crate::Result<()> {
+                ctx.store().put("started", "yes")
+            }
+            fn process(&mut self, _: &Message, _: &mut TaskContext<'_>) -> crate::Result<()> {
+                Ok(())
+            }
+            fn window(&mut self, ctx: &mut TaskContext<'_>) -> crate::Result<()> {
+                ctx.send("out", None, b("tick")).map(drop)
+            }
+        }
+        let c = setup(1);
+        let mut job = Job::new(&c, JobConfig::new("w", &["in"]), |_| Box::new(Windowed)).unwrap();
+        let changelog = TopicPartition::new("__w-state", 0);
+        assert_eq!(c.latest_offset(&changelog).unwrap(), 1);
+        job.tick_windows().unwrap();
+        assert_eq!(c.latest_offset(&TopicPartition::new("out", 0)).unwrap(), 1);
+        // Writes made through `state()` between rounds are covered by
+        // the next checkpoint.
+        job.state(0).unwrap().put("served", "1").unwrap();
+        job.checkpoint().unwrap();
+        assert_eq!(c.latest_offset(&changelog).unwrap(), 2);
     }
 
     #[test]

@@ -45,11 +45,7 @@ where
     F: FnMut(&Message, Option<&Bytes>) -> Option<Bytes> + Send,
 {
     fn process(&mut self, message: &Message, ctx: &mut TaskContext<'_>) -> crate::Result<()> {
-        let from_table = ctx
-            .input
-            .as_ref()
-            .map(|tp| tp.topic == self.table_topic)
-            .unwrap_or(false);
+        let from_table = ctx.input.is_some_and(|tp| tp.topic == self.table_topic);
         if from_table {
             let Some(key) = message.key.clone() else {
                 return Ok(());
@@ -72,7 +68,7 @@ where
             None => None,
         };
         if let Some(out) = (self.join)(message, table_value.as_ref()) {
-            ctx.send(&self.output_topic.clone(), message.key.clone(), out)?;
+            ctx.send(&self.output_topic, message.key.clone(), out)?;
         }
         Ok(())
     }
@@ -135,11 +131,7 @@ where
         let Some(key) = message.key.clone() else {
             return Ok(()); // joins are keyed
         };
-        let is_left = ctx
-            .input
-            .as_ref()
-            .map(|tp| tp.topic == self.left_topic)
-            .unwrap_or(false);
+        let is_left = ctx.input.is_some_and(|tp| tp.topic == self.left_topic);
         let (own, other) = if is_left { (b'L', b'R') } else { (b'R', b'L') };
         self.max_event_time = self.max_event_time.max(message.timestamp);
         // Buffer own side.
@@ -154,7 +146,6 @@ where
         let mut hi = lo.clone();
         hi.push(0xFF);
         let matches = ctx.store().range(Some(&lo), Some(&hi));
-        let output_topic = self.output_topic.clone();
         for (mk, mv) in matches {
             let Some(ts) = parse_buffer_ts(&mk, key.len()) else {
                 continue;
@@ -166,7 +157,7 @@ where
                     (&mv, &message.value)
                 };
                 let out = (self.combine)(&key, left_v, right_v);
-                ctx.send(&output_topic, Some(key.clone()), out)?;
+                ctx.send(&self.output_topic, Some(key.clone()), out)?;
             }
         }
         Ok(())

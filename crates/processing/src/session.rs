@@ -236,6 +236,7 @@ mod tests {
             let mut s = StateStore::with_changelog(c.clone(), tp.clone()).unwrap();
             w.observe(&mut s, b"u1", 100).unwrap();
             w.observe(&mut s, b"u1", 300).unwrap();
+            s.flush().unwrap();
         }
         let mut restored = StateStore::with_changelog(c, tp).unwrap();
         restored.restore_from_changelog().unwrap();

@@ -8,15 +8,59 @@
 //! replaying the changelog partition (and because the changelog is
 //! compacted, replay cost is proportional to the number of *live* keys,
 //! not the number of updates — the §4.1 claim benchmarked by E4).
+//!
+//! Changelog writes are **buffered**: `put`/`delete` apply locally at
+//! once and leave for the changelog as one batch per [`flush`], the
+//! last write per key winning — which is all compaction would keep of
+//! them anyway. A [`Job`](crate::Job) flushes at the end of every
+//! input batch, before the outputs and before the position moves.
+//!
+//! [`flush`]: StateStore::flush
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use bytes::Bytes;
 use liquid_kv::{LsmConfig, LsmStore};
+use liquid_log::{Record, RecordBatch};
 use liquid_messaging::{AckLevel, Cluster, TopicPartition};
+
+/// Buffered records at which a changelog or an output partition
+/// flushes itself: bounds what a store driven outside a job, or a task
+/// replaying a 1 MiB fetch, holds between commit points.
+pub(crate) const FLUSH_AT: usize = 256;
+
+/// Sends `records` to `tp` as one batch and empties the buffer; on an
+/// error they stay buffered for the next attempt (hence the clone: the
+/// cluster consumes the batch it is given).
+pub(crate) fn send_buffered(
+    cluster: &Cluster,
+    tp: &TopicPartition,
+    records: &mut Vec<Record>,
+    acks: AckLevel,
+) -> crate::Result<()> {
+    if !records.is_empty() {
+        cluster.produce_batch(tp, RecordBatch::from_records(records.clone()), acks, None)?;
+        records.clear();
+    }
+    Ok(())
+}
+
+/// The changelog side of a store: where it goes and what has not been
+/// sent yet.
+struct Changelog {
+    cluster: Cluster,
+    tp: TopicPartition,
+    /// Writes since the last flush, one per key, in first-write order.
+    pending: Vec<Record>,
+    /// Key → its slot in `pending`.
+    slots: HashMap<Bytes, usize>,
+}
 
 /// A task's keyed state store, optionally mirrored to a changelog.
 pub struct StateStore {
     store: LsmStore,
-    changelog: Option<(Cluster, TopicPartition)>,
+    changelog: Option<Changelog>,
     /// Local writes since creation (diagnostics).
     writes: u64,
 }
@@ -48,7 +92,12 @@ impl StateStore {
     ) -> crate::Result<Self> {
         Ok(StateStore {
             store: LsmStore::open(config)?,
-            changelog: Some((cluster, changelog_tp)),
+            changelog: Some(Changelog {
+                cluster,
+                tp: changelog_tp,
+                pending: Vec::new(),
+                slots: HashMap::new(),
+            }),
             writes: 0,
         })
     }
@@ -56,13 +105,13 @@ impl StateStore {
     /// Rebuilds state from the changelog (recovery path). Returns the
     /// number of records replayed.
     pub fn restore_from_changelog(&mut self) -> crate::Result<u64> {
-        let Some((cluster, tp)) = self.changelog.clone() else {
+        let Some(Changelog { cluster, tp, .. }) = &self.changelog else {
             return Ok(0);
         };
         let mut replayed = 0;
-        let mut offset = cluster.earliest_offset(&tp)?;
+        let mut offset = cluster.earliest_offset(tp)?;
         loop {
-            let batch = cluster.fetch_batch(&tp, offset, 1 << 20)?.into_messages();
+            let batch = cluster.fetch_batch(tp, offset, 1 << 20)?.into_messages();
             if batch.is_empty() {
                 break;
             }
@@ -91,25 +140,59 @@ impl StateStore {
         self.store.get(key)
     }
 
-    /// Writes a key, mirroring to the changelog.
+    /// Writes a key; the changelog sees it at the next
+    /// [`flush`](Self::flush).
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> crate::Result<()> {
         let (key, value) = (key.into(), value.into());
-        if let Some((cluster, tp)) = &self.changelog {
-            cluster.produce_to(tp, Some(key.clone()), value.clone(), AckLevel::Leader)?;
-        }
-        self.store.put(key, value)?;
+        self.store.put(key.clone(), value.clone())?;
         self.writes += 1;
+        self.log_write(key, value)
+    }
+
+    /// Deletes a key; the changelog sees a tombstone at the next
+    /// [`flush`](Self::flush).
+    pub fn delete(&mut self, key: impl Into<Bytes>) -> crate::Result<()> {
+        let key = key.into();
+        self.store.delete(key.clone())?;
+        self.writes += 1;
+        self.log_write(key, Bytes::new())
+    }
+
+    /// Buffers one changelog record, replacing an earlier write of the
+    /// same key in this flush unit, and flushes at [`FLUSH_AT`].
+    fn log_write(&mut self, key: Bytes, value: Bytes) -> crate::Result<()> {
+        let Some(log) = &mut self.changelog else {
+            return Ok(());
+        };
+        // One hash per write: the entry is the lookup and the insert.
+        match log.slots.entry(key) {
+            Entry::Occupied(slot) => {
+                if let Some(record) = log.pending.get_mut(*slot.get()) {
+                    record.value = value;
+                }
+            }
+            Entry::Vacant(slot) => {
+                let key = slot.key().clone();
+                slot.insert(log.pending.len());
+                log.pending.push(Record::new(Some(key), value, 0));
+            }
+        }
+        if log.pending.len() >= FLUSH_AT {
+            self.flush()?;
+        }
         Ok(())
     }
 
-    /// Deletes a key, mirroring a tombstone to the changelog.
-    pub fn delete(&mut self, key: impl Into<Bytes>) -> crate::Result<()> {
-        let key = key.into();
-        if let Some((cluster, tp)) = &self.changelog {
-            cluster.produce_to(tp, Some(key.clone()), Bytes::new(), AckLevel::Leader)?;
-        }
-        self.store.delete(key)?;
-        self.writes += 1;
+    /// Sends every buffered write to the changelog as one batch. On an
+    /// error the writes stay buffered for the next flush. There is no
+    /// flush on `Drop`: a dropped store is a crashed store, and what it
+    /// had not flushed is lost the way a crash loses it.
+    pub fn flush(&mut self) -> crate::Result<()> {
+        let Some(log) = &mut self.changelog else {
+            return Ok(());
+        };
+        send_buffered(&log.cluster, &log.tp, &mut log.pending, AckLevel::Leader)?;
+        log.slots.clear();
         Ok(())
     }
 
@@ -195,11 +278,47 @@ mod tests {
         let (c, tp) = cluster_with_changelog();
         let mut s = StateStore::with_changelog(c.clone(), tp.clone()).unwrap();
         s.put("user", "profile-1").unwrap();
+        s.flush().unwrap();
         s.put("user", "profile-2").unwrap();
+        s.flush().unwrap();
         s.delete("user").unwrap();
+        assert_eq!(c.latest_offset(&tp).unwrap(), 2, "buffered until flushed");
+        s.flush().unwrap();
         let msgs = c.fetch_batch(&tp, 0, u64::MAX).unwrap().into_messages();
         assert_eq!(msgs.len(), 3);
         assert!(msgs[2].value.is_empty(), "delete mirrored as tombstone");
+
+        // Within one flush unit the last write per key wins — what
+        // compaction would keep: two puts and a delete leave one
+        // tombstone, in the key's first-write slot.
+        s.put("user", "profile-3").unwrap();
+        s.put("other", "x").unwrap();
+        s.put("user", "profile-4").unwrap();
+        s.delete("user").unwrap();
+        assert_eq!(s.get(b"user"), None, "reads see buffered writes");
+        s.flush().unwrap();
+        s.flush().unwrap();
+        let msgs = c.fetch_batch(&tp, 3, u64::MAX).unwrap().into_messages();
+        assert_eq!(msgs.len(), 2, "an empty flush appends nothing");
+        assert_eq!(msgs[0].key, Some(b("user")));
+        assert!(msgs[0].value.is_empty());
+        assert_eq!(msgs[1].value, b("x"));
+    }
+
+    #[test]
+    fn store_flushes_itself_at_the_bound() {
+        let (c, tp) = cluster_with_changelog();
+        let mut s = StateStore::with_changelog(c.clone(), tp.clone()).unwrap();
+        for i in 0..FLUSH_AT - 1 {
+            s.put(format!("k{i}"), "v").unwrap();
+        }
+        // Rewriting a buffered key takes no new slot.
+        s.put("k0", "w").unwrap();
+        assert_eq!(c.latest_offset(&tp).unwrap(), 0);
+        s.put("last", "v").unwrap();
+        assert_eq!(c.latest_offset(&tp).unwrap(), FLUSH_AT as u64);
+        s.put("after", "v").unwrap();
+        assert_eq!(c.latest_offset(&tp).unwrap(), FLUSH_AT as u64);
     }
 
     #[test]
@@ -211,14 +330,19 @@ mod tests {
                 s.put(format!("k{i}"), format!("v{i}")).unwrap();
             }
             s.delete("k10").unwrap();
+            s.flush().unwrap();
+            // No flush on drop: these die with the store.
+            s.put("k7", "unflushed").unwrap();
+            s.put("k50", "unflushed").unwrap();
             // Crash: local store lost.
         }
         let mut rebuilt = StateStore::with_changelog(c.clone(), tp.clone()).unwrap();
         let replayed = rebuilt.restore_from_changelog().unwrap();
-        assert_eq!(replayed, 51);
+        assert_eq!(replayed, 50, "k10's put and delete left as one tombstone");
         assert_eq!(rebuilt.len(), 49);
         assert_eq!(rebuilt.get(b"k7"), Some(b("v7")));
         assert_eq!(rebuilt.get(b"k10"), None);
+        assert_eq!(rebuilt.get(b"k50"), None, "unflushed write is absent");
     }
 
     #[test]
@@ -230,6 +354,7 @@ mod tests {
             let mut s = StateStore::with_changelog(c.clone(), tp.clone()).unwrap();
             for i in 0..1000 {
                 s.put(format!("k{}", i % 10), format!("v{i}")).unwrap();
+                s.flush().unwrap();
             }
         }
         let stats = c.compact_topic("changelog").unwrap();

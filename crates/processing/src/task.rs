@@ -1,11 +1,12 @@
 //! The task abstraction: user code processing one partition.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use liquid_messaging::{AckLevel, Cluster, Message, TopicPartition};
+use liquid_log::Record;
+use liquid_messaging::{AckLevel, Cluster, Message, MessagingError, TopicPartition};
 
-use crate::state::StateStore;
+use crate::state::{send_buffered, StateStore, FLUSH_AT};
 
 /// User-supplied stream logic. One instance runs per input partition
 /// (the paper's task-per-partition parallelism, §3.2).
@@ -33,7 +34,7 @@ pub struct TaskContext<'a> {
     pub partition: u32,
     /// Partition the *current* message arrived on (differs from
     /// `partition` only for merged-input jobs).
-    pub input: Option<TopicPartition>,
+    pub input: Option<&'a TopicPartition>,
     pub(crate) store: &'a mut StateStore,
     pub(crate) outputs: &'a mut Outputs,
 }
@@ -44,14 +45,11 @@ impl TaskContext<'_> {
         self.store
     }
 
-    /// Publishes a message to an output feed. Keyed messages route by
-    /// key hash (stable routing); keyless round-robin.
-    pub fn send(
-        &mut self,
-        topic: &str,
-        key: Option<Bytes>,
-        value: Bytes,
-    ) -> crate::Result<(u32, u64)> {
+    /// Publishes a message to an output feed and returns the partition
+    /// it is routed to: keyed messages route by key hash (stable
+    /// routing), keyless round-robin. The message is buffered; it gets
+    /// its offset when the job flushes the round.
+    pub fn send(&mut self, topic: &str, key: Option<Bytes>, value: Bytes) -> crate::Result<u32> {
         self.outputs.send(topic, key, value)
     }
 
@@ -61,13 +59,21 @@ impl TaskContext<'_> {
     }
 }
 
-/// Output routing shared by a task across calls (round-robin cursors
-/// per topic).
+/// One output topic of a task: its round-robin cursor and, per
+/// partition, the records sent since the last flush.
+struct TopicOutputs {
+    rr: u64,
+    partitions: Vec<(TopicPartition, Vec<Record>)>,
+}
+
+/// A task's output side, shared across calls: routing state per topic
+/// (resolved once) and the records buffered for the next flush. Every
+/// record is kept, in send order — derived feeds are never coalesced.
 pub(crate) struct Outputs {
-    pub(crate) cluster: Cluster,
-    pub(crate) acks: AckLevel,
-    rr: HashMap<String, u64>,
-    partition_counts: HashMap<String, u32>,
+    cluster: Cluster,
+    acks: AckLevel,
+    /// Sorted, so a flush visits partitions in one order on every run.
+    topics: BTreeMap<String, TopicOutputs>,
     pub(crate) emitted: u64,
 }
 
@@ -76,8 +82,7 @@ impl Outputs {
         Outputs {
             cluster,
             acks,
-            rr: HashMap::new(),
-            partition_counts: HashMap::new(),
+            topics: BTreeMap::new(),
             emitted: 0,
         }
     }
@@ -87,28 +92,47 @@ impl Outputs {
         topic: &str,
         key: Option<Bytes>,
         value: Bytes,
-    ) -> crate::Result<(u32, u64)> {
-        let n = match self.partition_counts.get(topic) {
-            Some(&n) => n,
-            None => {
-                let n = self.cluster.partition_count(topic)?;
-                self.partition_counts.insert(topic.to_string(), n);
-                n
-            }
+    ) -> crate::Result<u32> {
+        if !self.topics.contains_key(topic) {
+            let partitions = (0..self.cluster.partition_count(topic)?)
+                .map(|p| (TopicPartition::new(topic, p), Vec::new()))
+                .collect();
+            let resolved = TopicOutputs { rr: 0, partitions };
+            self.topics.insert(topic.to_string(), resolved);
+        }
+        let Some(out) = self.topics.get_mut(topic) else {
+            return Err(MessagingError::UnknownTopic(topic.to_string()).into());
         };
+        let n = out.partitions.len().max(1) as u64;
         let partition = match &key {
-            Some(k) => (hash_bytes(k) % n as u64) as u32,
+            Some(k) => hash_bytes(k) % n,
             None => {
-                let c = self.rr.entry(topic.to_string()).or_insert(0);
-                let p = (*c % n as u64) as u32;
-                *c += 1;
+                let p = out.rr % n;
+                out.rr += 1;
                 p
             }
         };
-        let tp = TopicPartition::new(topic.to_string(), partition);
-        let offset = self.cluster.produce_to(&tp, key, value, self.acks)?;
+        let Some((tp, records)) = out.partitions.get_mut(partition as usize) else {
+            return Err(MessagingError::UnknownTopic(topic.to_string()).into());
+        };
+        records.push(Record::new(key, value, 0));
         self.emitted += 1;
-        Ok((partition, offset))
+        if records.len() >= FLUSH_AT {
+            send_buffered(&self.cluster, tp, records, self.acks)?;
+        }
+        Ok(partition as u32)
+    }
+
+    /// Sends every buffered record, one batch per destination
+    /// partition. A partition whose batch fails keeps its records for
+    /// the next flush.
+    pub(crate) fn flush(&mut self) -> crate::Result<()> {
+        for out in self.topics.values_mut() {
+            for (tp, records) in &mut out.partitions {
+                send_buffered(&self.cluster, tp, records, self.acks)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -156,10 +180,32 @@ mod tests {
     fn outputs_route_keyed_stably() {
         let c = setup();
         let mut o = Outputs::new(c.clone(), AckLevel::Leader);
-        let (p1, _) = o.send("out", Some(b("k1")), b("a")).unwrap();
-        let (p2, _) = o.send("out", Some(b("k1")), b("b")).unwrap();
+        let p1 = o.send("out", Some(b("k1")), b("a")).unwrap();
+        let p2 = o.send("out", Some(b("k1")), b("b")).unwrap();
         assert_eq!(p1, p2);
         assert_eq!(o.emitted, 2);
+        // Buffered until the flush, then in the log in send order.
+        let tp = TopicPartition::new("out", p1);
+        assert_eq!(c.latest_offset(&tp).unwrap(), 0);
+        o.flush().unwrap();
+        let sent = c.fetch_batch(&tp, 0, u64::MAX).unwrap().into_messages();
+        let values: Vec<Bytes> = sent.into_iter().map(|m| m.value).collect();
+        assert_eq!(values, vec![b("a"), b("b")]);
+        o.flush().unwrap();
+        assert_eq!(c.latest_offset(&tp).unwrap(), 2, "nothing left to send");
+    }
+
+    #[test]
+    fn outputs_flush_a_partition_at_the_bound() {
+        let c = setup();
+        let mut o = Outputs::new(c.clone(), AckLevel::Leader);
+        let mut p = 0;
+        for _ in 0..FLUSH_AT {
+            p = o.send("out", Some(b("k1")), b("same")).unwrap();
+        }
+        // Never coalesced: every record of the key is in the feed.
+        let tp = TopicPartition::new("out", p);
+        assert_eq!(c.latest_offset(&tp).unwrap(), FLUSH_AT as u64);
     }
 
     #[test]
@@ -167,7 +213,7 @@ mod tests {
         let c = setup();
         let mut o = Outputs::new(c, AckLevel::Leader);
         let parts: Vec<u32> = (0..4)
-            .map(|_| o.send("out", None, b("x")).unwrap().0)
+            .map(|_| o.send("out", None, b("x")).unwrap())
             .collect();
         assert_eq!(parts, vec![0, 1, 2, 3]);
     }

@@ -10,11 +10,14 @@ use liquid::log::{
     Log, LogConfig, ReadCacheConfig, RecordBatch, RetentionPolicy, SegmentReadCache,
 };
 use liquid_messaging::consumer::StartPosition;
+use liquid_messaging::Message;
 use liquid_messaging::{
     AckLevel, AssignmentStrategy, BatchConfig, Cluster, ClusterConfig, Consumer, Producer,
     TopicConfig, TopicPartition,
 };
+use liquid_processing::{FnTask, Job, JobConfig, ProcessingError, StreamTask, TaskContext};
 use liquid_sim::clock::SimClock;
+use liquid_sim::failure::FailureInjector;
 use proptest::prelude::*;
 
 fn small_log(segment_bytes: u64, compact: bool) -> Log {
@@ -516,6 +519,309 @@ proptest! {
             prop_assert_eq!(&a.value, &f.value);
             prop_assert_eq!(a.timestamp, f.timestamp);
         }
+    }
+}
+
+/// One input of [`job_rounds_are_invisible`]: what the task does with
+/// the message that carries it.
+#[derive(Debug, Clone, Copy)]
+enum JobOp {
+    Put,
+    Delete,
+    Count,
+    Send,
+}
+
+const JOB_OPS: [JobOp; 4] = [JobOp::Put, JobOp::Delete, JobOp::Count, JobOp::Send];
+
+/// The task under test: the message's first byte picks the [`JobOp`].
+/// Puts and deletes live under `p<key>`, counters under `c<key>`; a
+/// count is also sent on, so the feed shows every intermediate value.
+fn op_task() -> Box<dyn StreamTask> {
+    Box::new(FnTask(|m: &Message, ctx: &mut TaskContext<'_>| {
+        let key = m.key.clone().unwrap_or_default();
+        let state_key = |prefix: u8| Bytes::from([&[prefix][..], &key[..]].concat());
+        match JOB_OPS[usize::from(m.value[0]) % 4] {
+            JobOp::Put => ctx.store().put(state_key(b'p'), m.value.clone())?,
+            JobOp::Delete => ctx.store().delete(state_key(b'p'))?,
+            JobOp::Count => {
+                let n = ctx.store().add_counter(&state_key(b'c'), 1)?;
+                ctx.send("out", Some(key), Bytes::from(n.to_string()))?;
+            }
+            JobOp::Send => drop(ctx.send("out", Some(key), m.value.clone())?),
+        }
+        Ok(())
+    }))
+}
+
+/// What one way of cutting a job's input into rounds left behind.
+#[derive(Debug, PartialEq)]
+struct JobOutcome {
+    /// The derived feed, per partition, in offset order.
+    feed: Vec<Vec<(Bytes, Bytes)>>,
+    state: Vec<(Bytes, Bytes)>,
+    /// State of a fresh job instance, restored from the changelog.
+    restored: Vec<(Bytes, Bytes)>,
+    changelog_len: u64,
+}
+
+/// Runs `ops` through a fresh cluster and job, one round per entry of
+/// `cuts` (cycled; 0 is an unlimited `run_once`), fetching at most
+/// `fetch_bytes` a batch and checkpointing every `checkpoint_every`.
+fn run_job_cut(
+    ops: &[(u8, u8, u8)],
+    out_partitions: u32,
+    cuts: &[u64],
+    fetch_bytes: u64,
+    checkpoint_every: u64,
+) -> JobOutcome {
+    let cluster = Cluster::new(ClusterConfig::with_brokers(1), SimClock::new(0).shared());
+    let topic = |name, partitions| {
+        cluster
+            .create_topic(name, TopicConfig::with_partitions(partitions))
+            .unwrap()
+    };
+    topic("in", 1);
+    topic("out", out_partitions);
+    let input = TopicPartition::new("in", 0);
+    for &(op, key, salt) in ops {
+        let key = Bytes::from(format!("k{}", key % 6));
+        let value = Bytes::from(vec![op, salt]);
+        cluster
+            .produce_to(&input, Some(key), value, AckLevel::Leader)
+            .unwrap();
+    }
+    let make = || {
+        let mut config = JobConfig::new("cut", &["in"]).checkpoint_every(checkpoint_every);
+        config.fetch_bytes = fetch_bytes;
+        Job::new(&cluster, config, |_| op_task()).unwrap()
+    };
+    let mut job = make();
+    let mut cuts = cuts.iter().cycle();
+    while job.lag().unwrap() > 0 {
+        match cuts.next().copied().unwrap_or(0) {
+            0 => job.run_once().unwrap(),
+            k => job.run_once_limited(k).unwrap(),
+        };
+    }
+    assert_eq!(job.processed(), ops.len() as u64);
+    job.checkpoint().unwrap();
+    let state = job.state(0).unwrap().scan_all();
+    drop(job);
+    let mut fresh = make();
+    assert_eq!(fresh.run_once().unwrap(), 0, "resumes at the checkpoint");
+    let read = |tp: &TopicPartition| {
+        cluster
+            .fetch_batch(tp, 0, u64::MAX)
+            .unwrap()
+            .into_messages()
+    };
+    JobOutcome {
+        feed: (0..out_partitions)
+            .map(|p| {
+                read(&TopicPartition::new("out", p))
+                    .into_iter()
+                    .map(|m| (m.key.unwrap_or_default(), m.value))
+                    .collect()
+            })
+            .collect(),
+        state,
+        restored: fresh.state(0).unwrap().scan_all(),
+        changelog_len: cluster
+            .latest_offset(&TopicPartition::new("__cut-state", 0))
+            .unwrap(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A job's rounds are invisible: however its input is cut into
+    /// rounds, fetches and checkpoints, the derived feed (contents and
+    /// order, per partition), the final local state and the state a
+    /// fresh instance restores from the changelog are the same — and
+    /// equal a fold over the input computed here. Outputs are never
+    /// coalesced; changelog writes are, so the changelog is no longer
+    /// than the input.
+    #[test]
+    fn job_rounds_are_invisible(
+        ops in prop::collection::vec((0u8..4, 0u8..6, any::<u8>()), 1..120),
+        out_partitions in 1u32..=4,
+        cuts in prop::collection::vec(0u64..9, 1..6),
+        fetch_bytes in 1u64..2048,
+        checkpoint_every in 0u64..20,
+    ) {
+        let cut = run_job_cut(&ops, out_partitions, &cuts, fetch_bytes, checkpoint_every);
+        let whole = run_job_cut(&ops, out_partitions, &[0], 1 << 20, 0);
+        prop_assert_eq!(&cut.feed, &whole.feed);
+
+        let mut state = std::collections::BTreeMap::new();
+        let mut sent: Vec<(Bytes, Bytes)> = Vec::new();
+        for &(op, key, salt) in &ops {
+            let key = format!("k{}", key % 6);
+            let value = Bytes::from(vec![op, salt]);
+            match JOB_OPS[usize::from(op)] {
+                JobOp::Put => drop(state.insert(Bytes::from(format!("p{key}")), value)),
+                JobOp::Delete => drop(state.remove(format!("p{key}").as_bytes())),
+                JobOp::Count => {
+                    let slot = state
+                        .entry(Bytes::from(format!("c{key}")))
+                        .or_insert_with(|| Bytes::copy_from_slice(&0u64.to_le_bytes()));
+                    let n = u64::from_le_bytes(slot[..].try_into().unwrap()) + 1;
+                    *slot = Bytes::copy_from_slice(&n.to_le_bytes());
+                    sent.push((Bytes::from(key), Bytes::from(n.to_string())));
+                }
+                JobOp::Send => sent.push((Bytes::from(key), value)),
+            }
+        }
+        let state: Vec<(Bytes, Bytes)> = state.into_iter().collect();
+        for outcome in [&cut, &whole] {
+            prop_assert_eq!(&outcome.state, &state);
+            prop_assert_eq!(&outcome.restored, &state);
+            prop_assert!(outcome.changelog_len <= ops.len() as u64);
+            // Every derived record, in per-key order; a key lives in
+            // one partition.
+            for k in 0..6 {
+                let key = Bytes::from(format!("k{k}"));
+                let of_key = |records: &[(Bytes, Bytes)]| -> Vec<Bytes> {
+                    let mine = records.iter().filter(|(rk, _)| *rk == key);
+                    mine.map(|(_, v)| v.clone()).collect()
+                };
+                let homes: Vec<Vec<Bytes>> = outcome.feed.iter().map(|p| of_key(p)).collect();
+                prop_assert!(homes.iter().filter(|h| !h.is_empty()).count() <= 1);
+                prop_assert_eq!(homes.concat(), of_key(&sent));
+            }
+        }
+    }
+}
+
+/// One broker, an `in` feed of `inputs` keyed records, an `out` feed
+/// whose log ticks `out_injector` — and nothing else does.
+fn faulted_output_cluster(inputs: u64, out_injector: &FailureInjector) -> Cluster {
+    let cluster = Cluster::new(ClusterConfig::with_brokers(1), SimClock::new(0).shared());
+    cluster
+        .create_topic("in", TopicConfig::with_partitions(1))
+        .unwrap();
+    let mut out = TopicConfig::with_partitions(1);
+    out.log.injector = out_injector.clone();
+    cluster.create_topic("out", out).unwrap();
+    for i in 0..inputs {
+        let (key, value) = (format!("k{}", i % 3), format!("m{i}"));
+        cluster
+            .produce_to(
+                &TopicPartition::new("in", 0),
+                Some(Bytes::from(key)),
+                Bytes::from(value),
+                AckLevel::Leader,
+            )
+            .unwrap();
+    }
+    cluster
+}
+
+/// Counts every input in state and forwards it.
+fn counting_task() -> Box<dyn StreamTask> {
+    Box::new(FnTask(|m: &Message, ctx: &mut TaskContext<'_>| {
+        ctx.store().add_counter(b"seen", 1)?;
+        ctx.send("out", m.key.clone(), m.value.clone())?;
+        Ok(())
+    }))
+}
+
+#[test]
+fn failed_output_flush_leaves_the_position_at_the_batch_start() {
+    let injector = FailureInjector::new(7);
+    let cluster = faulted_output_cluster(10, &injector);
+    let config = JobConfig::new("flush", &["in"]).checkpoint_every(0);
+    let mut job = Job::new(&cluster, config, |_| counting_task()).unwrap();
+    injector.fail_at(1);
+    let failed = job.run_once();
+    assert!(
+        matches!(failed, Err(ProcessingError::Messaging(_))),
+        "{failed:?}"
+    );
+    assert_eq!(injector.failures(), 1);
+    // The commit unit stopped between its second and third step: the
+    // changelog batch is in the log, the outputs are not, and the
+    // position has not moved — so nothing the batch did is lost.
+    let (out, changelog) = (
+        TopicPartition::new("out", 0),
+        TopicPartition::new("__flush-state", 0),
+    );
+    assert_eq!(cluster.latest_offset(&changelog).unwrap(), 1);
+    assert_eq!(cluster.latest_offset(&out).unwrap(), 0);
+    assert_eq!(job.lag().unwrap(), 10);
+    job.checkpoint().unwrap();
+    assert_eq!(
+        cluster
+            .offsets()
+            .fetch_offset("job-flush", &TopicPartition::new("in", 0)),
+        Some(0)
+    );
+    // The re-run delivers every derived record, in order (duplicates
+    // allowed: at-least-once).
+    assert_eq!(job.run_until_idle(4).unwrap(), 10);
+    let derived: Vec<Bytes> = cluster
+        .fetch_batch(&out, 0, u64::MAX)
+        .unwrap()
+        .into_messages()
+        .into_iter()
+        .map(|m| m.value)
+        .collect();
+    let mut firsts = derived.clone();
+    firsts.dedup();
+    let mut seen = std::collections::HashSet::new();
+    firsts.retain(|v| seen.insert(v.clone()));
+    let inputs: Vec<Bytes> = (0..10).map(|i| Bytes::from(format!("m{i}"))).collect();
+    assert_eq!(firsts, inputs, "derived feed: {derived:?}");
+}
+
+#[test]
+fn failed_checkpoint_never_commits_past_the_changelog() {
+    // Every input adds one to `seen`, so a restored count below a
+    // committed position is a position whose changelog batch is
+    // missing from the log.
+    for crash_round in 0..4 {
+        let cluster = faulted_output_cluster(20, &FailureInjector::disabled());
+        let injector = FailureInjector::new(11);
+        let make = || {
+            let mut config = JobConfig::new("ckpt", &["in"]).checkpoint_every(0);
+            config.injector = injector.clone();
+            Job::new(&cluster, config, |_| counting_task()).unwrap()
+        };
+        let mut job = make();
+        let mut crashed = false;
+        for round in 0..4 {
+            assert_eq!(job.run_once_limited(4).unwrap(), 4);
+            if round == crash_round {
+                injector.fail_at(1);
+                let failed = job.checkpoint();
+                assert!(matches!(
+                    failed,
+                    Err(ProcessingError::Injected("task.checkpoint"))
+                ));
+                crashed = true;
+                break;
+            }
+            job.checkpoint().unwrap();
+        }
+        assert!(crashed);
+        drop(job);
+        let mut recovered = make();
+        let committed = cluster
+            .offsets()
+            .fetch_offset("job-ckpt", &TopicPartition::new("in", 0))
+            .unwrap_or(0);
+        let restored = recovered.state(0).unwrap().get_counter(b"seen");
+        assert_eq!(committed, 4 * crash_round);
+        assert_eq!(
+            restored,
+            committed + 4,
+            "the crashed round's batch is in the log"
+        );
+        // At-least-once: the uncommitted round is processed again.
+        recovered.run_until_idle(8).unwrap();
+        assert_eq!(recovered.state(0).unwrap().get_counter(b"seen"), 24);
     }
 }
 
