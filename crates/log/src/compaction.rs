@@ -50,32 +50,33 @@ impl CompactionStats {
 impl Log {
     /// Runs one compaction pass over all sealed segments, newest first,
     /// decoding each **once**: walking back from the newest record, a
-    /// keyed record survives only if no newer sealed record has its key
-    /// — so by the time a segment is decoded, everything that decides
-    /// its survivors has been seen. A segment that loses nothing is
-    /// left exactly as it is (no rewrite, no new storage, its read-cache
-    /// entry stays valid); one that loses every record is removed, so
-    /// later passes do not visit it again; only the others are
-    /// rewritten. A pass therefore costs one scan plus what changed, and
-    /// a K-key log settles at no more than K sealed segments plus those
-    /// sealed since the last pass.
+    /// keyed record survives only if no newer sealed record has its key,
+    /// so a segment's survivors are decided as it is decoded. A segment
+    /// that loses nothing is left as it is (no rewrite, no new storage,
+    /// its read-cache entry stays valid); one that loses every record is
+    /// removed, so later passes do not visit it; the others are
+    /// rewritten. A pass costs one scan plus what changed, and a K-key
+    /// log settles at ≤ K sealed segments plus those sealed since.
     ///
     /// Appends only touch the active segment and are never blocked for
-    /// longer than one segment's rewrite; a crash mid-pass leaves every
-    /// segment not yet visited exactly as it was, and the generation
-    /// un-bumped — the state a real mid-compaction crash leaves.
+    /// longer than one segment's rewrite. A pass that stops midway (a
+    /// crash, a storage error) leaves the generation un-bumped and every
+    /// key's latest value what it was: a superseded record is dropped at
+    /// once — the newer record of its key stays — but a segment that
+    /// loses a *tombstone* is replaced only after every older segment
+    /// has been visited, so no put under the tombstone outlives it.
     ///
     /// Records keep their original offsets, so consumer positions remain
     /// valid; compacted segments simply contain offset gaps, and a
     /// removed segment is one more gap.
     pub fn compact(&mut self) -> crate::Result<CompactionStats> {
         let mut stats = CompactionStats::default();
-        // A tombstone written in the most recent sealed segment is kept
-        // for this pass; older tombstones (from segments already compacted
-        // at least once) are dropped. We approximate "already survived a
-        // pass" by tracking compaction generations per log.
+        // A tombstone is kept for one pass and dropped by a later one;
+        // "already survived a pass" is approximated by the log's
+        // compaction generation.
         let drop_tombstones = self.compaction_generation() > 0;
         let mut seen: HashSet<Bytes> = HashSet::new();
+        let mut lost_tombstone: Vec<(u64, Vec<Record>)> = Vec::new();
         let sealed = self.sealed_bases();
         for &base in sealed.iter().rev() {
             self.metrics().compact.inc();
@@ -89,6 +90,7 @@ impl Log {
             stats.records_before += records_before;
             stats.bytes_before += bytes_before;
             let mut survivors = seg.read_from(base, u64::MAX)?.records;
+            let tombstones_removed = stats.tombstones_removed;
             // `retain` visits in order, so reversed it walks newest first.
             survivors.reverse();
             survivors.retain(|rec| survives(rec, &mut seen, drop_tombstones, &mut stats));
@@ -96,11 +98,14 @@ impl Log {
             if survivors.len() as u64 == records_before {
                 stats.records_after += records_before;
                 stats.bytes_after += bytes_before;
-            } else if survivors.is_empty() {
-                self.remove_segment(base)?;
+            } else if stats.tombstones_removed > tombstones_removed {
+                lost_tombstone.push((base, survivors));
             } else {
-                self.rewrite_segment(base, &survivors, &mut stats)?;
+                self.replace_segment(base, &survivors, &mut stats)?;
             }
+        }
+        for (base, survivors) in lost_tombstone {
+            self.replace_segment(base, &survivors, &mut stats)?;
         }
         if !sealed.is_empty() {
             self.bump_compaction_generation();
@@ -109,14 +114,18 @@ impl Log {
     }
 
     /// Replaces the sealed segment at `base` with one holding
-    /// `survivors` (same base offset) and invalidates its read-cache
-    /// entry so readers never see the pre-compaction records.
-    fn rewrite_segment(
+    /// `survivors` (same base offset) — or with nothing, if none are
+    /// left — and invalidates its read-cache entry so readers never see
+    /// the pre-compaction records.
+    fn replace_segment(
         &mut self,
         base: u64,
         survivors: &[Record],
         stats: &mut CompactionStats,
     ) -> crate::Result<()> {
+        if survivors.is_empty() {
+            return self.remove_segment(base);
+        }
         let storage = self.storage_kind().create(base)?;
         let mut rebuilt = Segment::new(base, storage, self.index_interval());
         rebuilt.append_frame(survivors)?;
@@ -262,6 +271,70 @@ mod tests {
                 .any(|r| r.key.as_deref() == Some(b"user")),
             "key must be gone after the second pass"
         );
+    }
+
+    /// The latest value per key, a tombstone deleting its key — what a
+    /// changelog restore folds the log into.
+    fn latest_per_key(log: &Log) -> std::collections::BTreeMap<Bytes, Bytes> {
+        let mut latest = std::collections::BTreeMap::new();
+        for rec in log.read(log.start_offset(), u64::MAX).unwrap().records {
+            let key = rec.key.clone().unwrap();
+            if rec.is_tombstone() {
+                latest.remove(&key);
+            } else {
+                latest.insert(key, rec.value);
+            }
+        }
+        latest
+    }
+
+    /// A log past its first pass (so tombstones now drop) holding puts
+    /// of "user" over several sealed segments, its tombstone in a newer
+    /// one, and filler to seal that.
+    fn deleted_user_log() -> (Log, liquid_sim::failure::FailureInjector) {
+        let injector = liquid_sim::failure::FailureInjector::new(0);
+        let cfg = LogConfig {
+            injector: injector.clone(),
+            ..compacting_log(128).config().clone()
+        };
+        let mut log = Log::open(cfg, SimClock::new(0).shared()).unwrap();
+        for i in 0..10 {
+            log.append(Some(b("other")), b(&format!("o-{i}"))).unwrap();
+        }
+        log.compact().unwrap();
+        assert!(log.compaction_generation() > 0);
+        for i in 0..20 {
+            log.append(Some(b("user")), b(&format!("profile-{i}")))
+                .unwrap();
+        }
+        log.append(Some(b("user")), Bytes::new()).unwrap();
+        for i in 0..10 {
+            log.append(Some(b("filler")), b(&format!("f-{i}"))).unwrap();
+        }
+        (log, injector)
+    }
+
+    #[test]
+    fn a_pass_stopped_midway_never_resurrects_a_deleted_key() {
+        let sealed = deleted_user_log().0.sealed_segment_info().len() as u64;
+        assert!(sealed > 4);
+        // Stop the tombstone-dropping pass before each sealed segment in
+        // turn: wherever it stops, "user" must stay deleted.
+        for stop_before in 1..=sealed {
+            let (mut log, injector) = deleted_user_log();
+            let before = latest_per_key(&log);
+            assert!(!before.contains_key(&b("user")));
+            injector.fail_at(stop_before);
+            assert!(log.compact().is_err());
+            assert_eq!(latest_per_key(&log), before, "stopped at {stop_before}");
+            // The pass that runs to the end drops the tombstone and
+            // every put under it.
+            let stats = log.compact().unwrap();
+            assert_eq!(stats.tombstones_removed, 1);
+            assert_eq!(latest_per_key(&log), before);
+            let all = log.read(log.start_offset(), u64::MAX).unwrap().records;
+            assert!(!all.iter().any(|r| r.key.as_deref() == Some(b"user")));
+        }
     }
 
     #[test]

@@ -93,17 +93,20 @@ impl Outputs {
         key: Option<Bytes>,
         value: Bytes,
     ) -> crate::Result<u32> {
-        if !self.topics.contains_key(topic) {
-            let partitions = (0..self.cluster.partition_count(topic)?)
-                .map(|p| (TopicPartition::new(topic, p), Vec::new()))
-                .collect();
-            let resolved = TopicOutputs { rr: 0, partitions };
-            self.topics.insert(topic.to_string(), resolved);
-        }
-        let Some(out) = self.topics.get_mut(topic) else {
-            return Err(MessagingError::UnknownTopic(topic.to_string()).into());
+        let out = match self.topics.get_mut(topic) {
+            Some(out) => out,
+            None => {
+                let partitions: Vec<_> = (0..self.cluster.partition_count(topic)?)
+                    .map(|p| (TopicPartition::new(topic, p), Vec::new()))
+                    .collect();
+                if partitions.is_empty() {
+                    return Err(MessagingError::ZeroPartitions.into());
+                }
+                let resolved = TopicOutputs { rr: 0, partitions };
+                self.topics.entry(topic.to_string()).or_insert(resolved)
+            }
         };
-        let n = out.partitions.len().max(1) as u64;
+        let n = out.partitions.len() as u64;
         let partition = match &key {
             Some(k) => hash_bytes(k) % n,
             None => {
@@ -112,9 +115,7 @@ impl Outputs {
                 p
             }
         };
-        let Some((tp, records)) = out.partitions.get_mut(partition as usize) else {
-            return Err(MessagingError::UnknownTopic(topic.to_string()).into());
-        };
+        let (tp, records) = &mut out.partitions[partition as usize];
         records.push(Record::new(key, value, 0));
         self.emitted += 1;
         if records.len() >= FLUSH_AT {
