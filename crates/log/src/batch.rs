@@ -53,7 +53,7 @@ impl RecordBatch {
         }
     }
 
-    /// Wraps already-materialized records (e.g. a replication fetch)
+    /// Wraps already-materialized records (e.g. a changelog flush)
     /// without copying payload bytes.
     pub fn from_records(records: Vec<Record>) -> Self {
         RecordBatch { records }

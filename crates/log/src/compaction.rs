@@ -19,7 +19,7 @@ use bytes::Bytes;
 
 use crate::log::Log;
 use crate::record::Record;
-use crate::segment::Segment;
+use crate::segment::{encode_frame, Segment};
 
 /// Outcome of one compaction pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -128,7 +128,7 @@ impl Log {
         }
         let storage = self.storage_kind().create(base)?;
         let mut rebuilt = Segment::new(base, storage, self.index_interval());
-        rebuilt.append_frame(survivors)?;
+        rebuilt.append_frame(encode_frame(survivors), survivors)?;
         rebuilt.seal();
         stats.records_after += rebuilt.record_count();
         stats.bytes_after += rebuilt.size_bytes();

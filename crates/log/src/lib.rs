@@ -22,12 +22,14 @@
 //!   **retention** is an O(1) whole-segment drop by age or total size
 //!   ([`Log::enforce_retention`]) — never a record rewrite;
 //! * an append is one **frame** per batch — one encode buffer, frozen
-//!   once, one storage write — and reads are **one layered path**: the
-//!   active segment's records are served from an in-memory tail
-//!   (slices of the stored frames), sealed segments from a **sharded
-//!   LRU read cache** of decoded records ([`cache`]), and only a cache
-//!   miss (or a log without a cache) scans storage, one window at a
-//!   time, CRC-checking every record it decodes ([`Log::read`]);
+//!   once, one storage write; a follower stores the leader's frames
+//!   verbatim ([`Log::append_frames_from`]) — and reads are **one
+//!   layered path**: the active segment's records are served from an
+//!   in-memory tail (slices of the stored frames), sealed segments
+//!   from a **sharded LRU read cache** of decoded records ([`cache`]),
+//!   and only a cache miss (or a log without a cache) scans storage,
+//!   one window at a time, CRC-checking every record it decodes
+//!   ([`Log::read`]);
 //! * **compaction** de-duplicates keyed records, keeping only the most
 //!   recent value per key ([`compaction`]) — the mechanism changelogs
 //!   rely on for bounded size and fast recovery (§4.1). It rewrites one

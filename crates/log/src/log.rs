@@ -15,7 +15,7 @@ use crate::batch::RecordBatch;
 use crate::cache::{slice_from, SegmentReadCache};
 use crate::error::LogError;
 use crate::record::Record;
-use crate::segment::Segment;
+use crate::segment::{encode_frame, frame_suffix, Segment};
 use crate::storage::StorageKind;
 
 /// How old data is reclaimed (paper: "one month worth of data", or a
@@ -203,13 +203,22 @@ pub struct Log {
     /// order, as appended — each key and value a slice of the frame
     /// its append stored, so tail, `MemStorage` and (once the segment
     /// is sealed and cached) the read cache share one copy of the
-    /// bytes. Reads at or after the active base are served from here
-    /// and never touch storage (paper §4.1: the head of the log is
-    /// served from memory). Plain data under the `&mut self` of the
-    /// write path; cleared on roll, rebuilt by `truncate_to`, empty
-    /// after `open`. Bound: one active segment of `Record` structs
-    /// (80 B each) — plus, on a file-backed log, that segment's frames.
+    /// bytes, and so does every replica the frame was shipped to.
+    /// Reads at or after the active base are served from here and
+    /// never touch storage (paper §4.1: the head of the log is served
+    /// from memory). Plain data under the `&mut self` of the write
+    /// path; cleared on roll, rebuilt by `truncate_to`, empty after
+    /// `open`. Bound: one active segment of `Record` structs (80 B
+    /// each) and `tail_frames` entries (40 B a frame) — plus, on a
+    /// file-backed log, that segment's frames, which `tail_frames`
+    /// keeps alive.
     tail: Vec<Record>,
+    /// The frames behind `tail`, in order: `(index in tail of the
+    /// frame's first record, the frame)`. A frame's records run to the
+    /// next entry's index (the last one's to the end of `tail`); every
+    /// tail record belongs to exactly one. What replication ships:
+    /// pushed with the records, cleared with them.
+    tail_frames: Vec<(usize, Bytes)>,
     /// Registry handles for the hot paths.
     metrics: LogMetrics,
 }
@@ -250,6 +259,7 @@ impl Log {
             read_cache: None,
             compaction_generation: 0,
             tail: Vec::new(),
+            tail_frames: Vec::new(),
         };
         // The newest recovered segment becomes active again; if none,
         // start fresh at offset 0.
@@ -321,7 +331,7 @@ impl Log {
         Ok(offset)
     }
 
-    /// The write function: every append is one batch — one
+    /// The leader's write function: every append is one batch — one
     /// fault-injector tick (`log.append`), one roll check, one metrics
     /// record, one encoded frame, one storage append and one page-cache
     /// model charge — however many records it carries, which is what
@@ -346,13 +356,8 @@ impl Log {
             return Ok((self.next_offset(), 0, 0));
         }
         let payload_bytes = batch.payload_bytes();
-        self.metrics.append.inc();
-        self.metrics.batch_records.record(count);
-        self.metrics.append_bytes.record(payload_bytes);
-        if self.config.injector.tick("log.append") {
-            return Err(LogError::Injected("log.append"));
-        }
-        self.maybe_roll()?;
+        self.note_group_commit(count, payload_bytes);
+        self.begin_group_commit()?;
         let mut records = batch.into_records();
         let base = self.next_offset();
         let mut next = base;
@@ -366,20 +371,142 @@ impl Log {
         Ok((base, count, payload_bytes))
     }
 
-    /// Appends `records`, offsets already assigned, to the active
-    /// segment as one frame and extends the tail with them, re-sliced
-    /// from that frame.
-    fn append_to_active(&mut self, records: &[Record]) -> crate::Result<()> {
-        let file_id = self.file_id(self.active_base());
-        let (pos, frame) = self.active_mut().append_frame(records)?;
-        self.tail.reserve(records.len());
-        let mut at = 0usize;
-        for record in records {
-            self.tail.push(record.sliced_from(&frame, at));
-            at = at.saturating_add(record.wire_size());
+    /// The follower's write function: appends everything `leader`
+    /// holds from this log's end on **as the leader framed it** — each
+    /// frame the leader's append froze is stored verbatim (a reference
+    /// to the same allocation on `MemStorage`, one `write` on
+    /// `FileStorage`) and the tail takes records that already point
+    /// into it. Nothing is decoded, encoded, checksummed or copied for
+    /// the hot head; sealed segments are walked through the CRC-checking
+    /// chunk cursor, never through a read cache. Records keep the
+    /// leader's offsets, so the replicas stay offset-identical: the
+    /// caller has made this log a prefix of the leader's, and a leader
+    /// whose start is past this log's end ships from its start (the
+    /// gap stays a gap).
+    ///
+    /// One transfer is one group commit, like one batch on the leader:
+    /// one `log.append` tick and one roll check before the first byte,
+    /// one metrics record. The frames of a transfer land in one active
+    /// segment (overshoot allowed); an I/O error midway leaves a prefix
+    /// of whole frames behind — a less caught-up follower.
+    ///
+    /// Returns `(records, payload_bytes, frames)`; with nothing to ship
+    /// it appends nothing and ticks nothing.
+    pub fn append_frames_from(&mut self, leader: &Log) -> crate::Result<(u64, u64, u64)> {
+        let from = self.next_offset();
+        if from >= leader.next_offset() {
+            return Ok((0, 0, 0));
         }
+        self.begin_group_commit()?;
+        let (mut count, mut payload_bytes, mut frames) = (0u64, 0u64, 0u64);
+        let shipped = leader.for_each_frame_from(from, |frame, records| {
+            self.append_frame(&frame, records.iter().cloned())?;
+            count = count.saturating_add(records.len() as u64);
+            payload_bytes =
+                payload_bytes.saturating_add(records.iter().map(|r| r.value.len() as u64).sum());
+            frames = frames.saturating_add(1);
+            Ok(())
+        });
+        self.note_group_commit(count, payload_bytes);
+        shipped?;
+        Ok((count, payload_bytes, frames))
+    }
+
+    /// The one decision point of a group commit, before its first byte
+    /// is written: the `log.append` fault site and the roll check.
+    fn begin_group_commit(&mut self) -> crate::Result<()> {
+        self.metrics.append.inc();
+        if self.config.injector.tick("log.append") {
+            return Err(LogError::Injected("log.append"));
+        }
+        self.maybe_roll()
+    }
+
+    fn note_group_commit(&self, records: u64, payload_bytes: u64) {
+        self.metrics.batch_records.record(records);
+        self.metrics.append_bytes.record(payload_bytes);
+    }
+
+    /// Encodes `records`, offsets already assigned, as one frame and
+    /// appends it; the tail takes them re-sliced from that frame.
+    fn append_to_active(&mut self, records: &[Record]) -> crate::Result<()> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        let frame = encode_frame(records);
+        let mut at = 0usize;
+        let sliced = records.iter().map(|record| {
+            let sliced = record.sliced_from(&frame, at);
+            at = at.saturating_add(record.wire_size());
+            sliced
+        });
+        self.append_frame(&frame, sliced)
+    }
+
+    /// The bottom of the write path, under the leader's encode and the
+    /// follower's verbatim append alike: stores `frame` in the active
+    /// segment with one storage append, extends the tail with
+    /// `records` — the frame's records, each already a slice of it —
+    /// notes the frame boundary and charges an attached page-cache
+    /// model for the stored bytes.
+    fn append_frame(
+        &mut self,
+        frame: &Bytes,
+        records: impl Iterator<Item = Record>,
+    ) -> crate::Result<()> {
+        let file_id = self.file_id(self.active_base());
+        let first = self.tail.len();
+        self.tail.extend(records);
+        let stored = active_of(&mut self.segments)
+            .append_frame(frame.clone(), self.tail.get(first..).unwrap_or_default());
+        let pos = match stored {
+            Ok(pos) => pos,
+            Err(e) => {
+                self.tail.drain(first..);
+                return Err(e);
+            }
+        };
+        self.tail_frames.push((first, frame.clone()));
         if let Some((cache, _)) = &self.cache {
             cache.lock().write(file_id, pos, frame.len());
+        }
+        Ok(())
+    }
+
+    /// Hands `visit` everything from `from` on as frames with their
+    /// records, oldest first: sealed segments straight from storage
+    /// (CRC-checked, one frame per cursor window, no read cache), the
+    /// hot head as the frames its appends stored — lent, not copied;
+    /// when `from` falls inside one, its suffix.
+    fn for_each_frame_from(
+        &self,
+        from: u64,
+        mut visit: impl FnMut(Bytes, &[Record]) -> crate::Result<()>,
+    ) -> crate::Result<()> {
+        let active_base = self.active_base();
+        let start_base = self
+            .segments
+            .range(..=from)
+            .next_back()
+            .map_or(from, |(&base, _)| base);
+        for (_, seg) in self.segments.range(start_base..active_base) {
+            if from < seg.next_offset() {
+                seg.for_each_frame_from(from, &mut visit)?;
+            }
+        }
+        let start = self.tail.partition_point(|r| r.offset < from);
+        let first_frame = self
+            .tail_frames
+            .partition_point(|&(first, _)| first <= start)
+            .saturating_sub(1);
+        let mut frames = self.tail_frames.iter().skip(first_frame).peekable();
+        while let Some((first, frame)) = frames.next() {
+            let end = frames.peek().map_or(self.tail.len(), |&&(next, _)| next);
+            let records = self.tail.get(*first..end).unwrap_or_default();
+            let (frame, wanted) = frame_suffix(frame, records, from);
+            if !wanted.is_empty() {
+                visit(frame, wanted)?;
+            }
         }
         Ok(())
     }
@@ -652,9 +779,7 @@ impl Log {
     }
 
     fn active_mut(&mut self) -> &mut Segment {
-        let base = self.active_base();
-        // lint:allow(panic-reachability, reason=base came from active_base on the same map under &mut self, so the entry is present)
-        self.segments.get_mut(&base).expect("active exists")
+        active_of(&mut self.segments)
     }
 
     pub(crate) fn sealed_bases(&self) -> Vec<u64> {
@@ -739,6 +864,7 @@ impl Log {
             Segment::new(base, storage, self.config.index_interval_bytes),
         );
         self.tail.clear();
+        self.tail_frames.clear();
         Ok(())
     }
 
@@ -786,6 +912,13 @@ impl Log {
             None => base,
         }
     }
+}
+
+/// The active segment of a log's segment map: borrows the map alone,
+/// so the write path can hand it records out of the tail.
+fn active_of(segments: &mut BTreeMap<u64, Segment>) -> &mut Segment {
+    // lint:allow(panic-reachability, reason=open() always rolls a segment and nothing removes the last one, so the map is never empty)
+    segments.values_mut().next_back().expect("log non-empty")
 }
 
 #[cfg(test)]
@@ -1345,6 +1478,51 @@ mod tests {
             .collect()
     }
 
+    /// The frame bookkeeping beside the tail: the frames, in order,
+    /// decode (CRC-checked) to exactly the tail's records.
+    fn framed_records(log: &Log) -> Vec<Record> {
+        let mut decoded = Vec::new();
+        for (i, (first, frame)) in log.tail_frames.iter().enumerate() {
+            assert_eq!(
+                *first,
+                decoded.len(),
+                "frame {i} starts where the last ended"
+            );
+            let mut at = 0;
+            while at < frame.len() {
+                let (record, used) = Record::decode(&frame.slice(at..)).unwrap();
+                decoded.push(record);
+                at += used;
+            }
+        }
+        decoded
+    }
+
+    /// A fresh directory for one file-backed log of one test case.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "liquid-log-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
+    /// Every segment file of a file-backed log, concatenated in offset
+    /// order: the bytes the medium holds.
+    fn stored_bytes(dir: &std::path::Path) -> Vec<u8> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        files.sort();
+        files
+            .iter()
+            .flat_map(|path| std::fs::read(path).unwrap())
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1414,6 +1592,7 @@ mod tests {
                     &log.tail,
                     &active.read_from(active.base_offset(), u64::MAX).unwrap().records
                 );
+                prop_assert_eq!(&log.tail, &framed_records(&log));
                 let (start, end) = (log.start_offset(), log.next_offset());
                 let span = end - start;
                 for from in [start, end, start + u64::from(x) % (span + 1), start + u64::from(y) % (span + 1)] {
@@ -1430,6 +1609,100 @@ mod tests {
                 if start > 0 {
                     prop_assert!(log.read(start - 1, 1).is_err());
                     prop_assert_eq!(log.record_at(start - 1).unwrap(), None);
+                }
+            }
+        }
+
+        /// Shipped ≡ re-encoded: a follower fed by `append_frames_from`
+        /// — through rolls on both sides (tiny segments of different
+        /// sizes), truncations of the follower to anywhere (mid-frame
+        /// included) and leader retention passing the follower's end —
+        /// reads back what the leader reads over the range both hold,
+        /// its storage decodes (CRC-checked) to the same records, and
+        /// its frame bookkeeping covers its tail. In memory the shipped
+        /// records are the leader's allocation, not a copy; on files
+        /// the follower's segment bytes are the leader's and survive a
+        /// reopen.
+        #[test]
+        fn shipped_frames_equal_reencoded_ones(
+            ops in prop::collection::vec((0u8..8, 0u16..400, 0u16..400), 1..50),
+            leader_segment_bytes in 96u64..700,
+            follower_segment_bytes in 96u64..700,
+            on_files in any::<bool>(),
+        ) {
+            let clock = SimClock::new(0);
+            let dirs = [scratch_dir("ship-leader"), scratch_dir("ship-follower")];
+            let config = |segment_bytes, dir: &std::path::PathBuf| LogConfig {
+                segment_bytes,
+                index_interval_bytes: 100,
+                retention: RetentionPolicy::DropByBytes { max_bytes: 900 },
+                storage: if on_files { StorageKind::Files(dir.clone()) } else { StorageKind::Memory },
+                ..LogConfig::default()
+            };
+            let follower_config = config(follower_segment_bytes, &dirs[1]);
+            let mut leader = Log::open(config(leader_segment_bytes, &dirs[0]), clock.shared()).unwrap();
+            let mut follower = Log::open(follower_config.clone(), clock.shared()).unwrap();
+            let mut written = 0u32;
+            // The last op of every history is a ship, so it ends with
+            // the follower caught up.
+            for (op, x, y) in ops.into_iter().chain([(7, 0, 0)]) {
+                match op {
+                    0..=2 => {
+                        let pairs = (0..x % 6 + 1).map(|i| {
+                            written += 1;
+                            let key = (i % 2 == 0).then(|| b(&format!("k{}", (y + i) % 5)));
+                            (key, b(&format!("{written}:{}", "v".repeat((x + 7 * i) as usize % 60))))
+                        });
+                        leader.append_record_batch(RecordBatch::from_pairs(pairs.collect(), 0)).unwrap();
+                    }
+                    3 => {
+                        written += 1;
+                        leader.append(None, b(&format!("{written}"))).unwrap();
+                    }
+                    4 => {
+                        let span = follower.next_offset() - follower.start_offset();
+                        follower.truncate_to(follower.start_offset() + u64::from(x) % (span + 1)).unwrap();
+                    }
+                    5 => drop(leader.enforce_retention().unwrap()),
+                    _ => {
+                        let from = follower.next_offset().max(leader.start_offset());
+                        let expected: Vec<Record> = leader.read(leader.start_offset(), u64::MAX)
+                            .unwrap().records.into_iter().filter(|r| r.offset >= from).collect();
+                        let (records, payload, frames) = follower.append_frames_from(&leader).unwrap();
+                        prop_assert_eq!(records, expected.len() as u64);
+                        prop_assert_eq!(payload, expected.iter().map(|r| r.value.len() as u64).sum::<u64>());
+                        prop_assert_eq!(frames == 0, expected.is_empty());
+                        prop_assert_eq!(follower.next_offset(), leader.next_offset());
+                        // One roll check per transfer: it all landed in
+                        // the active segment, as the leader's memory.
+                        let shipped = follower.tail.get(follower.tail.len() - expected.len()..).unwrap();
+                        prop_assert_eq!(shipped, &expected[..]);
+                        if !on_files {
+                            for (ours, theirs) in shipped.iter().zip(&expected) {
+                                prop_assert_eq!(ours.value.as_slice().as_ptr(), theirs.value.as_slice().as_ptr());
+                            }
+                        }
+                        prop_assert_eq!(follower.append_frames_from(&leader).unwrap(), (0, 0, 0));
+                    }
+                }
+                let held = follower.read(follower.start_offset(), u64::MAX).unwrap().records;
+                prop_assert_eq!(&held, &stored_records(&follower));
+                prop_assert_eq!(&follower.tail, &framed_records(&follower));
+                let common: Vec<&Record> = held.iter().filter(|r| r.offset >= leader.start_offset()).collect();
+                let theirs = leader.read(leader.start_offset(), u64::MAX).unwrap().records;
+                let theirs: Vec<&Record> = theirs.iter().filter(|r| r.offset < follower.next_offset()).collect();
+                prop_assert_eq!(common, theirs);
+            }
+            if on_files {
+                let shipped_range = stored_bytes(&dirs[0]);
+                prop_assert!(stored_bytes(&dirs[1]).ends_with(&shipped_range));
+                drop(follower);
+                let reopened = Log::open(follower_config, clock.shared()).unwrap();
+                let held = reopened.read(reopened.start_offset(), u64::MAX).unwrap().records;
+                let common: Vec<Record> = held.into_iter().filter(|r| r.offset >= leader.start_offset()).collect();
+                prop_assert_eq!(common, leader.read(leader.start_offset(), u64::MAX).unwrap().records);
+                for dir in &dirs {
+                    std::fs::remove_dir_all(dir).ok();
                 }
             }
         }

@@ -123,6 +123,36 @@ impl ChunkCursor {
         }
     }
 
+    /// Decodes every whole record left in the current window (reading
+    /// the next one first if it is used up) into `records`, replacing
+    /// what was there; returns the bytes they were decoded from, or
+    /// `None` at the end of storage. A record the window cuts off — or
+    /// a corrupt one — ends the run and is left to the next call.
+    fn next_run(
+        &mut self,
+        storage: &dyn SegmentStorage,
+        records: &mut Vec<Record>,
+    ) -> crate::Result<Option<Bytes>> {
+        records.clear();
+        let Some((first, _, used)) = self.next_record(storage)? else {
+            return Ok(None);
+        };
+        let Some(chunk) = self.chunk.clone() else {
+            return Ok(None); // a decoded record always has its window
+        };
+        let start = self.at.saturating_sub(used as usize);
+        records.push(first);
+        while self.at < chunk.len() {
+            let Ok((record, used)) = Record::decode_at(&chunk, self.at) else {
+                break;
+            };
+            self.at = self.at.saturating_add(used);
+            self.pos = self.pos.saturating_add(used as u64);
+            records.push(record);
+        }
+        Ok(Some(chunk.slice(start..self.at)))
+    }
+
     /// Reads the next window, starting at `pos`; returns its length.
     fn refill(&mut self, storage: &dyn SegmentStorage) -> crate::Result<usize> {
         let remaining = self.total.saturating_sub(self.pos);
@@ -133,6 +163,32 @@ impl ChunkCursor {
         self.at = 0;
         Ok(got)
     }
+}
+
+/// Encodes `records` back to back into one buffer and freezes it: the
+/// frame a leader's append stores and replication ships.
+pub(crate) fn encode_frame(records: &[Record]) -> Bytes {
+    let wire_bytes = records.iter().map(Record::wire_size).sum();
+    let mut buf = Vec::with_capacity(wire_bytes);
+    for record in records {
+        record.encode(&mut buf);
+    }
+    // The one copy of the write path: the vendored `Bytes` owns an
+    // `Arc<[u8]>`, so freezing the buffer copies it.
+    Bytes::from(buf)
+}
+
+/// The part of `frame` — the encoding of `records` — from the first
+/// record at or after `offset` on, with those records. A suffix of a
+/// frame is still a run of whole encoded records, i.e. a frame.
+pub(crate) fn frame_suffix<'a>(
+    frame: &Bytes,
+    records: &'a [Record],
+    offset: u64,
+) -> (Bytes, &'a [Record]) {
+    let (before, wanted) = records.split_at(records.partition_point(|r| r.offset < offset));
+    let skip: usize = before.iter().map(Record::wire_size).sum();
+    (frame.slice(skip..), wanted)
 }
 
 /// One segment of the log.
@@ -258,16 +314,20 @@ impl Segment {
     ///
     /// [`next_offset`]: Self::next_offset
     pub fn append(&mut self, record: &Record) -> crate::Result<(u64, u64)> {
-        let (pos, frame) = self.append_frame(std::slice::from_ref(record))?;
-        Ok((pos, frame.len() as u64))
+        let records = std::slice::from_ref(record);
+        let pos = self.append_frame(encode_frame(records), records)?;
+        Ok((pos, record.wire_size() as u64))
     }
 
-    /// Appends `records` — offsets assigned, increasing, none below
-    /// [`next_offset`](Self::next_offset) — as **one frame**: one
-    /// encode buffer, frozen once, one storage append. Returns the
-    /// frame and its byte position; record `i` sits in it at the sum
-    /// of the wire sizes before it.
-    pub(crate) fn append_frame(&mut self, records: &[Record]) -> crate::Result<(u64, Bytes)> {
+    /// The bottom of the write path: stores `frame` — the encoding of
+    /// exactly `records`, in order, whoever encoded it — with **one**
+    /// storage append and indexes the records. Nothing is encoded,
+    /// checksummed or copied here, so a frame another replica froze is
+    /// stored as it is. `records` carry their offsets: increasing, none
+    /// below [`next_offset`](Self::next_offset). Returns the frame's
+    /// byte position; record `i` sits in it at the sum of the wire
+    /// sizes before it.
+    pub(crate) fn append_frame(&mut self, frame: Bytes, records: &[Record]) -> crate::Result<u64> {
         assert!(!self.sealed, "append to sealed segment");
         let mut next = self.next_offset;
         let mut wire_bytes = 0usize;
@@ -281,21 +341,41 @@ impl Segment {
             next = record.offset.saturating_add(1);
             wire_bytes = wire_bytes.saturating_add(record.wire_size());
         }
-        let mut buf = Vec::with_capacity(wire_bytes);
-        for record in records {
-            record.encode(&mut buf);
-        }
-        // The one copy of the write path: the vendored `Bytes` owns an
-        // `Arc<[u8]>`, so freezing the buffer copies it.
-        let frame = Bytes::from(buf);
-        let pos = self.storage.append(frame.clone())?;
+        // The index below is only as good as this: positions are summed
+        // wire sizes, so the frame must hold these records and no more.
+        assert_eq!(frame.len(), wire_bytes, "frame is not its records");
+        let pos = self.storage.append(frame)?;
         let mut at = pos;
         for record in records {
             let len = record.wire_size() as u64;
             self.note_appended(record, at, len);
             at = at.saturating_add(len);
         }
-        Ok((pos, frame))
+        Ok(pos)
+    }
+
+    /// Hands `visit` everything from `offset` on as frames, read
+    /// straight from storage: per window of the chunk cursor, the
+    /// CRC-verified records decoded out of it and the bytes they span —
+    /// a frame [`append_frame`](Self::append_frame) stores as it is,
+    /// the records slices of it. No read cache is consulted or filled.
+    pub(crate) fn for_each_frame_from(
+        &self,
+        offset: u64,
+        mut visit: impl FnMut(Bytes, &[Record]) -> crate::Result<()>,
+    ) -> crate::Result<()> {
+        let storage = self.storage.as_ref();
+        let mut cursor = ChunkCursor::new(storage, self.seek_position(offset), SCAN_WINDOW);
+        let mut records = Vec::new();
+        while let Some(run) = cursor.next_run(storage, &mut records)? {
+            // The scan starts at an index entry, so the first run may
+            // begin before `offset`.
+            let (frame, wanted) = frame_suffix(&run, &records, offset);
+            if !wanted.is_empty() {
+                visit(frame, wanted)?;
+            }
+        }
+        Ok(())
     }
 
     fn note_appended(&mut self, record: &Record, pos: u64, len: u64) {
@@ -750,6 +830,41 @@ mod tests {
         let (calls, bytes) = reads.take();
         assert!(calls <= storage.len() / 4_800 + 1, "{calls} reads");
         assert!(bytes <= storage.len() + calls * 200, "{bytes} bytes");
+    }
+
+    #[test]
+    fn frames_from_an_offset_cover_every_record_once() {
+        // Contiguous bytes, so the 64 KiB windows cut records: a frame
+        // ends with the last whole record of its window, the next one
+        // starts at the record that was cut, and the first is trimmed
+        // to the offset asked for.
+        let (storage, _) = contiguous(&history());
+        let s = Segment::recover(0, storage, 4096).unwrap();
+        let (mut shipped, mut bytes, mut frames) = (Vec::new(), Vec::new(), 0);
+        s.for_each_frame_from(5, |frame, records| {
+            let mut at = 0;
+            for r in records {
+                assert_eq!(
+                    Record::decode_at(&frame, at).unwrap(),
+                    (r.clone(), r.wire_size())
+                );
+                at += r.wire_size();
+            }
+            assert_eq!(at, frame.len(), "a frame is its records and no more");
+            shipped.extend_from_slice(records);
+            bytes.extend_from_slice(&frame);
+            frames += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(shipped, history()[5..]);
+        assert_eq!(frames, 2);
+        let first_byte: usize = history()[..5].iter().map(Record::wire_size).sum();
+        let stored = s.storage.read_at(0, usize::MAX).unwrap();
+        assert_eq!(bytes, stored[first_byte..]);
+        // Past the end there is nothing to hand out.
+        s.for_each_frame_from(420, |_, _| panic!("no frame"))
+            .unwrap();
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   durability examples and recovery tests.
 //!
 //! The unit of a write is a **frame**: the encoding of one batch of
-//! whole records, frozen into one `Bytes` by the segment. `MemStorage`
-//! keeps that `Bytes`, so the bytes a reader is handed, the active
-//! segment's in-memory tail and a read-cache entry are all slices of
-//! the one buffer the append made.
+//! whole records, frozen into one `Bytes` by the leader's append.
+//! `MemStorage` keeps that `Bytes`, so the bytes a reader is handed,
+//! the active segment's in-memory tail, a read-cache entry and every
+//! replica the frame was shipped to are all slices of the one buffer
+//! that append made.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};

@@ -195,6 +195,9 @@ struct ClusterMetrics {
     bytes_out: CounterHandle,
     replicated_messages: CounterHandle,
     replicated_bytes: CounterHandle,
+    /// Frames shipped leader → follower: one per transfer on the
+    /// synchronous path, more only for a follower that lagged.
+    replicated_frames: CounterHandle,
     elections: CounterHandle,
     produce_failures: CounterHandle,
     producer_ids: CounterHandle,
@@ -217,6 +220,7 @@ impl ClusterMetrics {
             bytes_out: reg.counter("cluster.bytes_out"),
             replicated_messages: reg.counter("cluster.replicated_messages"),
             replicated_bytes: reg.counter("cluster.replicated_bytes"),
+            replicated_frames: reg.counter("cluster.replicated_frames"),
             elections: reg.counter("cluster.elections"),
             produce_failures: reg.counter("cluster.produce_failures"),
             producer_ids: reg.counter("cluster.producer_ids"),
@@ -1230,9 +1234,10 @@ impl Cluster {
         &self.inner.groups
     }
 
-    fn note_replicated(&self, copied: (u64, u64)) {
+    fn note_replicated(&self, copied: (u64, u64, u64)) {
         self.inner.metrics.replicated_messages.add(copied.0);
         self.inner.metrics.replicated_bytes.add(copied.1);
+        self.inner.metrics.replicated_frames.add(copied.2);
     }
 
     /// Records per-partition leader/ISR into the coordination service
@@ -1265,7 +1270,8 @@ impl Cluster {
     }
 }
 
-/// Copies missing records leader → follower; returns `(messages, bytes)`.
+/// Ships what the follower is missing, leader → follower, as the frames
+/// the leader stored; returns `(messages, value bytes, frames)`.
 ///
 /// Before copying, the follower's tail is reconciled against the
 /// leader's content. Log-end comparisons alone cannot detect every
@@ -1281,7 +1287,7 @@ fn catch_up(
     ps: &mut PartitionState,
     leader: BrokerId,
     follower: BrokerId,
-) -> crate::Result<(u64, u64)> {
+) -> crate::Result<(u64, u64, u64)> {
     let to = ps.log_end(leader);
     let mut from = ps.log_end(follower).min(to);
     while from > 0 {
@@ -1319,32 +1325,27 @@ fn catch_up(
             .truncate_to(from)?;
     }
     if from >= to {
-        return Ok((0, 0));
+        return Ok((0, 0, 0));
     }
-    let records = {
-        let leader_log = ps
-            .replicas
-            .get(&leader)
-            .ok_or(MessagingError::UnknownBroker(leader))?;
-        leader_log
-            .read(from.max(leader_log.start_offset()), u64::MAX)?
-            .records
-    };
-    // The missing suffix moves as one batch: payload `Bytes` are shared
-    // with the leader's log (no copy), and the follower appends it as a
-    // single group commit — one `log.append` decision point, so an
-    // injected crash drops the whole transfer, never half of it.
-    let to_copy: Vec<liquid_log::Record> =
-        records.into_iter().filter(|r| r.offset >= from).collect();
-    if to_copy.is_empty() {
-        return Ok((0, 0));
+    // The follower now ends at `from`, a prefix of the leader, and the
+    // missing suffix moves as the leader's own frames: stored as they
+    // are, nothing decoded, re-encoded or checksummed again (DESIGN
+    // §18). The transfer is one group commit on the follower — one
+    // `log.append` decision point before its first byte, so an injected
+    // crash drops the whole transfer, never half of it. Both logs are
+    // borrowed out of the map at once, so an error leaves nothing to
+    // put back.
+    let (mut leader_log, mut follower_log) = (None, None);
+    for (&broker, log) in ps.replicas.iter_mut() {
+        if broker == leader {
+            leader_log = Some(&*log);
+        } else if broker == follower {
+            follower_log = Some(log);
+        }
     }
-    let flog = ps
-        .replicas
-        .get_mut(&follower)
-        .ok_or(MessagingError::UnknownBroker(follower))?;
-    let (_, messages, bytes) = flog.append_record_batch(RecordBatch::from_records(to_copy))?;
-    Ok((messages, bytes))
+    let leader_log = leader_log.ok_or(MessagingError::UnknownBroker(leader))?;
+    let follower_log = follower_log.ok_or(MessagingError::UnknownBroker(follower))?;
+    Ok(follower_log.append_frames_from(leader_log)?)
 }
 
 /// Elects a leader from the live ISR (preferring assignment order);
@@ -2091,5 +2092,180 @@ mod tests {
             vec![b("m0"), b("m1"), b("m2"), b("n0"), b("n1")],
             "returning replica must serve the committed history, not its stale suffix"
         );
+    }
+
+    /// What broker `id`'s replica of `tp` holds, and its log end.
+    fn replica(c: &Cluster, tp: &TopicPartition, id: BrokerId) -> (Vec<Record>, u64) {
+        let st = c.inner.state.read();
+        let shard = partition_shard(&st, tp).unwrap();
+        let ps = shard.part.lock();
+        let log = &ps.replicas[&id];
+        let held = log.read(log.start_offset(), u64::MAX).unwrap().records;
+        (held, log.next_offset())
+    }
+
+    fn follower_of(c: &Cluster, tp: &TopicPartition) -> (BrokerId, BrokerId) {
+        let leader = c.leader(tp).unwrap().unwrap();
+        let follower = c.broker_ids().into_iter().find(|&id| id != leader).unwrap();
+        (leader, follower)
+    }
+
+    #[test]
+    fn lagging_follower_catches_up_without_touching_the_read_cache() {
+        // Regression: catch-up used to go through `Log::read`, so a
+        // follower a few segments behind filled the cluster's segment
+        // cache with segments no consumer had asked for.
+        let (c, _) = cluster(2);
+        c.create_topic(
+            "t",
+            TopicConfig::with_partitions(1)
+                .replication(2)
+                .segment_bytes(256),
+        )
+        .unwrap();
+        let tp = TopicPartition::new("t", 0);
+        let (leader, follower) = follower_of(&c, &tp);
+        c.kill_broker(follower).unwrap();
+        for i in 0..60 {
+            let value = b(&format!("payload-{i:05}"));
+            c.produce_to(&tp, Some(b("k")), value, AckLevel::Leader)
+                .unwrap();
+        }
+        c.restart_broker(follower).unwrap();
+        assert_eq!(c.replicate_tick().unwrap(), 60);
+        let cache = c.inner.read_cache.as_ref().unwrap();
+        assert_eq!(cache.cached_segments(), 0, "replication fills no cache");
+        #[cfg(not(feature = "obs-off"))]
+        {
+            let snap = c.snapshot();
+            assert_eq!(snap.counter("log.cache.miss"), 0);
+            assert_eq!(snap.counter("cluster.replicated_messages"), 60);
+            // One frame per leader append here: sealed segments are
+            // shipped a storage window at a time, and in memory a
+            // window ends with its frame.
+            assert_eq!(snap.counter("cluster.replicated_frames"), 60);
+        }
+        let (ours, theirs) = (replica(&c, &tp, follower), replica(&c, &tp, leader));
+        assert_eq!(ours, theirs);
+        assert!(
+            cache.cached_segments() >= 3,
+            "the leader was read over at least three sealed segments"
+        );
+    }
+
+    #[test]
+    fn restarted_replica_resumes_from_the_middle_of_a_leader_frame() {
+        let (c, _clock) = cluster(2);
+        c.create_topic("t", TopicConfig::with_partitions(1).replication(2))
+            .unwrap();
+        let tp = TopicPartition::new("t", 0);
+        let batch = |values: &[&str]| {
+            RecordBatch::from_pairs(values.iter().map(|v| (Some(b("k")), b(v))).collect(), 0)
+        };
+        c.produce_batch(&tp, batch(&["a", "b", "c", "d"]), AckLevel::All, None)
+            .unwrap();
+        let (old_leader, survivor) = follower_of(&c, &tp);
+        // The old leader dies holding one unacknowledged four-record
+        // frame; its first record is what the producer retries.
+        c.produce_batch(
+            &tp,
+            batch(&["x", "lost-1", "lost-2", "lost-3"]),
+            AckLevel::None,
+            None,
+        )
+        .unwrap();
+        c.kill_broker(old_leader).unwrap();
+        assert_eq!(c.leader(&tp).unwrap(), Some(survivor));
+        // The new leader commits the retry in a frame of three: the
+        // high watermark (7) now falls inside the old leader's frame
+        // (4..8), and what the two logs agree on (through offset 4)
+        // ends inside the new leader's (4..7).
+        c.produce_batch(&tp, batch(&["x", "y", "z"]), AckLevel::All, None)
+            .unwrap();
+        c.restart_broker(old_leader).unwrap();
+        assert_eq!(
+            replica(&c, &tp, old_leader).1,
+            7,
+            "truncated to the watermark"
+        );
+        assert_eq!(
+            c.replicate_tick().unwrap(),
+            2,
+            "offsets 5 and 6 are shipped"
+        );
+        #[cfg(not(feature = "obs-off"))]
+        assert_eq!(c.snapshot().counter("cluster.replicated_frames"), 2);
+        let (ours, theirs) = (replica(&c, &tp, old_leader), replica(&c, &tp, survivor));
+        assert_eq!(ours, theirs);
+        let values: Vec<&[u8]> = ours.0.iter().map(|r| r.value.as_slice()).collect();
+        assert_eq!(values, [b"a", b"b", b"c", b"d", b"x", b"y", b"z"]);
+        // Shipped as a slice of the leader's frame, not rebuilt: the
+        // same bytes in memory. Offset 4 is the replica's own.
+        let ptr = |r: &Record| r.value.as_slice().as_ptr();
+        assert_ne!(ptr(&ours.0[4]), ptr(&theirs.0[4]));
+        assert_eq!(ptr(&ours.0[5]), ptr(&theirs.0[5]));
+        assert_eq!(ptr(&ours.0[6]), ptr(&theirs.0[6]));
+        c.kill_broker(survivor).unwrap();
+        assert_eq!(c.leader(&tp).unwrap(), Some(old_leader));
+        assert_eq!(c.fetch_batch(&tp, 0, u64::MAX).unwrap().len(), 7);
+    }
+
+    #[test]
+    fn follower_append_fault_leaves_the_batch_unacked_and_the_retry_commits_it_whole() {
+        let (c, _clock) = cluster(2);
+        let injector = FailureInjector::new(1);
+        let mut config = TopicConfig::with_partitions(1).replication(2);
+        config.log.injector = injector.clone();
+        c.create_topic("t", config).unwrap();
+        let tp = TopicPartition::new("t", 0);
+        let batch = || {
+            let pairs = ["x", "y", "z"].iter().map(|v| (None, b(v))).collect();
+            RecordBatch::from_pairs(pairs, 0)
+        };
+        c.produce_to(&tp, None, b("a"), AckLevel::All).unwrap();
+        c.produce_to(&tp, None, b("b"), AckLevel::All).unwrap();
+        let (leader, follower) = follower_of(&c, &tp);
+        // The replica logs share the injector: the batch's first
+        // `log.append` is the leader's, its second the follower's.
+        injector.fail_at(2);
+        let err = c.produce_batch(&tp, batch(), AckLevel::All, None);
+        assert!(matches!(
+            err,
+            Err(MessagingError::Log(LogError::Injected("log.append")))
+        ));
+        assert_eq!(replica(&c, &tp, leader).1, 5, "the leader holds the batch");
+        assert_eq!(replica(&c, &tp, follower).1, 2, "the follower none of it");
+        assert_eq!(c.latest_offset(&tp).unwrap(), 2, "and none of it is acked");
+        // The retry is a new batch to the log (no idempotent sequence):
+        // one transfer ships both copies and commits them.
+        assert_eq!(
+            c.produce_batch(&tp, batch(), AckLevel::All, None).unwrap(),
+            5
+        );
+        assert_eq!(c.latest_offset(&tp).unwrap(), 8);
+        assert_eq!(replica(&c, &tp, follower), replica(&c, &tp, leader));
+        let fetched = c.fetch_batch(&tp, 0, u64::MAX).unwrap().into_messages();
+        let values: Vec<&[u8]> = fetched.iter().map(|m| m.value.as_slice()).collect();
+        assert_eq!(values, [b"a", b"b", b"x", b"y", b"z", b"x", b"y", b"z"]);
+    }
+
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn replicated_bytes_count_values_not_keys_or_framing() {
+        let (c, _clock) = cluster(2);
+        c.create_topic("t", TopicConfig::with_partitions(1).replication(2))
+            .unwrap();
+        let tp = TopicPartition::new("t", 0);
+        let pairs = vec![
+            (Some(b("a-long-key")), b("12345")),
+            (Some(b("k")), b("")),
+            (None, b("123")),
+        ];
+        c.produce_batch(&tp, RecordBatch::from_pairs(pairs, 0), AckLevel::All, None)
+            .unwrap();
+        let snap = c.snapshot();
+        assert_eq!(snap.counter("cluster.replicated_bytes"), 8);
+        assert_eq!(snap.counter("cluster.replicated_messages"), 3);
+        assert_eq!(snap.counter("cluster.replicated_frames"), 1);
     }
 }
