@@ -5,6 +5,19 @@
 //! their data. Uses double hashing (two FNV-1a variants) to derive the
 //! `k` probe positions, the standard Kirsch–Mitzenmacher construction.
 
+/// A key's two probe hashes: computed once per lookup by [`hash_key`],
+/// then tried against the filter of every table the lookup visits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyHash(u64, u64);
+
+/// Hashes `key` for [`Bloom::may_contain`].
+pub fn hash_key(key: &[u8]) -> KeyHash {
+    KeyHash(
+        fnv1a(key, 0xcbf2_9ce4_8422_2325),
+        fnv1a(key, 0x9747_b28c_8421_ffff),
+    )
+}
+
 /// A fixed-size bloom filter.
 #[derive(Debug, Clone)]
 pub struct Bloom {
@@ -28,9 +41,9 @@ impl Bloom {
 
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = hashes(key);
+        let hash = hash_key(key);
         for i in 0..self.k {
-            let bit = self.probe(h1, h2, i);
+            let bit = self.probe(hash, i);
             if let Some(word) = self.bits.get_mut(bit / 64) {
                 *word |= 1 << (bit % 64);
             }
@@ -39,17 +52,16 @@ impl Bloom {
 
     /// Whether the key *might* be present (false positives possible,
     /// false negatives not).
-    pub fn may_contain(&self, key: &[u8]) -> bool {
-        let (h1, h2) = hashes(key);
+    pub fn may_contain(&self, hash: KeyHash) -> bool {
         (0..self.k).all(|i| {
-            let bit = self.probe(h1, h2, i);
+            let bit = self.probe(hash, i);
             self.bits
                 .get(bit / 64)
                 .is_some_and(|word| word & (1 << (bit % 64)) != 0)
         })
     }
 
-    fn probe(&self, h1: u64, h2: u64, i: u32) -> usize {
+    fn probe(&self, KeyHash(h1, h2): KeyHash, i: u32) -> usize {
         (h1.wrapping_add((i as u64).wrapping_mul(h2)) % self.num_bits as u64) as usize
     }
 
@@ -94,13 +106,6 @@ impl Bloom {
     }
 }
 
-fn hashes(key: &[u8]) -> (u64, u64) {
-    (
-        fnv1a(key, 0xcbf2_9ce4_8422_2325),
-        fnv1a(key, 0x9747_b28c_8421_ffff),
-    )
-}
-
 fn fnv1a(data: &[u8], seed: u64) -> u64 {
     let mut h = seed;
     for &b in data {
@@ -124,7 +129,7 @@ mod tests {
             b.insert(format!("key-{i}").as_bytes());
         }
         for i in 0..1000 {
-            assert!(b.may_contain(format!("key-{i}").as_bytes()));
+            assert!(b.may_contain(hash_key(format!("key-{i}").as_bytes())));
         }
     }
 
@@ -135,7 +140,7 @@ mod tests {
             b.insert(format!("key-{i}").as_bytes());
         }
         let fp = (0..10_000)
-            .filter(|i| b.may_contain(format!("absent-{i}").as_bytes()))
+            .filter(|i| b.may_contain(hash_key(format!("absent-{i}").as_bytes())))
             .count();
         // Theoretical ~1%; allow up to 5%.
         assert!(fp < 500, "false positive count too high: {fp}");
@@ -145,7 +150,7 @@ mod tests {
     fn empty_filter_contains_nothing_much() {
         let b = Bloom::new(100, 10);
         let hits = (0..1000)
-            .filter(|i| b.may_contain(format!("k{i}").as_bytes()))
+            .filter(|i| b.may_contain(hash_key(format!("k{i}").as_bytes())))
             .count();
         assert_eq!(hits, 0);
     }
@@ -161,7 +166,7 @@ mod tests {
         assert_eq!(back.num_bits(), b.num_bits());
         assert_eq!(back.num_probes(), b.num_probes());
         for i in 0..64 {
-            assert!(back.may_contain(&[i as u8]));
+            assert!(back.may_contain(hash_key(&[i as u8])));
         }
     }
 
@@ -178,6 +183,6 @@ mod tests {
     fn zero_sized_construction_is_safe() {
         let mut b = Bloom::new(0, 0);
         b.insert(b"k");
-        assert!(b.may_contain(b"k"));
+        assert!(b.may_contain(hash_key(b"k")));
     }
 }

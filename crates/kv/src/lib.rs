@@ -7,7 +7,8 @@
 //!
 //! * an in-memory **memtable** ([`memtable`]) absorbing writes;
 //! * a **write-ahead log** ([`wal`]) making those writes durable before
-//!   they are acknowledged;
+//!   they are acknowledged — for a store with a directory; one without
+//!   keeps none, its owner holds the durable copy (a task's changelog);
 //! * immutable sorted **SSTables** ([`sstable`]) produced when the
 //!   memtable fills, each guarded by a **bloom filter** ([`bloom`]);
 //! * size-tiered **compaction** merging tables level by level;
@@ -18,8 +19,8 @@
 //!   ([`store`]).
 //!
 //! The store is deliberately API-compatible with what the processing
-//! layer needs from RocksDB: `get`/`put`/`delete`/`range`, plus
-//! `flush` and restart recovery.
+//! layer needs from RocksDB: `get`/`put`/`delete`/`update`/`range`,
+//! plus `flush` and restart recovery.
 
 #![forbid(unsafe_code)]
 

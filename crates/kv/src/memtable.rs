@@ -3,6 +3,7 @@
 //! All writes land here first (after the WAL). A `None` value is a
 //! tombstone shadowing any older value for the key in deeper levels.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -32,11 +33,26 @@ impl Memtable {
     }
 
     fn apply(&mut self, key: Bytes, value: Option<Bytes>) {
-        let add = key.len() + value.as_ref().map_or(0, |v| v.len()) + 32;
-        if let Some(old) = self.entries.insert(key, value) {
-            let _ = old; // size accounting stays approximate on overwrite
+        self.approx_bytes += value_len(&value);
+        match self.entries.entry(key) {
+            Entry::Occupied(mut slot) => self.approx_bytes -= value_len(&slot.insert(value)),
+            Entry::Vacant(slot) => {
+                self.approx_bytes += slot.key().len() + 32;
+                slot.insert(value);
+            }
         }
-        self.approx_bytes += add;
+    }
+
+    /// One descent to the entry under `key` (a tombstone is one): the
+    /// stored key, the value, and the means to replace it in place.
+    pub fn slot_mut(&mut self, key: &[u8]) -> Option<Slot<'_>> {
+        let at = (Bound::Included(key), Bound::Included(key));
+        let (key, value) = self.entries.range_mut::<[u8], _>(at).next()?;
+        Some(Slot {
+            key,
+            value,
+            approx_bytes: &mut self.approx_bytes,
+        })
     }
 
     /// Looks up a key. `None` = not present here; `Some(None)` =
@@ -55,8 +71,8 @@ impl Memtable {
         self.entries.is_empty()
     }
 
-    /// Approximate memory footprint in bytes (grows monotonically;
-    /// reset by flushing).
+    /// Approximate memory footprint of what the table holds now: an
+    /// overwrite replaces the bytes it shadows rather than adding to them.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
     }
@@ -79,6 +95,32 @@ impl Memtable {
     /// Iterates all entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&Bytes, &Option<Bytes>)> {
         self.entries.iter()
+    }
+}
+
+fn value_len(value: &Option<Bytes>) -> usize {
+    value.as_ref().map_or(0, Bytes::len)
+}
+
+/// One entry of a [`Memtable`], borrowed for an in-place update.
+pub struct Slot<'a> {
+    /// The key as the table stores it.
+    pub key: &'a Bytes,
+    value: &'a mut Option<Bytes>,
+    approx_bytes: &'a mut usize,
+}
+
+impl Slot<'_> {
+    /// The live value; `None` = tombstoned here.
+    pub fn value(&self) -> Option<&Bytes> {
+        self.value.as_ref()
+    }
+
+    /// Replaces the value, keeping the table's size honest.
+    pub fn set(self, value: Bytes) {
+        *self.approx_bytes += value.len();
+        *self.approx_bytes -= value_len(self.value);
+        *self.value = Some(value);
     }
 }
 
@@ -145,6 +187,25 @@ mod tests {
         let before = m.approx_bytes();
         m.put(b("key"), b("value"));
         assert!(m.approx_bytes() > before);
+    }
+
+    #[test]
+    fn size_counts_what_the_table_holds() {
+        let mut m = Memtable::new();
+        m.put(b("key"), b("value"));
+        let one = m.approx_bytes();
+        m.put(b("key"), b("other"));
+        assert_eq!(m.approx_bytes(), one, "same-size overwrite adds nothing");
+        m.put(b("key"), b("longer-value"));
+        assert_eq!(m.approx_bytes(), one + 7);
+        m.delete(b("key"));
+        assert_eq!(m.approx_bytes(), one - 5, "a tombstone keeps the key");
+        let slot = m.slot_mut(b"key").unwrap();
+        assert_eq!(slot.value(), None);
+        slot.set(b("value"));
+        assert_eq!(m.approx_bytes(), one);
+        assert_eq!(m.get(b"key"), Some(Some(b("value"))));
+        assert!(m.slot_mut(b"ke").is_none() && m.slot_mut(b"key2").is_none());
     }
 
     #[test]

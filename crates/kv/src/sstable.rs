@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::bloom::Bloom;
+use crate::bloom::{hash_key, Bloom, KeyHash};
 use crate::error::KvError;
 
 const MAGIC: u32 = 0x4C51_5354; // "LQST"
@@ -85,9 +85,15 @@ impl SsTable {
     /// Point lookup. `None` = not in this table; `Some(None)` =
     /// tombstoned here.
     pub fn get(&self, key: &[u8]) -> Option<Option<Bytes>> {
-        if !self.bloom.may_contain(key) {
+        if !self.bloom_admits(hash_key(key)) {
             return None;
         }
+        self.find(key)
+    }
+
+    /// [`get`](Self::get) without the bloom probe, for a caller that has
+    /// asked [`bloom_admits`](Self::bloom_admits) already.
+    pub fn find(&self, key: &[u8]) -> Option<Option<Bytes>> {
         self.entries
             .binary_search_by(|(k, _)| k.as_ref().cmp(key))
             .ok()
@@ -95,10 +101,10 @@ impl SsTable {
             .map(|(_, v)| v.clone())
     }
 
-    /// Whether the bloom filter admits this key (exposed for the bloom
-    /// effectiveness tests/benches).
-    pub fn bloom_may_contain(&self, key: &[u8]) -> bool {
-        self.bloom.may_contain(key)
+    /// Whether the bloom filter admits a key — hashed once for the
+    /// whole lookup, not once per table.
+    pub fn bloom_admits(&self, hash: KeyHash) -> bool {
+        self.bloom.may_contain(hash)
     }
 
     /// Iterates all entries in key order.
@@ -388,7 +394,7 @@ mod tests {
             .collect();
         let t = SsTable::build(1, entries, 10);
         let admitted = (0..1000)
-            .filter(|i| t.bloom_may_contain(format!("no-{i}").as_bytes()))
+            .filter(|i| t.bloom_admits(hash_key(format!("no-{i}").as_bytes())))
             .count();
         assert!(admitted < 50, "bloom admitted {admitted} absent keys");
     }

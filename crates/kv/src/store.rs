@@ -1,7 +1,9 @@
 //! The LSM store: memtable + WAL + leveled SSTables.
 //!
-//! Write path: WAL append → memtable insert; when the memtable exceeds
-//! its budget it is flushed to a level-0 SSTable and the WAL truncated.
+//! Write path: WAL append (a store without a directory has no WAL: its
+//! owner holds the durable copy — for task state, the changelog) →
+//! memtable insert; when what the memtable *holds*, or the WAL, reaches
+//! the budget the memtable is flushed to level 0 and the WAL truncated.
 //! Read path: memtable, then level 0 newest-first, then deeper levels.
 //! Compaction is size-tiered: when a level accumulates more than
 //! `level_limit` tables they are merged into a single table one level
@@ -15,6 +17,7 @@ use bytes::Bytes;
 use liquid_obs::{CounterHandle, Obs};
 use liquid_sim::failure::FailureInjector;
 
+use crate::bloom::hash_key;
 use crate::memtable::Memtable;
 use crate::sstable::SsTable;
 use crate::wal::{Wal, WalOp};
@@ -39,7 +42,7 @@ pub enum SstRetention {
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct LsmConfig {
-    /// Flush the memtable after it exceeds this many bytes.
+    /// Flush once the memtable holds, or the WAL has grown to, this much.
     pub memtable_bytes: usize,
     /// Merge a level once it holds more than this many tables.
     pub level_limit: usize,
@@ -117,7 +120,8 @@ pub struct StoreStats {
 pub struct LsmStore {
     config: LsmConfig,
     memtable: Memtable,
-    wal: Wal,
+    /// `None` without a directory: a log nobody can replay is not one.
+    wal: Option<Wal>,
     /// `levels[0]` is newest-first; deeper levels hold at most
     /// `level_limit` tables each.
     levels: Vec<Vec<Arc<SsTable>>>,
@@ -162,9 +166,10 @@ impl LsmStore {
                         next_table_id = next_table_id.max(id + 1);
                     }
                 }
-                Wal::open(&dir.join("wal.log"))?
+                let (wal, replayed) = Wal::open(&dir.join("wal.log"))?;
+                (Some(wal), replayed)
             }
-            None => (Wal::memory(), Vec::new()),
+            None => (None, Vec::new()),
         };
         let mut memtable = Memtable::new();
         for op in replayed {
@@ -193,29 +198,62 @@ impl LsmStore {
     /// Inserts or overwrites a key.
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> crate::Result<()> {
         let (key, value) = (key.into(), value.into());
-        self.metrics.wal_append.inc();
-        if self.config.injector.tick("kv.wal-append") {
-            // Crash mid-write: half the frame reaches the medium, the
-            // memtable never sees the entry. Recovery drops the torn tail.
-            self.wal.append_torn(&WalOp::Put(key, value))?;
-            return Err(crate::KvError::Injected("kv.wal-append"));
-        }
-        self.wal.append(&WalOp::Put(key.clone(), value.clone()))?;
+        let crash = self.tick_write();
+        log_write(&mut self.wal, crash, || {
+            WalOp::Put(key.clone(), value.clone())
+        })?;
         self.memtable.put(key, value);
         self.maybe_flush()
+    }
+
+    /// Read-modify-write as one write (one `kv.wal-append` tick): `f`
+    /// sees the current value (`None` = absent or deleted) and returns
+    /// the new one. A key the memtable holds costs one descent — replaced
+    /// in place, SSTables not consulted. Returns the key *as stored* and
+    /// the new value, so a caller that records the write elsewhere shares
+    /// the store's key allocation.
+    pub fn update(
+        &mut self,
+        key: &[u8],
+        f: impl FnOnce(Option<&[u8]>) -> Bytes,
+    ) -> crate::Result<(Bytes, Bytes)> {
+        let crash = self.tick_write();
+        let slot = self.memtable.slot_mut(key);
+        let (key, value) = match &slot {
+            Some(slot) => {
+                self.stats.memtable_hits += 1;
+                (slot.key.clone(), f(slot.value().map(Bytes::as_slice)))
+            }
+            None => {
+                let current = lookup(&self.levels, key, &mut self.stats);
+                (Bytes::copy_from_slice(key), f(current.as_deref()))
+            }
+        };
+        log_write(&mut self.wal, crash, || {
+            WalOp::Put(key.clone(), value.clone())
+        })?;
+        match slot {
+            Some(slot) => slot.set(value.clone()),
+            None => self.memtable.put(key.clone(), value.clone()),
+        }
+        self.maybe_flush()?;
+        Ok((key, value))
     }
 
     /// Deletes a key (writes a tombstone).
     pub fn delete(&mut self, key: impl Into<Bytes>) -> crate::Result<()> {
         let key = key.into();
-        self.metrics.wal_append.inc();
-        if self.config.injector.tick("kv.wal-append") {
-            self.wal.append_torn(&WalOp::Delete(key))?;
-            return Err(crate::KvError::Injected("kv.wal-append"));
-        }
-        self.wal.append(&WalOp::Delete(key.clone()))?;
+        let crash = self.tick_write();
+        log_write(&mut self.wal, crash, || WalOp::Delete(key.clone()))?;
         self.memtable.delete(key);
         self.maybe_flush()
+    }
+
+    /// The `kv.wal-append` site and its twin counter, one tick per write,
+    /// WAL or no WAL: whether this write crashes (see [`log_write`]).
+    fn tick_write(&mut self) -> bool {
+        self.metrics.wal_append.inc();
+        self.config.injector.tick("kv.wal-append")
     }
 
     /// Point lookup.
@@ -224,19 +262,7 @@ impl LsmStore {
             self.stats.memtable_hits += 1;
             return hit;
         }
-        for level in &self.levels {
-            for table in level {
-                if !table.bloom_may_contain(key) {
-                    self.stats.bloom_skips += 1;
-                    continue;
-                }
-                if let Some(hit) = table.get(key) {
-                    self.stats.sstable_hits += 1;
-                    return hit;
-                }
-            }
-        }
-        None
+        lookup(&self.levels, key, &mut self.stats)
     }
 
     /// Ordered scan of live entries with `start <= key < end`
@@ -307,7 +333,9 @@ impl LsmStore {
             Some(l0) => l0.insert(0, Arc::new(table)),
             None => self.levels.push(vec![Arc::new(table)]),
         }
-        self.wal.truncate()?;
+        if let Some(wal) = &mut self.wal {
+            wal.truncate()?;
+        }
         self.stats.flushes += 1;
         self.maybe_compact()?;
         Ok(())
@@ -370,8 +398,12 @@ impl LsmStore {
         Ok(dropped)
     }
 
+    /// The memtable counts what it holds, so rewrites never fill it; the
+    /// WAL counts every write, which bounds the file and its replay.
     fn maybe_flush(&mut self) -> crate::Result<()> {
-        if self.memtable.approx_bytes() >= self.config.memtable_bytes {
+        let budget = self.config.memtable_bytes;
+        let wal_full = |wal: &Wal| wal.size_bytes() >= budget as u64;
+        if self.memtable.approx_bytes() >= budget || self.wal.as_ref().is_some_and(wal_full) {
             self.flush()?;
         }
         Ok(())
@@ -461,6 +493,36 @@ fn merged_view(
     map
 }
 
+/// The write-ahead half of a write. A store without a WAL has nothing
+/// to append; a crashing write (the `kv.wal-append` site fired) leaves
+/// half its frame on the medium — torn bytes are a property of files —
+/// and fails before the memtable sees the entry either way.
+fn log_write(wal: &mut Option<Wal>, crash: bool, op: impl FnOnce() -> WalOp) -> crate::Result<()> {
+    if let Some(wal) = wal {
+        let append = if crash { Wal::append_torn } else { Wal::append };
+        append(wal, &op())?;
+    }
+    if crash {
+        return Err(crate::KvError::Injected("kv.wal-append"));
+    }
+    Ok(())
+}
+
+/// Point lookup below the memtable, newest table first: the key is
+/// hashed once and each table's bloom filter probed with that hash.
+fn lookup(levels: &[Vec<Arc<SsTable>>], key: &[u8], stats: &mut StoreStats) -> Option<Bytes> {
+    let hash = hash_key(key);
+    for table in levels.iter().flatten() {
+        if !table.bloom_admits(hash) {
+            stats.bloom_skips += 1;
+        } else if let Some(hit) = table.find(key) {
+            stats.sstable_hits += 1;
+            return hit;
+        }
+    }
+    None
+}
+
 /// A consistent point-in-time view of the store.
 pub struct Snapshot {
     memtable: Memtable,
@@ -473,14 +535,7 @@ impl Snapshot {
         if let Some(hit) = self.memtable.get(key) {
             return hit;
         }
-        for level in &self.levels {
-            for table in level {
-                if let Some(hit) = table.get(key) {
-                    return hit;
-                }
-            }
-        }
-        None
+        lookup(&self.levels, key, &mut StoreStats::default())
     }
 
     /// Ordered scan of live entries within the snapshot.
@@ -810,6 +865,164 @@ mod tests {
         assert!(!dropped.is_empty());
         assert_eq!(files(&dir), before - dropped.len());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `n` writes over 1 000 keys, each key rewritten ten times in a row
+    /// before the stream moves on — every third write an `update`.
+    fn rewrite(
+        s: &mut LsmStore,
+        model: &mut BTreeMap<Bytes, Bytes>,
+        n: std::ops::Range<u64>,
+        len: usize,
+    ) {
+        for i in n {
+            let key = format!("key-{:04}", (i / 10) % 1000);
+            let value = Bytes::from(format!("{i:0len$}"));
+            if i % 3 == 0 {
+                let expect = model.get(key.as_bytes()).cloned();
+                let written = s
+                    .update(key.as_bytes(), |current| {
+                        assert_eq!(current, expect.as_deref());
+                        value.clone()
+                    })
+                    .unwrap();
+                assert_eq!(written, (b(&key), value.clone()));
+            } else {
+                s.put(key.clone(), value.clone()).unwrap();
+            }
+            model.insert(b(&key), value);
+        }
+    }
+
+    #[test]
+    fn overwrites_do_not_fill_the_memtable() {
+        // The parent counted key + value + 32 bytes per *write*, so this
+        // stream "filled" the 1 MiB memtable every ~21 K writes.
+        let obs = Obs::default();
+        let mut s = LsmStore::open(LsmConfig {
+            obs: obs.clone(),
+            ..LsmConfig::default()
+        })
+        .unwrap();
+        let mut model = BTreeMap::new();
+        rewrite(&mut s, &mut model, 0..100_000, 8);
+        assert!(s.level_sizes().iter().all(|&n| n == 0), "nothing flushed");
+        assert_eq!(s.stats().flushes, 0);
+        #[cfg(not(feature = "obs-off"))]
+        {
+            assert_eq!(obs.snapshot().counter("kv.flush"), 0);
+            assert_eq!(obs.snapshot().counter("kv.wal-append"), 100_000);
+        }
+        assert_eq!(s.approx_bytes(), 1000 * (8 + 8 + 32), "the live set");
+        assert_eq!(s.scan_all(), model.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn wal_bounds_a_file_backed_store_that_overwrites() {
+        let dir = std::env::temp_dir().join(format!(
+            "liquid-kv-wal-bound-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let budget = 4096;
+        let cfg = LsmConfig {
+            memtable_bytes: budget,
+            dir: Some(dir.clone()),
+            ..LsmConfig::default()
+        };
+        let (writes, value_len) = (20_000u64, 200);
+        let entry = 4 + 4 + 1 + 4 + 8 + 4 + value_len; // one WAL frame
+        let mut model = BTreeMap::new();
+        let mut s = LsmStore::open(cfg.clone()).unwrap();
+        let mut flushes = 0;
+        for i in 0..writes {
+            if i == writes / 2 + 7 {
+                // Crash mid-stream, between two flushes: SSTables plus
+                // WAL replay give the same contents back.
+                flushes += s.stats().flushes;
+                let wal_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+                assert!(wal_len > 0 && wal_len == s.wal.as_ref().unwrap().size_bytes());
+                drop(s);
+                s = LsmStore::open(cfg.clone()).unwrap();
+                assert_eq!(s.scan_all(), model.clone().into_iter().collect::<Vec<_>>());
+            }
+            rewrite(&mut s, &mut model, i..i + 1, value_len);
+            let wal = s.wal.as_ref().unwrap().size_bytes();
+            assert!(wal < (budget + entry) as u64, "WAL grew to {wal} bytes");
+        }
+        flushes += s.stats().flushes;
+        // The memtable alone would flush every ~170 writes here (it
+        // gains a key every tenth); the WAL bound keeps the parent's
+        // cadence, one flush per `budget` bytes *written* at key +
+        // value + 32 a write, to within the two framings' difference.
+        let parent = writes / (budget as u64).div_ceil(8 + value_len as u64 + 32);
+        let drift = flushes as f64 / parent as f64;
+        assert!(
+            (0.9..=1.1).contains(&drift),
+            "{flushes} flushes vs {parent}"
+        );
+        assert_eq!(s.scan_all(), model.into_iter().collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn update_crosses_memtable_tables_and_tombstones() {
+        let mut s = small_store();
+        let append = |current: Option<&[u8]>| {
+            let mut v = current.unwrap_or(b"").to_vec();
+            v.push(b'+');
+            Bytes::from(v)
+        };
+        assert_eq!(s.update(b"k", append).unwrap(), (b("k"), b("+")));
+        s.flush().unwrap();
+        let hits = s.stats().sstable_hits;
+        assert_eq!(s.update(b"k", append).unwrap().1, b("++"), "from a table");
+        assert_eq!(s.stats().sstable_hits, hits + 1);
+        assert_eq!(s.update(b"k", append).unwrap().1, b("+++"), "in place");
+        assert_eq!(s.stats().sstable_hits, hits + 1, "tables not consulted");
+        s.delete("k").unwrap();
+        assert_eq!(
+            s.update(b"k", append).unwrap().1,
+            b("+"),
+            "over a tombstone"
+        );
+        s.delete("k").unwrap();
+        s.flush().unwrap();
+        assert_eq!(s.update(b"k", append).unwrap().1, b("+"), "a flushed one");
+        assert_eq!(s.get(b"k"), Some(b("+")));
+        // The returned key is the stored one: a second update hands
+        // back the same allocation.
+        let first = s.update(b"k", append).unwrap().0;
+        let second = s.update(b"k", append).unwrap().0;
+        assert_eq!(first.as_ptr(), second.as_ptr());
+    }
+
+    #[test]
+    fn injected_write_fault_skips_the_memtable_without_a_wal() {
+        let inj = FailureInjector::disabled();
+        let mut s = LsmStore::open(LsmConfig {
+            injector: inj.clone(),
+            ..LsmConfig::default()
+        })
+        .unwrap();
+        s.put("k", "v").unwrap();
+        for n in 1..=3 {
+            inj.fail_at(1);
+            let err = match n {
+                1 => s.put("k", "lost"),
+                2 => s.delete("k"),
+                _ => s.update(b"k", |_| b("lost")).map(|_| ()),
+            };
+            assert!(matches!(
+                err,
+                Err(crate::KvError::Injected("kv.wal-append"))
+            ));
+            assert_eq!(s.get(b"k"), Some(b("v")));
+        }
+        assert_eq!(inj.site_counts(), vec![("kv.wal-append", 4, 3)]);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Write-ahead log.
 //!
-//! Every mutation is appended here before it is applied to the memtable,
-//! so a crash loses nothing that was acknowledged. On open, the WAL is
-//! replayed into a fresh memtable; a torn final entry (partial write at
-//! crash time) is detected by CRC and discarded.
+//! Every mutation of a store with a directory is appended here before it
+//! is applied to the memtable, so a crash loses nothing that was
+//! acknowledged. On open, the WAL is replayed into a fresh memtable; a
+//! torn final entry (partial write at crash time) is detected by CRC and
+//! discarded. The WAL is a file or it is nothing: a store without a
+//! directory keeps none, because nothing could ever replay it.
 //!
 //! Entry layout (little-endian):
 //!
@@ -28,26 +30,13 @@ pub enum WalOp {
     Delete(Bytes),
 }
 
-enum Backend {
-    Mem(Vec<u8>),
-    File(File),
-}
-
 /// The write-ahead log.
 pub struct Wal {
-    backend: Backend,
+    file: File,
     len: u64,
 }
 
 impl Wal {
-    /// In-memory WAL (for tests and purely transient stores).
-    pub fn memory() -> Self {
-        Wal {
-            backend: Backend::Mem(Vec::new()),
-            len: 0,
-        }
-    }
-
     /// Opens (creating if needed) a file WAL and replays any existing
     /// entries.
     pub fn open(path: &Path) -> crate::Result<(Self, Vec<WalOp>)> {
@@ -70,7 +59,7 @@ impl Wal {
         file.seek(SeekFrom::End(0))?;
         Ok((
             Wal {
-                backend: Backend::File(file),
+                file,
                 len: valid_len as u64,
             },
             ops,
@@ -80,10 +69,7 @@ impl Wal {
     /// Appends one operation.
     pub fn append(&mut self, op: &WalOp) -> crate::Result<()> {
         let entry = encode(op);
-        match &mut self.backend {
-            Backend::Mem(v) => v.extend_from_slice(&entry),
-            Backend::File(f) => f.write_all(&entry)?,
-        }
+        self.file.write_all(&entry)?;
         self.len += entry.len() as u64;
         Ok(())
     }
@@ -96,32 +82,22 @@ impl Wal {
     pub fn append_torn(&mut self, op: &WalOp) -> crate::Result<()> {
         let entry = encode(op);
         let keep = entry.len() / 2;
-        match &mut self.backend {
-            Backend::Mem(v) => v.extend_from_slice(&entry[..keep]),
-            Backend::File(f) => f.write_all(&entry[..keep])?,
-        }
+        self.file.write_all(&entry[..keep])?;
         self.len += keep as u64;
         Ok(())
     }
 
     /// Flushes buffered bytes to the medium.
     pub fn sync(&mut self) -> crate::Result<()> {
-        if let Backend::File(f) = &mut self.backend {
-            f.flush()?;
-        }
+        self.file.flush()?;
         Ok(())
     }
 
     /// Discards all entries (called after the memtable is flushed to an
     /// SSTable, making the WAL redundant).
     pub fn truncate(&mut self) -> crate::Result<()> {
-        match &mut self.backend {
-            Backend::Mem(v) => v.clear(),
-            Backend::File(f) => {
-                f.set_len(0)?;
-                f.seek(SeekFrom::Start(0))?;
-            }
-        }
+        self.file.set_len(0)?;
+        self.file.seek(SeekFrom::Start(0))?;
         self.len = 0;
         Ok(())
     }
@@ -129,14 +105,6 @@ impl Wal {
     /// Current size in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.len
-    }
-
-    /// Decodes every valid entry (memory backend; used in tests).
-    pub fn replay_memory(&self) -> Vec<WalOp> {
-        match &self.backend {
-            Backend::Mem(v) => decode_all(v).0,
-            Backend::File(..) => Vec::new(),
-        }
     }
 }
 
@@ -273,11 +241,9 @@ mod tests {
 
     #[test]
     fn memory_roundtrip() {
-        let mut w = Wal::memory();
-        w.append(&WalOp::Put(b("a"), b("1"))).unwrap();
-        w.append(&WalOp::Delete(b("a"))).unwrap();
-        let ops = w.replay_memory();
-        assert_eq!(ops, vec![WalOp::Put(b("a"), b("1")), WalOp::Delete(b("a"))]);
+        let ops = vec![WalOp::Put(b("a"), b("1")), WalOp::Delete(b("a"))];
+        let data: Vec<u8> = ops.iter().flat_map(encode).collect();
+        assert_eq!(decode_all(&data), (ops, data.len()));
     }
 
     #[test]
@@ -332,20 +298,27 @@ mod tests {
 
     #[test]
     fn truncate_resets() {
-        let mut w = Wal::memory();
+        let path = tmp("truncate.wal");
+        let (mut w, _) = Wal::open(&path).unwrap();
         w.append(&WalOp::Put(b("a"), b("1"))).unwrap();
         assert!(w.size_bytes() > 0);
         w.truncate().unwrap();
         assert_eq!(w.size_bytes(), 0);
-        assert!(w.replay_memory().is_empty());
+        // Appends after a truncate start at the front of the file.
+        w.append(&WalOp::Put(b("b"), b("2"))).unwrap();
+        drop(w);
+        let (_, ops) = Wal::open(&path).unwrap();
+        assert_eq!(ops, vec![WalOp::Put(b("b"), b("2"))]);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn empty_values_and_keys_roundtrip() {
-        let mut w = Wal::memory();
-        w.append(&WalOp::Put(Bytes::new(), Bytes::new())).unwrap();
-        w.append(&WalOp::Delete(Bytes::new())).unwrap();
-        let ops = w.replay_memory();
-        assert_eq!(ops.len(), 2);
+        let ops = vec![
+            WalOp::Put(Bytes::new(), Bytes::new()),
+            WalOp::Delete(Bytes::new()),
+        ];
+        let data: Vec<u8> = ops.iter().flat_map(encode).collect();
+        assert_eq!(decode_all(&data).0, ops);
     }
 }

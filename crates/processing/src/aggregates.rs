@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 
-use crate::state::StateStore;
+use crate::state::{counter_bytes, counter_of, StateStore};
 
 /// Keyed counters and sums with a shared namespace prefix.
 #[derive(Debug, Clone, Copy)]
@@ -31,37 +31,23 @@ impl<'a> KeyedAggregate<'a> {
 
     /// Adds `delta`, returning the new total.
     pub fn add(&self, store: &mut StateStore, key: &[u8], delta: u64) -> crate::Result<u64> {
-        let skey = self.key(key);
-        let next = self.get(store, key) + delta;
-        store.put(
-            Bytes::from(skey),
-            Bytes::copy_from_slice(&next.to_le_bytes()),
-        )?;
-        Ok(next)
+        store.add_counter(&self.key(key), delta)
     }
 
     /// Current total (0 if absent).
     pub fn get(&self, store: &mut StateStore, key: &[u8]) -> u64 {
-        store
-            .get(&self.key(key))
-            .and_then(|v| v.as_ref().try_into().ok().map(u64::from_le_bytes))
-            .unwrap_or(0)
+        store.get_counter(&self.key(key))
     }
 
     /// Raises the stored value to `candidate` if larger; returns the
-    /// current maximum.
+    /// current maximum (rewritten as it is when `candidate` is not).
     pub fn max(&self, store: &mut StateStore, key: &[u8], candidate: u64) -> crate::Result<u64> {
-        let cur = self.get(store, key);
-        if candidate > cur {
-            let skey = self.key(key);
-            store.put(
-                Bytes::from(skey),
-                Bytes::copy_from_slice(&candidate.to_le_bytes()),
-            )?;
-            Ok(candidate)
-        } else {
-            Ok(cur)
-        }
+        let mut max = candidate;
+        store.update(&self.key(key), |current| {
+            max = max.max(counter_of(current));
+            counter_bytes(max)
+        })?;
+        Ok(max)
     }
 
     /// All `(key, value)` pairs of this family, in key order.
@@ -109,6 +95,13 @@ pub struct StatsView {
 }
 
 impl StatsView {
+    const EMPTY: StatsView = StatsView {
+        count: 0,
+        sum: 0,
+        min: u64::MAX,
+        max: 0,
+    };
+
     /// Arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -138,33 +131,34 @@ impl<'a> RunningStats<'a> {
         key: &[u8],
         sample: u64,
     ) -> crate::Result<StatsView> {
-        let mut v = self.get(store, key);
-        v.count += 1;
-        v.sum += sample;
-        v.min = v.min.min(sample);
-        v.max = v.max.max(sample);
-        let mut buf = Vec::with_capacity(32);
-        buf.extend_from_slice(&v.count.to_le_bytes());
-        buf.extend_from_slice(&v.sum.to_le_bytes());
-        buf.extend_from_slice(&v.min.to_le_bytes());
-        buf.extend_from_slice(&v.max.to_le_bytes());
-        store.put(Bytes::from(self.key(key)), Bytes::from(buf))?;
+        let mut v = StatsView::EMPTY;
+        store.update(&self.key(key), |current| {
+            v = stats_view_of(current);
+            v.count += 1;
+            v.sum += sample;
+            v.min = v.min.min(sample);
+            v.max = v.max.max(sample);
+            let mut buf = Vec::with_capacity(32);
+            buf.extend_from_slice(&v.count.to_le_bytes());
+            buf.extend_from_slice(&v.sum.to_le_bytes());
+            buf.extend_from_slice(&v.min.to_le_bytes());
+            buf.extend_from_slice(&v.max.to_le_bytes());
+            Bytes::from(buf)
+        })?;
         Ok(v)
     }
 
     /// Current view (empty view if absent or malformed).
     pub fn get(&self, store: &mut StateStore, key: &[u8]) -> StatsView {
-        store
-            .get(&self.key(key))
-            .as_deref()
-            .and_then(stats_view_from_bytes)
-            .unwrap_or(StatsView {
-                count: 0,
-                sum: 0,
-                min: u64::MAX,
-                max: 0,
-            })
+        stats_view_of(store.get(&self.key(key)).as_deref())
     }
+}
+
+/// The view a stored value encodes (absent or malformed = empty).
+fn stats_view_of(value: Option<&[u8]>) -> StatsView {
+    value
+        .and_then(stats_view_from_bytes)
+        .unwrap_or(StatsView::EMPTY)
 }
 
 /// Decodes the 32-byte stats encoding; `None` on any size mismatch —

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use liquid_sim::clock::Ts;
 
-use crate::state::StateStore;
+use crate::state::{counter_bytes, StateStore};
 
 const WATERMARK_KEY: &[u8] = b"~sess-watermark";
 
@@ -84,50 +84,40 @@ impl SessionWindow {
         key: &[u8],
         ts: Ts,
     ) -> crate::Result<Option<Session>> {
-        let skey = Self::state_key(key);
-        let current = store
-            .get(&skey)
-            .and_then(|v| Self::decode(Bytes::copy_from_slice(key), &v));
         // Advance the watermark.
-        let wm = store
-            .get(WATERMARK_KEY)
-            .and_then(|v| v.as_ref().try_into().ok().map(u64::from_le_bytes))
-            .unwrap_or(0);
-        if ts > wm {
-            store.put(
-                Bytes::from_static(WATERMARK_KEY),
-                Bytes::copy_from_slice(&ts.to_le_bytes()),
-            )?;
+        if ts > store.get_counter(WATERMARK_KEY) {
+            store.put(Bytes::from_static(WATERMARK_KEY), counter_bytes(ts))?;
         }
-        let (closed, next) = match current {
-            Some(mut s) if ts.saturating_sub(s.end) <= self.gap_ms => {
-                // Extends the open session (late events also merge).
-                s.end = s.end.max(ts);
-                s.start = s.start.min(ts);
-                s.events += 1;
-                (None, s)
-            }
-            other => (
-                other,
-                Session {
-                    key: Bytes::copy_from_slice(key),
-                    start: ts,
-                    end: ts,
-                    events: 1,
-                },
-            ),
-        };
-        store.put(Bytes::from(skey), Self::encode(&next))?;
+        let user = Bytes::copy_from_slice(key);
+        let mut closed = None;
+        store.update(&Self::state_key(key), |current| {
+            let next = match current.and_then(|v| Self::decode(user.clone(), v)) {
+                Some(mut s) if ts.saturating_sub(s.end) <= self.gap_ms => {
+                    // Extends the open session (late events also merge).
+                    s.end = s.end.max(ts);
+                    s.start = s.start.min(ts);
+                    s.events += 1;
+                    s
+                }
+                other => {
+                    closed = other;
+                    Session {
+                        key: user,
+                        start: ts,
+                        end: ts,
+                        events: 1,
+                    }
+                }
+            };
+            Self::encode(&next)
+        })?;
         Ok(closed)
     }
 
     /// Closes every session whose inactivity gap has elapsed relative to
     /// the event-time watermark; removes them from state.
     pub fn close_idle(&self, store: &mut StateStore) -> crate::Result<Vec<Session>> {
-        let wm = store
-            .get(WATERMARK_KEY)
-            .and_then(|v| v.as_ref().try_into().ok().map(u64::from_le_bytes))
-            .unwrap_or(0);
+        let wm = store.get_counter(WATERMARK_KEY);
         let mut out = Vec::new();
         for (k, v) in store.range(Some(b"sess|"), Some(b"sess}")) {
             let key = k.slice(5..);

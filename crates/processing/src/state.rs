@@ -7,13 +7,16 @@
 //! After a failure, a new task instance reconstructs its state by
 //! replaying the changelog partition (and because the changelog is
 //! compacted, replay cost is proportional to the number of *live* keys,
-//! not the number of updates — the §4.1 claim benchmarked by E4).
+//! not the number of updates — the §4.1 claim benchmarked by E4). The
+//! local store is a *cache* of that changelog and keeps no write-ahead
+//! log of its own (DESIGN.md §19).
 //!
-//! Changelog writes are **buffered**: `put`/`delete` apply locally at
-//! once and leave for the changelog as one batch per [`flush`], the
-//! last write per key winning — which is all compaction would keep of
-//! them anyway. A [`Job`](crate::Job) flushes at the end of every
-//! input batch, before the outputs and before the position moves.
+//! Changelog writes are **buffered**: `put`/`delete`/`update` apply
+//! locally at once and leave for the changelog as one batch per
+//! [`flush`], the last write per key winning — which is all compaction
+//! would keep of them anyway. A [`Job`](crate::Job) flushes at the end
+//! of every input batch, before the outputs and before the position
+//! moves.
 //!
 //! [`flush`]: StateStore::flush
 
@@ -158,6 +161,20 @@ impl StateStore {
         self.log_write(key, Bytes::new())
     }
 
+    /// Read-modify-write of one key: `f` sees the current value (`None`
+    /// = absent) and returns the new one; the changelog sees it at the
+    /// next [`flush`](Self::flush). The store, the buffered changelog
+    /// record and its slot share one allocation of the key.
+    pub fn update(
+        &mut self,
+        key: &[u8],
+        f: impl FnOnce(Option<&[u8]>) -> Bytes,
+    ) -> crate::Result<()> {
+        let (key, value) = self.store.update(key, f)?;
+        self.writes += 1;
+        self.log_write(key, value)
+    }
+
     /// Buffers one changelog record, replacing an earlier write of the
     /// same key in this flush unit, and flushes at [`FLUSH_AT`].
     fn log_write(&mut self, key: Bytes, value: Bytes) -> crate::Result<()> {
@@ -223,20 +240,30 @@ impl StateStore {
 
     /// Convenience: read a `u64` counter (missing key = 0).
     pub fn get_counter(&mut self, key: &[u8]) -> u64 {
-        self.get(key)
-            .and_then(|v| v.as_ref().try_into().ok().map(u64::from_le_bytes))
-            .unwrap_or(0)
+        counter_of(self.get(key).as_deref())
     }
 
     /// Convenience: add to a `u64` counter, returning the new value.
     pub fn add_counter(&mut self, key: &[u8], delta: u64) -> crate::Result<u64> {
-        let next = self.get_counter(key) + delta;
-        self.put(
-            Bytes::copy_from_slice(key),
-            Bytes::copy_from_slice(&next.to_le_bytes()),
-        )?;
+        let mut next = delta;
+        self.update(key, |current| {
+            next += counter_of(current);
+            counter_bytes(next)
+        })?;
         Ok(next)
     }
+}
+
+/// A stored `u64` counter (missing or malformed = 0).
+pub(crate) fn counter_of(value: Option<&[u8]>) -> u64 {
+    value
+        .and_then(|v| v.try_into().ok().map(u64::from_le_bytes))
+        .unwrap_or(0)
+}
+
+/// The stored form of a `u64` counter.
+pub(crate) fn counter_bytes(n: u64) -> Bytes {
+    Bytes::copy_from_slice(&n.to_le_bytes())
 }
 
 #[cfg(test)]
@@ -377,6 +404,65 @@ mod tests {
         assert_eq!(s.add_counter(b"hits", 3).unwrap(), 3);
         assert_eq!(s.add_counter(b"hits", 4).unwrap(), 7);
         assert_eq!(s.get_counter(b"hits"), 7);
+    }
+
+    #[test]
+    fn update_shares_one_key_allocation() {
+        let (c, tp) = cluster_with_changelog();
+        let mut s = StateStore::with_changelog(c.clone(), tp.clone()).unwrap();
+        assert_eq!(s.add_counter(b"user", 2).unwrap(), 2);
+        assert_eq!(s.add_counter(b"user", 3).unwrap(), 5);
+        assert_eq!(s.writes(), 2);
+        // The store's key, the buffered record's and its slot's are one
+        // allocation: the key bytes were copied once, on first sight.
+        let log = s.changelog.as_ref().unwrap();
+        let record_key = log.pending[0].key.clone().unwrap();
+        let (slot_key, _) = log.slots.get_key_value(&b"user"[..]).unwrap();
+        assert_eq!(record_key.as_ptr(), slot_key.as_ptr());
+        let (stored, _) = s
+            .store
+            .update(b"user", |v| Bytes::copy_from_slice(v.unwrap()))
+            .unwrap();
+        assert_eq!(stored.as_ptr(), record_key.as_ptr());
+        // And the flush unit is one record, the last value winning.
+        s.flush().unwrap();
+        let msgs = c.fetch_batch(&tp, 0, u64::MAX).unwrap().into_messages();
+        assert_eq!(msgs.len(), 1);
+        assert_eq!(msgs[0].key, Some(b("user")));
+        assert_eq!(counter_of(Some(&msgs[0].value)), 5);
+    }
+
+    #[test]
+    fn injected_wal_append_leaves_state_and_changelog_untouched() {
+        use liquid_sim::failure::FailureInjector;
+        let (c, tp) = cluster_with_changelog();
+        let inj = FailureInjector::disabled();
+        let config = LsmConfig {
+            injector: inj.clone(),
+            ..LsmConfig::default()
+        };
+        let mut s = StateStore::with_changelog_config(c.clone(), tp.clone(), config).unwrap();
+        s.add_counter(b"hits", 1).unwrap();
+        inj.fail_at(1);
+        let err = s.add_counter(b"hits", 1);
+        assert!(matches!(
+            err,
+            Err(crate::ProcessingError::State(liquid_kv::KvError::Injected(
+                "kv.wal-append"
+            )))
+        ));
+        // Neither the store nor the flush unit saw the failed write…
+        assert_eq!(s.get_counter(b"hits"), 1);
+        assert_eq!(s.writes(), 1);
+        s.flush().unwrap();
+        let msgs = c.fetch_batch(&tp, 0, u64::MAX).unwrap().into_messages();
+        assert_eq!(msgs.len(), 1);
+        assert_eq!(counter_of(Some(&msgs[0].value)), 1);
+        // …and the retry lands once.
+        assert_eq!(s.add_counter(b"hits", 1).unwrap(), 2);
+        s.flush().unwrap();
+        assert_eq!(c.latest_offset(&tp).unwrap(), 2);
+        assert_eq!(inj.site_counts(), vec![("kv.wal-append", 3, 1)]);
     }
 
     #[test]

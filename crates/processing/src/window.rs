@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use liquid_sim::clock::Ts;
 
-use crate::state::StateStore;
+use crate::state::{counter_bytes, StateStore};
 
 const WATERMARK_KEY: &[u8] = b"~watermark";
 
@@ -67,38 +67,17 @@ impl TumblingWindow {
         delta: u64,
     ) -> crate::Result<u64> {
         let start = self.window_start(ts);
-        let skey = window_key(start, key);
-        let next = {
-            let cur = store
-                .get(&skey)
-                .and_then(|v| v.as_ref().try_into().ok().map(u64::from_le_bytes))
-                .unwrap_or(0);
-            cur + delta
-        };
-        store.put(
-            Bytes::from(skey),
-            Bytes::copy_from_slice(&next.to_le_bytes()),
-        )?;
+        let next = store.add_counter(&window_key(start, key), delta)?;
         // Advance the watermark monotonically.
-        let wm = store
-            .get(WATERMARK_KEY)
-            .and_then(|v| v.as_ref().try_into().ok().map(u64::from_le_bytes))
-            .unwrap_or(0);
-        if ts > wm {
-            store.put(
-                Bytes::from_static(WATERMARK_KEY),
-                Bytes::copy_from_slice(&ts.to_le_bytes()),
-            )?;
+        if ts > self.watermark(store) {
+            store.put(Bytes::from_static(WATERMARK_KEY), counter_bytes(ts))?;
         }
         Ok(next)
     }
 
     /// Current event-time watermark (max timestamp observed).
     pub fn watermark(&self, store: &mut StateStore) -> Ts {
-        store
-            .get(WATERMARK_KEY)
-            .and_then(|v| v.as_ref().try_into().ok().map(u64::from_le_bytes))
-            .unwrap_or(0)
+        store.get_counter(WATERMARK_KEY)
     }
 
     /// Closes every window whose `end + lateness <= watermark`,
@@ -179,25 +158,14 @@ impl SlidingWindow {
     /// Adds `delta` to every window containing `ts`.
     pub fn add(&self, store: &mut StateStore, ts: Ts, key: &[u8], delta: u64) -> crate::Result<()> {
         for start in self.window_starts(ts) {
-            let skey = window_key(start, key);
-            let cur = store
-                .get(&skey)
-                .and_then(|v| v.as_ref().try_into().ok().map(u64::from_le_bytes))
-                .unwrap_or(0);
-            store.put(
-                Bytes::from(skey),
-                Bytes::copy_from_slice(&(cur + delta).to_le_bytes()),
-            )?;
+            store.add_counter(&window_key(start, key), delta)?;
         }
         Ok(())
     }
 
     /// Reads the aggregate of the window starting at `start`.
     pub fn get(&self, store: &mut StateStore, start: Ts, key: &[u8]) -> u64 {
-        store
-            .get(&window_key(start, key))
-            .and_then(|v| v.as_ref().try_into().ok().map(u64::from_le_bytes))
-            .unwrap_or(0)
+        store.get_counter(&window_key(start, key))
     }
 }
 

@@ -21,6 +21,22 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// A snapshot still reads as the model did when it was taken.
+fn check_snapshot(
+    snap: &liquid::kv::Snapshot,
+    then: &std::collections::BTreeMap<Bytes, Bytes>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        snap.range(None, None),
+        then.clone().into_iter().collect::<Vec<_>>()
+    );
+    for key_id in 0u8..12 {
+        let key = format!("k{key_id:02}");
+        prop_assert_eq!(snap.get(key.as_bytes()), then.get(key.as_bytes()).cloned());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -68,6 +84,81 @@ proptest! {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The store against a `BTreeMap` model after every op, with a
+    /// memtable small enough that updates cross memtable → L0 → merged
+    /// levels and land on tombstones at each of them: `update`'s closure
+    /// sees exactly the model's current value, a snapshot keeps the
+    /// contents it was taken at, and with a directory a crash-and-reopen
+    /// at any point gives the model back (without one there is no WAL
+    /// and nothing to reopen).
+    #[test]
+    fn store_matches_model_after_every_op(
+        on_disk in any::<bool>(),
+        ops in prop::collection::vec((0u8..8, 0u8..12, prop::collection::vec(any::<u8>(), 0..6)), 1..160),
+    ) {
+        let dir = on_disk.then(|| temp_dir("model"));
+        let cfg = LsmConfig {
+            memtable_bytes: 256,
+            level_limit: 2,
+            max_levels: 3,
+            dir: dir.clone(),
+            ..LsmConfig::default()
+        };
+        let mut model: std::collections::BTreeMap<Bytes, Bytes> = Default::default();
+        let mut store = LsmStore::open(cfg.clone()).unwrap();
+        let mut snapshot = None;
+        for (op, key_id, value) in &ops {
+            let key = Bytes::from(format!("k{key_id:02}"));
+            let value = Bytes::from(value.clone());
+            match op {
+                0 | 1 => {
+                    store.put(key.clone(), value.clone()).unwrap();
+                    model.insert(key.clone(), value);
+                }
+                2..=4 => {
+                    let expect = model.get(&key).cloned();
+                    let mut seen = None;
+                    let written = store
+                        .update(&key, |current| {
+                            seen = Some(current.map(Bytes::copy_from_slice));
+                            value.clone()
+                        })
+                        .unwrap();
+                    prop_assert_eq!(seen, Some(expect), "what update({:?}) saw", &key);
+                    prop_assert_eq!(written, (key.clone(), value.clone()));
+                    model.insert(key.clone(), value);
+                }
+                5 => {
+                    store.delete(key.clone()).unwrap();
+                    model.remove(&key);
+                }
+                6 => store.flush().unwrap(),
+                _ if on_disk && key_id % 2 == 0 => {
+                    // Crash: no flush, no clean shutdown.
+                    drop(store);
+                    store = LsmStore::open(cfg.clone()).unwrap();
+                }
+                _ => {
+                    if let Some((snap, then)) = snapshot.replace((store.snapshot(), model.clone())) {
+                        check_snapshot(&snap, &then)?;
+                    }
+                }
+            }
+            prop_assert_eq!(store.get(&key), model.get(&key).cloned(), "get({:?})", &key);
+            prop_assert_eq!(
+                store.scan_all(),
+                model.clone().into_iter().collect::<Vec<_>>(),
+                "contents after {:?}", (op, key_id)
+            );
+        }
+        if let Some((snap, then)) = snapshot {
+            check_snapshot(&snap, &then)?;
+        }
+        if let Some(dir) = dir {
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// A torn WAL tail (partial final write) never corrupts recovery:
