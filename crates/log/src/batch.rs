@@ -1,33 +1,42 @@
 //! Record batches: the unit of the batched hot path (§3.1 throughput).
 //!
-//! A [`RecordBatch`] is an ordered run of [`Record`]s that travels the
-//! produce → append → replicate → fetch → deliver pipeline as one unit.
-//! Payloads are ref-counted [`Bytes`] slices, so the bytes of a message
-//! are copied exactly once — into the [`BatchBuilder`]'s arena at
-//! produce time (or adopted as-is when the caller already holds
-//! `Bytes`) — and every later hop shares them by reference count.
+//! A [`RecordBatch`] is its own frame: the records' final wire
+//! encodings back to back, as the producer wrote them — every field but
+//! the offset and the CRC, which only the log can know — plus where each
+//! record starts. The key and value bytes are copied exactly once, by
+//! [`BatchBuilder::push`], into the place they will have in storage;
+//! [`Log::append_record_batch`](crate::Log::append_record_batch) seals
+//! the frame in place (offsets, broker timestamp, CRCs), freezes it
+//! once and stores it, and every later hop shares that allocation by
+//! reference count (DESIGN.md §20).
 //!
 //! Batches are *observationally transparent*: appending a batch yields
-//! the same log as appending its records one by one, and splitting or
-//! merging batches at any boundary changes nothing a reader can see.
-//! The batch-semantics proptests in `tests/properties.rs` hold the
+//! the same log as appending its records one by one, and cutting a run
+//! of records into batches at any boundary changes nothing a reader can
+//! see. The batch-semantics proptests in `tests/properties.rs` hold the
 //! implementation to that contract.
+
+use std::borrow::Borrow;
 
 use bytes::Bytes;
 use liquid_sim::clock::Ts;
 
-use crate::record::Record;
+use crate::record::{self, Record};
 
-/// An ordered run of records moving through the hot path as one unit.
-///
-/// Records inside a batch have not necessarily been assigned offsets
-/// yet: a producer-side batch carries offset 0 on every record until
-/// [`Log::append_record_batch`](crate::Log::append_record_batch)
-/// assigns the real ones; a batch built from a fetch carries the
-/// offsets the log assigned.
+/// An ordered run of records moving through the hot path as one unit:
+/// an unsealed frame and a per-record index into it. There is no other
+/// form — no `Vec<Record>` beside the bytes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordBatch {
-    records: Vec<Record>,
+    /// The records' encodings back to back, offset and CRC still zero.
+    frame: Vec<u8>,
+    /// Where each record's encoding starts in `frame`.
+    starts: Vec<usize>,
+    /// Value bytes, and key bytes, across the batch.
+    value_bytes: u64,
+    key_bytes: u64,
+    /// The broker's timestamp, written over every record's own at seal.
+    stamp: Option<Ts>,
 }
 
 impl RecordBatch {
@@ -36,181 +45,147 @@ impl RecordBatch {
         RecordBatch::default()
     }
 
-    /// Starts an arena-backed builder: every pushed key/value is copied
-    /// once into one contiguous buffer shared by all records.
+    /// Starts a builder: every pushed key/value is encoded straight into
+    /// the batch's frame.
     pub fn builder() -> BatchBuilder {
         BatchBuilder::default()
     }
 
-    /// Adopts `(key, value)` pairs without copying — the payloads keep
-    /// whatever buffers they already share. All records get `timestamp`.
-    pub fn from_pairs(pairs: Vec<(Option<Bytes>, Bytes)>, timestamp: Ts) -> Self {
-        RecordBatch {
-            records: pairs
-                .into_iter()
-                .map(|(key, value)| Record::new(key, value, timestamp))
-                .collect(),
+    /// A batch of `(key, value)` pairs, all stamped `timestamp`; the
+    /// payloads are copied once, into the frame.
+    pub fn from_pairs(
+        pairs: impl IntoIterator<Item = (Option<Bytes>, Bytes)>,
+        timestamp: Ts,
+    ) -> Self {
+        let mut builder = BatchBuilder::default();
+        for (key, value) in pairs {
+            builder.push(key.as_deref(), &value, timestamp);
         }
+        builder.build()
     }
 
-    /// Wraps already-materialized records (e.g. a changelog flush)
-    /// without copying payload bytes.
-    pub fn from_records(records: Vec<Record>) -> Self {
-        RecordBatch { records }
+    /// A batch of already-materialized records (e.g. a changelog
+    /// flush), owned or borrowed, keeping their timestamps; offsets are
+    /// the log's to assign.
+    pub fn from_records<R: Borrow<Record>>(records: impl IntoIterator<Item = R>) -> Self {
+        let mut builder = BatchBuilder::default();
+        for r in records {
+            let r = r.borrow();
+            builder.push(r.key.as_deref(), &r.value, r.timestamp);
+        }
+        builder.build()
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.starts.len()
     }
 
     /// Whether the batch holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.starts.is_empty()
     }
 
     /// Sum of payload (value) bytes across the batch.
     pub fn payload_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.value.len() as u64).sum()
+        self.value_bytes
     }
 
     /// Sum of serialized record sizes (what an append will write).
     pub fn wire_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.wire_size() as u64).sum()
-    }
-
-    /// Offset of the first record, if any (meaningful after append).
-    pub fn base_offset(&self) -> Option<u64> {
-        self.records.first().map(|r| r.offset)
-    }
-
-    /// The records, in order.
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
-    /// Consumes the batch into its records (payloads still shared).
-    pub fn into_records(self) -> Vec<Record> {
-        self.records
-    }
-
-    /// Appends a record to the batch.
-    pub fn push(&mut self, record: Record) {
-        self.records.push(record);
+        self.frame.len() as u64
     }
 
     /// Re-stamps every record with `timestamp` (broker-assigned time at
-    /// append, matching the unbatched produce path). Payloads are
-    /// untouched — no bytes are copied.
+    /// append): the seal writes it over each record's own.
     pub fn stamped(mut self, timestamp: Ts) -> Self {
-        for r in &mut self.records {
-            r.timestamp = timestamp;
+        self.stamp = Some(timestamp);
+        self
+    }
+
+    /// Seals every record in place — offset `base + i` (saturating like
+    /// `Segment::next_offset`), the broker's stamp if any, then its CRC
+    /// — and freezes the frame: the bytes the log stores. Returns them
+    /// with where each record starts.
+    pub(crate) fn seal(self, base: u64) -> (Bytes, Vec<usize>) {
+        let RecordBatch {
+            mut frame,
+            starts,
+            stamp,
+            ..
+        } = self;
+        let ends = starts.iter().skip(1).copied().chain([frame.len()]);
+        let mut offset = base;
+        for (&start, end) in starts.iter().zip(ends) {
+            if let Some(encoding) = frame.get_mut(start..end) {
+                record::seal(encoding, offset, stamp);
+            }
+            offset = offset.saturating_add(1);
         }
-        self
-    }
-
-    /// Splits into `[0, mid)` and `[mid, len)` without copying payload
-    /// bytes. Appending the two halves in order is observationally
-    /// identical to appending the original.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mid > len` (same contract as `slice::split_at`).
-    pub fn split_at(mut self, mid: usize) -> (RecordBatch, RecordBatch) {
-        let tail = self.records.split_off(mid);
-        (self, RecordBatch { records: tail })
-    }
-
-    /// Concatenates `other` after `self` without copying payload bytes.
-    pub fn merge(mut self, other: RecordBatch) -> RecordBatch {
-        self.records.extend(other.records);
-        self
-    }
-
-    /// Iterates the records lazily (consumer-side decomposition).
-    pub fn iter(&self) -> std::slice::Iter<'_, Record> {
-        self.records.iter()
+        // The one freeze of the write path: the vendored `Bytes` owns an
+        // `Arc<[u8]>`, so this copies the frame once.
+        (Bytes::from(frame), starts)
     }
 }
 
-impl IntoIterator for RecordBatch {
-    type Item = Record;
-    type IntoIter = std::vec::IntoIter<Record>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.records.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a RecordBatch {
-    type Item = &'a Record;
-    type IntoIter = std::slice::Iter<'a, Record>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.records.iter()
-    }
-}
-
-/// Accumulates records into one contiguous arena, so a message's bytes
-/// are copied exactly once at produce time and shared (ref-counted) by
-/// every later hop. [`BatchBuilder::build`] freezes the arena into a
-/// single [`Bytes`] and hands each record zero-copy slices of it.
+/// Accumulates records into one [`RecordBatch`]: each push encodes the
+/// record into the batch's frame, so a message's bytes are copied
+/// exactly once at produce time; [`BatchBuilder::build`] hands the
+/// frame over as it is.
 #[derive(Debug, Default)]
 pub struct BatchBuilder {
-    arena: Vec<u8>,
-    entries: Vec<BatchEntry>,
+    batch: RecordBatch,
 }
 
-/// Arena coordinates of one pending record: optional key range, value
-/// range, timestamp.
-type BatchEntry = (Option<(usize, usize)>, (usize, usize), Ts);
-
 impl BatchBuilder {
-    /// Copies `key`/`value` into the arena (the single produce-time
-    /// copy) and schedules a record carrying `timestamp`.
+    /// A builder with room for `records` records of `bytes` wire bytes
+    /// in all, so that a batch the size of the last one never regrows.
+    pub fn with_capacity(bytes: usize, records: usize) -> Self {
+        BatchBuilder {
+            batch: RecordBatch {
+                frame: Vec::with_capacity(bytes),
+                starts: Vec::with_capacity(records),
+                ..RecordBatch::default()
+            },
+        }
+    }
+
+    /// Encodes a record carrying `timestamp` into the frame (the single
+    /// produce-time copy of `key` and `value`).
     pub fn push(&mut self, key: Option<&[u8]>, value: &[u8], timestamp: Ts) -> &mut Self {
-        let key_range = key.map(|k| {
-            let lo = self.arena.len();
-            self.arena.extend_from_slice(k);
-            (lo, self.arena.len())
-        });
-        let lo = self.arena.len();
-        self.arena.extend_from_slice(value);
-        let value_range = (lo, self.arena.len());
-        self.entries.push((key_range, value_range, timestamp));
+        let batch = &mut self.batch;
+        batch.starts.push(batch.frame.len());
+        record::encode_unsealed(key, value, timestamp, &mut batch.frame);
+        batch.value_bytes = batch.value_bytes.saturating_add(value.len() as u64);
+        let key_len = key.map_or(0, <[u8]>::len) as u64;
+        batch.key_bytes = batch.key_bytes.saturating_add(key_len);
         self
     }
 
     /// Records accumulated so far.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.batch.len()
     }
 
     /// Whether nothing has been pushed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.batch.is_empty()
     }
 
-    /// Arena bytes accumulated so far (size-threshold checks).
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
+    /// Wire bytes accumulated so far.
+    pub fn wire_bytes(&self) -> usize {
+        self.batch.frame.len()
     }
 
-    /// Freezes the arena and builds the batch: every key and value is a
-    /// zero-copy slice of the one shared buffer.
+    /// Key and value bytes accumulated so far — what a producer's
+    /// `max_bytes` counts, not the wire bytes around them.
+    pub fn key_value_bytes(&self) -> u64 {
+        self.batch.key_bytes.saturating_add(self.batch.value_bytes)
+    }
+
+    /// The batch: the frame as pushed, nothing copied.
     pub fn build(self) -> RecordBatch {
-        let arena = Bytes::from(self.arena);
-        RecordBatch {
-            records: self
-                .entries
-                .into_iter()
-                .map(|(key_range, (vlo, vhi), timestamp)| {
-                    Record::new(
-                        key_range.map(|(klo, khi)| arena.slice(klo..khi)),
-                        arena.slice(vlo..vhi),
-                        timestamp,
-                    )
-                })
-                .collect(),
-        }
+        self.batch
     }
 }
 
@@ -222,74 +197,89 @@ mod tests {
         Bytes::from(s.to_string())
     }
 
+    /// The records `frame` holds, decoded CRC-checked, as `(offset,
+    /// timestamp, key, value)`.
+    fn decoded(frame: &Bytes) -> Vec<(u64, Ts, Option<Bytes>, Bytes)> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        while at < frame.len() {
+            let (r, used) = Record::decode_at(frame, at).unwrap();
+            out.push((r.offset, r.timestamp, r.key, r.value));
+            at += used;
+        }
+        out
+    }
+
     #[test]
     fn builder_copies_once_into_shared_arena() {
         let mut bb = RecordBatch::builder();
         bb.push(Some(b"k0"), b"value-zero", 1);
         bb.push(None, b"value-one", 2);
         bb.push(Some(b"k2"), b"value-two", 3);
+        assert_eq!(bb.key_value_bytes(), 4 + 28);
         let batch = bb.build();
         assert_eq!(batch.len(), 3);
-        // All slices point into one contiguous arena: consecutive
-        // payloads are adjacent in memory.
-        let r = batch.records();
-        let k0 = r[0].key.as_ref().map(|k| k.as_slice().as_ptr());
-        let v0 = r[0].value.as_slice().as_ptr();
-        let v1 = r[1].value.as_slice().as_ptr();
-        let base = k0.expect("keyed record");
-        assert_eq!(ptr_distance(base, v0), 2, "key then value");
-        assert_eq!(
-            ptr_distance(v0, v1),
-            "value-zero".len(),
-            "arena is contiguous"
-        );
-        assert_eq!(r[0].timestamp, 1);
-        assert_eq!(r[2].key.as_deref(), Some(b"k2".as_ref()));
-    }
-
-    // Pointer distance between two slices of the same allocation —
-    // plain usize math on addresses.
-    fn ptr_distance(lo: *const u8, hi: *const u8) -> usize {
-        (hi as usize) - (lo as usize)
+        // The frame is the records' encodings back to back: sealed, it
+        // is byte for byte what `Record::encode` writes, and every
+        // decoded key and value is a slice of that one buffer.
+        let (frame, starts) = batch.clone().seal(40);
+        let mut expected = Vec::new();
+        for (i, (key, value)) in [
+            (Some("k0"), "value-zero"),
+            (None, "value-one"),
+            (Some("k2"), "value-two"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_eq!(starts[i], expected.len());
+            let mut r = Record::new(key.map(b), b(value), i as Ts + 1);
+            r.offset = 40 + i as u64;
+            r.encode(&mut expected);
+        }
+        assert_eq!(frame.as_slice(), &expected[..]);
+        let base = frame.as_slice().as_ptr() as usize;
+        for (_, _, key, value) in decoded(&frame) {
+            let inside =
+                |p: &Bytes| (base..base + frame.len()).contains(&(p.as_slice().as_ptr() as usize));
+            assert!(inside(&value) && key.as_ref().is_none_or(inside));
+        }
     }
 
     #[test]
-    fn from_pairs_adopts_without_copy() {
-        let v = b("shared-payload");
-        let batch = RecordBatch::from_pairs(vec![(None, v.clone())], 9);
-        // Zero-copy adoption: the record's value points at the same
-        // backing memory as the caller's Bytes.
-        assert_eq!(
-            batch.records()[0].value.as_slice().as_ptr(),
-            v.as_slice().as_ptr()
-        );
-        assert_eq!(batch.payload_bytes(), v.len() as u64);
-    }
-
-    #[test]
-    fn split_and_merge_roundtrip() {
-        let mut bb = RecordBatch::builder();
-        for i in 0..10 {
-            bb.push(None, format!("v{i}").as_bytes(), i);
+    fn from_pairs_encodes_like_the_builder() {
+        let pairs = vec![(None, b("shared-payload")), (Some(b("k")), b(""))];
+        let batch = RecordBatch::from_pairs(pairs.clone(), 9);
+        let mut builder = BatchBuilder::default();
+        for (key, value) in &pairs {
+            builder.push(key.as_deref(), value, 9);
         }
-        let original = bb.build();
-        for mid in 0..=original.len() {
-            let (a, z) = original.clone().split_at(mid);
-            assert_eq!(a.len(), mid);
-            let back = a.merge(z);
-            assert_eq!(back, original, "split at {mid} then merge is identity");
-        }
+        assert_eq!(batch, builder.build());
+        let records: Vec<Record> = pairs
+            .into_iter()
+            .map(|(key, value)| Record::new(key, value, 9))
+            .collect();
+        assert_eq!(batch, RecordBatch::from_records(&records));
+        assert_eq!(batch, RecordBatch::from_records(records));
+        assert_eq!(batch.payload_bytes(), "shared-payload".len() as u64);
     }
 
     #[test]
     fn sizes_and_iteration() {
         let batch = RecordBatch::from_pairs(vec![(Some(b("k")), b("vv")), (None, b("www"))], 0);
+        assert_eq!(batch.len(), 2);
         assert_eq!(batch.payload_bytes(), 5);
-        assert!(batch.wire_bytes() > batch.payload_bytes());
-        let values: Vec<&[u8]> = batch.iter().map(|r| r.value.as_slice()).collect();
-        assert_eq!(values, vec![b"vv".as_ref(), b"www".as_ref()]);
-        assert_eq!(batch.clone().into_iter().count(), 2);
+        let wire = batch.wire_bytes();
+        assert!(wire > batch.payload_bytes());
+        let (frame, starts) = batch.stamped(7).seal(3);
+        assert_eq!(frame.len() as u64, wire);
+        assert_eq!(starts.len(), 2);
+        let values: Vec<(u64, Ts, Bytes)> = decoded(&frame)
+            .into_iter()
+            .map(|(offset, ts, _, value)| (offset, ts, value))
+            .collect();
+        assert_eq!(values, vec![(3, 7, b("vv")), (4, 7, b("www"))]);
         assert!(RecordBatch::new().is_empty());
-        assert_eq!(RecordBatch::new().base_offset(), None);
+        assert_eq!(RecordBatch::new().seal(0).0.len(), 0);
     }
 }

@@ -21,9 +21,10 @@
 //!   active segment also rolls on age via `segment_ms`), so
 //!   **retention** is an O(1) whole-segment drop by age or total size
 //!   ([`Log::enforce_retention`]) — never a record rewrite;
-//! * an append is one **frame** per batch — one encode buffer, frozen
-//!   once, one storage write; a follower stores the leader's frames
-//!   verbatim ([`Log::append_frames_from`]) — and reads are **one
+//! * an append is one **frame** per batch — the producer's batch *is*
+//!   the frame ([`batch`]), sealed in place, frozen once, one storage
+//!   write; a follower stores the leader's frames verbatim
+//!   ([`Log::append_frames_from`]) — and reads are **one
 //!   layered path**: the active segment's records are served from an
 //!   in-memory tail (slices of the stored frames), sealed segments
 //!   from a **sharded LRU read cache** of decoded records ([`cache`]),

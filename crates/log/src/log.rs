@@ -326,27 +326,28 @@ impl Log {
     /// [`append_record_batch`](Self::append_record_batch). Returns its
     /// offset.
     pub fn append(&mut self, key: Option<Bytes>, value: Bytes) -> crate::Result<u64> {
-        let record = Record::new(key, value, self.clock.now());
-        let (offset, _, _) = self.append_record_batch(RecordBatch::from_records(vec![record]))?;
+        let one = RecordBatch::from_pairs([(key, value)], self.clock.now());
+        let (offset, _, _) = self.append_record_batch(one)?;
         Ok(offset)
     }
 
     /// The leader's write function: every append is one batch — one
     /// fault-injector tick (`log.append`), one roll check, one metrics
-    /// record, one encoded frame, one storage append and one page-cache
-    /// model charge — however many records it carries, which is what
-    /// makes the batched produce path scale. The tail keeps slices of
-    /// that frame, not the caller's buffers: those are released when
-    /// the batch is dropped here, while they are still hot.
+    /// record, one frame, one storage append and one page-cache model
+    /// charge — however many records it carries, which is what makes
+    /// the batched produce path scale. The batch *is* the frame: it is
+    /// sealed in place (offsets, the broker's stamp if the batch
+    /// carries one, CRCs), frozen once and stored, and the tail's
+    /// records are slices of the frozen bytes (DESIGN.md §20).
     ///
     /// Atomicity: the injector tick happens *before* the first byte of
     /// the frame is written, so an injected crash drops the batch whole
     /// — a torn batch is never half-appended by fault injection.
-    /// Offsets are assigned sequentially from the current log end,
-    /// overwriting whatever offsets the records carried; timestamps are
-    /// kept as given. Because the batch is indivisible, the roll
-    /// threshold is checked once up front and the active segment may
-    /// overshoot `segment_bytes` by up to one batch.
+    /// Offsets are assigned sequentially from the current log end;
+    /// timestamps are the batch's stamp, or each record's own. Because
+    /// the batch is indivisible, the roll threshold is checked once up
+    /// front and the active segment may overshoot `segment_bytes` by up
+    /// to one batch.
     ///
     /// Returns `(base_offset, records, payload_bytes)` of the appended
     /// run; an empty batch appends nothing and ticks nothing.
@@ -358,16 +359,9 @@ impl Log {
         let payload_bytes = batch.payload_bytes();
         self.note_group_commit(count, payload_bytes);
         self.begin_group_commit()?;
-        let mut records = batch.into_records();
         let base = self.next_offset();
-        let mut next = base;
-        for record in records.iter_mut() {
-            record.offset = next;
-            // Saturates like `Segment::next_offset` does at the end of
-            // the offset space.
-            next = next.saturating_add(1);
-        }
-        self.append_to_active(&records)?;
+        let (frame, starts) = batch.seal(base);
+        self.append_sealed(frame, starts)?;
         Ok((base, count, payload_bytes))
     }
 
@@ -400,7 +394,9 @@ impl Log {
         self.begin_group_commit()?;
         let (mut count, mut payload_bytes, mut frames) = (0u64, 0u64, 0u64);
         let shipped = leader.for_each_frame_from(from, |frame, records| {
-            self.append_frame(&frame, records.iter().cloned())?;
+            let first = self.tail.len();
+            self.tail.extend(records.iter().cloned());
+            self.store_tail_frame(frame, first)?;
             count = count.saturating_add(records.len() as u64);
             payload_bytes =
                 payload_bytes.saturating_add(records.iter().map(|r| r.value.len() as u64).sum());
@@ -427,50 +423,50 @@ impl Log {
         self.metrics.append_bytes.record(payload_bytes);
     }
 
-    /// Encodes `records`, offsets already assigned, as one frame and
-    /// appends it; the tail takes them re-sliced from that frame.
-    fn append_to_active(&mut self, records: &[Record]) -> crate::Result<()> {
-        if records.is_empty() {
-            return Ok(());
+    /// Appends a sealed, frozen `frame` whose records start at
+    /// `starts`: the tail takes them as slices of it, then the frame is
+    /// stored.
+    fn append_sealed(
+        &mut self,
+        frame: Bytes,
+        starts: impl IntoIterator<Item = usize>,
+    ) -> crate::Result<()> {
+        let first = self.tail.len();
+        for at in starts {
+            match Record::sealed_at(&frame, at) {
+                Ok((record, _)) => self.tail.push(record),
+                Err(e) => {
+                    self.tail.drain(first..);
+                    return Err(e);
+                }
+            }
         }
-        let frame = encode_frame(records);
-        let mut at = 0usize;
-        let sliced = records.iter().map(|record| {
-            let sliced = record.sliced_from(&frame, at);
-            at = at.saturating_add(record.wire_size());
-            sliced
-        });
-        self.append_frame(&frame, sliced)
+        self.store_tail_frame(frame, first)
     }
 
-    /// The bottom of the write path, under the leader's encode and the
-    /// follower's verbatim append alike: stores `frame` in the active
-    /// segment with one storage append, extends the tail with
-    /// `records` — the frame's records, each already a slice of it —
-    /// notes the frame boundary and charges an attached page-cache
-    /// model for the stored bytes.
-    fn append_frame(
-        &mut self,
-        frame: &Bytes,
-        records: impl Iterator<Item = Record>,
-    ) -> crate::Result<()> {
+    /// The bottom of the write path, under the leader's seal, the
+    /// follower's verbatim append and `truncate_to`'s rebuild alike:
+    /// stores `frame` — the encoding of `tail[first..]`, which the
+    /// caller has just pushed, each record a slice of it — in the
+    /// active segment with one storage append, notes the frame boundary
+    /// and charges an attached page-cache model for the stored bytes.
+    /// On an error the records come off the tail again.
+    fn store_tail_frame(&mut self, frame: Bytes, first: usize) -> crate::Result<()> {
         let file_id = self.file_id(self.active_base());
-        let first = self.tail.len();
-        self.tail.extend(records);
-        let stored = active_of(&mut self.segments)
-            .append_frame(frame.clone(), self.tail.get(first..).unwrap_or_default());
-        let pos = match stored {
-            Ok(pos) => pos,
+        let records = self.tail.get(first..).unwrap_or_default();
+        match active_of(&mut self.segments).append_frame(frame.clone(), records) {
+            Ok(pos) => {
+                if let Some((cache, _)) = &self.cache {
+                    cache.lock().write(file_id, pos, frame.len());
+                }
+                self.tail_frames.push((first, frame));
+                Ok(())
+            }
             Err(e) => {
                 self.tail.drain(first..);
-                return Err(e);
+                Err(e)
             }
-        };
-        self.tail_frames.push((first, frame.clone()));
-        if let Some((cache, _)) = &self.cache {
-            cache.lock().write(file_id, pos, frame.len());
         }
-        Ok(())
     }
 
     /// Hands `visit` everything from `from` on as frames with their
@@ -736,7 +732,16 @@ impl Log {
                 keep.retain(|r| r.offset < offset);
                 self.remove_segment(base)?;
                 self.roll_new_segment(base)?;
-                self.append_to_active(&keep)?;
+                if !keep.is_empty() {
+                    // The kept records keep their (possibly compacted,
+                    // sparse) offsets, so they are encoded as they are.
+                    let starts = keep.iter().scan(0usize, |at, r| {
+                        let start = *at;
+                        *at = at.saturating_add(r.wire_size());
+                        Some(start)
+                    });
+                    self.append_sealed(encode_frame(&keep), starts)?;
+                }
             }
         }
         if self.segments.is_empty() {
@@ -924,6 +929,7 @@ fn active_of(segments: &mut BTreeMap<u64, Segment>) -> &mut Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchBuilder;
     use liquid_sim::clock::SimClock;
     use liquid_sim::pagecache::{PageCache, PageCacheConfig};
     use proptest::prelude::*;
@@ -1568,7 +1574,7 @@ mod tests {
                             let value = "v".repeat((x + 7 * i) as usize % 60);
                             (Some(b(&format!("k{key}"))), b(&format!("{written}:{value}")))
                         });
-                        log.append_record_batch(RecordBatch::from_pairs(pairs.collect(), 0)).unwrap();
+                        log.append_record_batch(RecordBatch::from_pairs(pairs, 0)).unwrap();
                     }
                     3 | 4 => {
                         written += 1;
@@ -1653,7 +1659,7 @@ mod tests {
                             let key = (i % 2 == 0).then(|| b(&format!("k{}", (y + i) % 5)));
                             (key, b(&format!("{written}:{}", "v".repeat((x + 7 * i) as usize % 60))))
                         });
-                        leader.append_record_batch(RecordBatch::from_pairs(pairs.collect(), 0)).unwrap();
+                        leader.append_record_batch(RecordBatch::from_pairs(pairs, 0)).unwrap();
                     }
                     3 => {
                         written += 1;
@@ -1704,6 +1710,92 @@ mod tests {
                 for dir in &dirs {
                     std::fs::remove_dir_all(dir).ok();
                 }
+            }
+        }
+
+        /// A batch is its frame: sealing a run of batches — built by
+        /// `BatchBuilder` or by `from_records`, broker-stamped or
+        /// keeping each record's own timestamp, keyless records, empty
+        /// keys, tombstones, batches of one, runs that cross rolls —
+        /// stores exactly the bytes `Record::encode` gives each record
+        /// at the offset and timestamp the log assigned, and those equal
+        /// the field-by-field reference layout with the bytewise CRC, so
+        /// a seal that took the CRC before writing the offset or the
+        /// stamp fails here. Storage decodes (CRC-checked) to the same
+        /// records, and on files a reopen recovers every one of them.
+        #[test]
+        fn sealed_batches_store_exactly_what_encode_gives(
+            batches in prop::collection::vec(
+                (
+                    prop::collection::vec((0u8..4, prop::collection::vec(any::<u8>(), 0..40)), 1..10),
+                    any::<bool>(),
+                    (any::<bool>(), 0u64..1_000),
+                ),
+                1..12,
+            ),
+            segment_bytes in 64u64..600,
+            on_files in any::<bool>(),
+        ) {
+            let dir = scratch_dir("sealed");
+            let config = LogConfig {
+                segment_bytes,
+                index_interval_bytes: 100,
+                storage: if on_files { StorageKind::Files(dir.clone()) } else { StorageKind::Memory },
+                ..LogConfig::default()
+            };
+            let clock = SimClock::new(0);
+            let mut log = Log::open(config.clone(), clock.shared()).unwrap();
+            let (mut expected, mut reference, mut encoded) = (Vec::new(), Vec::new(), Vec::new());
+            for (records, built, (stamped, ts)) in batches {
+                let stamp = stamped.then_some(ts);
+                let records: Vec<Record> = records
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (key, value)): (usize, (u8, Vec<u8>))| {
+                        // Keyless, an empty key, or one of two keys.
+                        let key = (key > 0).then(|| b(&"k".repeat(usize::from(key - 1))));
+                        Record::new(key, Bytes::from(value), 10 + i as u64)
+                    })
+                    .collect();
+                let batch = if built {
+                    let mut builder = BatchBuilder::default();
+                    for r in &records {
+                        builder.push(r.key.as_deref(), &r.value, r.timestamp);
+                    }
+                    builder.build()
+                } else {
+                    RecordBatch::from_records(&records)
+                };
+                let batch = match stamp {
+                    Some(ts) => batch.stamped(ts),
+                    None => batch,
+                };
+                let (base, count, _) = log.append_record_batch(batch).unwrap();
+                prop_assert_eq!(count, records.len() as u64);
+                for (i, mut r) in records.into_iter().enumerate() {
+                    r.offset = base + i as u64;
+                    r.timestamp = stamp.unwrap_or(r.timestamp);
+                    r.encode(&mut encoded);
+                    reference.extend(crate::record::tests::reference_encoding(
+                        r.offset,
+                        r.timestamp,
+                        r.key.as_deref(),
+                        &r.value,
+                    ));
+                    expected.push(r);
+                }
+            }
+            let medium: Vec<u8> = log.segments().values().flat_map(|s| s.stored()).collect();
+            prop_assert_eq!(&medium, &reference);
+            prop_assert_eq!(&medium, &encoded);
+            prop_assert_eq!(&stored_records(&log), &expected);
+            prop_assert_eq!(&log.read(0, u64::MAX).unwrap().records, &expected);
+            if on_files {
+                prop_assert_eq!(&stored_bytes(&dir), &medium);
+                drop(log);
+                let reopened = Log::open(config, clock.shared()).unwrap();
+                prop_assert_eq!(reopened.read(0, u64::MAX).unwrap().records, expected);
+                std::fs::remove_dir_all(&dir).ok();
             }
         }
     }

@@ -12,6 +12,14 @@
 //! itself. `klen == -1` encodes a keyless record. The CRC is the standard
 //! CRC-32 (IEEE 802.3) so corruption introduced by failure injection or
 //! torn writes is detected on read.
+//!
+//! An encoding is written in two steps, and this file is the only one
+//! that knows where the fields sit: [`encode_unsealed`] writes
+//! everything a producer knows (length, timestamp, key length, key,
+//! value) with the offset and CRC left zero, and [`seal`] — run by the
+//! log once it has assigned the offset — writes the offset, the
+//! broker's timestamp if there is one, and last the CRC, which covers
+//! both. [`Record::encode`] is the two steps back to back.
 
 use bytes::Bytes;
 use liquid_sim::clock::Ts;
@@ -21,6 +29,56 @@ use crate::error::LogError;
 /// Bytes of a record's encoding before its key: length prefix, CRC,
 /// offset, timestamp and key length.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 4;
+/// Where the CRC, offset, timestamp and key length fields start.
+const CRC_AT: usize = 4;
+const OFFSET_AT: usize = 8;
+const TIMESTAMP_AT: usize = 16;
+const KEY_LEN_AT: usize = 24;
+
+/// Appends the encoding of a record whose offset and CRC are not known
+/// yet — both left zero — to `buf`: what a
+/// [`RecordBatch`](crate::RecordBatch) holds until the log seals it.
+/// The key and value are copied here, once, straight into their final
+/// place in the frame.
+pub(crate) fn encode_unsealed(key: Option<&[u8]>, value: &[u8], timestamp: Ts, buf: &mut Vec<u8>) {
+    let key_len = key.map_or(0, <[u8]>::len);
+    let body_len = HEADER_LEN - 4 + key_len + value.len();
+    let mut header = [0u8; HEADER_LEN];
+    put(&mut header, 0, &(body_len as u32).to_le_bytes());
+    put(&mut header, TIMESTAMP_AT, &timestamp.to_le_bytes());
+    let klen = key.map_or(-1, |k| k.len() as i32);
+    put(&mut header, KEY_LEN_AT, &klen.to_le_bytes());
+    buf.reserve(4 + body_len);
+    buf.extend_from_slice(&header);
+    if let Some(k) = key {
+        // lint:allow(hot-copy, reason=the one payload copy: key bytes go straight into their place in the frame the log will store)
+        buf.extend_from_slice(k);
+    }
+    // lint:allow(hot-copy, reason=the one payload copy: value bytes go straight into their place in the frame the log will store)
+    buf.extend_from_slice(value);
+}
+
+/// Seals one record's unsealed encoding — `encoding` is exactly that
+/// record — in place: writes `offset`, then `timestamp` if the broker
+/// re-stamps it, then the CRC. The CRC goes last because it covers the
+/// offset and timestamp fields.
+pub(crate) fn seal(encoding: &mut [u8], offset: u64, timestamp: Option<Ts>) {
+    put(encoding, OFFSET_AT, &offset.to_le_bytes());
+    if let Some(ts) = timestamp {
+        put(encoding, TIMESTAMP_AT, &ts.to_le_bytes());
+    }
+    let crc = crc32_sliced(encoding.get(OFFSET_AT..).unwrap_or_default());
+    put(encoding, CRC_AT, &crc.to_le_bytes());
+}
+
+/// Overwrites the field at `at` with `word` (a no-op past the end: the
+/// callers write fields of encodings they sized themselves).
+fn put(encoding: &mut [u8], at: usize, word: &[u8]) {
+    if let Some(field) = encoding.get_mut(at..at.saturating_add(word.len())) {
+        // lint:allow(hot-copy, reason=writes one header field of at most 8 bytes, never key or value bytes)
+        field.copy_from_slice(word);
+    }
+}
 
 /// One record as stored in (and read from) the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,45 +115,12 @@ impl Record {
         HEADER_LEN + self.key.as_ref().map_or(0, |k| k.len()) + self.value.len()
     }
 
-    /// This record with its key and value re-pointed at its own
-    /// encoding, which starts at byte `at` of `frame`: what `decode`
-    /// would hand out there, without reading the bytes back. The write
-    /// path uses it so that the records it keeps in memory share the
-    /// frame it stored and release the producer's buffers.
-    pub(crate) fn sliced_from(&self, frame: &Bytes, at: usize) -> Record {
-        let key_at = at.saturating_add(HEADER_LEN);
-        let value_at = key_at.saturating_add(self.key.as_ref().map_or(0, |k| k.len()));
-        Record {
-            offset: self.offset,
-            timestamp: self.timestamp,
-            key: self.key.as_ref().map(|_| frame.slice(key_at..value_at)),
-            value: frame.slice(value_at..value_at.saturating_add(self.value.len())),
-        }
-    }
-
-    /// Appends the wire encoding of this record to `buf`.
+    /// Appends the wire encoding of this record to `buf`: the unsealed
+    /// encoding, sealed with the record's own offset and timestamp.
     pub fn encode(&self, buf: &mut Vec<u8>) {
-        let body_len = self.wire_size() - 4;
-        buf.reserve(self.wire_size());
-        buf.extend_from_slice(&(body_len as u32).to_le_bytes());
-        let crc_pos = buf.len();
-        buf.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-        buf.extend_from_slice(&self.offset.to_le_bytes());
-        buf.extend_from_slice(&self.timestamp.to_le_bytes());
-        match &self.key {
-            Some(k) => {
-                // lint:allow(hot-copy, reason=writes the 4-byte key-length word, not the key bytes)
-                buf.extend_from_slice(&(k.len() as i32).to_le_bytes());
-                // lint:allow(hot-copy, reason=wire serialization: encode exists to copy payload bytes into the on-disk frame; batching pays this once per record by design)
-                buf.extend_from_slice(k);
-            }
-            None => buf.extend_from_slice(&(-1i32).to_le_bytes()),
-        }
-        // lint:allow(hot-copy, reason=wire serialization: encode exists to copy payload bytes into the on-disk frame; batching pays this once per record by design)
-        buf.extend_from_slice(&self.value);
-        let crc = crc32_sliced(&buf[crc_pos + 4..]);
-        // lint:allow(hot-copy, reason=4-byte CRC patch over the just-written frame, not a payload copy)
-        buf[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
+        let at = buf.len();
+        encode_unsealed(self.key.as_deref(), &self.value, self.timestamp, buf);
+        seal(buf.get_mut(at..).unwrap_or_default(), self.offset, None);
     }
 
     /// Decodes one record from the front of `data`. Returns the record
@@ -113,6 +138,18 @@ impl Record {
     /// `at` of `data`: a scan decodes record after record out of one
     /// chunk without re-slicing the chunk for each.
     pub(crate) fn decode_at(data: &Bytes, at: usize) -> crate::Result<(Record, usize)> {
+        Record::parse_at(data, at, true)
+    }
+
+    /// The record a [`seal`] just wrote at byte `at` of the frozen
+    /// `frame`, its key and value slices of `frame`: what
+    /// [`decode`](Self::decode) hands out there, without checking the
+    /// CRC the log computed a moment ago.
+    pub(crate) fn sealed_at(frame: &Bytes, at: usize) -> crate::Result<(Record, usize)> {
+        Record::parse_at(frame, at, false)
+    }
+
+    fn parse_at(data: &Bytes, at: usize, verify: bool) -> crate::Result<(Record, usize)> {
         let bytes = data.get(at..).unwrap_or_default();
         if bytes.len() < 4 {
             return Err(LogError::Corrupt("truncated length prefix".into()));
@@ -128,17 +165,19 @@ impl Record {
                 bytes.len()
             )));
         }
-        let body = field(bytes, 4, 4 + body_len)?;
-        let stored_crc = le_u32(field(body, 0, 4)?)?;
-        let actual_crc = crc32_sliced(field(body, 4, body.len())?);
-        if stored_crc != actual_crc {
-            return Err(LogError::Corrupt(format!(
-                "crc mismatch: stored {stored_crc:#010x} actual {actual_crc:#010x}"
-            )));
+        let record = field(bytes, 0, 4 + body_len)?;
+        if verify {
+            let stored_crc = le_u32(field(record, CRC_AT, OFFSET_AT)?)?;
+            let actual_crc = crc32_sliced(field(record, OFFSET_AT, record.len())?);
+            if stored_crc != actual_crc {
+                return Err(LogError::Corrupt(format!(
+                    "crc mismatch: stored {stored_crc:#010x} actual {actual_crc:#010x}"
+                )));
+            }
         }
-        let offset = le_u64(field(body, 4, 12)?)?;
-        let timestamp = le_u64(field(body, 12, 20)?)?;
-        let klen = le_i32(field(body, 20, 24)?)?;
+        let offset = le_u64(field(record, OFFSET_AT, TIMESTAMP_AT)?)?;
+        let timestamp = le_u64(field(record, TIMESTAMP_AT, KEY_LEN_AT)?)?;
+        let klen = le_i32(field(record, KEY_LEN_AT, HEADER_LEN)?)?;
         // Key and value are zero-copy slices of `data` (refcount bumps
         // on the chunk's backing buffer); the record's whole extent was
         // checked against the chunk above.
@@ -289,7 +328,7 @@ pub fn crc32_sliced(data: &[u8]) -> u32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn rec(key: Option<&[u8]>, value: &[u8]) -> Record {
@@ -378,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn sliced_from_equals_decode_at_that_position() {
+    fn sealed_at_equals_decode_at_that_position() {
         let mut buf = Vec::new();
         let records = [
             rec(Some(b"user-1"), b"payload"),
@@ -392,13 +431,36 @@ mod tests {
         let mut at = 0;
         for r in &records {
             let (decoded, used) = Record::decode(&frame.slice(at..)).unwrap();
-            let sliced = r.sliced_from(&frame, at);
-            assert_eq!(sliced, decoded);
+            let (sealed, len) = Record::sealed_at(&frame, at).unwrap();
+            assert_eq!(&sealed, r);
+            assert_eq!((&sealed, len), (&decoded, used));
             let ptr = |b: &Bytes| b.as_slice().as_ptr();
-            assert_eq!(ptr(&sliced.value), ptr(&decoded.value), "same bytes");
-            assert_eq!(sliced.key.as_ref().map(ptr), decoded.key.as_ref().map(ptr));
+            assert_eq!(ptr(&sealed.value), ptr(&decoded.value), "same bytes");
+            assert_eq!(sealed.key.as_ref().map(ptr), decoded.key.as_ref().map(ptr));
             at += used;
         }
+    }
+
+    /// The record layout written out field by field, with the bytewise
+    /// reference CRC taken over the finished bytes — independent of
+    /// `encode_unsealed` and `seal`, so a seal that took the CRC before
+    /// writing the offset or timestamp differs from it.
+    pub(crate) fn reference_encoding(
+        offset: u64,
+        timestamp: Ts,
+        key: Option<&[u8]>,
+        value: &[u8],
+    ) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend_from_slice(&offset.to_le_bytes());
+        body.extend_from_slice(&timestamp.to_le_bytes());
+        body.extend_from_slice(&key.map_or(-1, |k| k.len() as i32).to_le_bytes());
+        body.extend_from_slice(key.unwrap_or_default());
+        body.extend_from_slice(value);
+        let mut out = ((body.len() + 4) as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out.extend_from_slice(&body);
+        out
     }
 
     #[test]

@@ -165,8 +165,11 @@ impl ChunkCursor {
     }
 }
 
-/// Encodes `records` back to back into one buffer and freezes it: the
-/// frame a leader's append stores and replication ships.
+/// Encodes `records`, which carry their offsets, back to back into one
+/// buffer and freezes it: the frame of a single-record
+/// [`Segment::append`], of compaction's rewrite and of `truncate_to`'s
+/// rebuild. (A producer's batch is a frame already and is sealed in
+/// place instead — DESIGN.md §20.)
 pub(crate) fn encode_frame(records: &[Record]) -> Bytes {
     let wire_bytes = records.iter().map(Record::wire_size).sum();
     let mut buf = Vec::with_capacity(wire_bytes);
@@ -480,6 +483,18 @@ impl Segment {
     pub fn flush(&mut self) -> crate::Result<()> {
         self.storage.flush()?;
         Ok(())
+    }
+
+    /// Every byte the medium holds, as stored (`MemStorage` hands out
+    /// one frame per read).
+    #[cfg(test)]
+    pub(crate) fn stored(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        while (out.len() as u64) < self.storage.len() {
+            let read = self.storage.read_at(out.len() as u64, usize::MAX).unwrap();
+            out.extend_from_slice(&read);
+        }
+        out
     }
 }
 

@@ -29,7 +29,7 @@
 //! produce/fetch sections here are the partition-local ones it flagged
 //! while they still ran under the cluster-wide write lock.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -266,18 +266,35 @@ struct PartitionState {
     /// `topic-partition` rendered once, so per-message trace events
     /// don't re-format it on the hot path.
     tp_label: String,
-    /// Offset → causal span id for recently produced records, so fetch
-    /// and replication can stamp events with the originating span.
-    /// A direct-mapped ring over the last [`SPAN_CACHE_MAX`] offsets
-    /// (offsets are sequential per partition), allocated on the first
-    /// nonzero span — so `obs-off` builds never pay for it. Older
-    /// offsets simply report span 0.
-    spans: Vec<(u64, u64)>,
+    /// The causal spans of recently produced records, so fetch and
+    /// replication can stamp events with the originating span: one
+    /// [`SpanRun`] per produced batch, in offset order, the batches
+    /// that cover the last [`SPAN_CACHE_MAX`] offsets. Empty in
+    /// `obs-off` builds, which mint no spans. Older offsets simply
+    /// report span 0.
+    spans: VecDeque<SpanRun>,
 }
 
-/// Per-partition cap on remembered produce spans. Old entries fall off
-/// first, so a fetch of long-retained data simply reports span 0.
-const SPAN_CACHE_MAX: usize = 1024;
+/// The spans of one produced batch, minted as one run: the record at
+/// `base + i` (for `base + i < end`) carries span `first + i`.
+#[derive(Debug, Clone, Copy)]
+struct SpanRun {
+    base: u64,
+    end: u64,
+    first: u64,
+}
+
+impl SpanRun {
+    /// The span of `offset`, which the run must cover.
+    fn span_of(&self, offset: u64) -> u64 {
+        self.first.saturating_add(offset.saturating_sub(self.base))
+    }
+}
+
+/// How many of the newest offsets remember their produce span, at
+/// least. Older batches fall off first, so a fetch of long-retained
+/// data simply reports span 0.
+const SPAN_CACHE_MAX: u64 = 1024;
 
 impl PartitionState {
     fn log_end(&self, broker: BrokerId) -> u64 {
@@ -295,22 +312,49 @@ impl PartitionState {
         }
     }
 
-    fn remember_span(&mut self, offset: u64, span: u64) {
-        if span == 0 {
-            return;
+    /// Remembers that the batch at `base..end` carries spans
+    /// `first..`: one entry per batch. A re-produced range (after a
+    /// truncation) replaces what was remembered for it. Runs that end
+    /// before the newest [`SPAN_CACHE_MAX`] offsets go first, so a
+    /// stream of batches of one holds at most that many entries.
+    fn remember_spans(&mut self, base: u64, end: u64, first: u64) {
+        while let Some(last) = self.spans.back_mut() {
+            if last.base < base {
+                last.end = last.end.min(base);
+                break;
+            }
+            self.spans.pop_back();
         }
-        if self.spans.is_empty() {
-            // (u64::MAX, 0) slots never match a real offset.
-            self.spans.resize(SPAN_CACHE_MAX, (u64::MAX, 0));
+        let horizon = end.saturating_sub(SPAN_CACHE_MAX);
+        while self.spans.front().is_some_and(|run| run.end <= horizon) {
+            self.spans.pop_front();
         }
-        self.spans[offset as usize % SPAN_CACHE_MAX] = (offset, span);
+        self.spans.push_back(SpanRun { base, end, first });
     }
 
     fn span_at(&self, offset: u64) -> u64 {
-        match self.spans.get(offset as usize % SPAN_CACHE_MAX) {
-            Some(&(o, span)) if o == offset => span,
-            _ => 0,
-        }
+        let i = self.spans.partition_point(|run| run.end <= offset);
+        self.spans
+            .get(i)
+            .filter(|run| run.base <= offset)
+            .map_or(0, |run| run.span_of(offset))
+    }
+
+    /// The span of each of `records` (in offset order), 0 where none is
+    /// remembered: one walk along the runs, no lookup per record.
+    fn spans_of(&self, records: &[Record]) -> Vec<u64> {
+        let first = records.first().map_or(0, |r| r.offset);
+        let skip = self.spans.partition_point(|run| run.end <= first);
+        let mut runs = self.spans.range(skip..).peekable();
+        records
+            .iter()
+            .map(|r| {
+                while runs.next_if(|run| run.end <= r.offset).is_some() {}
+                runs.peek()
+                    .filter(|run| run.base <= r.offset)
+                    .map_or(0, |run| run.span_of(r.offset))
+            })
+            .collect()
     }
 }
 
@@ -522,7 +566,7 @@ impl Cluster {
                         hw_gauge: reg.gauge_with("partition.high_watermark", &[("tp", &tp_label)]),
                         log_end_gauge: reg.gauge_with("partition.log_end", &[("tp", &tp_label)]),
                         tp_label,
-                        spans: Vec::new(),
+                        spans: VecDeque::new(),
                     },
                 ),
             }));
@@ -577,9 +621,7 @@ impl Cluster {
         value: Bytes,
         acks: AckLevel,
     ) -> crate::Result<u64> {
-        // One allocation: `from_pairs` would collect into a second Vec.
-        let one = RecordBatch::from_records(vec![Record::new(key, value, 0)]);
-        self.produce_batch(tp, one, acks, None)
+        self.produce_batch(tp, RecordBatch::from_pairs([(key, value)], 0), acks, None)
     }
 
     /// Registers an idempotent producer session; the returned id is
@@ -658,31 +700,24 @@ impl Cluster {
         if let Some((producer_id, sequence)) = dedup {
             ps.producer_seqs.insert(producer_id, (sequence, base));
         }
-        // Spans stay per-record even though the append was one group
-        // commit — every record gets its own causal identity, so
-        // downstream fetch/deliver events remain attributable.
-        let mut first_span = 0u64;
-        for i in 0..appended {
-            let offset = base.checked_add(i).ok_or(MessagingError::OffsetOverflow {
-                what: "walking the appended batch",
-                value: base,
-            })?;
-            let span = self.inner.obs.tracer().mint();
-            self.inner
-                .obs
-                .tracer()
-                .record(span, "produce", &ps.tp_label, offset);
-            ps.remember_span(offset, span);
-            if i == 0 {
-                first_span = span;
-            }
-        }
         let next_end = base
             .checked_add(appended)
             .ok_or(MessagingError::OffsetOverflow {
                 what: "advancing past the appended batch",
                 value: base,
             })?;
+        // Spans stay per-record even though the append was one group
+        // commit — every record gets its own causal identity, so
+        // downstream fetch/deliver events remain attributable — but
+        // they are minted, traced and remembered as one run.
+        let tracer = self.inner.obs.tracer();
+        let first_span = tracer.mint_run(appended);
+        if first_span != 0 {
+            let produced =
+                (0..appended).map(|i| (first_span.saturating_add(i), base.saturating_add(i)));
+            tracer.record_all("produce", &ps.tp_label, produced);
+            ps.remember_spans(base, next_end, first_span);
+        }
         match acks {
             AckLevel::All => {
                 // Synchronously bring every live ISR follower fully up to
@@ -779,25 +814,19 @@ impl Cluster {
             }
             return Ok(MessageBatch::empty(offset, hw));
         }
-        let out = log.read(offset, max_bytes)?;
-        let mut bytes = 0u64;
-        let mut records = Vec::with_capacity(out.records.len());
-        let mut spans = Vec::with_capacity(out.records.len());
-        for r in out.records {
-            if r.offset >= hw {
-                continue;
-            }
-            bytes = bytes.saturating_add(r.value.len() as u64);
-            let span = ps.span_at(r.offset);
-            if span != 0 {
-                self.inner
-                    .obs
-                    .tracer()
-                    .record(span, "fetch", &ps.tp_label, r.offset);
-            }
-            spans.push(span);
-            records.push(r);
-        }
+        let mut records = log.read(offset, max_bytes)?.records;
+        records.retain(|r| r.offset < hw);
+        let bytes: u64 = records.iter().map(|r| r.value.len() as u64).sum();
+        let spans = ps.spans_of(&records);
+        let traced = records
+            .iter()
+            .zip(&spans)
+            .filter(|&(_, &span)| span != 0)
+            .map(|(r, &span)| (span, r.offset));
+        self.inner
+            .obs
+            .tracer()
+            .record_all("fetch", &ps.tp_label, traced);
         let end_offset = match records.last() {
             Some(last) => last
                 .offset
@@ -2160,7 +2189,7 @@ mod tests {
             .unwrap();
         let tp = TopicPartition::new("t", 0);
         let batch = |values: &[&str]| {
-            RecordBatch::from_pairs(values.iter().map(|v| (Some(b("k")), b(v))).collect(), 0)
+            RecordBatch::from_pairs(values.iter().map(|v| (Some(b("k")), b(v))), 0)
         };
         c.produce_batch(&tp, batch(&["a", "b", "c", "d"]), AckLevel::All, None)
             .unwrap();
@@ -2218,10 +2247,7 @@ mod tests {
         config.log.injector = injector.clone();
         c.create_topic("t", config).unwrap();
         let tp = TopicPartition::new("t", 0);
-        let batch = || {
-            let pairs = ["x", "y", "z"].iter().map(|v| (None, b(v))).collect();
-            RecordBatch::from_pairs(pairs, 0)
-        };
+        let batch = || RecordBatch::from_pairs(["x", "y", "z"].iter().map(|v| (None, b(v))), 0);
         c.produce_to(&tp, None, b("a"), AckLevel::All).unwrap();
         c.produce_to(&tp, None, b("b"), AckLevel::All).unwrap();
         let (leader, follower) = follower_of(&c, &tp);

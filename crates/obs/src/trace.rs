@@ -1,18 +1,19 @@
 //! The causal event tracer: span IDs plus a bounded ring of events.
 //!
-//! A **span** is a `u64` minted once per produced record
-//! ([`Tracer::mint`]; 0 means "no span") and carried with the record
-//! through replication, fetch, task delivery, and checkpoint. Each hop
-//! calls [`Tracer::record`], appending an [`Event`] to a bounded
-//! ring buffer — when a chaos invariant trips, the tail of that ring
-//! is the causal story of the records in flight.
+//! A **span** is a `u64` minted once per produced record — a batch's
+//! records as one contiguous run ([`Tracer::mint_run`]); 0 means "no
+//! span" — and carried with the record through replication, fetch,
+//! task delivery, and checkpoint. Each hop appends an [`Event`] per
+//! record to a bounded ring buffer, a whole batch's events under one
+//! lock ([`Tracer::record_all`]) — when a chaos invariant trips, the
+//! tail of that ring is the causal story of the records in flight.
 //!
 //! Events are ordered by a deterministic sequence counter, not wall
 //! time, so traced runs stay reproducible under the chaos harness's
 //! seed-equality checks.
 //!
-//! Under the `obs-off` feature [`Tracer::mint`] returns 0 and
-//! [`Tracer::record`] is a no-op.
+//! Under the `obs-off` feature the minting functions return 0 and the
+//! recording ones are no-ops.
 
 #[cfg(not(feature = "obs-off"))]
 use std::collections::VecDeque;
@@ -96,39 +97,58 @@ impl Tracer {
         }
     }
 
-    /// Mints a fresh nonzero span ID.
-    pub fn mint(&self) -> u64 {
-        self.next_span.fetch_add(1, Ordering::Relaxed)
+    /// Mints `n` consecutive nonzero span IDs at once and returns the
+    /// first: a produced batch's spans are one contiguous run.
+    pub fn mint_run(&self, n: u64) -> u64 {
+        self.next_span.fetch_add(n, Ordering::Relaxed)
     }
 
-    /// Appends one event to the ring, evicting the oldest at capacity.
-    /// At steady state (ring full) the evicted event's `site` buffer is
-    /// reused, so recording allocates nothing on the hot path.
+    /// Appends one event to the ring: a run of one.
     pub fn record(&self, span: u64, kind: &'static str, site: &str, value: u64) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        self.record_all(kind, site, [(span, value)]);
+    }
+
+    /// Appends one `kind` event per `(span, value)` of `events`, in
+    /// order, under **one** ring lock — a batch's `produce`, `fetch` or
+    /// `task.deliver` hop — evicting the oldest at capacity. Each event
+    /// takes the next sequence number. At steady state (ring full) the
+    /// evicted event's `site` buffer is reused, so recording allocates
+    /// nothing on the hot path.
+    pub fn record_all(
+        &self,
+        kind: &'static str,
+        site: &str,
+        events: impl IntoIterator<Item = (u64, u64)>,
+    ) {
+        let mut events = events.into_iter().peekable();
+        if events.peek().is_none() {
+            return;
+        }
         let mut ring = match self.ring.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let recycled = if ring.len() >= self.capacity {
-            ring.pop_front()
-        } else {
-            None
-        };
-        let mut event = recycled.unwrap_or_else(|| Event {
-            seq: 0,
-            span: 0,
-            kind: "",
-            site: String::new(),
-            value: 0,
-        });
-        event.seq = seq;
-        event.span = span;
-        event.kind = kind;
-        event.site.clear();
-        event.site.push_str(site);
-        event.value = value;
-        ring.push_back(event);
+        for (span, value) in events {
+            let recycled = if ring.len() >= self.capacity {
+                ring.pop_front()
+            } else {
+                None
+            };
+            let mut event = recycled.unwrap_or_else(|| Event {
+                seq: 0,
+                span: 0,
+                kind: "",
+                site: String::new(),
+                value: 0,
+            });
+            event.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+            event.span = span;
+            event.kind = kind;
+            event.site.clear();
+            event.site.push_str(site);
+            event.value = value;
+            ring.push_back(event);
+        }
     }
 
     /// The most recent `n` events, oldest first.
@@ -162,13 +182,22 @@ impl Tracer {
         Tracer {}
     }
 
-    /// Mints a span ID. Always 0: `obs-off`.
-    pub fn mint(&self) -> u64 {
+    /// Mints a run of span IDs. Always 0: `obs-off`.
+    pub fn mint_run(&self, _n: u64) -> u64 {
         0
     }
 
     /// Appends one event. No-op: `obs-off`.
     pub fn record(&self, _span: u64, _kind: &'static str, _site: &str, _value: u64) {}
+
+    /// Appends a batch's events. No-op: `obs-off`.
+    pub fn record_all(
+        &self,
+        _kind: &'static str,
+        _site: &str,
+        _events: impl IntoIterator<Item = (u64, u64)>,
+    ) {
+    }
 
     /// The most recent `n` events. Always empty: `obs-off`.
     pub fn tail(&self, _n: usize) -> Vec<Event> {
@@ -210,8 +239,8 @@ mod tests {
     #[test]
     fn mints_unique_nonzero_spans() {
         let t = Tracer::new();
-        let a = t.mint();
-        let b = t.mint();
+        let a = t.mint_run(1);
+        let b = t.mint_run(1);
         assert_ne!(a, 0);
         assert_ne!(b, 0);
         assert_ne!(a, b);
@@ -229,6 +258,33 @@ mod tests {
         assert_eq!(spans, vec![2, 3, 4]);
         // Sequence numbers survive eviction (they count all events).
         assert_eq!(tail.last().map(|e| e.seq), Some(5));
+    }
+
+    #[test]
+    fn a_batch_of_events_is_a_run_of_records() {
+        let t = Tracer::new();
+        let first = t.mint_run(3);
+        assert_eq!(
+            (first, t.mint_run(1)),
+            (1, 4),
+            "a run takes consecutive spans"
+        );
+        t.record(9, "fetch", "t-0", 0);
+        t.record_all("produce", "t-0", (0..3).map(|i| (first + i, 10 + i)));
+        let events: Vec<(u64, u64, &str, u64)> = t
+            .tail(8)
+            .iter()
+            .map(|e| (e.seq, e.span, e.kind, e.value))
+            .collect();
+        assert_eq!(
+            events,
+            vec![
+                (1, 9, "fetch", 0),
+                (2, 1, "produce", 10),
+                (3, 2, "produce", 11),
+                (4, 3, "produce", 12),
+            ]
+        );
     }
 
     #[test]

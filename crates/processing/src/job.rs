@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use liquid_kv::LsmConfig;
 use liquid_log::RetentionPolicy;
-use liquid_messaging::{AckLevel, Cluster, TopicConfig, TopicPartition};
+use liquid_messaging::{AckLevel, Cluster, MessageBatch, TopicConfig, TopicPartition};
 use liquid_obs::{CounterHandle, GaugeHandle, Obs};
 use liquid_sim::failure::FailureInjector;
 
@@ -509,9 +509,6 @@ fn run_task_once(
         // the log's buffers; messages are materialized lazily one at a
         // time, so a budget cut mid-batch never pays for the tail.
         let batch = cluster.fetch_batch(tp, *pos, config.fetch_bytes)?;
-        // Rendered lazily, once per partition batch, only when a traced
-        // message actually needs it.
-        let mut tp_site: Option<String> = None;
         let mut next = *pos;
         let mut delivered = 0u64;
         let mut outcome = Ok(());
@@ -540,16 +537,9 @@ fn run_task_once(
                     break;
                 }
             }
-            if msg.span != 0 {
-                *last_span = msg.span;
-                let site = tp_site.get_or_insert_with(|| tp.to_string());
-                cluster
-                    .obs()
-                    .tracer()
-                    .record(msg.span, "task.deliver", site, msg.offset);
-            }
             delivered += 1;
         }
+        trace_delivered(cluster, tp, &batch, delivered as usize, last_span);
         store.flush()?;
         outputs.flush()?;
         *pos = next;
@@ -565,6 +555,34 @@ fn run_task_once(
     metrics.messages.add(processed);
     metrics.max_task_batch.set_max(processed);
     Ok(processed)
+}
+
+/// Traces a `task.deliver` event for each of the first `delivered`
+/// messages of `batch` that carries a span — the whole batch under one
+/// ring lock, before the round's flushes trace their produces — and
+/// notes the last such span for the next checkpoint event.
+fn trace_delivered(
+    cluster: &Cluster,
+    tp: &TopicPartition,
+    batch: &MessageBatch,
+    delivered: usize,
+    last_span: &mut u64,
+) {
+    let traced = || {
+        let records = batch.records().iter().take(delivered).enumerate();
+        records
+            .map(|(i, r)| (batch.span_at(i), r.offset))
+            .filter(|&(span, _)| span != 0)
+    };
+    // The site is rendered once per batch, and only when a message of
+    // it was traced.
+    if let Some((span, _)) = traced().next_back() {
+        *last_span = span;
+        cluster
+            .obs()
+            .tracer()
+            .record_all("task.deliver", &tp.to_string(), traced());
+    }
 }
 
 fn checkpoint_task(

@@ -33,9 +33,9 @@ use liquid_messaging::{AckLevel, Cluster, TopicPartition};
 /// replaying a 1 MiB fetch, holds between commit points.
 pub(crate) const FLUSH_AT: usize = 256;
 
-/// Sends `records` to `tp` as one batch and empties the buffer; on an
-/// error they stay buffered for the next attempt (hence the clone: the
-/// cluster consumes the batch it is given).
+/// Sends `records` to `tp` as one batch, encoded from the borrowed
+/// records, and empties the buffer once the send succeeded; on an error
+/// they stay buffered for the next attempt.
 pub(crate) fn send_buffered(
     cluster: &Cluster,
     tp: &TopicPartition,
@@ -43,7 +43,7 @@ pub(crate) fn send_buffered(
     acks: AckLevel,
 ) -> crate::Result<()> {
     if !records.is_empty() {
-        cluster.produce_batch(tp, RecordBatch::from_records(records.clone()), acks, None)?;
+        cluster.produce_batch(tp, RecordBatch::from_records(records.iter()), acks, None)?;
         records.clear();
     }
     Ok(())

@@ -5,7 +5,7 @@
 //! a deterministic schedule (fail exactly at operation N) and a seeded
 //! probabilistic injector, both usable from tests and experiments.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,14 +53,22 @@ pub struct FailureInjector {
     inner: Arc<Inner>,
 }
 
+/// A tick that fires nothing touches atomics only: the op counter, the
+/// next scheduled op, the probability and its site's operation count.
+/// The schedule's lock is taken only when the op it names arrives, the
+/// RNG's only when a probability is set.
 #[derive(Debug)]
 struct Inner {
     ops: AtomicU64,
     schedule: Mutex<BTreeSet<u64>>,
+    /// The smallest op in `schedule` (`u64::MAX` when it is empty),
+    /// written under its lock.
+    next_scheduled: AtomicU64,
     probability_millionths: AtomicU64,
     rng: Mutex<rand::rngs::StdRng>,
     fired: AtomicU64,
-    per_site: Mutex<BTreeMap<&'static str, (u64, u64)>>,
+    /// `(operations, failures)` per entry of [`SITES`], by position.
+    per_site: [(AtomicU64, AtomicU64); SITES.len()],
 }
 
 impl FailureInjector {
@@ -76,10 +84,11 @@ impl FailureInjector {
             inner: Arc::new(Inner {
                 ops: AtomicU64::new(0),
                 schedule: Mutex::new(BTreeSet::new()),
+                next_scheduled: AtomicU64::new(u64::MAX),
                 probability_millionths: AtomicU64::new(0),
                 rng: Mutex::new(seeded(seed)),
                 fired: AtomicU64::new(0),
-                per_site: Mutex::new(BTreeMap::new()),
+                per_site: std::array::from_fn(|_| (AtomicU64::new(0), AtomicU64::new(0))),
             }),
         }
     }
@@ -88,7 +97,11 @@ impl FailureInjector {
     /// (1-based relative to the operations seen so far).
     pub fn fail_at(&self, n: u64) {
         let base = self.inner.ops.load(Ordering::SeqCst);
-        self.inner.schedule.lock().insert(base + n);
+        let mut schedule = self.inner.schedule.lock();
+        schedule.insert(base + n);
+        self.inner
+            .next_scheduled
+            .fetch_min(base + n, Ordering::SeqCst);
     }
 
     /// Sets the per-operation failure probability (0.0..=1.0).
@@ -114,7 +127,8 @@ impl FailureInjector {
         // outside a model run.
         crate::sched::tick_point(Arc::as_ptr(&self.inner) as usize, site);
         let op = self.inner.ops.fetch_add(1, Ordering::SeqCst) + 1;
-        let scheduled = self.inner.schedule.lock().remove(&op);
+        let scheduled =
+            op >= self.inner.next_scheduled.load(Ordering::SeqCst) && self.take_scheduled(op);
         let fired = scheduled || {
             let p = self.inner.probability_millionths.load(Ordering::SeqCst);
             p > 0 && self.inner.rng.lock().gen_range(0..1_000_000u64) < p
@@ -122,11 +136,30 @@ impl FailureInjector {
         if fired {
             self.inner.fired.fetch_add(1, Ordering::SeqCst);
         }
-        let mut per_site = self.inner.per_site.lock();
-        let counts = per_site.entry(site).or_insert((0, 0));
-        counts.0 += 1;
-        counts.1 += u64::from(fired);
+        // An unregistered name (release builds only) is not counted.
+        if let Some((ops, failures)) = SITES
+            .iter()
+            .position(|&s| s == site)
+            .and_then(|i| self.inner.per_site.get(i))
+        {
+            ops.fetch_add(1, Ordering::Relaxed);
+            if fired {
+                failures.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         fired
+    }
+
+    /// Whether `op` was scheduled to fail; takes it — and any op before
+    /// it, which can no longer arrive — off the schedule.
+    fn take_scheduled(&self, op: u64) -> bool {
+        let mut schedule = self.inner.schedule.lock();
+        let later = schedule.split_off(&op.saturating_add(1));
+        let scheduled = schedule.contains(&op);
+        *schedule = later;
+        let next = schedule.first().copied().unwrap_or(u64::MAX);
+        self.inner.next_scheduled.store(next, Ordering::SeqCst);
+        scheduled
     }
 
     /// Operations observed so far.
@@ -141,13 +174,23 @@ impl FailureInjector {
 
     /// Per-site `(operations, failures)` so far — chaos-run reports use
     /// this to say which operation an injected fault actually hit.
+    /// Sites that were never reached are left out; the rest come in
+    /// name order.
     pub fn site_counts(&self) -> Vec<(&'static str, u64, u64)> {
-        self.inner
-            .per_site
-            .lock()
+        let mut counts: Vec<(&'static str, u64, u64)> = SITES
             .iter()
-            .map(|(site, &(ops, fails))| (*site, ops, fails))
-            .collect()
+            .zip(&self.inner.per_site)
+            .map(|(&site, (ops, failures))| {
+                (
+                    site,
+                    ops.load(Ordering::Relaxed),
+                    failures.load(Ordering::Relaxed),
+                )
+            })
+            .filter(|&(_, ops, _)| ops > 0)
+            .collect();
+        counts.sort_unstable_by_key(|&(site, _, _)| site);
+        counts
     }
 }
 

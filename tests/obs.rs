@@ -191,6 +191,47 @@ fn batch_produce_mints_distinct_spans_visible_at_batch_fetch() {
     );
 }
 
+/// A batch is traced as one run: producing n records appends exactly n
+/// `produce` events with consecutive sequence numbers, spans `s..s+n`
+/// and values (offsets) `base..base+n`; fetching them back appends n
+/// `fetch` events, again consecutive, with the same spans and offsets.
+#[test]
+fn a_batch_traces_as_one_run_of_events() {
+    let obs = Obs::default();
+    let cluster = stack(&obs);
+    let tp = TopicPartition::new("out", 1);
+    cluster
+        .produce_to(&tp, None, b("before"), AckLevel::Leader)
+        .unwrap();
+    let n = 7;
+    let batch = RecordBatch::from_pairs((0..n).map(|i| (None, b(&format!("v{i}")))), 0);
+    let base = cluster
+        .produce_batch(&tp, batch, AckLevel::Leader, None)
+        .unwrap();
+    assert_eq!(base, 1);
+    cluster.fetch_batch(&tp, base, u64::MAX).unwrap();
+    let events = obs.tracer().tail(1024);
+    let run = |kind: &str| -> Vec<(u64, u64, u64)> {
+        events
+            .iter()
+            .filter(|e| e.kind == kind && e.site == "out-1" && e.value >= base)
+            .map(|e| (e.seq, e.span, e.value))
+            .collect()
+    };
+    let produced = run("produce");
+    let (seq, span) = (produced[0].0, produced[0].1);
+    assert_ne!(span, 0, "spans are minted");
+    let expected: Vec<(u64, u64, u64)> = (0..n).map(|i| (seq + i, span + i, base + i)).collect();
+    assert_eq!(produced, expected, "one run of n produce events");
+    let fetched = run("fetch");
+    let fetch_seq = fetched[0].0;
+    assert!(fetch_seq >= seq + n, "fetch events follow the produce run");
+    let expected: Vec<(u64, u64, u64)> = (0..n)
+        .map(|i| (fetch_seq + i, span + i, base + i))
+        .collect();
+    assert_eq!(fetched, expected, "one run of n fetch events, same spans");
+}
+
 /// Regression: consumer position advances by *offset*, not by record
 /// count. After compaction leaves holes in the offset space, a batch
 /// poll must still drive both `Consumer::lag` and the batch-aware
