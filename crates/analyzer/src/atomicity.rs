@@ -1,6 +1,6 @@
 //! Lint **atomicity**: interprocedural lock-gap atomicity analysis of
-//! every ranked lockdep guard, plus the machine-readable report behind
-//! `target/analysis/atomicity.json`.
+//! every ranked lockdep guard — the gap columns of the
+//! `target/analysis/analysis.json` report.
 //!
 //! PR 8's per-partition lock split made *drop-and-reacquire* the
 //! canonical hot-path shape: snapshot state under a brief
@@ -43,18 +43,18 @@
 //! carries the full witness chain — read-site → drop-site → use —
 //! with `file:line` per hop, and is suppressed by a reasoned
 //! `// lint:allow(atomicity, reason=…)` above the use. The report
-//! keeps *all* verdicts (including allowed stale uses), so the CI
-//! census diff against `ci/atomicity-baseline.json` catches new gaps
-//! even when individually allowed.
+//! keeps *all* verdicts (including allowed stale uses), so the census
+//! check against `ci/analysis-baseline.json` catches new gaps even
+//! when individually allowed.
+//!
+//! [`CHAIN_CAP`]: crate::guards::CHAIN_CAP
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::callgraph::{CallGraph, CallSite};
-use crate::cfg::{self, AcquireSite, Cfg, Op};
-use crate::dataflow::{self, Analysis};
-use crate::hotpath::HOT_ROOTS;
-use crate::rules;
-use crate::{Context, Finding, SourceData};
+use crate::cfg::{AcquireSite, Op};
+use crate::dataflow::Analysis;
+use crate::guards::{closure, Body, Core, Evidence, WitnessAccess, WITNESS_CAP};
+use crate::{rules, Finding};
 
 /// Atomicity verdict for one guard site. Ordered worst-first so the
 /// report sorts stale uses to the top.
@@ -81,214 +81,99 @@ impl Verdict {
     }
 }
 
-/// One witness: a gap-crossing use of state derived from this guard.
-#[derive(Debug, Clone)]
-pub struct WitnessAccess {
-    /// `reacquire`, `carried`, `stale-read` or `opaque`.
-    pub kind: &'static str,
-    /// The tainted binding that crossed the gap (`` `brokers_online` ``).
-    pub access: String,
-    /// `read file:line → drop file:line → use hop [→ callee hops]`.
-    pub chain: String,
-}
-
-/// One ranked-guard acquire site with its gap census.
-#[derive(Debug, Clone)]
-pub struct GuardGap {
-    /// Rank name (`cluster.state`, …).
-    pub rank: &'static str,
-    /// Rank order from `sim::lockdep::RANKS`.
-    pub order: u32,
-    /// Workspace-relative file of the acquire site.
-    pub file: String,
-    /// 1-based line of the acquire site.
-    pub line: u32,
-    /// Qualified name of the function holding the guard.
-    pub function: String,
-    /// Acquisition method (`lock`, `read`, `write`).
-    pub method: String,
-    /// Whether the holding function is in the hot-path closure.
-    pub hot: bool,
-    /// Whether any value derived from this guard crosses its drop into
-    /// a later ranked critical section.
-    pub gap: bool,
-    /// Worst classification over the gap-crossing uses.
-    pub verdict: Verdict,
-    /// The uses the verdict rests on (capped, deterministic).
-    pub witness: Vec<WitnessAccess>,
-}
-
-/// The atomicity report: every ranked-guard acquire site in the
-/// workspace with its gap verdict and witnesses.
-#[derive(Debug, Default)]
-pub struct AtomicityReport {
-    /// Per-site verdicts, sorted stale-use first, then by rank order
-    /// (descending), file, line — fully deterministic.
-    pub guards: Vec<GuardGap>,
-}
-
-impl AtomicityReport {
-    /// The set of rank names with at least one analyzed acquire site.
-    /// The drift test holds this against `sim::lockdep::RANKS`,
-    /// [`rules::LOCK_FIELDS`] and the lock-cost/shardability
-    /// inventories.
-    pub fn inventory(&self) -> BTreeSet<&'static str> {
-        self.guards.iter().map(|g| g.rank).collect()
-    }
-
-    /// `(rank, file, line)` of every analyzed site — compared 1:1 with
-    /// the lock-cost guard table by the drift test.
-    pub fn sites(&self) -> BTreeSet<(&'static str, &str, u32)> {
-        self.guards
-            .iter()
-            .map(|g| (g.rank, g.file.as_str(), g.line))
-            .collect()
-    }
-
-    /// Renders the `atomicity/v1` JSON document (hand-rolled — the
-    /// build environment has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"atomicity/v1\",\"guards\":[");
-        for (i, g) in self.guards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let witness = g
-                .witness
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{\"kind\":\"{}\",\"access\":\"{}\",\"chain\":\"{}\"}}",
-                        esc(w.kind),
-                        esc(&w.access),
-                        esc(&w.chain)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"rank\":\"{}\",\"order\":{},\"file\":\"{}\",\"line\":{},\
-                 \"function\":\"{}\",\"method\":\"{}\",\"hot\":{},\"gap\":{},\
-                 \"verdict\":\"{}\",\"witness\":[{witness}]}}",
-                esc(g.rank),
-                g.order,
-                esc(&g.file),
-                g.line,
-                esc(&g.function),
-                esc(&g.method),
-                g.hot,
-                g.gap,
-                g.verdict.as_str()
-            ));
+/// Per-function parameter-consult evidence: if a caller passes a stale
+/// value as an argument, does this function read it as state (receiver
+/// of a lookup/method call), not just as a key? Direct evidence first,
+/// then lifted up through argument-passing call sites.
+pub(crate) fn prepare(core: &Core) -> Vec<Option<Evidence>> {
+    let derived: Vec<Option<BTreeSet<String>>> = core.bodies.iter().map(derived_names).collect();
+    let mut consults = vec![None; core.graph.fns.len()];
+    for (body, derived) in core.bodies.iter().zip(&derived) {
+        let Some(derived) = derived else { continue };
+        if consults[body.id].is_some() {
+            continue;
         }
-        out.push_str("],\"ranks\":[");
-        // Per-rank gap census: the audit work-list at a glance.
-        let mut totals: BTreeMap<&'static str, (u32, u32, u32, u32, u32, u32)> = BTreeMap::new();
-        for g in &self.guards {
-            let entry = totals.entry(g.rank).or_insert((g.order, 0, 0, 0, 0, 0));
-            entry.1 += 1;
-            if g.gap {
-                entry.2 += 1;
-                match g.verdict {
-                    Verdict::Validated => entry.3 += 1,
-                    Verdict::StaleUse => entry.4 += 1,
-                    Verdict::Unknown => entry.5 += 1,
+        let guards = guard_vars(body);
+        let hit = body.ops().find_map(|op| match op {
+            Op::Call {
+                recv_names, line, ..
+            } => {
+                // A receiver chain rooted at one of this body's own
+                // guards is a fresh re-read, not a parameter consult.
+                if recv_names.iter().any(|n| guards.contains(n.as_str())) {
+                    return None;
                 }
+                let hit = recv_names.iter().find(|n| derived.contains(*n))?;
+                Some((hit.clone(), *line))
             }
-        }
-        let mut ranks: Vec<_> = totals.into_iter().collect();
-        ranks.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(b.0)));
-        for (i, (rank, (order, sites, gaps, validated, stale, unknown))) in ranks.iter().enumerate()
-        {
-            if i > 0 {
-                out.push(',');
+            Op::Index { recv, line, .. } => {
+                let root = root(recv);
+                derived.contains(root).then(|| (root.to_string(), *line))
             }
-            let verdict = if *stale > 0 {
-                "stale-use"
-            } else if *unknown > 0 {
-                "unknown"
-            } else {
-                "validated"
-            };
-            out.push_str(&format!(
-                "{{\"rank\":\"{}\",\"order\":{order},\"sites\":{sites},\"gaps\":{gaps},\
-                 \"validated\":{validated},\"stale\":{stale},\"unknown\":{unknown},\
-                 \"verdict\":\"{verdict}\"}}",
-                esc(rank)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// RFC 8259 string escape (subset: the characters our identifiers and
-/// paths can contain).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            Op::LenObserve { recv } => {
+                let root = root(recv);
+                let line = core.graph.fns[body.id].line;
+                derived.contains(root).then(|| (root.to_string(), line))
+            }
+            _ => None,
+        });
+        if let Some((access, line)) = hit {
+            consults[body.id] = Some(Evidence {
+                access,
+                chain: vec![core.hop(body, line)],
+                truncated: false,
+            });
         }
     }
-    out
+    core.lift(
+        &mut consults,
+        true,
+        &|bi| derived[bi].is_some(),
+        |bi, _, args| {
+            derived[bi]
+                .as_ref()
+                .is_some_and(|d| args.iter().any(|n| d.contains(n)))
+        },
+    );
+    consults
 }
 
-/// Cap on witness entries per guard.
-const WITNESS_CAP: usize = 4;
-
-/// Cap on the hops of a callee-carried witness chain. A consult deeper
-/// than this classifies the gap `unknown` rather than silently passing.
-const CHAIN_CAP: usize = 6;
-
-/// One function body prepared for analysis.
-struct FnBody {
-    /// Index into `graph.fns`.
-    id: usize,
-    /// Workspace-relative file.
-    rel: String,
-    cfg: Cfg,
-    /// `(rank, order)` per acquire site, `None` for unranked.
-    site_rank: Vec<Option<(&'static str, u32)>>,
-    /// Parameter binding names (`self` excluded).
-    params: Vec<String>,
-}
-
-/// A function's parameter-consult evidence: if a caller passes a stale
-/// value as an argument, this function reads it as state (receiver of
-/// a lookup/method call), not just as a key.
-#[derive(Debug, Clone)]
-struct Consult {
-    /// The consulted parameter-derived name, for messages.
-    access: String,
-    /// `qualified (file:line)` hops from this function to the consult.
-    chain: Vec<String>,
-    /// Whether the chain hit [`CHAIN_CAP`] and was cut.
-    truncated: bool,
-}
-
-/// The combined held-locks + guard-taint forward may-analysis.
+/// The combined held-locks + guard-taint forward may-analysis: the one
+/// dataflow the guard walk solves per function.
 ///
-/// `held` mirrors [`rules::HeldLocks`]; `taint` maps each binding to
-/// the ranked acquire sites its value was derived from. The binding of
-/// a *new* guard is never tainted by its own initializer (`let ps =
-/// shard.part.lock()` — `ps` is the fresh guard, not a stale value),
-/// which is exactly the reacquire-validation shape.
+/// `held` is [`rules::HeldLocks`] itself (its transfer never reads
+/// `taint`), so the lock-cost and shard evidence read it as the
+/// live-guard set; `taint` maps each binding to the ranked acquire
+/// sites its value was derived from. The binding of a *new* guard is
+/// never tainted by its own initializer (`let ps = shard.part.lock()`
+/// — `ps` is the fresh guard, not a stale value), which is exactly the
+/// reacquire-validation shape.
 #[derive(Clone, PartialEq)]
-struct GapFact {
-    held: BTreeSet<usize>,
+pub(crate) struct GapFact {
+    pub(crate) held: BTreeSet<usize>,
     taint: BTreeMap<String, BTreeSet<usize>>,
 }
 
-struct GapState<'a> {
+pub(crate) struct GapState<'a> {
     acquires: &'a [AcquireSite],
     site_rank: &'a [Option<(&'static str, u32)>],
 }
 
-impl GapState<'_> {
+impl<'a> GapState<'a> {
+    pub(crate) fn new(body: &'a Body) -> Self {
+        GapState {
+            acquires: &body.cfg.acquires,
+            site_rank: &body.site_rank,
+        }
+    }
+
+    /// The held-lock half of the analysis.
+    fn held(&self) -> rules::HeldLocks<'_> {
+        rules::HeldLocks {
+            acquires: self.acquires,
+        }
+    }
+
     /// The ranked sites `name`'s value derives from, per `fact`:
     /// transitive taint plus direct guard-variable mentions.
     fn sources(&self, fact: &GapFact, name: &str) -> BTreeSet<usize> {
@@ -334,10 +219,7 @@ impl Analysis for GapState<'_> {
     }
 
     fn join(&self, fact: &mut GapFact, other: &GapFact) -> bool {
-        let mut changed = false;
-        for &i in &other.held {
-            changed |= fact.held.insert(i);
-        }
+        let mut changed = self.held().join(&mut fact.held, &other.held);
         for (k, v) in &other.taint {
             let entry = fact.taint.entry(k.clone()).or_default();
             for &i in v {
@@ -348,17 +230,10 @@ impl Analysis for GapState<'_> {
     }
 
     fn transfer(&self, op: &Op, fact: &mut GapFact) {
+        self.held().transfer(op, &mut fact.held);
         match op {
-            Op::Acquire(i) => {
-                fact.held.insert(*i);
-            }
             Op::Kill { var, .. } => {
-                fact.held
-                    .retain(|&i| self.acquires[i].var.as_deref() != Some(var.as_str()));
                 fact.taint.remove(var);
-            }
-            Op::KillTemps => {
-                fact.held.retain(|&i| self.acquires[i].var.is_some());
             }
             Op::Assign { to, froms, .. } => {
                 // A binding that *is* a just-acquired guard is the
@@ -408,582 +283,314 @@ struct UseRec {
     synthetic: bool,
 }
 
-/// Runs the pass: appends lint findings to `out` and returns the full
-/// atomicity report (empty when the tree has no rank table).
-pub fn atomicity(
-    ctx: &Context,
-    graph: &CallGraph,
-    files: &[SourceData],
-    out: &mut Vec<Finding>,
-) -> AtomicityReport {
-    let Some(ranks) = &ctx.ranks else {
-        return AtomicityReport::default();
-    };
-    let order_of = |rank: &str| {
-        ranks
-            .entries
-            .iter()
-            .find(|(n, _)| n == rank)
-            .map(|(_, o)| *o)
-    };
-
-    let mut by_site: HashMap<(&str, u32, &str), usize> = HashMap::new();
-    for (i, f) in graph.fns.iter().enumerate() {
-        by_site.insert((f.file.as_str(), f.line, f.name.as_str()), i);
+fn rec(
+    kind: &'static str,
+    access: &str,
+    line: u32,
+    verdict: Verdict,
+    section: &'static str,
+) -> UseRec {
+    UseRec {
+        kind,
+        access: access.to_string(),
+        line,
+        callee_chain: Vec::new(),
+        verdict,
+        section,
+        synthetic: false,
     }
-
-    // Lower every non-test function once.
-    let mut bodies: Vec<FnBody> = Vec::new();
-    for file in files {
-        let Some(ast) = &file.ast else { continue };
-        let fields = rules::ranked_fields(&file.rel);
-        rules::for_each_fn(&ast.items, &mut |f| {
-            let Some(&id) = by_site.get(&(file.rel.as_str(), f.line, f.name.as_str())) else {
-                return;
-            };
-            if graph.fns[id].in_test || f.body.is_none() {
-                return;
-            }
-            let mut params = Vec::new();
-            for p in &f.params {
-                p.pat.bound_names(&mut params);
-            }
-            params.retain(|p| p != "self");
-            let g = cfg::lower_fn(f);
-            let site_rank = rules::site_ranks(&g, &fields, &order_of);
-            bodies.push(FnBody {
-                id,
-                rel: file.rel.clone(),
-                cfg: g,
-                site_rank,
-                params,
-            });
-        });
-    }
-
-    // Phase 1: per-function parameter-consult summaries — does this
-    // function read a parameter-derived value as *state* (receiver
-    // position)? Direct evidence first, then a fixpoint propagating a
-    // callee's consult up through argument-passing call sites.
-    let mut consults: Vec<Option<Consult>> = vec![None; graph.fns.len()];
-    for body in &bodies {
-        if consults[body.id].is_some() || body.params.is_empty() {
-            continue;
-        }
-        let derived = derived_names(body);
-        let guards = guard_vars(body);
-        'body: for blk in &body.cfg.blocks {
-            for op in &blk.ops {
-                let (recv_root, line) = match op {
-                    Op::Call {
-                        recv_names, line, ..
-                    } => {
-                        // A receiver chain rooted at one of this body's
-                        // own guards is a fresh re-read, not a
-                        // parameter consult.
-                        if recv_names.iter().any(|n| guards.contains(n.as_str())) {
-                            continue;
-                        }
-                        let Some(hit) = recv_names.iter().find(|n| derived.contains(*n)) else {
-                            continue;
-                        };
-                        (hit.clone(), *line)
-                    }
-                    Op::Index { recv, line, .. } => {
-                        let root = recv.split(['.', '[']).next().unwrap_or(recv);
-                        if !derived.contains(root) {
-                            continue;
-                        }
-                        (root.to_string(), *line)
-                    }
-                    Op::LenObserve { recv } => {
-                        let root = recv.split(['.', '[']).next().unwrap_or(recv);
-                        if !derived.contains(root) {
-                            continue;
-                        }
-                        (root.to_string(), graph.fns[body.id].line)
-                    }
-                    _ => continue,
-                };
-                consults[body.id] = Some(Consult {
-                    access: recv_root,
-                    chain: vec![hop(graph, body, line)],
-                    truncated: false,
-                });
-                break 'body;
-            }
-        }
-    }
-    loop {
-        let mut changed = false;
-        for body in &bodies {
-            if consults[body.id].is_some() || body.params.is_empty() {
-                continue;
-            }
-            let derived = derived_names(body);
-            'calls: for blk in &body.cfg.blocks {
-                for op in &blk.ops {
-                    let Op::Call {
-                        name,
-                        arity,
-                        is_method,
-                        qual,
-                        arg_names,
-                        line,
-                        ..
-                    } = op
-                    else {
-                        continue;
-                    };
-                    if !arg_names.iter().any(|n| derived.contains(n)) {
-                        continue;
-                    }
-                    let site = CallSite {
-                        name: name.clone(),
-                        arity: *arity,
-                        is_method: *is_method,
-                        qual: qual.clone(),
-                        line: *line,
-                    };
-                    for t in graph.resolve(body.id, &site) {
-                        let Some(w) = &consults[t] else { continue };
-                        let mut chain = vec![hop(graph, body, *line)];
-                        let truncated = w.truncated || w.chain.len() + 1 > CHAIN_CAP;
-                        chain.extend(w.chain.iter().take(CHAIN_CAP - 1).cloned());
-                        consults[body.id] = Some(Consult {
-                            access: w.access.clone(),
-                            chain,
-                            truncated,
-                        });
-                        changed = true;
-                        break 'calls;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Phase 2: per-body gap analysis via the combined held+taint
-    // dataflow.
-    let reach = graph.reach_from_named(HOT_ROOTS);
-    let mut report = AtomicityReport::default();
-    for body in &bodies {
-        if !body.site_rank.iter().any(Option::is_some) {
-            continue;
-        }
-        let analysis = GapState {
-            acquires: &body.cfg.acquires,
-            site_rank: &body.site_rank,
-        };
-        let solved = dataflow::solve(&body.cfg, &analysis);
-        let nsites = body.cfg.acquires.len();
-        // Where each site's taint was first created, per binding.
-        let mut reads: HashMap<(usize, String), u32> = HashMap::new();
-        // Where each site's guard died.
-        let mut drops: HashMap<usize, u32> = HashMap::new();
-        let mut uses: Vec<Vec<UseRec>> = vec![Vec::new(); nsites];
-        for blk in 0..body.cfg.blocks.len() {
-            dataflow::walk_ops(&body.cfg, &analysis, &solved, blk, |_, op, fact| {
-                record_op(
-                    body, graph, &analysis, &consults, op, fact, &mut reads, &mut drops, &mut uses,
-                );
-            });
-        }
-        for (i, site) in body.cfg.acquires.iter().enumerate() {
-            let Some((rank, order)) = body.site_rank[i] else {
-                continue;
-            };
-            let mut recs = std::mem::take(&mut uses[i]);
-            recs.sort_by(|a, b| {
-                a.verdict
-                    .cmp(&b.verdict)
-                    .then(a.line.cmp(&b.line))
-                    .then(a.access.cmp(&b.access))
-            });
-            recs.dedup_by(|a, b| a.access == b.access && a.line == b.line && a.kind == b.kind);
-            // A line-less observation (`.get()`) anchored at the
-            // acquire duplicates the chained call on the same
-            // expression; keep the real-line record.
-            let real: Vec<(String, Verdict)> = recs
-                .iter()
-                .filter(|r| !r.synthetic)
-                .map(|r| (r.access.clone(), r.verdict))
-                .collect();
-            recs.retain(|r| !r.synthetic || !real.contains(&(r.access.clone(), r.verdict)));
-            let verdict = recs
-                .iter()
-                .map(|r| r.verdict)
-                .min()
-                .unwrap_or(Verdict::Validated);
-            let gap = !recs.is_empty();
-            let drop_hop = match drops.get(&i) {
-                Some(0) | None => "scope end".to_string(),
-                Some(l) => format!("drop {}:{l}", body.rel),
-            };
-            let mut witness = Vec::new();
-            for r in recs.iter().take(WITNESS_CAP) {
-                let read_hop = match reads.get(&(i, r.access.clone())) {
-                    Some(l) if *l > 0 => format!("read {}:{l}", body.rel),
-                    _ => format!("read {}:{}", body.rel, site.line),
-                };
-                let mut chain = format!(
-                    "{read_hop} → {drop_hop} → {} ({}:{})",
-                    graph.fns[body.id].qualified(),
-                    body.rel,
-                    r.line
-                );
-                for h in &r.callee_chain {
-                    chain.push_str(" → ");
-                    chain.push_str(h);
-                }
-                witness.push(WitnessAccess {
-                    kind: r.kind,
-                    access: r.access.clone(),
-                    chain,
-                });
-            }
-            // Findings: stale/unknown uses, anchored at the use line so
-            // a lint:allow sits directly above the consult.
-            for (w, r) in witness.iter().zip(recs.iter()) {
-                if r.verdict == Verdict::Validated {
-                    continue;
-                }
-                let what = if r.verdict == Verdict::Unknown {
-                    "reaches an opaque consult (witness chain truncated)"
-                } else {
-                    "is consulted as state"
-                };
-                out.push(Finding {
-                    file: body.rel.clone(),
-                    line: r.line,
-                    lint: "atomicity",
-                    message: format!(
-                        "lock-gap atomicity: `{}` was derived under \"{rank}\" ({}:{}) and {what} \
-                         inside the \"{}\" section after that guard dropped — re-validate it \
-                         under the live guard or carry lint:allow(atomicity, reason=…) \
-                         (witness: {}; full census: target/analysis/atomicity.json)",
-                        r.access, body.rel, site.line, r.section, w.chain,
-                    ),
-                });
-            }
-            report.guards.push(GuardGap {
-                rank,
-                order,
-                file: body.rel.clone(),
-                line: site.line,
-                function: graph.fns[body.id].qualified(),
-                method: site.method.clone(),
-                hot: reach.reachable[body.id],
-                gap,
-                verdict,
-                witness,
-            });
-        }
-    }
-    report.guards.sort_by(|a, b| {
-        a.verdict
-            .cmp(&b.verdict)
-            .then(b.order.cmp(&a.order))
-            .then(a.file.cmp(&b.file))
-            .then(a.line.cmp(&b.line))
-    });
-    report
 }
 
-/// Records the gap-relevant effect of one op: taint read-sites, guard
-/// drop-sites, and classified gap-crossing uses.
-#[allow(clippy::too_many_arguments)]
-fn record_op(
-    body: &FnBody,
-    graph: &CallGraph,
-    gs: &GapState<'_>,
-    consults: &[Option<Consult>],
-    op: &Op,
-    fact: &GapFact,
-    reads: &mut HashMap<(usize, String), u32>,
-    drops: &mut HashMap<usize, u32>,
-    uses: &mut Vec<Vec<UseRec>>,
-) {
-    // The innermost live ranked section, if any: the anchor for uses
-    // that carry no line of their own.
-    let section = fact
-        .held
-        .iter()
-        .rev()
-        .find(|&&j| body.site_rank[j].is_some());
-    let push_use = |uses: &mut Vec<Vec<UseRec>>,
-                    srcs: &BTreeSet<usize>,
-                    kind: &'static str,
-                    access: &str,
-                    line: u32,
-                    callee_chain: Vec<String>,
-                    verdict: Verdict,
-                    section: &'static str,
-                    synthetic: bool| {
+/// The gap evidence of one function's acquire sites, gathered during
+/// the guard walk.
+pub(crate) struct Walk {
+    /// Where each site's taint was first created, per binding.
+    reads: HashMap<(usize, String), u32>,
+    /// Where each site's guard died.
+    drops: HashMap<usize, u32>,
+    uses: Vec<Vec<UseRec>>,
+}
+
+impl Walk {
+    pub(crate) fn new(nsites: usize) -> Self {
+        Walk {
+            reads: HashMap::new(),
+            drops: HashMap::new(),
+            uses: vec![Vec::new(); nsites],
+        }
+    }
+
+    fn push(&mut self, srcs: &BTreeSet<usize>, rec: UseRec) {
         for &i in srcs {
-            if uses[i].len() < WITNESS_CAP * 4 {
-                uses[i].push(UseRec {
-                    kind,
-                    access: access.to_string(),
-                    line,
-                    callee_chain: callee_chain.clone(),
-                    verdict,
-                    section,
-                    synthetic,
-                });
+            if self.uses[i].len() < WITNESS_CAP * 4 {
+                self.uses[i].push(rec.clone());
             }
         }
-    };
-    match op {
-        Op::Kill { var, line } => {
-            for &j in &fact.held {
-                if body.cfg.acquires[j].var.as_deref() == Some(var.as_str()) {
-                    let entry = drops.entry(j).or_insert(*line);
-                    if *entry == 0 {
-                        *entry = *line;
+    }
+
+    /// Evidence function: records the gap-relevant effect of one op —
+    /// taint read-sites, guard drop-sites, and classified gap-crossing
+    /// uses.
+    pub(crate) fn visit(
+        &mut self,
+        core: &Core,
+        consults: &[Option<Evidence>],
+        body: &Body,
+        gs: &GapState<'_>,
+        op: &Op,
+        fact: &GapFact,
+    ) {
+        // The innermost live ranked section, if any: the anchor for uses
+        // that carry no line of their own.
+        let section = fact
+            .held
+            .iter()
+            .rev()
+            .find(|&&j| body.site_rank[j].is_some())
+            .copied();
+        let rank_of = |sec: usize| body.site_rank[sec].map_or("?", |(n, _)| n);
+        match op {
+            Op::Kill { var, line } => {
+                for &j in &fact.held {
+                    if body.cfg.acquires[j].var.as_deref() == Some(var.as_str()) {
+                        let entry = self.drops.entry(j).or_insert(*line);
+                        if *entry == 0 {
+                            *entry = *line;
+                        }
                     }
                 }
             }
-        }
-        Op::Assign { to, froms, line } => {
-            if gs.is_live_guard(fact, to) {
-                // Reacquire-validation: the carried handle becomes the
-                // next guard (`let ps = shard.part.lock()`).
-                let Some((section_rank, _)) = body
-                    .site_rank
-                    .iter()
-                    .zip(&body.cfg.acquires)
-                    .filter_map(|(r, s)| r.map(|(n, _)| (n, s)))
-                    .find(|(_, s)| s.var.as_deref() == Some(to.as_str()))
-                else {
-                    return;
-                };
-                for f in froms {
-                    let stale = gs.stale(fact, f);
-                    if !stale.is_empty() {
-                        push_use(
-                            uses,
+            Op::Assign { to, froms, line } => {
+                if gs.is_live_guard(fact, to) {
+                    // Reacquire-validation: the carried handle becomes
+                    // the next guard (`let ps = shard.part.lock()`).
+                    let Some((section, _)) = body
+                        .site_rank
+                        .iter()
+                        .zip(&body.cfg.acquires)
+                        .find_map(|(r, s)| r.filter(|_| s.var.as_deref() == Some(to.as_str())))
+                    else {
+                        return;
+                    };
+                    for f in froms {
+                        let stale = gs.stale(fact, f);
+                        self.push(
                             &stale,
-                            "reacquire",
-                            f,
-                            *line,
-                            Vec::new(),
-                            Verdict::Validated,
-                            section_rank,
-                            false,
+                            rec("reacquire", f, *line, Verdict::Validated, section),
                         );
                     }
+                    return;
                 }
-                return;
-            }
-            // Taint creation/propagation: remember the read site.
-            for f in froms {
-                for i in gs.sources(fact, f) {
-                    let entry = reads.entry((i, to.clone())).or_insert(*line);
-                    if *entry == 0 {
-                        *entry = *line;
+                // Taint creation/propagation: remember the read site.
+                for f in froms {
+                    for i in gs.sources(fact, f) {
+                        let entry = self.reads.entry((i, to.clone())).or_insert(*line);
+                        if *entry == 0 {
+                            *entry = *line;
+                        }
                     }
                 }
             }
-        }
-        Op::Call {
-            name,
-            arity,
-            is_method,
-            qual,
-            recv_names,
-            arg_names,
-            line,
-        } => {
-            let Some(&sec) = section else { return };
-            let section_rank = body.site_rank[sec].map(|(n, _)| n).unwrap_or("?");
-            // A receiver chain rooted at a live guard is a fresh
-            // re-read, never stale (field names can shadow tainted
-            // locals: `ps.leader` mentions `leader`).
-            if recv_names.iter().any(|n| gs.is_live_guard(fact, n)) {
-                return;
-            }
-            if let Some(n) = recv_names.iter().find(|n| !gs.stale(fact, n).is_empty()) {
-                let stale = gs.stale(fact, n);
-                push_use(
-                    uses,
-                    &stale,
-                    "stale-read",
-                    n,
-                    *line,
-                    Vec::new(),
-                    Verdict::StaleUse,
-                    section_rank,
-                    false,
-                );
-                return;
-            }
-            let stale_args: Vec<&String> = arg_names
-                .iter()
-                .filter(|n| !gs.stale(fact, n).is_empty())
-                .collect();
-            if stale_args.is_empty() {
-                return;
-            }
-            // Passing the live guard alongside means the callee reads
-            // fresh state keyed by the carried value.
-            if arg_names.iter().any(|n| gs.is_live_guard(fact, n)) {
-                let stale = gs.stale(fact, stale_args[0]);
-                push_use(
-                    uses,
-                    &stale,
-                    "carried",
-                    stale_args[0],
-                    *line,
-                    Vec::new(),
-                    Verdict::Validated,
-                    section_rank,
-                    false,
-                );
-                return;
-            }
-            // A workspace callee that consults the parameter turns the
-            // carried value back into state.
-            let site = CallSite {
-                name: name.clone(),
-                arity: *arity,
-                is_method: *is_method,
-                qual: qual.clone(),
-                line: *line,
-            };
-            for t in graph.resolve(body.id, &site) {
-                if let Some(c) = &consults[t] {
-                    let stale = gs.stale(fact, stale_args[0]);
-                    let verdict = if c.truncated {
-                        Verdict::Unknown
-                    } else {
-                        Verdict::StaleUse
-                    };
-                    let kind = if c.truncated { "opaque" } else { "stale-read" };
-                    push_use(
-                        uses,
+            Op::Call {
+                recv_names,
+                arg_names,
+                line,
+                ..
+            } => {
+                let Some(sec) = section else { return };
+                // A receiver chain rooted at a live guard is a fresh
+                // re-read, never stale (field names can shadow tainted
+                // locals: `ps.leader` mentions `leader`).
+                if recv_names.iter().any(|n| gs.is_live_guard(fact, n)) {
+                    return;
+                }
+                if let Some(n) = recv_names.iter().find(|n| !gs.stale(fact, n).is_empty()) {
+                    let stale = gs.stale(fact, n);
+                    self.push(
                         &stale,
-                        kind,
-                        stale_args[0],
-                        *line,
-                        c.chain.clone(),
-                        verdict,
-                        section_rank,
-                        false,
+                        rec("stale-read", n, *line, Verdict::StaleUse, rank_of(sec)),
                     );
                     return;
                 }
+                let Some(arg) = arg_names.iter().find(|n| !gs.stale(fact, n).is_empty()) else {
+                    return;
+                };
+                // Passing the live guard alongside means the callee
+                // reads fresh state keyed by the carried value;
+                // otherwise a workspace callee that consults the
+                // parameter turns the carried value back into state.
+                let consult = if arg_names.iter().any(|n| gs.is_live_guard(fact, n)) {
+                    None
+                } else {
+                    core.callees(body, op)
+                        .into_iter()
+                        .find_map(|t| consults[t].as_ref())
+                };
+                let use_rec = match consult {
+                    Some(c) if c.truncated => UseRec {
+                        callee_chain: c.chain.clone(),
+                        ..rec("opaque", arg, *line, Verdict::Unknown, rank_of(sec))
+                    },
+                    Some(c) => UseRec {
+                        callee_chain: c.chain.clone(),
+                        ..rec("stale-read", arg, *line, Verdict::StaleUse, rank_of(sec))
+                    },
+                    None => rec("carried", arg, *line, Verdict::Validated, rank_of(sec)),
+                };
+                self.push(&gs.stale(fact, arg), use_rec);
             }
-            let stale = gs.stale(fact, stale_args[0]);
-            push_use(
-                uses,
-                &stale,
-                "carried",
-                stale_args[0],
-                *line,
-                Vec::new(),
-                Verdict::Validated,
-                section_rank,
-                false,
-            );
-        }
-        Op::Index { recv, line, .. } => {
-            let Some(&sec) = section else { return };
-            let section_rank = body.site_rank[sec].map(|(n, _)| n).unwrap_or("?");
-            let root = recv.split(['.', '[']).next().unwrap_or(recv);
-            let stale = gs.stale(fact, root);
-            if !stale.is_empty() && !gs.is_live_guard(fact, root) {
-                push_use(
-                    uses,
+            Op::Index { recv, .. } | Op::LenObserve { recv } => {
+                let Some(sec) = section else { return };
+                let root = root(recv);
+                let stale = gs.stale(fact, root);
+                if stale.is_empty() || gs.is_live_guard(fact, root) {
+                    return;
+                }
+                // A `.get()`-style observation has no line of its own:
+                // anchor it at the live section's acquire so an allow
+                // above the acquire covers it.
+                let (line, synthetic) = match op {
+                    Op::Index { line, .. } => (*line, false),
+                    _ => (body.cfg.acquires[sec].line, true),
+                };
+                let use_rec = rec("stale-read", root, line, Verdict::StaleUse, rank_of(sec));
+                self.push(
                     &stale,
-                    "stale-read",
-                    root,
-                    *line,
-                    Vec::new(),
-                    Verdict::StaleUse,
-                    section_rank,
-                    false,
+                    UseRec {
+                        synthetic,
+                        ..use_rec
+                    },
                 );
             }
-        }
-        Op::LenObserve { recv } => {
-            let Some(&sec) = section else { return };
-            let section_rank = body.site_rank[sec].map(|(n, _)| n).unwrap_or("?");
-            let root = recv.split(['.', '[']).next().unwrap_or(recv);
-            let stale = gs.stale(fact, root);
-            if !stale.is_empty() && !gs.is_live_guard(fact, root) {
-                // No line of its own: anchor at the live section's
-                // acquire so an allow above the acquire covers it.
-                let line = body.cfg.acquires[sec].line;
-                push_use(
-                    uses,
-                    &stale,
-                    "stale-read",
-                    root,
-                    line,
-                    Vec::new(),
-                    Verdict::StaleUse,
-                    section_rank,
-                    true,
-                );
+            Op::Arith { names, line, .. } => {
+                let Some(sec) = section else { return };
+                if let Some(n) = names.iter().find(|n| !gs.stale(fact, n).is_empty()) {
+                    let stale = gs.stale(fact, n);
+                    self.push(
+                        &stale,
+                        rec("carried", n, *line, Verdict::Validated, rank_of(sec)),
+                    );
+                }
             }
+            _ => {}
         }
-        Op::Arith { names, line, .. } => {
-            let Some(&sec) = section else { return };
-            let section_rank = body.site_rank[sec].map(|(n, _)| n).unwrap_or("?");
-            if let Some(n) = names.iter().find(|n| !gs.stale(fact, n).is_empty()) {
-                let stale = gs.stale(fact, n);
-                push_use(
-                    uses,
-                    &stale,
-                    "carried",
-                    n,
-                    *line,
-                    Vec::new(),
-                    Verdict::Validated,
-                    section_rank,
-                    false,
-                );
-            }
-        }
-        _ => {}
     }
+
+    /// The gap census of acquire site `i` — whether any derived value
+    /// crosses its drop, the worst verdict, the witnesses — with its
+    /// stale/unknown uses appended to `out`, anchored at the use line
+    /// so a lint:allow sits directly above the consult.
+    pub(crate) fn finish(
+        &mut self,
+        core: &Core,
+        body: &Body,
+        i: usize,
+        rank: &str,
+        out: &mut Vec<Finding>,
+    ) -> (bool, Verdict, Vec<WitnessAccess>) {
+        let site_line = body.cfg.acquires[i].line;
+        let mut recs = std::mem::take(&mut self.uses[i]);
+        recs.sort_by(|a, b| {
+            a.verdict
+                .cmp(&b.verdict)
+                .then(a.line.cmp(&b.line))
+                .then(a.access.cmp(&b.access))
+        });
+        recs.dedup_by(|a, b| a.access == b.access && a.line == b.line && a.kind == b.kind);
+        // A line-less observation (`.get()`) anchored at the acquire
+        // duplicates the chained call on the same expression; keep the
+        // real-line record.
+        let real: Vec<(String, Verdict)> = recs
+            .iter()
+            .filter(|r| !r.synthetic)
+            .map(|r| (r.access.clone(), r.verdict))
+            .collect();
+        recs.retain(|r| !r.synthetic || !real.contains(&(r.access.clone(), r.verdict)));
+        let verdict = recs
+            .iter()
+            .map(|r| r.verdict)
+            .min()
+            .unwrap_or(Verdict::Validated);
+        let drop_hop = match self.drops.get(&i) {
+            Some(0) | None => "scope end".to_string(),
+            Some(l) => format!("drop {}:{l}", body.rel),
+        };
+        let mut witness = Vec::new();
+        for r in recs.iter().take(WITNESS_CAP) {
+            let read = match self.reads.get(&(i, r.access.clone())) {
+                Some(l) if *l > 0 => *l,
+                _ => site_line,
+            };
+            let mut chain = format!(
+                "read {}:{read} → {drop_hop} → {}",
+                body.rel,
+                core.hop(body, r.line)
+            );
+            for h in &r.callee_chain {
+                chain.push_str(" → ");
+                chain.push_str(h);
+            }
+            witness.push(WitnessAccess {
+                kind: r.kind,
+                access: r.access.clone(),
+                chain,
+            });
+        }
+        for (w, r) in witness.iter().zip(&recs) {
+            if r.verdict == Verdict::Validated {
+                continue;
+            }
+            let what = if r.verdict == Verdict::Unknown {
+                "reaches an opaque consult (witness chain truncated)"
+            } else {
+                "is consulted as state"
+            };
+            out.push(Finding {
+                file: body.rel.clone(),
+                line: r.line,
+                lint: "atomicity",
+                message: format!(
+                    "lock-gap atomicity: `{}` was derived under \"{rank}\" ({}:{site_line}) and \
+                     {what} inside the \"{}\" section after that guard dropped — re-validate it \
+                     under the live guard or carry lint:allow(atomicity, reason=…) \
+                     (witness: {}; full census: target/analysis/analysis.json)",
+                    r.access, body.rel, r.section, w.chain,
+                ),
+            });
+        }
+        (!recs.is_empty(), verdict, witness)
+    }
+}
+
+/// The receiver's root binding: `a.b[i]` → `a`.
+fn root(recv: &str) -> &str {
+    recv.split(['.', '[']).next().unwrap_or(recv)
 }
 
 /// The flow-insensitive closure of parameter-derived names inside one
-/// function (for consult summaries). A binding read through one of the
+/// function (for consult summaries), `None` when it takes no
+/// parameters besides `self`. A binding read through one of the
 /// function's *own* guards (`let Some(t) = st.topics.get(topic)`) is a
-/// fresh re-read keyed by the parameter — revalidation, not
-/// derivation — so guard-sourced assigns do not propagate.
-fn derived_names(body: &FnBody) -> BTreeSet<String> {
-    let guards = guard_vars(body);
-    let mut derived: BTreeSet<String> = body.params.iter().cloned().collect();
-    loop {
-        let mut changed = false;
-        for blk in &body.cfg.blocks {
-            for op in &blk.ops {
-                if let Op::Assign { to, froms, .. } = op {
-                    if !derived.contains(to)
-                        && froms.iter().any(|n| derived.contains(n))
-                        && !froms.iter().any(|n| guards.contains(n.as_str()))
-                    {
-                        derived.insert(to.clone());
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            return derived;
-        }
+/// fresh re-read keyed by the parameter — revalidation, not derivation
+/// — so guard-sourced assigns do not propagate.
+fn derived_names(body: &Body) -> Option<BTreeSet<String>> {
+    let params: BTreeSet<String> = body
+        .params
+        .iter()
+        .filter(|p| *p != "self")
+        .cloned()
+        .collect();
+    if params.is_empty() {
+        return None;
     }
+    let guards = guard_vars(body);
+    Some(closure(&body.cfg, params, &|froms, set| {
+        froms.iter().any(|n| set.contains(n)) && !froms.iter().any(|n| guards.contains(n.as_str()))
+    }))
 }
 
 /// The variables of this body's ranked guard acquire sites.
-fn guard_vars(body: &FnBody) -> BTreeSet<&str> {
+fn guard_vars(body: &Body) -> BTreeSet<&str> {
     body.cfg
         .acquires
         .iter()
@@ -991,9 +598,4 @@ fn guard_vars(body: &FnBody) -> BTreeSet<&str> {
         .filter(|(_, r)| r.is_some())
         .filter_map(|(s, _)| s.var.as_deref())
         .collect()
-}
-
-/// One witness-chain hop: `qualified (file:line)`.
-fn hop(graph: &CallGraph, body: &FnBody, line: u32) -> String {
-    format!("{} ({}:{line})", graph.fns[body.id].qualified(), body.rel)
 }

@@ -321,41 +321,6 @@ impl CallGraph {
         hops_out.reverse();
         hops_out.join(" → ")
     }
-
-    /// Renders the resolved graph as GraphViz DOT, clustered by crate.
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from(
-            "digraph liquid_callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n",
-        );
-        let mut crates: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (i, f) in self.fns.iter().enumerate() {
-            if !f.in_test {
-                crates.entry(&f.crate_name).or_default().push(i);
-            }
-        }
-        for (krate, ids) in &crates {
-            out.push_str(&format!(
-                "  subgraph \"cluster_{krate}\" {{\n    label=\"{krate}\";\n"
-            ));
-            for &i in ids {
-                let f = &self.fns[i];
-                let style = if f.panics.is_empty() {
-                    ""
-                } else {
-                    ", style=filled, fillcolor=\"#ffdddd\""
-                };
-                out.push_str(&format!("    n{i} [label=\"{}\"{style}];\n", f.qualified()));
-            }
-            out.push_str("  }\n");
-        }
-        for (i, succs) in self.edges.iter().enumerate() {
-            for &t in succs {
-                out.push_str(&format!("  n{i} -> n{t};\n"));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 /// The receiver type a parameter annotation names, if it is a plain

@@ -20,11 +20,12 @@
 //!    workspace reserves for payload bytes — `value`, `key`, `arena`,
 //!    `records`, `chunk`, …) and closed over assignments
 //!    ([`Op::Assign`]), so `let v = batch.records()` taints `v`
-//!    through the accessor's name. Taint crosses calls through a
-//!    fixpoint over per-function *summaries*: a call whose arguments
-//!    mention a tainted name marks the callee's parameters tainted and
-//!    re-queues it — no inlining, so the analysis is linear in the
-//!    summary lattice, not exponential in path count.
+//!    through the accessor's name. Taint crosses calls through the
+//!    shared parameter-taint fixpoint over per-function *summaries*
+//!    ([`Core::param_taint`]): a call whose arguments mention a
+//!    tainted name marks the callee's parameters tainted and re-queues
+//!    it — no inlining, so the analysis is linear in the summary
+//!    lattice, not exponential in path count.
 //! 3. **Sinks.** A deep copy of a tainted carrier —
 //!    `.to_vec()`/`.to_owned()`, `extend_from_slice`,
 //!    `copy_from_slice` (method or `Bytes::`), `Vec::from` — is a
@@ -42,13 +43,11 @@
 //! [`BatchBuilder`]: ../../liquid_log/batch/struct.BatchBuilder.html
 //! [`CallGraph::reach_from_named`]: crate::callgraph::CallGraph::reach_from_named
 //! [`Op::Assign`]: crate::cfg::Op::Assign
+//! [`Core::param_taint`]: crate::guards::Core::param_taint
 
-use std::collections::{BTreeSet, HashMap};
-
-use crate::callgraph::{CallGraph, CallSite};
-use crate::cfg::{self, Op};
-use crate::rules::for_each_fn;
-use crate::{Finding, SourceData};
+use crate::cfg::Op;
+use crate::guards::{self, Core};
+use crate::Finding;
 
 /// The hot-path entry points: taint propagates through everything the
 /// call graph proves reachable from a non-test function with one of
@@ -75,191 +74,56 @@ fn is_payload(name: &str) -> bool {
     PAYLOAD_NAMES.contains(&name)
 }
 
-/// One call op lifted out of a function's CFG.
-struct CallOp {
-    name: String,
-    arity: usize,
-    is_method: bool,
-    qual: Option<String>,
-    recv_names: Vec<String>,
-    arg_names: Vec<String>,
-    line: u32,
-}
-
-/// Per-function summary: the raw material for the taint fixpoint.
-struct FnInfo {
-    /// Index into `graph.fns`.
-    id: usize,
-    /// Parameter binding names (taint targets when a caller passes
-    /// tainted arguments).
-    params: Vec<String>,
-    /// `(to, froms)` assignment pairs for the local closure.
-    assigns: Vec<(String, Vec<String>)>,
-    /// Every call op, in CFG order.
-    calls: Vec<CallOp>,
-}
-
-/// Whether a call op is a deep-copy sink. Returns the display name of
-/// the copy plus the names of its *source* operand: the receiver for
-/// `src.to_vec()`-shaped sinks, the arguments for
+/// Whether an op is a deep-copy sink. Returns the display name of the
+/// copy, the names of its *source* operand and its line: the receiver
+/// for `src.to_vec()`-shaped sinks, the arguments for
 /// `dst.extend_from_slice(&src)`-shaped ones — a tainted destination
 /// alone (header bytes appended to a payload-bearing buffer) is not a
 /// payload copy.
-fn copy_kind(c: &CallOp) -> Option<(String, &[String])> {
-    if c.is_method {
-        return match c.name.as_str() {
-            "to_vec" | "to_owned" => Some((format!(".{}()", c.name), &c.recv_names[..])),
-            "extend_from_slice" | "copy_from_slice" => {
-                Some((format!(".{}()", c.name), &c.arg_names[..]))
+fn copy_kind(op: &Op) -> Option<(String, &[String], u32)> {
+    let Op::Call {
+        name,
+        is_method,
+        qual,
+        recv_names,
+        arg_names,
+        line,
+        ..
+    } = op
+    else {
+        return None;
+    };
+    let (what, sources) = if *is_method {
+        match name.as_str() {
+            "to_vec" | "to_owned" => (format!(".{name}()"), &recv_names[..]),
+            "extend_from_slice" | "copy_from_slice" => (format!(".{name}()"), &arg_names[..]),
+            _ => return None,
+        }
+    } else {
+        match (qual.as_deref(), name.as_str()) {
+            (Some("Bytes"), "copy_from_slice") => {
+                ("Bytes::copy_from_slice".to_string(), &arg_names[..])
             }
-            _ => None,
-        };
-    }
-    match (c.qual.as_deref(), c.name.as_str()) {
-        (Some("Bytes"), "copy_from_slice") => {
-            Some(("Bytes::copy_from_slice".to_string(), &c.arg_names[..]))
+            (Some("Vec"), "from") => ("Vec::from".to_string(), &arg_names[..]),
+            _ => return None,
         }
-        (Some("Vec"), "from") => Some(("Vec::from".to_string(), &c.arg_names[..])),
-        _ => None,
-    }
-}
-
-/// The flow-insensitive taint closure inside one function: seeds are
-/// the payload names (checked by predicate, so they need no set entry)
-/// plus — when the interprocedural fixpoint marked this function's
-/// parameters tainted — every parameter; the closure adds each binding
-/// whose initializer mentions a tainted name.
-fn local_taint(info: &FnInfo, params_tainted: bool) -> BTreeSet<String> {
-    let mut extra: BTreeSet<String> = BTreeSet::new();
-    if params_tainted {
-        extra.extend(info.params.iter().cloned());
-    }
-    loop {
-        let mut changed = false;
-        for (to, froms) in &info.assigns {
-            if !extra.contains(to) && froms.iter().any(|n| is_payload(n) || extra.contains(n)) {
-                extra.insert(to.clone());
-                changed = true;
-            }
-        }
-        if !changed {
-            return extra;
-        }
-    }
+    };
+    Some((what, sources, *line))
 }
 
 /// Runs the pass over the whole workspace; findings are appended to
 /// `out` (the framework routes them through per-file `lint:allow`
 /// suppression like any other lint).
-pub fn hot_copy(graph: &CallGraph, files: &[SourceData], out: &mut Vec<Finding>) {
-    let reach = graph.reach_from_named(HOT_ROOTS);
-    if !reach.reachable.iter().any(|&r| r) {
+pub(crate) fn hot_copy(core: &Core, out: &mut Vec<Finding>) {
+    if !core.hot.reachable.iter().any(|&r| r) {
         return; // no hot roots in this tree (small fixture workspaces)
     }
-
-    // (file, decl line, name) → graph node, to pair each AST function
-    // with its call-graph identity.
-    let mut by_site: HashMap<(&str, u32, &str), usize> = HashMap::new();
-    for (i, f) in graph.fns.iter().enumerate() {
-        by_site.insert((f.file.as_str(), f.line, f.name.as_str()), i);
-    }
-
-    let mut infos: Vec<FnInfo> = Vec::new();
-    for file in files {
-        let Some(ast) = &file.ast else { continue };
-        for_each_fn(&ast.items, &mut |f| {
-            let Some(&id) = by_site.get(&(file.rel.as_str(), f.line, f.name.as_str())) else {
-                return;
-            };
-            if !reach.reachable[id] || graph.fns[id].in_test || f.body.is_none() {
-                return;
-            }
-            let mut params = Vec::new();
-            for p in &f.params {
-                p.pat.bound_names(&mut params);
-            }
-            let g = cfg::lower_fn(f);
-            let mut assigns = Vec::new();
-            let mut calls = Vec::new();
-            for blk in &g.blocks {
-                for op in &blk.ops {
-                    match op {
-                        Op::Assign { to, froms, .. } => {
-                            assigns.push((to.clone(), froms.clone()));
-                        }
-                        Op::Call {
-                            name,
-                            arity,
-                            is_method,
-                            qual,
-                            recv_names,
-                            arg_names,
-                            line,
-                        } => calls.push(CallOp {
-                            name: name.clone(),
-                            arity: *arity,
-                            is_method: *is_method,
-                            qual: qual.clone(),
-                            recv_names: recv_names.clone(),
-                            arg_names: arg_names.clone(),
-                            line: *line,
-                        }),
-                        _ => {}
-                    }
-                }
-            }
-            infos.push(FnInfo {
-                id,
-                params,
-                assigns,
-                calls,
-            });
-        });
-    }
-
-    // Interprocedural parameter-taint fixpoint over summaries: a call
-    // whose argument names mention a tainted carrier taints the
-    // callee's parameters. Monotone (flags only flip false→true), so
-    // it terminates in at most |fns| rounds.
-    let mut param_taint = vec![false; graph.fns.len()];
-    loop {
-        let mut changed = false;
-        for info in &infos {
-            let local = local_taint(info, param_taint[info.id]);
-            for call in &info.calls {
-                if !call
-                    .recv_names
-                    .iter()
-                    .chain(&call.arg_names)
-                    .any(|n| is_payload(n) || local.contains(n))
-                {
-                    continue;
-                }
-                let site = CallSite {
-                    name: call.name.clone(),
-                    arity: call.arity,
-                    is_method: call.is_method,
-                    qual: call.qual.clone(),
-                    line: call.line,
-                };
-                for t in graph.resolve(info.id, &site) {
-                    if reach.reachable[t] && graph.fns[t].arity > 0 && !param_taint[t] {
-                        param_taint[t] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Sink detection, with the root→copy witness per finding.
-    for info in &infos {
-        let local = local_taint(info, param_taint[info.id]);
-        for call in &info.calls {
-            let Some((what, sources)) = copy_kind(call) else {
+    let hot = |id: usize| core.hot.reachable[id];
+    let taint = core.param_taint(&is_payload, &hot);
+    for body in core.bodies.iter().filter(|b| hot(b.id)) {
+        let local = guards::seeded(body, &is_payload, taint[body.id]);
+        for op in body.ops() {
+            let Some((what, sources, line)) = copy_kind(op) else {
                 continue;
             };
             let Some(carrier) = sources
@@ -269,14 +133,14 @@ pub fn hot_copy(graph: &CallGraph, files: &[SourceData], out: &mut Vec<Finding>)
                 continue;
             };
             out.push(Finding {
-                file: graph.fns[info.id].file.clone(),
-                line: call.line,
+                file: core.graph.fns[body.id].file.clone(),
+                line,
                 lint: "hot-copy",
                 message: format!(
                     "`{what}` deep-copies payload bytes flowing through `{carrier}` on the \
                      batched hot path — share the existing buffer with Bytes::slice (refcount) \
                      or move the copy off the hot path (reached via: {})",
-                    graph.witness(&reach, info.id)
+                    core.graph.witness(&core.hot, body.id)
                 ),
             });
         }

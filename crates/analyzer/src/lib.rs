@@ -56,13 +56,11 @@
 //!   ranked lockdep guard: hot-path guards held across injectable I/O
 //!   or a nested ranked acquisition are findings, and every guard's
 //!   static cost (I/O, allocations, loops, nested locks) lands in the
-//!   `target/analysis/lock-cost.json` contention report (see
-//!   [`lockcost`]).
+//!   lock analysis report (see [`lockcost`]).
 //! * **shard** — interprocedural lock-shardability classification:
 //!   every ranked guard is proven *partition-local* (all accesses
 //!   keyed by a partition identity), *cross-partition*, or *unknown*,
-//!   with witness access chains in the
-//!   `target/analysis/shardability.json` report; hot exclusive guards
+//!   with witness access chains in the report; hot exclusive guards
 //!   proven partition-local but not yet sharded are findings (see
 //!   [`shard`]).
 //! * **atomicity** — interprocedural lock-gap atomicity analysis:
@@ -72,8 +70,13 @@
 //!   critical section is a finding with a full
 //!   read-site → drop-site → use witness chain, unless
 //!   machine-validated (reacquire / carried-key shapes) or allowed;
-//!   per-site verdicts land in `target/analysis/atomicity.json` (see
-//!   [`atomicity`]).
+//!   per-site verdicts land in the report (see [`atomicity`]).
+//!
+//! The last four share one core ([`guards`]): each function is lowered
+//! once, each function holding a ranked guard is walked once, and the
+//! three lock passes fill one `target/analysis/analysis.json` report
+//! whose per-rank census is held against `ci/analysis-baseline.json`
+//! when that file exists.
 //!
 //! Findings can be suppressed with a `lint:allow` comment directive
 //! (see [`lexer::AllowDirective`]); a directive that is malformed,
@@ -87,6 +90,7 @@ pub mod atomicity;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
+pub mod guards;
 pub mod hotpath;
 pub mod lexer;
 pub mod lockcost;
@@ -145,6 +149,24 @@ impl fmt::Display for Finding {
     }
 }
 
+/// RFC 8259 string escape, shared by the `--json` output and the lock
+/// analysis report (hand-rolled — the build environment has no serde).
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// The fault-site registry parsed out of `crates/sim/src/failure.rs`.
 #[derive(Debug, Clone)]
 pub struct SiteRegistry {
@@ -161,6 +183,16 @@ pub struct RankTable {
     pub entries: Vec<(String, u32)>,
     /// Line of the `RANKS` declaration.
     pub line: u32,
+}
+
+impl RankTable {
+    /// The order declared for `rank`, if any.
+    pub fn order_of(&self, rank: &str) -> Option<u32> {
+        self.entries
+            .iter()
+            .find(|(n, _)| n == rank)
+            .map(|(_, o)| *o)
+    }
 }
 
 /// Cross-file context the rules need. The single-source-of-truth
@@ -645,26 +677,24 @@ fn collect_struct_seeds(items: &[ast::Item], seeds: &mut BTreeSet<String>) {
     }
 }
 
-/// Parsed workspace sources plus the inter-crate dependency map.
-type LoadedWorkspace = (Vec<SourceData>, BTreeMap<String, Vec<String>>);
-
-/// Loads every workspace file and builds the call graph (used by both
-/// [`analyze_root`] and the `--emit-callgraph` mode).
-fn load_workspace(root: &Path) -> Result<LoadedWorkspace, String> {
+/// Runs every rule over the whole workspace plus the cross-tree checks
+/// (panic reachability, unused registry entries, rank-table drift, the
+/// lock census baseline); returns the findings and the lock analysis
+/// report (the CLI writes it to `target/analysis/analysis.json`).
+pub fn analyze_root(root: &Path) -> Result<(Vec<Finding>, guards::Report), String> {
+    // Phase A: read, lex, parse.
+    let (mut ctx, ctx_findings) = Context::from_root(root);
     let mut files = Vec::new();
     for rel in workspace_files(root)? {
         let src =
             fs::read_to_string(root.join(&rel)).map_err(|e| format!("cannot read {rel}: {e}"))?;
         files.push(load_source(&rel, &src));
     }
-    Ok((files, workspace_deps(root)))
-}
 
-fn build_graph<'a>(
-    files: &'a [SourceData],
-    deps: BTreeMap<String, Vec<String>>,
-) -> callgraph::CallGraph {
-    let sources: Vec<callgraph::SourceFile<'a>> = files
+    // Phase B: workspace context — taint seeds, the call graph, and
+    // the Result-signature map derived from it.
+    ctx.offset_seeds = offset_seeds(&files);
+    let sources: Vec<callgraph::SourceFile<'_>> = files
         .iter()
         .filter_map(|f| {
             f.ast.as_ref().map(|ast| callgraph::SourceFile {
@@ -674,47 +704,7 @@ fn build_graph<'a>(
             })
         })
         .collect();
-    callgraph::CallGraph::build(&sources, deps)
-}
-
-/// Renders the workspace call graph as GraphViz DOT
-/// (`liquid-lint --emit-callgraph`).
-pub fn callgraph_dot(root: &Path) -> Result<String, String> {
-    let (files, deps) = load_workspace(root)?;
-    Ok(build_graph(&files, deps).to_dot())
-}
-
-/// Runs every rule over the whole workspace plus the cross-tree checks
-/// (panic reachability, unused registry entries, rank-table drift).
-pub fn analyze_root(root: &Path) -> Result<Vec<Finding>, String> {
-    analyze_root_with_report(root).map(|(findings, _)| findings)
-}
-
-/// The machine-readable analysis artifacts produced alongside the
-/// findings (the CLI writes them under `target/analysis/`).
-#[derive(Debug, Default)]
-pub struct AnalysisReports {
-    /// Lock-cost contention report (`lock-cost.json`).
-    pub lock_cost: lockcost::LockCostReport,
-    /// Lock-shardability report (`shardability.json`).
-    pub shardability: shard::ShardReport,
-    /// Lock-gap atomicity report (`atomicity.json`).
-    pub atomicity: atomicity::AtomicityReport,
-}
-
-/// [`analyze_root`], additionally returning the lock-cost contention,
-/// lock-shardability and lock-gap atomicity reports (the CLI writes
-/// them to `target/analysis/lock-cost.json` / `shardability.json` /
-/// `atomicity.json`).
-pub fn analyze_root_with_report(root: &Path) -> Result<(Vec<Finding>, AnalysisReports), String> {
-    // Phase A: read, lex, parse.
-    let (mut ctx, ctx_findings) = Context::from_root(root);
-    let (files, deps) = load_workspace(root)?;
-
-    // Phase B: workspace context — taint seeds, the call graph, and
-    // the Result-signature map derived from it.
-    ctx.offset_seeds = offset_seeds(&files);
-    let graph = build_graph(&files, deps);
+    let graph = callgraph::CallGraph::build(&sources, workspace_deps(root));
     let mut sig_stats: BTreeMap<(String, bool, usize), (usize, usize)> = BTreeMap::new();
     for f in &graph.fns {
         if f.in_test {
@@ -761,12 +751,7 @@ pub fn analyze_root_with_report(root: &Path) -> Result<(Vec<Finding>, AnalysisRe
     }
     let mut cross_findings = Vec::new();
     rules::panic_reachability(&graph, &mut cross_findings);
-    hotpath::hot_copy(&graph, &files, &mut cross_findings);
-    let report = AnalysisReports {
-        lock_cost: lockcost::lock_cost(&ctx, &graph, &files, &mut cross_findings),
-        shardability: shard::shard(&ctx, &graph, &files, &mut cross_findings),
-        atomicity: atomicity::atomicity(&ctx, &graph, &files, &mut cross_findings),
-    };
+    let report = guards::analyze(&ctx, &graph, &files, &mut cross_findings);
     for finding in cross_findings {
         match files.iter().find(|f| f.rel == finding.file) {
             Some(f) => raw_by_file.entry(&f.rel).or_default().push(finding),
@@ -846,6 +831,11 @@ pub fn analyze_root_with_report(root: &Path) -> Result<(Vec<Finding>, AnalysisRe
                 });
             }
         }
+    }
+    // The lock census against its checked-in baseline, when there is
+    // one.
+    if let Ok(baseline) = fs::read_to_string(root.join(guards::BASELINE)) {
+        report.check_baseline(&baseline, &mut findings);
     }
     findings.sort();
     findings.dedup();

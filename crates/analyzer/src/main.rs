@@ -1,8 +1,7 @@
 //! CLI entry point. `cargo run -p liquid-lint` from anywhere inside
 //! the workspace lints the whole tree; `--deny` makes findings fatal
 //! (CI mode); `--root <path>` overrides workspace discovery (used by
-//! the fixture tests); `--sarif` emits SARIF 2.1.0 for code-scanning
-//! upload; `--emit-callgraph` dumps the resolved call graph as DOT.
+//! the fixture tests).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -10,8 +9,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut deny = false;
     let mut json = false;
-    let mut sarif = false;
-    let mut emit_callgraph = false;
     let mut only: Option<String> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -19,8 +16,6 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--deny" => deny = true,
             "--json" => json = true,
-            "--sarif" => sarif = true,
-            "--emit-callgraph" => emit_callgraph = true,
             "--only" => match args.next() {
                 Some(p) => only = Some(p),
                 None => {
@@ -42,8 +37,7 @@ fn main() -> ExitCode {
                 println!(
                     "liquid-lint — project-specific static analysis for the Liquid workspace\n\
                      \n\
-                     USAGE: liquid-lint [--deny] [--json | --sarif] [--only <prefix>]\n\
-                     \x20                [--emit-callgraph] [--root <workspace>]\n\
+                     USAGE: liquid-lint [--deny] [--json] [--only <sel>] [--root <workspace>]\n\
                      \n\
                      Walks crates/*/src/**/*.rs, builds the AST → CFG → call-graph analysis\n\
                      IR, and enforces: panic-reachability (no panic/unwrap/unguarded indexing\n\
@@ -53,30 +47,26 @@ fn main() -> ExitCode {
                      sim::failure::SITES), raw-io, raw-thread, forbid-unsafe, hot-copy\n\
                      (no deep copy of payload bytes reachable from the produce/fetch hot\n\
                      path), lock-cost (no I/O or nested ranked locks inside hot-path\n\
-                     critical sections; writes the target/analysis/lock-cost.json\n\
-                     contention report), shard (ranked guards classified\n\
-                     partition-local / cross-partition / unknown; hot exclusive guards\n\
-                     proven partition-local but not yet split are findings; writes the\n\
-                     target/analysis/shardability.json report), atomicity (no\n\
-                     stale use of guard-derived state across a drop/reacquire gap\n\
-                     unless machine-validated; witness chains per finding; writes the\n\
-                     target/analysis/atomicity.json report). Suppress a\n\
-                     finding with a comment directive on or above the offending line:\n\
+                     critical sections), shard (ranked guards classified partition-local /\n\
+                     cross-partition / unknown; hot exclusive guards proven partition-local\n\
+                     but not yet split are findings), atomicity (no stale use of\n\
+                     guard-derived state across a drop/reacquire gap unless\n\
+                     machine-validated; witness chains per finding). Every run writes the\n\
+                     target/analysis/analysis.json lock report and, when\n\
+                     ci/analysis-baseline.json exists, holds the report's per-rank census\n\
+                     against it. Suppress a finding with a comment directive on or above\n\
+                     the offending line:\n\
                      \n\
                      \x20   // lint:allow(<lint>, reason=<why this one is sound>)\n\
                      \n\
-                     --deny            exit 1 when there are findings (CI mode)\n\
-                     --json            machine-readable output: {{\"findings\":[...],\"count\":N,\n\
-                     \x20                 \"reports\":[<analysis artifacts written>]}}\n\
-                     --sarif           SARIF 2.1.0 output (GitHub code-scanning upload)\n\
-                     --only <sel>      keep only findings under the given path prefix\n\
-                     \x20                 (e.g. --only crates/analyzer for the self-lint step)\n\
-                     \x20                 or of the given lint (e.g. --only shard); an\n\
-                     \x20                 unknown lint name is a usage error\n\
-                     --emit-callgraph  print the resolved workspace call graph as GraphViz\n\
-                     \x20                 DOT and exit (no linting)\n\
-                     --root            workspace root (default: nearest ancestor with a\n\
-                     \x20                 crates/ dir)"
+                     --deny        exit 1 when there are findings (CI mode)\n\
+                     --json        machine-readable output: {{\"findings\":[...],\"count\":N}}\n\
+                     --only <sel>  keep only findings under the given path prefix\n\
+                     \x20             (e.g. --only crates/analyzer for the self-lint step)\n\
+                     \x20             or of the given lint (e.g. --only shard); an\n\
+                     \x20             unknown lint name is a usage error\n\
+                     --root        workspace root (default: nearest ancestor with a\n\
+                     \x20             crates/ dir)"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -85,10 +75,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-    if json && sarif {
-        eprintln!("liquid-lint: --json and --sarif are mutually exclusive");
-        return ExitCode::from(2);
     }
     // `--only` takes either a path prefix (anything with a `/`) or an
     // exact lint name; an unknown bare name is a usage error, not a
@@ -115,41 +101,19 @@ fn main() -> ExitCode {
         }
     };
 
-    if emit_callgraph {
-        return match liquid_lint::callgraph_dot(&root) {
-            Ok(dot) => {
-                print!("{dot}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("liquid-lint: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    match liquid_lint::analyze_root_with_report(&root) {
-        Ok((mut findings, reports)) => {
-            // The analysis reports are build artifacts, not lint
-            // output: written unconditionally so CI can diff them
-            // against the checked-in baselines even on clean runs.
+    match liquid_lint::analyze_root(&root) {
+        Ok((mut findings, report)) => {
+            // The lock report is a build artifact, not lint output:
+            // written on every run, clean or not.
             let report_dir = root.join("target/analysis");
-            let mut written: Vec<String> = Vec::new();
-            for (name, body) in [
-                ("lock-cost.json", reports.lock_cost.to_json()),
-                ("shardability.json", reports.shardability.to_json()),
-                ("atomicity.json", reports.atomicity.to_json()),
-            ] {
-                let report_path = report_dir.join(name);
-                match std::fs::create_dir_all(&report_dir)
-                    .and_then(|()| std::fs::write(&report_path, body))
-                {
-                    Ok(()) => written.push(format!("target/analysis/{name}")),
-                    Err(e) => eprintln!(
-                        "liquid-lint: warning: could not write {}: {e}",
-                        report_path.display()
-                    ),
-                }
+            let report_path = report_dir.join("analysis.json");
+            if let Err(e) = std::fs::create_dir_all(&report_dir)
+                .and_then(|()| std::fs::write(&report_path, report.to_json()))
+            {
+                eprintln!(
+                    "liquid-lint: warning: could not write {}: {e}",
+                    report_path.display()
+                );
             }
             if let Some(sel) = &only {
                 if sel.contains('/') {
@@ -158,10 +122,8 @@ fn main() -> ExitCode {
                     findings.retain(|f| f.lint == sel.as_str());
                 }
             }
-            if sarif {
-                println!("{}", render_sarif(&findings));
-            } else if json {
-                println!("{}", render_json(&findings, &written));
+            if json {
+                println!("{}", render_json(&findings));
             } else if findings.is_empty() {
                 println!("liquid-lint: clean");
             } else {
@@ -185,91 +147,25 @@ fn main() -> ExitCode {
 }
 
 /// `{"findings":[{"file":...,"line":N,"lint":...,"message":...}],
-/// "count":N,"reports":[...]}` — `reports` lists the workspace-relative
-/// analysis artifacts this run actually wrote, so CI jobs consume the
-/// paths from the output instead of hard-coding them. Hand-rolled (the
-/// build environment has no serde); strings are escaped per RFC 8259.
-fn render_json(findings: &[liquid_lint::Finding], reports: &[String]) -> String {
-    let mut out = String::from("{\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"file\":\"{}\",\"line\":{},\"lint\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&f.file),
-            f.line,
-            json_escape(f.lint),
-            json_escape(&f.message)
-        ));
-    }
-    out.push_str(&format!("],\"count\":{},\"reports\":[", findings.len()));
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\"", json_escape(r)));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Minimal SARIF 2.1.0 document: one run, one rule per lint, one
-/// result per finding. Hand-rolled like [`render_json`]; the shape
-/// follows what GitHub code scanning requires (`tool.driver` with
-/// rules, `results` with `ruleId`/`message`/`locations`).
-fn render_sarif(findings: &[liquid_lint::Finding]) -> String {
-    let mut out = String::from(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-         \"name\":\"liquid-lint\",\
-         \"informationUri\":\"https://example.invalid/liquid-lint\",\
-         \"rules\":[",
-    );
-    for (i, lint) in liquid_lint::LINTS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":\"{0}\",\"name\":\"{0}\",\"defaultConfiguration\":{{\"level\":\"error\"}}}}",
-            json_escape(lint)
-        ));
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"ruleId\":\"{}\",\"level\":\"error\",\
-             \"message\":{{\"text\":\"{}\"}},\
-             \"locations\":[{{\"physicalLocation\":{{\
-             \"artifactLocation\":{{\"uri\":\"{}\"}},\
-             \"region\":{{\"startLine\":{}}}}}}}]}}",
-            json_escape(f.lint),
-            json_escape(&f.message),
-            json_escape(&f.file),
-            f.line.max(1)
-        ));
-    }
-    out.push_str("]}]}");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// "count":N}` — hand-rolled (the build environment has no serde).
+fn render_json(findings: &[liquid_lint::Finding]) -> String {
+    let items: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            format!(
+                "{{\"file\":\"{}\",\"line\":{},\"lint\":\"{}\",\"message\":\"{}\"}}",
+                liquid_lint::json_escape(&f.file),
+                f.line,
+                liquid_lint::json_escape(f.lint),
+                liquid_lint::json_escape(&f.message)
+            )
+        })
+        .collect();
+    format!(
+        "{{\"findings\":[{}],\"count\":{}}}",
+        items.join(","),
+        findings.len()
+    )
 }
 
 fn find_root() -> Option<PathBuf> {

@@ -13,6 +13,7 @@ use crate::ast::{self, Block, Expr, Item, Pat, Stmt};
 use crate::callgraph::CallGraph;
 use crate::cfg::{self, AcquireSite, Cfg, Op};
 use crate::dataflow::{self, Analysis};
+use crate::guards::closure;
 use crate::lexer::{Token, TokenKind};
 use crate::{in_test, Context, Finding};
 
@@ -58,7 +59,6 @@ pub const LOCK_FIELDS: &[(&str, &str, &str)] = &[
     ("quotas.rs", "limits", "quota.limits"),
     ("quotas.rs", "usage", "quota.usage"),
     ("quotas.rs", "throttled_total", "quota.throttled"),
-    ("job.rs", "metrics", "job.metrics"),
     ("lib.rs", "state", "dfs.state"),
     ("lib.rs", "stats", "dfs.stats"),
     ("stack.rs", "feeds", "stack.feeds"),
@@ -720,19 +720,12 @@ pub fn lock_order(ctx: &Context, rel: &str, file: &ast::File, out: &mut Vec<Find
     if fields.is_empty() {
         return;
     }
-    let order_of = |rank: &str| {
-        ranks
-            .entries
-            .iter()
-            .find(|(n, _)| n == rank)
-            .map(|(_, o)| *o)
-    };
     for_each_fn(&file.items, &mut |f| {
         let g = cfg::lower_fn(f);
         if g.acquires.is_empty() {
             return;
         }
-        let site_rank = site_ranks(&g, &fields, &order_of);
+        let site_rank = site_ranks(&g, &fields, &|r| ranks.order_of(r));
         let analysis = HeldLocks {
             acquires: &g.acquires,
         };
@@ -796,13 +789,6 @@ pub fn guard_liveness(
     if fields.is_empty() {
         return;
     }
-    let order_of = |rank: &str| {
-        ranks
-            .entries
-            .iter()
-            .find(|(n, _)| n == rank)
-            .map(|(_, o)| *o)
-    };
     for_each_fn(&file.items, &mut |f| {
         if f.body.is_none() || in_test(regions, f.line) {
             return;
@@ -811,7 +797,7 @@ pub fn guard_liveness(
         if g.acquires.is_empty() {
             return;
         }
-        let site_rank = site_ranks(&g, &fields, &order_of);
+        let site_rank = site_ranks(&g, &fields, &|r| ranks.order_of(r));
         let held_analysis = HeldLocks {
             acquires: &g.acquires,
         };
@@ -848,16 +834,6 @@ pub fn guard_liveness(
         if events.is_empty() {
             return;
         }
-        // Flow-insensitive alias pairs for the liveness closure: any
-        // binding assigned *from* a guard keeps the guard "in use".
-        let mut assigns: Vec<(String, Vec<String>)> = Vec::new();
-        for blk in &g.blocks {
-            for op in &blk.ops {
-                if let Op::Assign { to, froms, .. } = op {
-                    assigns.push((to.clone(), froms.clone()));
-                }
-            }
-        }
         let live = dataflow::solve(&g, &Liveness);
         for b in 0..g.blocks.len() {
             dataflow::walk_ops(&g, &Liveness, &live, b, |idx, _, after| {
@@ -869,7 +845,12 @@ pub fn guard_liveness(
                         let Some(var) = g.acquires[site].var.as_deref() else {
                             continue;
                         };
-                        let aliases = alias_closure(&assigns, var);
+                        // Any binding assigned *from* the guard (or an
+                        // alias of it) keeps the guard "in use".
+                        let aliases =
+                            closure(&g, BTreeSet::from([var.to_string()]), &|froms, set| {
+                                froms.iter().any(|f| set.contains(f))
+                            });
                         if aliases.iter().any(|a| after.contains(a)) {
                             continue; // guard (or an alias) still in use
                         }
@@ -895,24 +876,6 @@ pub fn guard_liveness(
             });
         }
     });
-}
-
-/// Transitive closure of `var` under assignment: every binding whose
-/// initializer mentions `var` (or an alias of it) is an alias.
-fn alias_closure(assigns: &[(String, Vec<String>)], var: &str) -> BTreeSet<String> {
-    let mut set = BTreeSet::from([var.to_string()]);
-    loop {
-        let mut changed = false;
-        for (to, froms) in assigns {
-            if !set.contains(to) && froms.iter().any(|f| set.contains(f)) {
-                set.insert(to.clone());
-                changed = true;
-            }
-        }
-        if !changed {
-            return set;
-        }
-    }
 }
 
 /// Calls `f` for every function item in the tree, descending into

@@ -1,6 +1,6 @@
 //! Lint **shard**: interprocedural lock-shardability classification of
-//! every ranked lockdep guard, plus the machine-readable report behind
-//! `target/analysis/shardability.json`.
+//! every ranked lockdep guard — the shard columns of the
+//! `target/analysis/analysis.json` report.
 //!
 //! The lock-cost pass (PR 7) prices critical sections; this pass asks
 //! the follow-up question ROADMAP items 1 and 4 hinge on: *could this
@@ -37,14 +37,11 @@
 //!
 //! [`HOT_ROOTS`]: crate::hotpath::HOT_ROOTS
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use crate::callgraph::{CallGraph, CallSite};
-use crate::cfg::{self, Cfg, Op};
-use crate::dataflow;
-use crate::hotpath::HOT_ROOTS;
-use crate::rules;
-use crate::{Context, Finding, SourceData};
+use crate::cfg::Op;
+use crate::guards::{self, Core, Evidence, GuardRecord, WitnessAccess, WITNESS_CAP};
+use crate::Finding;
 
 /// Identifiers the workspace reserves for partition identity: the
 /// [`TopicPartition`] bindings and the partition-index locals. Any
@@ -109,175 +106,6 @@ impl Verdict {
     }
 }
 
-/// One witness access: the evidence a verdict rests on.
-#[derive(Debug, Clone)]
-pub struct WitnessAccess {
-    /// `partition-key` or `cross-collection`.
-    pub kind: &'static str,
-    /// What was accessed (`` `tp` ``, `` `topics` ``).
-    pub access: String,
-    /// `file:line` chain from the guard-holding function to the
-    /// access, one `qualified (file:line)` hop per call.
-    pub chain: String,
-}
-
-/// One ranked-guard acquire site with its shardability verdict.
-#[derive(Debug, Clone)]
-pub struct GuardVerdict {
-    /// Rank name (`cluster.state`, …).
-    pub rank: &'static str,
-    /// Rank order from `sim::lockdep::RANKS`.
-    pub order: u32,
-    /// Workspace-relative file of the acquire site.
-    pub file: String,
-    /// 1-based line of the acquire site.
-    pub line: u32,
-    /// Qualified name of the function holding the guard.
-    pub function: String,
-    /// Acquisition method (`lock`, `read`, `write`).
-    pub method: String,
-    /// Whether the holding function is in the hot-path closure.
-    pub hot: bool,
-    /// The classification.
-    pub verdict: Verdict,
-    /// The accesses the verdict rests on (capped, deterministic).
-    pub witness: Vec<WitnessAccess>,
-}
-
-/// The shardability report: every ranked-guard acquire site in the
-/// workspace with its verdict and witnesses.
-#[derive(Debug, Default)]
-pub struct ShardReport {
-    /// Per-site verdicts, sorted partition-local first, then by rank
-    /// order (descending), file, line — fully deterministic.
-    pub guards: Vec<GuardVerdict>,
-}
-
-impl ShardReport {
-    /// The set of rank names with at least one classified acquire
-    /// site. The drift test holds this against `sim::lockdep::RANKS`,
-    /// [`rules::LOCK_FIELDS`] and the lock-cost inventory, so a lock
-    /// added without a shardability verdict fails the build.
-    pub fn inventory(&self) -> BTreeSet<&'static str> {
-        self.guards.iter().map(|g| g.rank).collect()
-    }
-
-    /// `(rank, file, line)` of every classified site — compared 1:1
-    /// with the lock-cost guard table by the drift test.
-    pub fn sites(&self) -> BTreeSet<(&'static str, &str, u32)> {
-        self.guards
-            .iter()
-            .map(|g| (g.rank, g.file.as_str(), g.line))
-            .collect()
-    }
-
-    /// Renders the `shardability/v1` JSON document (hand-rolled — the
-    /// build environment has no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"shardability/v1\",\"guards\":[");
-        for (i, g) in self.guards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let witness = g
-                .witness
-                .iter()
-                .map(|w| {
-                    format!(
-                        "{{\"kind\":\"{}\",\"access\":\"{}\",\"chain\":\"{}\"}}",
-                        esc(w.kind),
-                        esc(&w.access),
-                        esc(&w.chain)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"rank\":\"{}\",\"order\":{},\"file\":\"{}\",\"line\":{},\
-                 \"function\":\"{}\",\"method\":\"{}\",\"hot\":{},\
-                 \"verdict\":\"{}\",\"witness\":[{witness}]}}",
-                esc(g.rank),
-                g.order,
-                esc(&g.file),
-                g.line,
-                esc(&g.function),
-                esc(&g.method),
-                g.hot,
-                g.verdict.as_str()
-            ));
-        }
-        out.push_str("],\"ranks\":[");
-        // Per-rank aggregation: the sharding work-list at a glance. A
-        // rank is partition-local only when *every* site is.
-        let mut totals: BTreeMap<&'static str, (u32, u32, u32, u32, u32)> = BTreeMap::new();
-        for g in &self.guards {
-            let entry = totals.entry(g.rank).or_insert((g.order, 0, 0, 0, 0));
-            entry.1 += 1;
-            match g.verdict {
-                Verdict::PartitionLocal => entry.2 += 1,
-                Verdict::CrossPartition => entry.3 += 1,
-                Verdict::Unknown => entry.4 += 1,
-            }
-        }
-        let mut ranks: Vec<_> = totals.into_iter().collect();
-        ranks.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(b.0)));
-        for (i, (rank, (order, sites, local, cross, unknown))) in ranks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let verdict = if *cross > 0 {
-                "cross-partition"
-            } else if *unknown > 0 {
-                "unknown"
-            } else {
-                "partition-local"
-            };
-            out.push_str(&format!(
-                "{{\"rank\":\"{}\",\"order\":{order},\"sites\":{sites},\"local\":{local},\
-                 \"cross\":{cross},\"unknown\":{unknown},\"verdict\":\"{verdict}\"}}",
-                esc(rank)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// RFC 8259 string escape (subset: the characters our identifiers and
-/// paths can contain).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Cap on witness entries per guard: enough to audit, small enough to
-/// keep the report and its CI diff readable.
-const WITNESS_CAP: usize = 4;
-
-/// Cap on the hops of a callee-carried witness chain.
-const CHAIN_CAP: usize = 6;
-
-/// One function body prepared for classification.
-struct FnBody {
-    /// Index into `graph.fns`.
-    id: usize,
-    /// Workspace-relative file.
-    rel: String,
-    cfg: Cfg,
-    /// `(rank, order)` per acquire site, `None` for unranked.
-    site_rank: Vec<Option<(&'static str, u32)>>,
-    /// Parameter binding names (partition-key taint targets).
-    params: Vec<String>,
-}
-
 /// The identifier-ish names an op mentions, with its source line.
 /// `Mention` has no line and [`Op::LenObserve`] is a keyed point
 /// lookup (`.get()`/`.contains_key()` &co.), so neither contributes
@@ -305,387 +133,168 @@ fn op_names(op: &Op) -> Option<(Vec<&str>, u32)> {
     }
 }
 
-/// The flow-insensitive partition-key closure inside one function:
-/// seeds are the key names (checked by predicate) plus — when the
-/// interprocedural fixpoint marked this function's parameters tainted
-/// — every parameter; the closure adds each binding whose initializer
-/// mentions a keyed name.
-fn local_keys(body: &FnBody, params_tainted: bool) -> BTreeSet<String> {
-    let mut extra: BTreeSet<String> = BTreeSet::new();
-    if params_tainted {
-        extra.extend(body.params.iter().cloned());
-    }
-    loop {
-        let mut changed = false;
-        for blk in &body.cfg.blocks {
-            for op in &blk.ops {
-                if let Op::Assign { to, froms, .. } = op {
-                    if !extra.contains(to)
-                        && froms
-                            .iter()
-                            .any(|n| is_partition_key(n) || extra.contains(n))
-                    {
-                        extra.insert(to.clone());
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            return extra;
-        }
-    }
+/// What the guard walk needs from the two interprocedural phases.
+pub(crate) struct Prep {
+    /// Per body (by index into the core's bodies): the bindings closed
+    /// over a partition key.
+    keys: Vec<BTreeSet<String>>,
+    /// Per function: an unkeyed cross-partition access it reaches.
+    cross: Vec<Option<Evidence>>,
 }
 
-/// A function's cross-partition evidence: the access plus the
-/// `file:line` hop chain leading to it.
-#[derive(Debug, Clone)]
-struct CrossWitness {
-    access: String,
-    chain: Vec<String>,
-}
-
-/// Runs the pass: appends lint findings to `out` and returns the full
-/// shardability report (empty when the tree has no rank table).
-pub fn shard(
-    ctx: &Context,
-    graph: &CallGraph,
-    files: &[SourceData],
-    out: &mut Vec<Finding>,
-) -> ShardReport {
-    let Some(ranks) = &ctx.ranks else {
-        return ShardReport::default();
-    };
-    let order_of = |rank: &str| {
-        ranks
-            .entries
-            .iter()
-            .find(|(n, _)| n == rank)
-            .map(|(_, o)| *o)
-    };
-
-    let mut by_site: HashMap<(&str, u32, &str), usize> = HashMap::new();
-    for (i, f) in graph.fns.iter().enumerate() {
-        by_site.insert((f.file.as_str(), f.line, f.name.as_str()), i);
-    }
-
-    // Lower every non-test function once.
-    let mut bodies: Vec<FnBody> = Vec::new();
-    for file in files {
-        let Some(ast) = &file.ast else { continue };
-        let fields = rules::ranked_fields(&file.rel);
-        rules::for_each_fn(&ast.items, &mut |f| {
-            let Some(&id) = by_site.get(&(file.rel.as_str(), f.line, f.name.as_str())) else {
-                return;
-            };
-            if graph.fns[id].in_test || f.body.is_none() {
-                return;
+/// Phase 1 is the partition-key parameter taint. Phase 2 asks which
+/// functions reach a cross-partition collection unkeyed: direct
+/// evidence first, then lifted up through call sites that pass no
+/// partition key (a keyed call site *is* the shard-lookup shape, so it
+/// does not inherit the callee's cross evidence).
+pub(crate) fn prepare(core: &Core) -> Prep {
+    let taint = core.param_taint(&is_partition_key, &|_| true);
+    let keys: Vec<BTreeSet<String>> = core
+        .bodies
+        .iter()
+        .map(|b| guards::seeded(b, &is_partition_key, taint[b.id]))
+        .collect();
+    let keyed = |bi: usize, n: &str| is_partition_key(n) || keys[bi].contains(n);
+    let mut cross = vec![None; core.graph.fns.len()];
+    for (bi, body) in core.bodies.iter().enumerate() {
+        if cross[body.id].is_some() {
+            continue;
+        }
+        cross[body.id] = body.ops().filter_map(op_names).find_map(|(names, line)| {
+            if names.iter().any(|&n| keyed(bi, n)) {
+                return None;
             }
-            let mut params = Vec::new();
-            for p in &f.params {
-                p.pat.bound_names(&mut params);
-            }
-            let g = cfg::lower_fn(f);
-            let site_rank = rules::site_ranks(&g, &fields, &order_of);
-            bodies.push(FnBody {
-                id,
-                rel: file.rel.clone(),
-                cfg: g,
-                site_rank,
-                params,
-            });
+            let hit = names.iter().find(|n| is_cross_collection(n))?;
+            Some(Evidence {
+                access: format!("`{hit}`"),
+                chain: vec![core.hop(body, line)],
+                truncated: false,
+            })
         });
     }
-
-    // Phase 1: interprocedural partition-key taint — the same
-    // parameter-taint fixpoint hot-copy runs for payload bytes, here
-    // seeded by the partition identity names. Monotone (flags only
-    // flip false→true), so it terminates in at most |fns| rounds.
-    let mut key_taint = vec![false; graph.fns.len()];
-    loop {
-        let mut changed = false;
-        for body in &bodies {
-            let keys = local_keys(body, key_taint[body.id]);
-            for blk in &body.cfg.blocks {
-                for op in &blk.ops {
-                    let Op::Call {
-                        name,
-                        arity,
-                        is_method,
-                        qual,
-                        recv_names,
-                        arg_names,
-                        line,
-                    } = op
-                    else {
-                        continue;
-                    };
-                    if !recv_names
-                        .iter()
-                        .chain(arg_names)
-                        .any(|n| is_partition_key(n) || keys.contains(n))
-                    {
-                        continue;
-                    }
-                    let site = CallSite {
-                        name: name.clone(),
-                        arity: *arity,
-                        is_method: *is_method,
-                        qual: qual.clone(),
-                        line: *line,
-                    };
-                    for t in graph.resolve(body.id, &site) {
-                        if graph.fns[t].arity > 0 && !key_taint[t] {
-                            key_taint[t] = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Phase 2: which functions reach a cross-partition collection
-    // unkeyed? Direct evidence first, then a fixpoint that propagates
-    // a callee's witness up through call sites that pass no partition
-    // key (a keyed call site *is* the shard-lookup shape, so it does
-    // not inherit the callee's cross evidence).
-    let mut crossy: Vec<Option<CrossWitness>> = vec![None; graph.fns.len()];
-    for body in &bodies {
-        if crossy[body.id].is_some() {
-            continue;
-        }
-        let keys = local_keys(body, key_taint[body.id]);
-        'body: for blk in &body.cfg.blocks {
-            for op in &blk.ops {
-                let Some((names, line)) = op_names(op) else {
-                    continue;
-                };
-                if names
-                    .iter()
-                    .any(|n| is_partition_key(n) || keys.contains(*n))
-                {
-                    continue;
-                }
-                if let Some(hit) = names.iter().find(|n| is_cross_collection(n)) {
-                    crossy[body.id] = Some(CrossWitness {
-                        access: format!("`{hit}`"),
-                        chain: vec![hop(graph, body, line)],
-                    });
-                    break 'body;
-                }
-            }
-        }
-    }
-    loop {
-        let mut changed = false;
-        for body in &bodies {
-            if crossy[body.id].is_some() {
-                continue;
-            }
-            let keys = local_keys(body, key_taint[body.id]);
-            'calls: for blk in &body.cfg.blocks {
-                for op in &blk.ops {
-                    let Op::Call {
-                        name,
-                        arity,
-                        is_method,
-                        qual,
-                        recv_names,
-                        arg_names,
-                        line,
-                    } = op
-                    else {
-                        continue;
-                    };
-                    if recv_names
-                        .iter()
-                        .chain(arg_names)
-                        .any(|n| is_partition_key(n) || keys.contains(n))
-                    {
-                        continue;
-                    }
-                    let site = CallSite {
-                        name: name.clone(),
-                        arity: *arity,
-                        is_method: *is_method,
-                        qual: qual.clone(),
-                        line: *line,
-                    };
-                    for t in graph.resolve(body.id, &site) {
-                        let Some(w) = &crossy[t] else { continue };
-                        if w.chain.len() >= CHAIN_CAP {
-                            continue;
-                        }
-                        let mut chain = vec![hop(graph, body, *line)];
-                        chain.extend(w.chain.iter().cloned());
-                        crossy[body.id] = Some(CrossWitness {
-                            access: w.access.clone(),
-                            chain,
-                        });
-                        changed = true;
-                        break 'calls;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Phase 3: per-guard classification via the HeldLocks replay.
-    let reach = graph.reach_from_named(HOT_ROOTS);
-    let mut report = ShardReport::default();
-    for body in &bodies {
-        if !body.site_rank.iter().any(Option::is_some) {
-            continue;
-        }
-        let keys = local_keys(body, key_taint[body.id]);
-        let analysis = rules::HeldLocks {
-            acquires: &body.cfg.acquires,
-        };
-        let held = dataflow::solve(&body.cfg, &analysis);
-        let nsites = body.cfg.acquires.len();
-        let mut local_ev: Vec<Vec<WitnessAccess>> = vec![Vec::new(); nsites];
-        let mut cross_ev: Vec<Vec<WitnessAccess>> = vec![Vec::new(); nsites];
-        for blk in 0..body.cfg.blocks.len() {
-            dataflow::walk_ops(&body.cfg, &analysis, &held, blk, |_, op, live| {
-                if live.is_empty() {
-                    return;
-                }
-                let Some((names, line)) = op_names(op) else {
-                    return;
-                };
-                let keyed = names
-                    .iter()
-                    .find(|n| is_partition_key(n) || keys.contains(**n));
-                let mut evidence: Option<(bool, WitnessAccess)> = None;
-                if let Some(k) = keyed {
-                    evidence = Some((
-                        true,
-                        WitnessAccess {
-                            kind: "partition-key",
-                            access: format!("`{k}`"),
-                            chain: hop(graph, body, line),
-                        },
-                    ));
-                } else if let Some(c) = names.iter().find(|n| is_cross_collection(n)) {
-                    evidence = Some((
-                        false,
-                        WitnessAccess {
-                            kind: "cross-collection",
-                            access: format!("`{c}`"),
-                            chain: hop(graph, body, line),
-                        },
-                    ));
-                } else if let Op::Call {
-                    name,
-                    arity,
-                    is_method,
-                    qual,
-                    ..
-                } = op
-                {
-                    // Unkeyed call: inherit the callee's transitive
-                    // cross evidence, if any.
-                    let site = CallSite {
-                        name: name.clone(),
-                        arity: *arity,
-                        is_method: *is_method,
-                        qual: qual.clone(),
-                        line,
-                    };
-                    for t in graph.resolve(body.id, &site) {
-                        if let Some(w) = &crossy[t] {
-                            let mut chain = vec![hop(graph, body, line)];
-                            chain.extend(w.chain.iter().cloned());
-                            evidence = Some((
-                                false,
-                                WitnessAccess {
-                                    kind: "cross-collection",
-                                    access: w.access.clone(),
-                                    chain: chain.join(" → "),
-                                },
-                            ));
-                            break;
-                        }
-                    }
-                }
-                let Some((is_local, w)) = evidence else {
-                    return;
-                };
-                for &h in live.iter() {
-                    if body.site_rank[h].is_none() {
-                        continue;
-                    }
-                    let bucket = if is_local {
-                        &mut local_ev[h]
-                    } else {
-                        &mut cross_ev[h]
-                    };
-                    if bucket.len() < WITNESS_CAP {
-                        bucket.push(w.clone());
-                    }
-                }
-            });
-        }
-        for (i, site) in body.cfg.acquires.iter().enumerate() {
-            let Some((rank, order)) = body.site_rank[i] else {
-                continue;
-            };
-            let (verdict, witness) = if !cross_ev[i].is_empty() {
-                (Verdict::CrossPartition, cross_ev[i].clone())
-            } else if !local_ev[i].is_empty() {
-                (Verdict::PartitionLocal, local_ev[i].clone())
-            } else {
-                (Verdict::Unknown, Vec::new())
-            };
-            report.guards.push(GuardVerdict {
-                rank,
-                order,
-                file: body.rel.clone(),
-                line: site.line,
-                function: graph.fns[body.id].qualified(),
-                method: site.method.clone(),
-                hot: reach.reachable[body.id],
-                verdict,
-                witness,
-            });
-        }
-    }
-    report.guards.sort_by(|a, b| {
-        a.verdict
-            .cmp(&b.verdict)
-            .then(b.order.cmp(&a.order))
-            .then(a.file.cmp(&b.file))
-            .then(a.line.cmp(&b.line))
+    core.lift(&mut cross, false, &|_| true, |bi, recv, args| {
+        !recv.iter().chain(args).any(|n| keyed(bi, n.as_str()))
     });
+    Prep { keys, cross }
+}
 
-    // Findings: shardable-but-coarse guards — hot, exclusive, proven
-    // partition-local, and not already a per-partition shard rank.
-    for g in &report.guards {
+/// The shard evidence of one function's acquire sites, gathered during
+/// the guard walk.
+pub(crate) struct Walk {
+    local: Vec<Vec<WitnessAccess>>,
+    cross: Vec<Vec<WitnessAccess>>,
+}
+
+impl Walk {
+    pub(crate) fn new(nsites: usize) -> Self {
+        Walk {
+            local: vec![Vec::new(); nsites],
+            cross: vec![Vec::new(); nsites],
+        }
+    }
+
+    /// Evidence function: classifies the access `op` performs in body
+    /// `bi` and files it under every live ranked guard.
+    pub(crate) fn visit(
+        &mut self,
+        core: &Core,
+        prep: &Prep,
+        bi: usize,
+        op: &Op,
+        live: &BTreeSet<usize>,
+    ) {
+        if live.is_empty() {
+            return;
+        }
+        let Some((names, line)) = op_names(op) else {
+            return;
+        };
+        let body = &core.bodies[bi];
+        let keys = &prep.keys[bi];
+        let evidence = if let Some(k) = names
+            .iter()
+            .find(|n| is_partition_key(n) || keys.contains(**n))
+        {
+            let chain = core.hop(body, line);
+            Some((true, "partition-key", format!("`{k}`"), chain))
+        } else if let Some(c) = names.iter().find(|n| is_cross_collection(n)) {
+            let chain = core.hop(body, line);
+            Some((false, "cross-collection", format!("`{c}`"), chain))
+        } else {
+            // Unkeyed call: inherit the callee's transitive cross
+            // evidence, if any.
+            let callee = core
+                .callees(body, op)
+                .into_iter()
+                .find_map(|t| prep.cross[t].as_ref());
+            callee.map(|w| {
+                let mut chain = vec![core.hop(body, line)];
+                chain.extend(w.chain.iter().cloned());
+                let chain = chain.join(" → ");
+                (false, "cross-collection", w.access.clone(), chain)
+            })
+        };
+        let Some((is_local, kind, access, chain)) = evidence else {
+            return;
+        };
+        let w = WitnessAccess {
+            kind,
+            access,
+            chain,
+        };
+        let buckets = if is_local {
+            &mut self.local
+        } else {
+            &mut self.cross
+        };
+        for &h in live {
+            if body.site_rank[h].is_some() && buckets[h].len() < WITNESS_CAP {
+                buckets[h].push(w.clone());
+            }
+        }
+    }
+
+    /// The verdict of acquire site `i` and the accesses it rests on.
+    pub(crate) fn verdict(&mut self, i: usize) -> (Verdict, Vec<WitnessAccess>) {
+        if !self.cross[i].is_empty() {
+            (Verdict::CrossPartition, std::mem::take(&mut self.cross[i]))
+        } else if !self.local[i].is_empty() {
+            (Verdict::PartitionLocal, std::mem::take(&mut self.local[i]))
+        } else {
+            (Verdict::Unknown, Vec::new())
+        }
+    }
+}
+
+/// Findings: shardable-but-coarse guards — hot, exclusive, proven
+/// partition-local, and not already a per-partition shard rank.
+pub(crate) fn findings(core: &Core, guards: &[GuardRecord], out: &mut Vec<Finding>) {
+    for g in guards {
         if !g.hot
-            || g.verdict != Verdict::PartitionLocal
+            || g.shard != Verdict::PartitionLocal
             || g.method == "read"
             || PARTITION_SHARDED_RANKS.contains(&g.rank)
         {
             continue;
         }
         let accesses = g
-            .witness
+            .shard_witness
             .iter()
             .map(|w| w.access.as_str())
             .collect::<Vec<_>>()
             .join(", ");
-        // The holding function's hot-root witness mirrors hot-copy's.
-        let via = {
-            let body = report_body_witness(graph, &reach, &g.function);
-            body.unwrap_or_else(|| g.function.clone())
-        };
+        // The hot-root witness of the first function with the holding
+        // function's qualified name mirrors hot-copy's.
+        let via = core
+            .graph
+            .fns
+            .iter()
+            .position(|f| f.qualified() == g.function)
+            .filter(|&id| core.hot.reachable[id])
+            .map_or_else(
+                || g.function.clone(),
+                |id| core.graph.witness(&core.hot, id),
+            );
         out.push(Finding {
             file: g.file.clone(),
             line: g.line,
@@ -694,29 +303,9 @@ pub fn shard(
                 "exclusive hot-path critical section of \"{}\" (order {}, .{}()) touches only \
                  partition-local state (keyed by {accesses}) — split this lock into \
                  per-partition shards with a dedicated rank in sim::lockdep::RANKS (full \
-                 verdicts: target/analysis/shardability.json) (reached via: {via})",
+                 verdicts: target/analysis/analysis.json) (reached via: {via})",
                 g.rank, g.order, g.method,
             ),
         });
     }
-    report
-}
-
-/// One witness-chain hop: `qualified (file:line)`.
-fn hop(graph: &CallGraph, body: &FnBody, line: u32) -> String {
-    format!("{} ({}:{line})", graph.fns[body.id].qualified(), body.rel)
-}
-
-/// The hot-root call-chain witness for the function with the given
-/// qualified name (there is exactly one per guard by construction).
-fn report_body_witness(
-    graph: &CallGraph,
-    reach: &crate::callgraph::Reachability,
-    qualified: &str,
-) -> Option<String> {
-    let id = graph.fns.iter().position(|f| f.qualified() == qualified)?;
-    if !reach.reachable[id] {
-        return None;
-    }
-    Some(graph.witness(reach, id))
 }

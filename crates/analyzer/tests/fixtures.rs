@@ -34,7 +34,6 @@ pub const RANKS: &[(&str, u32)] = &[
     ("quota.usage", 23),
     ("quota.throttled", 21),
     ("coord.tree", 15),
-    ("job.metrics", 10),
     ("log.readcache", 8),
     ("log.pagecache", 5),
     ("acl.grants", 3),
@@ -772,12 +771,6 @@ fn json_output_reports_findings_and_keeps_deny_exit_codes() {
     );
     assert!(stdout.contains("\"line\":3"), "stdout:\n{stdout}");
     assert!(stdout.contains("\"count\":2"), "stdout:\n{stdout}");
-    // The analysis-report paths ride the JSON output so CI consumes
-    // them instead of hard-coding.
-    assert!(
-        stdout.contains("\"reports\":[\"target/analysis/lock-cost.json\",\"target/analysis/shardability.json\",\"target/analysis/atomicity.json\"]"),
-        "stdout:\n{stdout}"
-    );
     assert!(
         stdout.contains("\\\"cluster.state\\\""),
         "quotes inside messages must be escaped; stdout:\n{stdout}"
@@ -795,76 +788,8 @@ fn json_output_reports_findings_and_keeps_deny_exit_codes() {
     assert_eq!(out.status.code(), Some(0));
     assert_eq!(
         String::from_utf8_lossy(&out.stdout).trim(),
-        "{\"findings\":[],\"count\":0,\"reports\":[\"target/analysis/lock-cost.json\",\
-         \"target/analysis/shardability.json\",\"target/analysis/atomicity.json\"]}"
+        "{\"findings\":[],\"count\":0}"
     );
-}
-
-#[test]
-fn sarif_output_is_valid_2_1_0_and_keeps_deny_exit_codes() {
-    let hit = fixture(
-        "sarif-hit",
-        &[(
-            "crates/core/src/lib.rs",
-            "#![forbid(unsafe_code)]\npub fn f() {\n    panic!(\"boom\");\n}\n",
-        )],
-    );
-    let sarif = |extra: &[&str]| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_liquid-lint"));
-        cmd.args(["--sarif", "--root"]).arg(&hit).args(extra);
-        cmd.output().unwrap()
-    };
-
-    let out = sarif(&[]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "--sarif alone stays exit 0");
-    // The envelope GitHub code scanning requires.
-    assert!(
-        stdout.contains("\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\""),
-        "stdout:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("\"version\":\"2.1.0\""),
-        "stdout:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("\"name\":\"liquid-lint\""),
-        "tool.driver.name; stdout:\n{stdout}"
-    );
-    // Every lint is declared as a rule, findings or not.
-    assert!(
-        stdout.contains("\"id\":\"panic-reachability\""),
-        "stdout:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("\"id\":\"guard-liveness\""),
-        "stdout:\n{stdout}"
-    );
-    // The finding itself: ruleId + message.text + physical location.
-    assert!(stdout.contains("\"ruleId\":\"panic\""), "stdout:\n{stdout}");
-    assert!(stdout.contains("\"level\":\"error\""), "stdout:\n{stdout}");
-    assert!(
-        stdout.contains("\"uri\":\"crates/core/src/lib.rs\""),
-        "stdout:\n{stdout}"
-    );
-    assert!(stdout.contains("\"startLine\":3"), "stdout:\n{stdout}");
-
-    // --deny semantics are identical under --sarif.
-    assert_eq!(sarif(&["--deny"]).status.code(), Some(1));
-
-    // --json and --sarif are mutually exclusive: usage error.
-    assert_eq!(sarif(&["--json"]).status.code(), Some(2));
-
-    // A clean tree still emits a full (empty-results) SARIF document.
-    let clean = fixture("sarif-clean", &[("crates/core/src/lib.rs", LIB_HEADER)]);
-    let out = Command::new(env!("CARGO_BIN_EXE_liquid-lint"))
-        .args(["--sarif", "--deny", "--root"])
-        .arg(&clean)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0));
-    assert!(stdout.contains("\"results\":[]"), "stdout:\n{stdout}");
 }
 
 #[test]
@@ -912,36 +837,6 @@ fn only_flag_filters_findings_by_path_prefix() {
     // Filtering away every finding satisfies --deny.
     let none = run(&["--only", "crates/messaging"]);
     assert_eq!(none.status.code(), Some(0));
-}
-
-#[test]
-fn emit_callgraph_dumps_dot() {
-    let root = fixture(
-        "callgraph-dot",
-        &[(
-            "crates/core/src/lib.rs",
-            "#![forbid(unsafe_code)]\n\
-             pub fn entry() -> u32 {\n    helper()\n}\n\
-             fn helper() -> u32 {\n    7\n}\n",
-        )],
-    );
-    let out = Command::new(env!("CARGO_BIN_EXE_liquid-lint"))
-        .args(["--emit-callgraph", "--root"])
-        .arg(&root)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
-    assert!(
-        stdout.starts_with("digraph liquid_callgraph {"),
-        "stdout:\n{stdout}"
-    );
-    assert!(stdout.contains("core::entry"), "stdout:\n{stdout}");
-    assert!(stdout.contains("core::helper"), "stdout:\n{stdout}");
-    assert!(
-        stdout.contains(" -> "),
-        "the entry→helper edge must be present; stdout:\n{stdout}"
-    );
 }
 
 #[test]
@@ -1200,9 +1095,9 @@ fn lock_cost_report_is_written_with_schema_and_ranking() {
     );
     let out = lint(&root);
     assert_eq!(out.status.code(), Some(0));
-    let report = fs::read_to_string(root.join("target/analysis/lock-cost.json")).unwrap();
+    let report = fs::read_to_string(root.join("target/analysis/analysis.json")).unwrap();
     assert!(
-        report.starts_with("{\"schema\":\"lock-cost/v1\""),
+        report.starts_with("{\"schema\":\"analysis/v1\""),
         "report:\n{report}"
     );
     assert!(
@@ -1215,7 +1110,7 @@ fn lock_cost_report_is_written_with_schema_and_ranking() {
         "report:\n{report}"
     );
     assert!(report.contains("\"hot\":true"), "report:\n{report}");
-    assert!(report.contains("\"ranks\":["), "report:\n{report}");
+    assert!(report.contains("\"census\":["), "report:\n{report}");
 }
 
 #[test]
@@ -1256,13 +1151,13 @@ fn shard_lint_fires_on_partition_local_hot_guard_with_witness() {
 
     // The report carries the witness: kind, access, and a
     // `qualified (file:line)` chain hop for the guard function.
-    let report = fs::read_to_string(hit.join("target/analysis/shardability.json")).unwrap();
+    let report = fs::read_to_string(hit.join("target/analysis/analysis.json")).unwrap();
     assert!(
-        report.starts_with("{\"schema\":\"shardability/v1\""),
+        report.starts_with("{\"schema\":\"analysis/v1\""),
         "report:\n{report}"
     );
     assert!(
-        report.contains("\"verdict\":\"partition-local\""),
+        report.contains("\"shard\":\"partition-local\""),
         "report:\n{report}"
     );
     assert!(
@@ -1298,9 +1193,9 @@ fn shard_lint_classifies_cross_partition_access_through_callees() {
     );
     // Cross-partition guards are not shardable: no finding.
     assert_clean(&root);
-    let report = fs::read_to_string(root.join("target/analysis/shardability.json")).unwrap();
+    let report = fs::read_to_string(root.join("target/analysis/analysis.json")).unwrap();
     assert!(
-        report.contains("\"verdict\":\"cross-partition\""),
+        report.contains("\"shard\":\"cross-partition\""),
         "report:\n{report}"
     );
     assert!(
@@ -1332,9 +1227,9 @@ fn shard_lint_is_conservative_on_unknown_keys() {
         ],
     );
     assert_clean(&root);
-    let report = fs::read_to_string(root.join("target/analysis/shardability.json")).unwrap();
+    let report = fs::read_to_string(root.join("target/analysis/analysis.json")).unwrap();
     assert!(
-        report.contains("\"verdict\":\"unknown\""),
+        report.contains("\"shard\":\"unknown\""),
         "report:\n{report}"
     );
 }
@@ -1602,22 +1497,22 @@ fn atomicity_census_of_real_tree_has_no_unknown_gaps() {
         .join("../..")
         .canonicalize()
         .unwrap();
-    let (_, reports) = liquid_lint::analyze_root_with_report(&root).unwrap();
-    let guards = &reports.atomicity.guards;
+    let (_, report) = liquid_lint::analyze_root(&root).unwrap();
+    let guards = &report.guards;
     assert!(!guards.is_empty());
     assert!(
         guards
             .iter()
-            .all(|g| g.verdict != liquid_lint::atomicity::Verdict::Unknown),
+            .all(|g| g.gap_verdict != liquid_lint::atomicity::Verdict::Unknown),
         "unknown-classified gaps on the real tree"
     );
     // The only stale-use verdicts are the two allowed broker-liveness
     // hints on the cluster.state produce paths.
     for g in guards {
-        if g.verdict == liquid_lint::atomicity::Verdict::StaleUse {
+        if g.gap_verdict == liquid_lint::atomicity::Verdict::StaleUse {
             assert_eq!(g.rank, "cluster.state", "unexpected stale-use on {g:?}");
             assert!(
-                !g.witness.is_empty(),
+                !g.gap_witness.is_empty(),
                 "stale verdict without witness: {g:?}"
             );
         }
@@ -1628,14 +1523,14 @@ fn atomicity_census_of_real_tree_has_no_unknown_gaps() {
         .expect("commit acquire site in the census");
     assert!(commit.gap, "commit path must have a detected gap");
     assert_eq!(
-        commit.verdict,
+        commit.gap_verdict,
         liquid_lint::atomicity::Verdict::Validated,
         "the commit snapshot\u{2192}commit gap must be proven validated"
     );
     assert!(
-        commit.witness.iter().any(|w| w.kind == "reacquire"),
+        commit.gap_witness.iter().any(|w| w.kind == "reacquire"),
         "the shard-lock reacquire must be the witness: {:?}",
-        commit.witness
+        commit.gap_witness
     );
     // Every offsets.shard site is gap-free: slot sections consult only
     // fresh slot state.
@@ -1643,18 +1538,17 @@ fn atomicity_census_of_real_tree_has_no_unknown_gaps() {
         guards
             .iter()
             .filter(|g| g.rank == "offsets.shard")
-            .all(|g| g.verdict == liquid_lint::atomicity::Verdict::Validated),
+            .all(|g| g.gap_verdict == liquid_lint::atomicity::Verdict::Validated),
         "offsets.shard sections must be validated"
     );
 }
 
 #[test]
 fn rank_tables_and_guard_inventory_agree() {
-    // Five copies of the rank table must agree: the runtime table
+    // Three copies of the rank table must agree: the runtime table
     // (sim::lockdep::RANKS, parsed from source), the analyzer's
-    // field→rank map (rules::LOCK_FIELDS), and the acquire-site
-    // inventories of the lock-cost, shardability, and atomicity
-    // reports built from the real tree.
+    // field→rank map (rules::LOCK_FIELDS), and the ranks with an
+    // acquire site in the lock analysis report of the real tree.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
@@ -1680,46 +1574,82 @@ fn rank_tables_and_guard_inventory_agree() {
         "sim::lockdep::RANKS and rules::LOCK_FIELDS drifted apart"
     );
 
-    let (_, reports) = liquid_lint::analyze_root_with_report(&root).unwrap();
-    let inventory = reports.lock_cost.inventory();
-    // job.metrics is declared for sim's own lockdep tests and has no
-    // production acquire site; every other rank must show up in the
-    // guard inventory.
-    let mut expected = declared.clone();
-    expected.remove("job.metrics");
+    let (_, report) = liquid_lint::analyze_root(&root).unwrap();
+    let inventory: std::collections::BTreeSet<&str> =
+        report.guards.iter().map(|g| g.rank).collect();
     assert_eq!(
-        inventory, expected,
-        "lock-cost guard inventory drifted from the declared ranks"
+        inventory, declared,
+        "the lock report's guard inventory drifted from the declared ranks"
     );
+}
 
-    // Fourth copy: the shardability report must classify every rank
-    // the lock-cost report scores — a lock added without a
-    // shardability verdict is drift, not an oversight to wave through.
-    assert_eq!(
-        reports.shardability.inventory(),
-        expected,
-        "shardability guard inventory drifted from the declared ranks"
-    );
-    // And site-for-site: both passes replay the same acquire sites, so
-    // their (rank, file, line) inventories must match exactly.
-    assert_eq!(
-        reports.shardability.sites(),
-        reports.lock_cost.sites(),
-        "shardability and lock-cost passes disagree on acquire sites"
-    );
+#[test]
+fn partition_state_keeps_a_proven_local_site() {
+    // The split the shard verdicts motivated: the partition.state shards
+    // keep at least one analyzer-proven partition-local acquire site.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .unwrap();
+    let (_, report) = liquid_lint::analyze_root(&root).unwrap();
+    assert!(report
+        .guards
+        .iter()
+        .any(|g| g.rank == "partition.state"
+            && g.shard == liquid_lint::shard::Verdict::PartitionLocal));
+}
 
-    // Fifth copy: the atomicity pass audits the same guards — every
-    // rank gets a gap verdict, and its acquire sites are the exact
-    // acquire sites the other passes replay.
-    assert_eq!(
-        reports.atomicity.inventory(),
-        expected,
-        "atomicity guard inventory drifted from the declared ranks"
+#[test]
+fn census_baseline_is_checked_when_present() {
+    let root = fixture(
+        "census-baseline",
+        &[
+            ("crates/sim/src/lockdep.rs", RANKS_RS),
+            (
+                "crates/messaging/src/cluster.rs",
+                "pub fn fetch_batch(state: &L) -> u64 {\n\
+                 \x20   let st = state.lock();\n\
+                 \x20   st.len()\n\
+                 }\n",
+            ),
+        ],
     );
-    assert_eq!(
-        reports.atomicity.sites(),
-        reports.lock_cost.sites(),
-        "atomicity and lock-cost passes disagree on acquire sites"
+    // No baseline file: nothing to check.
+    assert_clean(&root);
+
+    // The baseline the refresh command writes (the report minus its
+    // guard rows) equals the census: clean.
+    let report = fs::read_to_string(root.join("target/analysis/analysis.json")).unwrap();
+    let baseline: String = report
+        .lines()
+        .filter(|l| !l.contains("\"file\":"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(
+        baseline.contains("{\"rank\":\"cluster.state\",\"order\":40,\"sites\":1,"),
+        "baseline:\n{baseline}"
+    );
+    let path = root.join("ci/analysis-baseline.json");
+    fs::create_dir_all(path.parent().unwrap()).unwrap();
+    fs::write(&path, &baseline).unwrap();
+    assert_clean(&root);
+
+    // One site off: exactly one finding, on the baseline row, under the
+    // lint that owns the column.
+    fs::write(&path, baseline.replace("\"sites\":1,", "\"sites\":2,")).unwrap();
+    let out = lint(&root);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
+    assert!(
+        stdout.contains(
+            "ci/analysis-baseline.json:2: [lock-cost] lock census drift on \"cluster.state\": \
+             sites 2 \u{2192} 1"
+        ),
+        "stdout:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("liquid-lint: 1 finding(s)"),
+        "stdout:\n{stdout}"
     );
 }
 

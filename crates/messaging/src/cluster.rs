@@ -25,7 +25,7 @@
 //! so producers on different partitions never serialize on one lock.
 //! The split is analyzer-proven: the `shard` pass in liquid-lint
 //! classifies every ranked critical section as partition-local or
-//! cross-partition (`target/analysis/shardability.json`), and the
+//! cross-partition (`target/analysis/analysis.json`), and the
 //! produce/fetch sections here are the partition-local ones it flagged
 //! while they still ran under the cluster-wide write lock.
 

@@ -37,7 +37,7 @@
 //! segment-read cache shards (`log.readcache`) and log page caches —
 //! a cache miss fills under its shard lock and charges the page-cache
 //! model below it, so the read-cache rank sits above `log.pagecache`;
-//! and quota accounting, job metrics and ACL grants are leaves that
+//! and quota accounting and ACL grants are leaves that
 //! call nothing.
 
 use std::ops::{Deref, DerefMut};
@@ -61,7 +61,6 @@ pub const RANKS: &[(&str, u32)] = &[
     ("quota.usage", 23),
     ("quota.throttled", 21),
     ("coord.tree", 15),
-    ("job.metrics", 10),
     ("log.readcache", 8),
     ("log.pagecache", 5),
     ("acl.grants", 3),
@@ -394,14 +393,14 @@ mod tests {
     fn descending_acquisition_is_clean() {
         let a = Mutex::new("group.groups", 1u32);
         let b = Mutex::new("offsets.inner", 2u32);
-        let c = Mutex::new("job.metrics", 3u32);
+        let c = Mutex::new("log.pagecache", 3u32);
         let ga = a.lock();
         let gb = b.lock();
         let gc = c.lock();
         assert_eq!(*ga + *gb + *gc, 6);
         assert_eq!(
             held_ranks(),
-            vec!["group.groups", "offsets.inner", "job.metrics"]
+            vec!["group.groups", "offsets.inner", "log.pagecache"]
         );
     }
 
@@ -431,7 +430,7 @@ mod tests {
 
     #[test]
     fn rank_inversion_panics() {
-        let low = Mutex::new("job.metrics", ());
+        let low = Mutex::new("log.pagecache", ());
         let high = Mutex::new("cluster.state", ());
         let _g = low.lock();
         let err = catch_unwind(AssertUnwindSafe(|| {
@@ -440,7 +439,7 @@ mod tests {
         .expect_err("ascending acquisition must abort");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("rank inversion"), "unexpected message: {msg}");
-        assert!(msg.contains("cluster.state") && msg.contains("job.metrics"));
+        assert!(msg.contains("cluster.state") && msg.contains("log.pagecache"));
     }
 
     #[test]
@@ -502,7 +501,7 @@ mod tests {
 
     #[test]
     fn panic_does_not_leak_held_entries() {
-        let low = Mutex::new("job.metrics", ());
+        let low = Mutex::new("log.pagecache", ());
         let high = Mutex::new("consumer.state", ());
         {
             let _g = low.lock();

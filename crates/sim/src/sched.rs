@@ -1525,7 +1525,7 @@ mod tests {
     #[test]
     fn same_lock_two_threads_explores_both_orders() {
         let report = check("two-producers-one-lock", Config::default(), || {
-            let m = Arc::new(lockdep::Mutex::new("job.metrics", 0u64));
+            let m = Arc::new(lockdep::Mutex::new("log.pagecache", 0u64));
             let a = Arc::clone(&m);
             let b = Arc::clone(&m);
             let ha = spawn_named("a".into(), move || *a.lock() += 1);
@@ -1542,7 +1542,7 @@ mod tests {
     #[test]
     fn independent_locks_collapse_to_one_trace() {
         let report = check("independent-locks", Config::default(), || {
-            let m1 = Arc::new(lockdep::Mutex::new("job.metrics", 0u64));
+            let m1 = Arc::new(lockdep::Mutex::new("log.pagecache", 0u64));
             let m2 = Arc::new(lockdep::Mutex::new("offsets.inner", 0u64));
             let h1 = spawn_named("a".into(), move || *m1.lock() += 1);
             let h2 = spawn_named("b".into(), move || *m2.lock() += 1);
@@ -1604,7 +1604,7 @@ mod tests {
     fn lock_protected_twin_is_race_free() {
         let report = check("lock-protected-twin", Config::default(), || {
             let c = Arc::new(Shared::new("clean.counter", 0u64));
-            let m = Arc::new(lockdep::Mutex::new("job.metrics", ()));
+            let m = Arc::new(lockdep::Mutex::new("log.pagecache", ()));
             let (c1, m1) = (Arc::clone(&c), Arc::clone(&m));
             let (c2, m2) = (Arc::clone(&c), Arc::clone(&m));
             let h1 = spawn_named("a".into(), move || {
@@ -1683,7 +1683,7 @@ mod tests {
                 ..Config::default()
             },
             || {
-                let m = Arc::new(lockdep::Mutex::new("job.metrics", 0u64));
+                let m = Arc::new(lockdep::Mutex::new("log.pagecache", 0u64));
                 let a = Arc::clone(&m);
                 let b = Arc::clone(&m);
                 let ha = spawn_named("a".into(), move || *a.lock() += 1);

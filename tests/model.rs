@@ -137,7 +137,7 @@ fn model_registry_concurrent_registration() {
     use liquid_sim::lockdep::Mutex;
     let report = check("obs.registry-races", Config::default(), || {
         let obs = Obs::default();
-        let turnstile = Arc::new(Mutex::new("job.metrics", ()));
+        let turnstile = Arc::new(Mutex::new("log.pagecache", ()));
         let a = {
             let o = obs.clone();
             let t = turnstile.clone();
@@ -408,7 +408,7 @@ fn model_batch_group_commit_vs_leader_kill() {
 /// panics inside lockdep and fails the run — and each partition's
 /// batch lands contiguously at its own base offset, unperturbed by the
 /// other partition's commit. This is the model-checked half of the
-/// analyzer-driven lock split (`target/analysis/shardability.json`);
+/// analyzer-driven lock split (`target/analysis/analysis.json`);
 /// the E12 concurrent sweep is the throughput half.
 #[test]
 fn model_sharded_producers_distinct_partitions() {
