@@ -56,9 +56,6 @@ pub const LOCK_FIELDS: &[(&str, &str, &str)] = &[
     // slot sits behind its own mutex inside an `OffsetShard`, resolved
     // (and its `Arc` cloned) under a brief `offsets.inner` guard.
     ("offsets.rs", "slot", "offsets.shard"),
-    ("quotas.rs", "limits", "quota.limits"),
-    ("quotas.rs", "usage", "quota.usage"),
-    ("quotas.rs", "throttled_total", "quota.throttled"),
     ("lib.rs", "state", "dfs.state"),
     ("lib.rs", "stats", "dfs.stats"),
     ("stack.rs", "feeds", "stack.feeds"),

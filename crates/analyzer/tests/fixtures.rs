@@ -30,9 +30,6 @@ pub const RANKS: &[(&str, u32)] = &[
     ("partition.state", 35),
     ("offsets.inner", 30),
     ("offsets.shard", 28),
-    ("quota.limits", 24),
-    ("quota.usage", 23),
-    ("quota.throttled", 21),
     ("coord.tree", 15),
     ("log.readcache", 8),
     ("log.pagecache", 5),

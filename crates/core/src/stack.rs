@@ -22,8 +22,6 @@ use crate::LiquidError;
 pub struct LiquidConfig {
     /// Brokers in the messaging layer.
     pub brokers: u32,
-    /// Follower lag tolerated inside the ISR.
-    pub replica_lag_max: u64,
     /// Processing nodes as `(cpu_per_tick, memory_mb)`.
     pub nodes: Vec<(u64, u64)>,
     /// Fault injector for the cluster's replication / election / offset
@@ -35,7 +33,6 @@ impl Default for LiquidConfig {
     fn default() -> Self {
         LiquidConfig {
             brokers: 1,
-            replica_lag_max: 0,
             nodes: vec![(1_000_000, 16_384)],
             injector: FailureInjector::disabled(),
         }
@@ -130,7 +127,6 @@ impl Liquid {
         let cluster = Cluster::new(
             ClusterConfig {
                 brokers: config.brokers,
-                replica_lag_max: config.replica_lag_max,
                 injector: config.injector.clone(),
                 ..ClusterConfig::default()
             },

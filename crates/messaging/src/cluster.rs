@@ -3,8 +3,8 @@
 //! Replication follows the paper's §4.3 design: every partition has one
 //! **leader** and N−1 **followers**; followers replicate by reading from
 //! the leader and appending to their local logs. A coordination service
-//! tracks the **in-sync replicas** (ISR) — followers within a
-//! configurable lag of the leader. On leader failure a new leader is
+//! tracks the **in-sync replicas** (ISR) — followers caught up to the
+//! leader's log end. On leader failure a new leader is
 //! elected from the ISR, so the partition tolerates N−1 failures with N
 //! in-sync replicas. The acknowledgement level chosen by producers
 //! ([`AckLevel`]) trades durability for latency: `All` waits for every
@@ -47,6 +47,9 @@ use crate::error::MessagingError;
 use crate::ids::{BrokerId, MessageBatch, TopicPartition};
 use crate::offsets::OffsetManager;
 
+/// Coordination session timeout for brokers.
+const BROKER_SESSION_TIMEOUT_MS: u64 = 10_000;
+
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -55,11 +58,6 @@ pub struct ClusterConfig {
     /// Default topic replication factor; [`ClusterConfigBuilder::build`]
     /// holds it to `1..=brokers`.
     pub default_replication: u32,
-    /// A follower may lag the leader by at most this many records and
-    /// remain in the ISR.
-    pub replica_lag_max: u64,
-    /// Coordination session timeout for brokers.
-    pub session_timeout_ms: u64,
     /// Fault injector for replication fetches, leader elections and
     /// offset commits. Disabled by default.
     pub injector: FailureInjector,
@@ -81,8 +79,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             brokers: 1,
             default_replication: 1,
-            replica_lag_max: 0,
-            session_timeout_ms: 10_000,
             injector: FailureInjector::disabled(),
             obs: Obs::default(),
             segment_cache_bytes: 64 * 1024 * 1024,
@@ -125,18 +121,6 @@ impl ClusterConfigBuilder {
     /// `1..=brokers`).
     pub fn replication(mut self, replication: u32) -> Self {
         self.config.default_replication = replication;
-        self
-    }
-
-    /// Sets the maximum follower lag tolerated inside the ISR.
-    pub fn replica_lag_max(mut self, lag: u64) -> Self {
-        self.config.replica_lag_max = lag;
-        self
-    }
-
-    /// Sets the coordination session timeout.
-    pub fn session_timeout_ms(mut self, ms: u64) -> Self {
-        self.config.session_timeout_ms = ms;
         self
     }
 
@@ -408,7 +392,6 @@ struct Inner {
     log_ids: AtomicU64,
     offsets: OffsetManager,
     groups: crate::group::GroupRegistry,
-    quotas: crate::quotas::QuotaManager,
 }
 
 impl Cluster {
@@ -422,7 +405,7 @@ impl Cluster {
         coord.ensure_path("/liquid/topics").expect("static path");
         let mut brokers = BTreeMap::new();
         for id in 0..config.brokers {
-            let session = coord.create_session(config.session_timeout_ms);
+            let session = coord.create_session(BROKER_SESSION_TIMEOUT_MS);
             coord
                 .create(
                     &format!("/liquid/brokers/{id}"),
@@ -464,9 +447,8 @@ impl Cluster {
                 producer_ids: AtomicU64::new(0),
                 read_cache,
                 log_ids: AtomicU64::new(0),
-                offsets: OffsetManager::with_obs(clock.clone(), injector, &obs),
+                offsets: OffsetManager::with_obs(clock, injector, &obs),
                 groups: crate::group::GroupRegistry::default(),
-                quotas: crate::quotas::QuotaManager::new(clock),
                 obs,
                 config,
             }),
@@ -499,12 +481,6 @@ impl Cluster {
     /// The offset manager (consumer checkpoints + metadata annotations).
     pub fn offsets(&self) -> &OffsetManager {
         &self.inner.offsets
-    }
-
-    /// Per-client produce quotas (§3.1: identifying misbehaving
-    /// applications).
-    pub fn quotas(&self) -> &crate::quotas::QuotaManager {
-        &self.inner.quotas
     }
 
     /// The shared clock.
@@ -952,7 +928,6 @@ impl Cluster {
         }
         let online: HashMap<BrokerId, bool> =
             st.brokers.iter().map(|(&id, b)| (id, b.online)).collect();
-        let lag_max = self.inner.config.replica_lag_max;
         let mut total = 0u64;
         let topics: Vec<String> = st.topics.keys().cloned().collect();
         for t in st.topics.values() {
@@ -1002,13 +977,14 @@ impl Cluster {
                     }
                     total += copied.0;
                 }
-                // Recompute ISR: leader plus followers within lag_max.
+                // Recompute ISR: leader plus followers caught up to the
+                // leader end.
                 let leader_end = ps.log_end(leader);
                 let mut isr = vec![leader];
                 for &b in &ps.assignment {
                     if b != leader
                         && online.get(&b).copied().unwrap_or(false)
-                        && leader_end - ps.log_end(b) <= lag_max
+                        && ps.log_end(b) == leader_end
                     {
                         isr.push(b);
                     }
@@ -1093,10 +1069,7 @@ impl Cluster {
         if st.brokers[&id].online {
             return Ok(());
         }
-        let session = self
-            .inner
-            .coord
-            .create_session(self.inner.config.session_timeout_ms);
+        let session = self.inner.coord.create_session(BROKER_SESSION_TIMEOUT_MS);
         self.inner
             .coord
             .create(
@@ -1159,49 +1132,6 @@ impl Cluster {
             .get(&id)
             .map(|b| b.online)
             .unwrap_or(false)
-    }
-
-    /// Preferred-leader election: partitions whose current leader is not
-    /// the first live ISR member of their assignment move leadership
-    /// back. Run after broker restarts to undo the leadership skew that
-    /// failovers cause (load balancing across brokers, §4.4). Returns
-    /// the number of partitions whose leader moved.
-    pub fn rebalance_leadership(&self) -> crate::Result<usize> {
-        // Leadership moves are per-partition state: a metadata read for
-        // the broker map, then one shard lock at a time.
-        let st = self.inner.state.read();
-        let online: HashMap<BrokerId, bool> =
-            st.brokers.iter().map(|(&id, b)| (id, b.online)).collect();
-        let mut moved = 0;
-        let topics: Vec<String> = st.topics.keys().cloned().collect();
-        for t in st.topics.values() {
-            for shard in &t.partitions {
-                let mut ps = shard.part.lock();
-                let preferred = ps
-                    .assignment
-                    .iter()
-                    .copied()
-                    .find(|b| ps.isr.contains(b) && online.get(b).copied().unwrap_or(false));
-                if let Some(p) = preferred {
-                    if let Some(current) = ps.leader.filter(|&c| c != p) {
-                        // Only safe when the preferred replica is fully
-                        // caught up with the current leader.
-                        if ps.log_end(p) == ps.log_end(current) {
-                            ps.leader = Some(p);
-                            moved += 1;
-                        }
-                    }
-                }
-            }
-        }
-        drop(st);
-        for topic in &topics {
-            self.publish_partition_states(topic);
-        }
-        if moved > 0 {
-            self.inner.metrics.elections.add(moved as u64);
-        }
-        Ok(moved)
     }
 
     /// Applies retention to every partition log; returns segments
@@ -1710,56 +1640,6 @@ mod tests {
     }
 
     #[test]
-    fn preferred_leader_restored_after_failover() {
-        let (c, _) = cluster(3);
-        c.create_topic("t", TopicConfig::with_partitions(1).replication(3))
-            .unwrap();
-        let tp = TopicPartition::new("t", 0);
-        for i in 0..5 {
-            c.produce_to(&tp, None, b(&format!("m{i}")), AckLevel::All)
-                .unwrap();
-        }
-        let preferred = c.leader(&tp).unwrap().unwrap();
-        c.kill_broker(preferred).unwrap();
-        let interim = c.leader(&tp).unwrap().unwrap();
-        assert_ne!(interim, preferred);
-        // Preferred broker returns, catches up, and a rebalance pass
-        // moves leadership back.
-        c.restart_broker(preferred).unwrap();
-        c.replicate_tick().unwrap();
-        assert_eq!(c.rebalance_leadership().unwrap(), 1);
-        assert_eq!(c.leader(&tp).unwrap(), Some(preferred));
-        // Idempotent: second pass moves nothing.
-        assert_eq!(c.rebalance_leadership().unwrap(), 0);
-        // Data intact.
-        assert_eq!(
-            c.fetch_batch(&tp, 0, u64::MAX)
-                .unwrap()
-                .into_messages()
-                .len(),
-            5
-        );
-    }
-
-    #[test]
-    fn rebalance_waits_for_catch_up() {
-        let (c, _) = cluster(2);
-        c.create_topic("t", TopicConfig::with_partitions(1).replication(2))
-            .unwrap();
-        let tp = TopicPartition::new("t", 0);
-        c.produce_to(&tp, None, b("a"), AckLevel::All).unwrap();
-        let preferred = c.leader(&tp).unwrap().unwrap();
-        c.kill_broker(preferred).unwrap();
-        // New writes the preferred replica does not have yet.
-        c.produce_to(&tp, None, b("b"), AckLevel::Leader).unwrap();
-        c.restart_broker(preferred).unwrap();
-        // Not caught up: leadership must NOT move.
-        assert_eq!(c.rebalance_leadership().unwrap(), 0);
-        c.replicate_tick().unwrap();
-        assert_eq!(c.rebalance_leadership().unwrap(), 1);
-    }
-
-    #[test]
     fn rewind_by_timestamp() {
         let (c, clock) = cluster(1);
         c.create_topic("t", TopicConfig::default()).unwrap();
@@ -1847,13 +1727,10 @@ mod tests {
         let cfg = ClusterConfig::builder()
             .brokers(3)
             .replication(2)
-            .replica_lag_max(5)
-            .session_timeout_ms(1_000)
             .build()
             .unwrap();
         assert_eq!(cfg.brokers, 3);
         assert_eq!(cfg.default_replication, 2);
-        assert_eq!(cfg.replica_lag_max, 5);
     }
 
     #[test]

@@ -40,21 +40,6 @@ pub enum MessagingError {
         /// Brokers available to host replicas.
         brokers: u32,
     },
-    /// A client exceeded its produce quota.
-    Throttled {
-        /// The offending client id.
-        client: String,
-        /// Suggested back-off before retrying (ms).
-        retry_after_ms: u64,
-    },
-    /// A quota usage counter would overflow `u64` — the client has
-    /// recorded an impossible volume of traffic inside one window.
-    /// Surfaced as an error instead of wrapping silently (which would
-    /// reset the counter and let the client bypass its quota).
-    QuotaOverflow {
-        /// The offending client id.
-        client: String,
-    },
     /// Offset-domain arithmetic overflowed; continuing would silently
     /// corrupt offsets or high watermarks, so the operation is refused.
     OffsetOverflow {
@@ -92,13 +77,6 @@ impl std::fmt::Display for MessagingError {
                 f,
                 "invalid config: replication {replication} out of range 1..={brokers}"
             ),
-            MessagingError::Throttled {
-                client,
-                retry_after_ms,
-            } => write!(f, "client {client} throttled; retry in {retry_after_ms}ms"),
-            MessagingError::QuotaOverflow { client } => {
-                write!(f, "quota usage counter overflow for client {client}")
-            }
             MessagingError::OffsetOverflow { what, value } => {
                 write!(f, "offset arithmetic overflow: {what} (operand {value})")
             }

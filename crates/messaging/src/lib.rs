@@ -25,7 +25,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod admin;
 pub mod cluster;
 pub mod config;
 pub mod consumer;
@@ -35,9 +34,7 @@ pub mod ids;
 pub mod mirror;
 pub mod offsets;
 pub mod producer;
-pub mod quotas;
 
-pub use admin::{ClusterDescription, PartitionInfo, TopicInfo};
 pub use cluster::{Cluster, ClusterConfig, ClusterConfigBuilder};
 pub use config::{AckLevel, TopicConfig};
 pub use consumer::Consumer;
@@ -47,7 +44,6 @@ pub use ids::{BrokerId, Message, MessageBatch, TopicPartition};
 pub use mirror::MirrorMaker;
 pub use offsets::{OffsetCommit, OffsetManager};
 pub use producer::{BatchConfig, Partitioner, Producer};
-pub use quotas::{QuotaDecision, QuotaManager};
 
 /// Result alias for messaging operations.
 pub type Result<T> = std::result::Result<T, MessagingError>;

@@ -90,8 +90,6 @@ pub struct Producer {
     rr: AtomicU64,
     /// Idempotent-producer session: `(producer_id, next_sequence)`.
     idempotent: Option<(u64, AtomicU64)>,
-    /// Client id for broker-side quota enforcement.
-    client_id: Option<String>,
     /// Per-partition accumulation, when batching is enabled: slot `p`
     /// holds partition `p`'s pending batch. The lock is never held
     /// across a cluster call: flushes take the builder out, release,
@@ -113,7 +111,6 @@ impl Producer {
             acks: AckLevel::Leader,
             rr: AtomicU64::new(0),
             idempotent: None,
-            client_id: None,
             batching: None,
         })
     }
@@ -125,14 +122,6 @@ impl Producer {
     pub fn with_batching(mut self, config: BatchConfig) -> Self {
         let slots = (0..self.partitions).map(|_| Slot::default()).collect();
         self.batching = Some((config, Mutex::new("producer.batches", slots)));
-        self
-    }
-
-    /// Identifies this producer to the brokers for quota accounting
-    /// (see [`Cluster::quotas`]). Sends that exceed the client's quota
-    /// fail with a throttle error carrying a back-off hint.
-    pub fn with_client_id(mut self, client_id: &str) -> Self {
-        self.client_id = Some(client_id.to_string());
         self
     }
 
@@ -186,16 +175,6 @@ impl Producer {
 
     /// Publishes one message; returns `(partition, offset)`.
     pub fn send(&self, key: Option<Bytes>, value: Bytes) -> crate::Result<(u32, u64)> {
-        if let Some(client) = &self.client_id {
-            if let crate::quotas::QuotaDecision::Throttle { retry_after_ms } =
-                self.cluster.quotas().check(client, value.len() as u64)?
-            {
-                return Err(crate::MessagingError::Throttled {
-                    client: client.clone(),
-                    retry_after_ms,
-                });
-            }
-        }
         if let Some((_, next_seq)) = &self.idempotent {
             let seq = next_seq.fetch_add(1, Ordering::Relaxed) + 1;
             return self.send_with_sequence(key, value, seq);
@@ -241,16 +220,6 @@ impl Producer {
             // Unbatched producers degrade to an immediate send.
             return self.send(key, value).map(|(p, o)| Some((p, o)));
         };
-        if let Some(client) = &self.client_id {
-            if let crate::quotas::QuotaDecision::Throttle { retry_after_ms } =
-                self.cluster.quotas().check(client, value.len() as u64)?
-            {
-                return Err(crate::MessagingError::Throttled {
-                    client: client.clone(),
-                    retry_after_ms,
-                });
-            }
-        }
         let partition = self.pick_partition(key.as_deref());
         let now = self.cluster.clock().now();
         let ripe = {
@@ -583,34 +552,6 @@ mod tests {
                 .len(),
             2
         );
-    }
-
-    #[test]
-    fn quota_throttles_noisy_client() {
-        let c = setup(1);
-        c.quotas().set_limit("noisy-app", 100);
-        let p = Producer::new(&c, "t").unwrap().with_client_id("noisy-app");
-        // First sends fit the 100-byte window...
-        p.send_value("0123456789").unwrap();
-        // ...then the flood hits the quota.
-        let mut throttled = false;
-        for _ in 0..20 {
-            if matches!(
-                p.send_value("0123456789012345678901234567890123456789"),
-                Err(crate::MessagingError::Throttled { .. })
-            ) {
-                throttled = true;
-                break;
-            }
-        }
-        assert!(throttled, "noisy client must be throttled");
-        assert!(c.quotas().throttle_count("noisy-app") >= 1);
-        // Unidentified clients are unaffected.
-        let free = Producer::new(&c, "t").unwrap();
-        for _ in 0..20 {
-            free.send_value("0123456789012345678901234567890123456789")
-                .unwrap();
-        }
     }
 
     #[test]

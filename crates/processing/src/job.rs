@@ -122,13 +122,12 @@ impl JobConfig {
 }
 
 /// Pre-resolved registry handles for the job's execution counters.
-/// Handles are atomic, so tasks on parallel threads update them without
-/// a lock (the old lockdep-tracked `job.metrics` mutex is gone). Twin
+/// Handles are atomic, so tasks update them without a lock (the old
+/// lockdep-tracked `job.metrics` mutex is gone). Twin
 /// counters mirror the `task.checkpoint` / `task.restore` fault sites.
 #[derive(Debug, Clone)]
 struct JobMetrics {
     rounds: CounterHandle,
-    parallel_rounds: CounterHandle,
     messages: CounterHandle,
     checkpoints: CounterHandle,
     max_task_batch: GaugeHandle,
@@ -141,7 +140,6 @@ impl JobMetrics {
         let reg = obs.registry();
         JobMetrics {
             rounds: reg.counter("job.rounds"),
-            parallel_rounds: reg.counter("job.parallel_rounds"),
             messages: reg.counter("job.messages"),
             checkpoints: reg.counter("job.checkpoints"),
             max_task_batch: reg.gauge("job.max_task_batch"),
@@ -363,46 +361,6 @@ impl Job {
         Ok(processed)
     }
 
-    /// Like [`run_once`](Self::run_once) but tasks execute on one OS
-    /// thread each — the in-process analogue of Samza running a job's
-    /// tasks in parallel containers. Tasks are independent by
-    /// construction (disjoint partitions, private state), so this is
-    /// safe without additional locking.
-    pub fn run_once_parallel(&mut self) -> crate::Result<u64> {
-        let cluster = &self.cluster;
-        let config = &self.config;
-        let metrics = &self.metrics;
-        let results: Vec<crate::Result<u64>> = liquid_sim::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .tasks
-                .iter_mut()
-                .map(|t| scope.spawn(move || run_task_once(cluster, config, t, u64::MAX, metrics)))
-                .collect();
-            handles
-                .into_iter()
-                // A panicking task is a bug in user task code;
-                // sim::thread join re-raises it with its original
-                // payload instead of masking it.
-                .map(|h| h.join())
-                .collect()
-        });
-        let mut processed = 0;
-        for r in results {
-            processed += r?;
-        }
-        let checkpoint_every = self.config.checkpoint_every;
-        if checkpoint_every > 0 {
-            for t in &mut self.tasks {
-                if t.since_checkpoint >= checkpoint_every {
-                    checkpoint_task(&self.cluster, &self.config, t, &self.metrics)?;
-                }
-            }
-        }
-        self.metrics.parallel_rounds.inc();
-        self.processed_total += processed;
-        Ok(processed)
-    }
-
     /// Runs rounds until no input remains (bounded by `max_rounds`).
     /// Returns total messages processed.
     pub fn run_until_idle(&mut self, max_rounds: usize) -> crate::Result<u64> {
@@ -472,8 +430,8 @@ impl Job {
     }
 }
 
-/// One task's fetch-and-process round (shared by the sequential and
-/// parallel drivers). Each input batch is one commit unit: its messages
+/// One task's fetch-and-process round. Each input batch is one commit
+/// unit: its messages
 /// are processed, then the changelog writes and the outputs they
 /// buffered are flushed, then the position moves — so a position never
 /// covers a message whose effects are not in the log. A failed flush
@@ -820,31 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_round_matches_sequential_results() {
-        let c = setup(4);
-        for p in 0..4 {
-            fill(&c, "in", p, 250);
-        }
-        let mut job = counting_job(&c, "par");
-        let n = job.run_once_parallel().unwrap();
-        assert_eq!(n, 1000);
-        for p in 0..4 {
-            assert_eq!(job.state(p).unwrap().get_counter(b"seen"), 250);
-        }
-        // Outputs all forwarded, lag drained.
-        assert_eq!(job.lag().unwrap(), 0);
-        assert_eq!(job.run_once_parallel().unwrap(), 0);
-        // Parallel tasks updated the shared atomic registry handles.
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let snap = job.snapshot();
-            assert_eq!(snap.counter("job.parallel_rounds"), 2);
-            assert_eq!(snap.counter("job.messages"), 1000);
-            assert_eq!(snap.gauge("job.max_task_batch"), Some(250));
-        }
-    }
-
-    #[test]
     #[cfg(not(feature = "obs-off"))]
     fn snapshot_tracks_rounds_messages_and_checkpoints() {
         let c = setup(1);
@@ -859,7 +792,6 @@ mod tests {
             snap.counter("job.rounds") >= 2,
             "processing round plus the idle round"
         );
-        assert_eq!(snap.counter("job.parallel_rounds"), 0);
         assert_eq!(snap.counter("job.checkpoints"), 1);
         // Twin counter mirrors every pass through the fault site.
         assert_eq!(snap.counter("task.checkpoint"), 1);

@@ -6,7 +6,8 @@
 //!   the classic "user activity × user profile" join.
 //! * [`WindowedStreamJoinTask`] buffers both sides in state and emits a
 //!   pair whenever records with the same key arrive within the window —
-//!   used by the call-graph assembly use case (§5.1).
+//!   the pattern behind the call-graph assembly use case (§5.1), though
+//!   `examples/call_graph_assembly.rs` buffers its spans itself.
 
 use bytes::Bytes;
 use liquid_messaging::Message;

@@ -17,27 +17,23 @@
 //!   avoids any backpressure protocol (§3.2) — [`pipeline`] wires
 //!   multi-stage dataflow graphs this way;
 //! * [`window`] and [`join`] provide the standard building blocks:
-//!   tumbling/sliding window aggregation, stream-table joins.
+//!   tumbling window aggregation, stream-table joins.
 
 #![forbid(unsafe_code)]
 
-pub mod aggregates;
 pub mod dsl;
 pub mod error;
 pub mod job;
 pub mod join;
 pub mod pipeline;
-pub mod session;
 pub mod state;
 pub mod task;
 pub mod window;
 
-pub use aggregates::{KeyedAggregate, RunningStats, StatsView};
 pub use dsl::{Record, Stream};
 pub use error::ProcessingError;
 pub use job::{Job, JobConfig, JobStart};
 pub use pipeline::{Pipeline, Stage};
-pub use session::{Session, SessionWindow};
 pub use state::StateStore;
 pub use task::{FnTask, StreamTask, TaskContext};
 

@@ -433,6 +433,26 @@ mod tests {
     }
 
     #[test]
+    fn updated_values_survive_changelog_recovery() {
+        // Read-modify-write of a value that is not a counter, then a
+        // crash: the rebuilt store resumes from the changelog's copy.
+        let (c, tp) = cluster_with_changelog();
+        let append =
+            |v: Option<&[u8]>, event: &[u8]| Bytes::from([v.unwrap_or_default(), event].concat());
+        {
+            let mut s = StateStore::with_changelog(c.clone(), tp.clone()).unwrap();
+            s.update(b"events", |v| append(v, b"a")).unwrap();
+            s.update(b"events", |v| append(v, b"b")).unwrap();
+            s.flush().unwrap();
+        }
+        let mut rebuilt = StateStore::with_changelog(c, tp).unwrap();
+        assert_eq!(rebuilt.restore_from_changelog().unwrap(), 1);
+        assert_eq!(rebuilt.get(b"events"), Some(b("ab")));
+        rebuilt.update(b"events", |v| append(v, b"c")).unwrap();
+        assert_eq!(rebuilt.get(b"events"), Some(b("abc")));
+    }
+
+    #[test]
     fn injected_wal_append_leaves_state_and_changelog_untouched() {
         use liquid_sim::failure::FailureInjector;
         let (c, tp) = cluster_with_changelog();

@@ -116,59 +116,6 @@ impl TumblingWindow {
     }
 }
 
-/// Overlapping windows: length `size_ms`, advancing every `slide_ms`.
-/// An event belongs to `size/slide` windows; aggregates are stored per
-/// window exactly like tumbling ones.
-#[derive(Debug, Clone, Copy)]
-pub struct SlidingWindow {
-    /// Window length (ms).
-    pub size_ms: u64,
-    /// Slide interval (ms); must divide evenly into windows.
-    pub slide_ms: u64,
-}
-
-impl SlidingWindow {
-    /// A sliding window; `slide_ms` must be ≤ `size_ms` and positive.
-    pub fn new(size_ms: u64, slide_ms: u64) -> Self {
-        assert!(slide_ms > 0 && slide_ms <= size_ms, "invalid slide");
-        SlidingWindow { size_ms, slide_ms }
-    }
-
-    /// Starts of every window containing `ts`.
-    pub fn window_starts(&self, ts: Ts) -> Vec<Ts> {
-        let last = ts - ts % self.slide_ms;
-        let mut starts = Vec::new();
-        let mut s = last;
-        loop {
-            if s + self.size_ms > ts {
-                starts.push(s);
-            }
-            if s < self.slide_ms || s == 0 {
-                break;
-            }
-            s -= self.slide_ms;
-            if s + self.size_ms <= ts {
-                break;
-            }
-        }
-        starts.sort_unstable();
-        starts
-    }
-
-    /// Adds `delta` to every window containing `ts`.
-    pub fn add(&self, store: &mut StateStore, ts: Ts, key: &[u8], delta: u64) -> crate::Result<()> {
-        for start in self.window_starts(ts) {
-            store.add_counter(&window_key(start, key), delta)?;
-        }
-        Ok(())
-    }
-
-    /// Reads the aggregate of the window starting at `start`.
-    pub fn get(&self, store: &mut StateStore, start: Ts, key: &[u8]) -> u64 {
-        store.get_counter(&window_key(start, key))
-    }
-}
-
 fn window_key(start: Ts, key: &[u8]) -> Vec<u8> {
     let mut k = format!("w|{start:020}|").into_bytes();
     k.extend_from_slice(key);
@@ -253,27 +200,6 @@ mod tests {
         assert_eq!(closed.len(), 3);
         let keys: Vec<_> = closed.iter().map(|c| c.key.clone()).collect();
         assert!(keys.contains(&Bytes::from_static(b"a")));
-    }
-
-    #[test]
-    fn sliding_window_assigns_multiple() {
-        let w = SlidingWindow::new(1000, 500);
-        let starts = w.window_starts(1200);
-        assert_eq!(starts, vec![500, 1000]);
-        let starts0 = w.window_starts(100);
-        assert_eq!(starts0, vec![0]);
-    }
-
-    #[test]
-    fn sliding_window_counts() {
-        let w = SlidingWindow::new(1000, 500);
-        let mut s = StateStore::ephemeral();
-        w.add(&mut s, 600, b"k", 1).unwrap(); // windows 500, 0
-        w.add(&mut s, 1100, b"k", 1).unwrap(); // windows 1000, 500
-        assert_eq!(w.get(&mut s, 0, b"k"), 1);
-        assert_eq!(w.get(&mut s, 500, b"k"), 2);
-        assert_eq!(w.get(&mut s, 1000, b"k"), 1);
-        assert_eq!(w.get(&mut s, 1500, b"k"), 0);
     }
 
     #[test]

@@ -40,9 +40,7 @@ pub mod vclock;
 /// Schedulable stand-ins for `std::thread`: the only spawn primitives
 /// the `raw-thread` lint permits outside `crates/sim`.
 pub mod thread {
-    pub use crate::sched::{
-        scope, spawn, spawn_named, yield_point, JoinHandle, Scope, ScopedJoinHandle,
-    };
+    pub use crate::sched::{spawn, spawn_named, yield_point, JoinHandle};
 }
 
 pub use clock::{Clock, SharedClock, SimClock, SystemClock, Ts};

@@ -37,8 +37,7 @@
 //! segment-read cache shards (`log.readcache`) and log page caches —
 //! a cache miss fills under its shard lock and charges the page-cache
 //! model below it, so the read-cache rank sits above `log.pagecache`;
-//! and quota accounting and ACL grants are leaves that
-//! call nothing.
+//! and ACL grants are leaves that call nothing.
 
 use std::ops::{Deref, DerefMut};
 
@@ -57,9 +56,6 @@ pub const RANKS: &[(&str, u32)] = &[
     ("partition.state", 35),
     ("offsets.inner", 30),
     ("offsets.shard", 28),
-    ("quota.limits", 24),
-    ("quota.usage", 23),
-    ("quota.throttled", 21),
     ("coord.tree", 15),
     ("log.readcache", 8),
     ("log.pagecache", 5),

@@ -585,9 +585,8 @@ fn join_point(child: usize) {
 }
 
 /// Spawns a thread. Inside a model run this is a virtual thread under
-/// the controller; outside it is a plain OS thread. This (plus
-/// [`scope`]) is the only spawn primitive the `raw-thread` lint
-/// permits outside `crates/sim`.
+/// the controller; outside it is a plain OS thread. This is the only
+/// spawn primitive the `raw-thread` lint permits outside `crates/sim`.
 pub fn spawn<F, T>(f: F) -> JoinHandle<T>
 where
     F: FnOnce() -> T + Send + 'static,
@@ -637,104 +636,6 @@ pub fn yield_point() {
         return;
     }
     schedule_point(Act::Yield);
-}
-
-// ---------------------------------------------------------------------------
-// Scoped threads
-// ---------------------------------------------------------------------------
-
-/// Scope for borrowing spawns, wrapping `std::thread::scope` with
-/// model-run integration.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-    /// Virtual tids of children not yet explicitly joined; the scope
-    /// exit model-joins them before the real implicit join.
-    pending: RefCell<Vec<usize>>,
-}
-
-/// Handle returned by [`Scope::spawn`].
-pub struct ScopedJoinHandle<'scope, T> {
-    tid: Option<usize>,
-    inner: std::thread::ScopedJoinHandle<'scope, Option<T>>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread; a virtual thread inside a model run.
-    pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce() -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        match ctx() {
-            Some((ctrl, me)) => {
-                let tid = register_thread(&ctrl, format!("scoped-{}", me), Some(me));
-                self.pending.borrow_mut().push(tid);
-                let inner = self.inner.spawn(move || thread_main(ctrl, tid, f));
-                ScopedJoinHandle {
-                    tid: Some(tid),
-                    inner,
-                }
-            }
-            None => ScopedJoinHandle {
-                tid: None,
-                inner: self.inner.spawn(move || Some(f())),
-            },
-        }
-    }
-}
-
-impl<T> ScopedJoinHandle<'_, T> {
-    /// Waits for the scoped thread; child panics propagate, as with
-    /// [`JoinHandle::join`].
-    pub fn join(self) -> T {
-        if let Some(child) = self.tid {
-            join_point(child);
-        }
-        match self.inner.join() {
-            Ok(Some(v)) => v,
-            Ok(None) => std::panic::panic_any(RunAborted),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-}
-
-/// Scoped-thread entry point, replacing `std::thread::scope`. Inside a
-/// model run, children the closure did not join are model-joined
-/// before the real scope's implicit join — otherwise that implicit
-/// join would block an OS thread on children the controller still
-/// needs to schedule.
-pub fn scope<'env, F, T>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
-{
-    std::thread::scope(|s| {
-        let scope = Scope {
-            inner: s,
-            pending: RefCell::new(Vec::new()),
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Model-join the stragglers even when the closure panicked —
-        // otherwise the implicit std join below would block this
-        // (still `Running`, from the controller's view) thread on
-        // children the controller never gets to schedule. Skip only
-        // when the run is already being drained: the abort drain
-        // unwinds the children itself.
-        let pending = scope.pending.take();
-        let draining = result
-            .as_ref()
-            .err()
-            .is_some_and(|p| p.downcast_ref::<RunAborted>().is_some())
-            || ctx().is_some_and(|(ctrl, _)| ctrl.lock().abort);
-        if !draining {
-            for child in pending {
-                join_point(child);
-            }
-        }
-        match result {
-            Ok(v) => v,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1501,7 +1402,6 @@ mod tests {
     use super::*;
     use crate::lockdep;
     use std::panic::catch_unwind;
-    use std::sync::atomic::AtomicU64;
 
     fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         payload
@@ -1699,23 +1599,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_threads_are_model_joined() {
-        let report = check("scoped", Config::default(), || {
-            let total = AtomicU64::new(0);
-            scope(|s| {
-                for _ in 0..2 {
-                    s.spawn(|| {
-                        total.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-            assert_eq!(total.load(Ordering::SeqCst), 2);
-        });
-        assert!(report.complete);
-        assert!(report.interleavings >= 1);
-    }
-
-    #[test]
     fn tick_sites_are_schedule_points() {
         let report = check("tick-points", Config::default(), || {
             let inj = crate::failure::FailureInjector::disabled();
@@ -1747,12 +1630,6 @@ mod tests {
         assert_eq!(cell.get(), 2);
         let h = spawn(|| 40 + 2);
         assert_eq!(h.join(), 42);
-        let sum = scope(|s| {
-            let a = s.spawn(|| 20);
-            let b = s.spawn(|| 22);
-            a.join() + b.join()
-        });
-        assert_eq!(sum, 42);
     }
 
     #[test]

@@ -79,12 +79,10 @@ fn main() -> liquid::Result<()> {
         .to("page-views")
         .into_job(&cluster, "dsl-per-page")?;
 
-    // Pump all chains (each with parallel tasks).
+    // Pump all chains.
     loop {
-        let n = clean.run_once_parallel()?
-            + per_user.run_once_parallel()?
-            + rekey.run_once_parallel()?
-            + per_page.run_once_parallel()?;
+        let n =
+            clean.run_once()? + per_user.run_once()? + rekey.run_once()? + per_page.run_once()?;
         if n == 0 {
             break;
         }
