@@ -12,10 +12,11 @@
 //! dominates); Liquid stays in the sub-second range regardless of
 //! pipeline length — the nearline-vs-batch gap.
 
-use liquid::prelude::*;
-use liquid_bench::report::{fmt_ns, table_header, table_row};
+use crate::report::{check, fmt_ns, table_header, table_row};
+use bytes::Bytes;
 use liquid_dfs::{Dfs, DfsConfig};
 use liquid_mr::{identity_map, identity_reduce, MrJobConfig, MrPipeline};
+use liquid_sim::clock::SimClock;
 use liquid_sim::disk::DiskModel;
 use liquid_sim::pagecache::{PageCache, PageCacheConfig};
 
@@ -97,29 +98,38 @@ fn liquid_pipeline_latency(stages: usize) -> u64 {
     cost
 }
 
-fn main() {
+pub fn run() -> Result<(), String> {
     println!("# E1: pipeline end-to-end latency vs stage count ({EVENTS} events)");
     table_header(&["stages", "MR/DFS", "Liquid", "MR/Liquid ratio"]);
-    let obs = liquid_obs::Obs::default();
+    let mut rows = Vec::new();
     for stages in 1..=MAX_STAGES {
-        let mr = mr_pipeline_latency(stages);
-        let lq = liquid_pipeline_latency(stages);
-        let reg = obs.registry();
-        let label = [("stages", format!("{stages}"))];
-        let labels: Vec<(&str, &str)> = label.iter().map(|(k, v)| (*k, v.as_str())).collect();
-        reg.gauge_with("bench.mr_latency_ns", &labels).set(mr);
-        reg.gauge_with("bench.liquid_latency_ns", &labels).set(lq);
+        let (mr, lq) = (mr_pipeline_latency(stages), liquid_pipeline_latency(stages));
         table_row(&[
             stages.to_string(),
             fmt_ns(mr),
             fmt_ns(lq),
             format!("{:.0}x", mr as f64 / lq.max(1) as f64),
         ]);
+        rows.push((mr, lq));
     }
     println!();
     println!(
         "paper claim: DFS-based stacks have high per-stage overhead; Liquid keeps\n\
          latency low and roughly flat as stages are added (nearline default)."
     );
-    liquid_bench::report::write_bench("e1", &obs.snapshot());
+    let mr: Vec<u64> = rows.iter().map(|&(mr, _)| mr).collect();
+    check(
+        "MR latency rises with every stage",
+        mr.windows(2).all(|w| w[1] > w[0]),
+        format!("MR latencies {mr:?} ns"),
+    )?;
+    let worst = rows
+        .iter()
+        .map(|&(mr, lq)| mr as f64 / lq.max(1) as f64)
+        .fold(f64::INFINITY, f64::min);
+    check(
+        "MR/Liquid >= 10^4 at every stage count",
+        worst >= 1e4,
+        format!("smallest ratio {worst:.0}x"),
+    )
 }

@@ -8,12 +8,11 @@
 //! partitions, ingest X MB, and measure total bytes leaving the ingest
 //! path (replication traffic + consumer deliveries).
 
-use liquid_bench::report::{fmt_bytes, table_header, table_row, write_bench};
+use crate::report::{check, fmt_bytes, table_header, table_row};
 use liquid_messaging::consumer::StartPosition;
 use liquid_messaging::{
     AssignmentStrategy, Cluster, ClusterConfig, Consumer, Producer, TopicConfig,
 };
-use liquid_obs::Obs;
 use liquid_sim::clock::SimClock;
 
 const TOPICS: usize = 25;
@@ -24,26 +23,26 @@ const PAYLOAD: usize = 512;
 /// Back-end systems subscribed per topic (fan-out groups).
 const GROUPS: usize = 4;
 
-fn main() {
+pub fn run() -> Result<(), String> {
     let clock = SimClock::new(0);
-    let obs = Obs::default();
-    let config = ClusterConfig::builder()
-        .brokers(4)
-        .obs(obs.clone())
-        .build()
-        .expect("valid cluster config");
-    let cluster = Cluster::new(config, clock.shared());
-    for t in 0..TOPICS {
+    let cluster = Cluster::new(ClusterConfig::with_brokers(4), clock.shared());
+    let topic_names: Vec<String> = (0..TOPICS).map(|t| format!("topic-{t:03}")).collect();
+    for topic in &topic_names {
         cluster
             .create_topic(
-                &format!("topic-{t:03}"),
+                topic,
                 TopicConfig::with_partitions(PARTITIONS_PER_TOPIC).replication(REPLICATION),
             )
             .unwrap();
     }
+    // The census as the cluster reports it, not as it was asked for.
+    let census: Vec<u32> = topic_names
+        .iter()
+        .map(|t| cluster.partition_count(t).unwrap())
+        .collect();
     println!("# E10: deployment profile (scaled 1:10^6 from the paper's §5)");
     println!();
-    let total_partitions = TOPICS as u32 * PARTITIONS_PER_TOPIC;
+    let total_partitions: u32 = census.iter().sum();
     table_header(&["metric", "paper (production)", "this run (scaled)"]);
     table_row(&["topics".into(), "25,000".into(), TOPICS.to_string()]);
     table_row(&[
@@ -54,13 +53,13 @@ fn main() {
     table_row(&[
         "partitions/topic".into(),
         "~8".into(),
-        PARTITIONS_PER_TOPIC.to_string(),
+        (total_partitions / TOPICS as u32).to_string(),
     ]);
 
     // Ingest.
     let payload = "x".repeat(PAYLOAD);
-    for t in 0..TOPICS {
-        let producer = Producer::new(&cluster, &format!("topic-{t:03}")).unwrap();
+    for topic in &topic_names {
+        let producer = Producer::new(&cluster, topic).unwrap();
         for i in 0..MESSAGES_PER_TOPIC {
             producer
                 .send(None, bytes::Bytes::from(format!("{payload}{i}")))
@@ -70,7 +69,6 @@ fn main() {
     cluster.replicate_tick().unwrap();
 
     // Fan-out: GROUPS back-end systems consume every topic.
-    let topic_names: Vec<String> = (0..TOPICS).map(|t| format!("topic-{t:03}")).collect();
     let topic_refs: Vec<&str> = topic_names.iter().map(String::as_str).collect();
     for g in 0..GROUPS {
         let consumer = Consumer::in_group(&cluster, &format!("backend-{g}"), "m0");
@@ -128,5 +126,15 @@ fn main() {
          (x{GROUPS} here); the shape reproduces at any scale.",
         REPLICATION - 1
     );
-    write_bench("e10", &snap);
+    let amplification = out_total as f64 / bytes_in.max(1) as f64;
+    check(
+        "out/in within 4.9-5.1x",
+        (4.9..=5.1).contains(&amplification),
+        format!("{amplification:.2}x"),
+    )?;
+    check(
+        "8 partitions per topic",
+        census.iter().all(|&n| n == 8),
+        format!("partitions per topic {census:?}"),
+    )
 }

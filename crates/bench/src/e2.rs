@@ -4,20 +4,20 @@
 //! Appends batches into logs of increasing size and measures (a) append
 //! throughput and (b) tail-read throughput at each size. The append-only
 //! design means neither degrades as the log grows — unlike structures
-//! with in-place updates whose cost grows with data volume.
+//! with in-place updates whose cost grows with data volume. Both
+//! throughput columns are wall clock: reported, not gated.
 
 use std::time::Instant;
 
+use crate::report::{check, table_header, table_row};
 use bytes::Bytes;
 use liquid::log::{Log, LogConfig};
-use liquid_bench::report::{table_header, table_row, write_bench};
-use liquid_obs::Obs;
 use liquid_sim::clock::SimClock;
 
 const BATCH: u64 = 20_000;
 const PAYLOAD: usize = 100;
 
-fn main() {
+pub fn run() -> Result<(), String> {
     println!("# E2: log throughput vs log size (batch = {BATCH} msgs of {PAYLOAD}B)");
     table_header(&[
         "log size (msgs)",
@@ -25,12 +25,10 @@ fn main() {
         "tail-read Kmsg/s",
         "segments",
     ]);
-    let obs = Obs::default();
     let clock = SimClock::new(0);
     let mut log = Log::open(
         LogConfig {
             segment_bytes: 4 << 20,
-            obs: obs.clone(),
             ..LogConfig::default()
         },
         clock.shared(),
@@ -38,6 +36,7 @@ fn main() {
     .unwrap();
     let payload = vec![b'x'; PAYLOAD];
     let mut size = 0u64;
+    let mut short_reads = 0;
     for _ in 0..6 {
         // Grow the log by several batches (unmeasured filler), then
         // measure one batch of appends and one tail read.
@@ -57,7 +56,7 @@ fn main() {
         let t = Instant::now();
         let got = log.read(tail_start, u64::MAX).unwrap().records.len() as u64;
         let read_s = t.elapsed().as_secs_f64();
-        assert_eq!(got, BATCH);
+        short_reads += u64::from(got != BATCH);
 
         table_row(&[
             size.to_string(),
@@ -71,6 +70,9 @@ fn main() {
         "paper claim: append-only design => throughput constant independent of\n\
          log size, enabling cost-effective weeks-to-months retention."
     );
-    obs.registry().gauge("bench.final_log_msgs").set(size);
-    write_bench("e2", &obs.snapshot());
+    check(
+        "every tail read returns the whole batch",
+        short_reads == 0,
+        format!("{short_reads} short reads"),
+    )
 }

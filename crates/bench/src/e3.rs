@@ -10,9 +10,9 @@
 
 use std::sync::Arc;
 
+use crate::report::{check, fmt_ns, table_header, table_row};
 use bytes::Bytes;
 use liquid::log::{Log, LogConfig};
-use liquid_bench::report::{fmt_ns, table_header, table_row};
 use liquid_sim::clock::SimClock;
 use liquid_sim::lockdep::Mutex;
 use liquid_sim::pagecache::{PageCache, PageCacheConfig};
@@ -21,7 +21,7 @@ const MESSAGES: u64 = 50_000;
 const PAYLOAD: usize = 512;
 const READ_BATCH: u64 = 64 * 1024; // bytes per fetch
 
-fn main() {
+pub fn run() -> Result<(), String> {
     let clock = SimClock::new(0);
     // Cache big enough for ~1/8 of the data: the head stays resident,
     // the tail ages out — exactly the paper's deployment regime.
@@ -36,11 +36,9 @@ fn main() {
             clock.shared(),
         ),
     ));
-    let obs = liquid_obs::Obs::default();
     let mut log = Log::open(
         LogConfig {
             segment_bytes: 1 << 20,
-            obs: obs.clone(),
             ..LogConfig::default()
         },
         clock.shared(),
@@ -109,10 +107,9 @@ fn main() {
         "paper claim: head-of-log reads come from RAM; rewind reads are slow at\n\
          first, then prefetching makes successive sequential reads fast."
     );
-    let reg = obs.registry();
-    reg.gauge("bench.cold_batch_ns").set(cold);
-    reg.gauge("bench.warm_batch_ns").set(warm);
-    reg.gauge("bench.cache_hits").set(stats.hits);
-    reg.gauge("bench.cache_misses").set(stats.misses);
-    liquid_bench::report::write_bench("e3", &obs.snapshot());
+    check(
+        "cold first rewind batch >= 100x the median warm batch",
+        cold >= 100 * warm.max(1),
+        format!("cold {} vs warm {}", fmt_ns(cold), fmt_ns(warm)),
+    )
 }

@@ -6,8 +6,8 @@
 //! changelog, and reports size reduction plus the number of records a
 //! recovering task must replay before and after.
 
+use crate::report::{check, fmt_bytes, table_header, table_row};
 use bytes::Bytes;
-use liquid_bench::report::{fmt_bytes, table_header, table_row};
 use liquid_log::RetentionPolicy;
 use liquid_messaging::{AckLevel, Cluster, ClusterConfig, TopicConfig, TopicPartition};
 use liquid_sim::clock::SimClock;
@@ -16,14 +16,9 @@ use rand::Rng;
 
 const UPDATES: u64 = 200_000;
 
-fn run(keys: usize, obs: &liquid_obs::Obs) -> (u64, u64, u64, u64, f64) {
+fn compact(keys: usize) -> (u64, u64, u64, u64, f64) {
     let clock = SimClock::new(0);
-    let config = ClusterConfig::builder()
-        .brokers(1)
-        .obs(obs.clone())
-        .build()
-        .expect("valid cluster config");
-    let cluster = Cluster::new(config, clock.shared());
+    let cluster = Cluster::new(ClusterConfig::with_brokers(1), clock.shared());
     cluster
         .create_topic(
             "changelog",
@@ -65,7 +60,7 @@ fn run(keys: usize, obs: &liquid_obs::Obs) -> (u64, u64, u64, u64, f64) {
     )
 }
 
-fn main() {
+pub fn run() -> Result<(), String> {
     println!("# E4: log compaction vs key population ({UPDATES} zipf(1.0) updates)");
     table_header(&[
         "distinct keys",
@@ -75,16 +70,12 @@ fn main() {
         "size after",
         "sealed dedup",
     ]);
-    let obs = liquid_obs::Obs::default();
+    let mut slow_recoveries = Vec::new();
     for keys in [100usize, 1_000, 10_000, 100_000] {
-        let (rb, ra, bb, ba, ratio) = run(keys, &obs);
-        let keys_label = keys.to_string();
-        let labels = [("keys", keys_label.as_str())];
-        let reg = obs.registry();
-        reg.gauge_with("bench.replay_before", &labels).set(rb);
-        reg.gauge_with("bench.replay_after", &labels).set(ra);
-        reg.gauge_with("bench.bytes_before", &labels).set(bb);
-        reg.gauge_with("bench.bytes_after", &labels).set(ba);
+        let (rb, ra, bb, ba, ratio) = compact(keys);
+        if 4 * ra >= rb {
+            slow_recoveries.push((keys, ra));
+        }
         table_row(&[
             keys.to_string(),
             rb.to_string(),
@@ -100,5 +91,9 @@ fn main() {
          both storage and state-recovery time drop — most sharply when updates\n\
          are skewed over few keys."
     );
-    liquid_bench::report::write_bench("e4", &obs.snapshot());
+    check(
+        "replay after compaction < 1/4 of replay before, at every key count",
+        slow_recoveries.is_empty(),
+        format!("(keys, replay after) {slow_recoveries:?} of {UPDATES} before"),
+    )
 }

@@ -6,15 +6,18 @@
 //! bounded; with isolation disabled the noisy job drains the node's
 //! shared CPU pool first and the polite job starves.
 
-use liquid::prelude::*;
-use liquid_bench::report::{table_header, table_row};
+use crate::report::{check, table_header, table_row};
+use liquid::prelude::{
+    ContainerRequest, FeedConfig, FnTask, JobConfig, Liquid, LiquidConfig, Message, SimClock,
+    TaskContext,
+};
 
 const TICKS: u64 = 200;
 const ARRIVALS_PER_TICK: u64 = 400;
 /// Node CPU per tick; each message costs 1 unit.
 const NODE_CPU: u64 = 1_000;
 
-fn run(isolation: bool) -> (u64, u64, u64) {
+fn share_node(isolation: bool) -> (u64, u64, u64) {
     let clock = SimClock::new(0);
     let liquid = Liquid::new(
         LiquidConfig {
@@ -75,7 +78,7 @@ fn run(isolation: bool) -> (u64, u64, u64) {
     (p50, p99, noisy_done)
 }
 
-fn main() {
+pub fn run() -> Result<(), String> {
     println!(
         "# E7: noisy-neighbour isolation ({TICKS} ticks, polite load {ARRIVALS_PER_TICK}/tick, \
          noisy load {}/tick, node cpu {NODE_CPU}/tick)",
@@ -87,15 +90,10 @@ fn main() {
         "polite lag p99",
         "noisy processed",
     ]);
-    let obs = liquid_obs::Obs::default();
+    let mut p99s = Vec::new();
     for (iso, label) in [(true, "on (containers)"), (false, "off (shared pool)")] {
-        let (p50, p99, noisy) = run(iso);
-        let mode = if iso { "on" } else { "off" };
-        let labels = [("isolation", mode)];
-        let reg = obs.registry();
-        reg.gauge_with("bench.polite_lag_p50", &labels).set(p50);
-        reg.gauge_with("bench.polite_lag_p99", &labels).set(p99);
-        reg.gauge_with("bench.noisy_processed", &labels).set(noisy);
+        let (p50, p99, noisy) = share_node(iso);
+        p99s.push(p99);
         table_row(&[
             label.to_string(),
             p50.to_string(),
@@ -109,5 +107,15 @@ fn main() {
          minimum service level; without it a resource-intensive job degrades\n\
          its neighbours (the polite job's lag explodes)."
     );
-    liquid_bench::report::write_bench("e7", &obs.snapshot());
+    let (on, off) = (p99s[0], p99s[1]);
+    check(
+        "with isolation the polite job's p99 lag is 0",
+        on == 0,
+        format!("p99 lag {on}"),
+    )?;
+    check(
+        "without isolation the polite job's p99 lag is > 0",
+        off > 0,
+        format!("p99 lag {off}"),
+    )
 }

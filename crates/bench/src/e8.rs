@@ -5,26 +5,15 @@
 //! code paths to maintain, steady-state work per update cycle,
 //! reprocessing cost after a logic change, and the staleness window.
 
+use crate::report::{check, table_header, table_row};
 use liquid::architectures::{run_kappa, run_lambda, run_liquid, ArchReport};
-use liquid_bench::report::{table_header, table_row};
 
 const HISTORY: u64 = 100_000;
 const DELTA: u64 = 10_000;
 const KEYS: u64 = 50;
 const BATCH_CYCLES: u64 = 3;
 
-fn row(name: &str, r: ArchReport, obs: &liquid_obs::Obs) -> Vec<String> {
-    let arch = name.to_ascii_lowercase();
-    let labels = [("arch", arch.as_str())];
-    let reg = obs.registry();
-    reg.gauge_with("bench.code_paths", &labels)
-        .set(u64::from(r.code_paths));
-    reg.gauge_with("bench.steady_state_work", &labels)
-        .set(r.steady_state_work);
-    reg.gauge_with("bench.reprocess_work", &labels)
-        .set(r.reprocess_work);
-    reg.gauge_with("bench.staleness_window", &labels)
-        .set(r.staleness_window);
+fn row(name: &str, r: &ArchReport) -> Vec<String> {
     vec![
         name.to_string(),
         r.code_paths.to_string(),
@@ -35,7 +24,7 @@ fn row(name: &str, r: ArchReport, obs: &liquid_obs::Obs) -> Vec<String> {
     ]
 }
 
-fn main() {
+pub fn run() -> Result<(), String> {
     println!(
         "# E8: architectures compared ({HISTORY} history + {DELTA} delta, {KEYS} keys, \
          {BATCH_CYCLES} batch cycles)"
@@ -48,14 +37,12 @@ fn main() {
         "reprocess work",
         "staleness (msgs)",
     ]);
-    let obs = liquid_obs::Obs::default();
-    table_row(&row(
-        "Lambda",
-        run_lambda(HISTORY, DELTA, KEYS, BATCH_CYCLES),
-        &obs,
-    ));
-    table_row(&row("Kappa", run_kappa(HISTORY, DELTA, KEYS), &obs));
-    table_row(&row("Liquid", run_liquid(HISTORY, DELTA, KEYS), &obs));
+    let lambda = run_lambda(HISTORY, DELTA, KEYS, BATCH_CYCLES);
+    let kappa = run_kappa(HISTORY, DELTA, KEYS);
+    let liquid = run_liquid(HISTORY, DELTA, KEYS);
+    table_row(&row("Lambda", &lambda));
+    table_row(&row("Kappa", &kappa));
+    table_row(&row("Liquid", &liquid));
     println!();
     println!(
         "paper claim: Lambda doubles code and hardware (batch recomputes all\n\
@@ -63,5 +50,15 @@ fn main() {
          replays; Liquid's steady state is incremental (delta only) with the\n\
          same single code path and source-of-truth log."
     );
-    liquid_bench::report::write_bench("e8", &obs.snapshot());
+    check(
+        "Liquid's steady-state work equals the delta",
+        liquid.steady_state_work == DELTA,
+        format!("{} for a delta of {DELTA}", liquid.steady_state_work),
+    )?;
+    let paths = [lambda.code_paths, kappa.code_paths, liquid.code_paths];
+    check(
+        "code paths: Lambda 2, Kappa 1, Liquid 1",
+        paths == [2, 1, 1],
+        format!("Lambda/Kappa/Liquid {paths:?}"),
+    )
 }

@@ -1,47 +1,4 @@
-//! Shared reporting helpers for experiment binaries.
-
-use std::path::PathBuf;
-
-use liquid_obs::json::{write_str, Json};
-use liquid_obs::Snapshot;
-
-/// Renders the `BENCH_<experiment>.json` document: the experiment id
-/// plus the full registry snapshot of the run.
-pub fn bench_json(experiment: &str, snapshot: &Snapshot) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"experiment\":");
-    write_str(&mut out, experiment);
-    out.push_str(",\"snapshot\":");
-    out.push_str(&snapshot.to_json());
-    out.push('}');
-    out
-}
-
-/// Writes `BENCH_<experiment>.json` into the current directory and
-/// returns the path. Experiment binaries call this last, so a run's
-/// metrics are machine-readable next to its printed tables.
-pub fn write_bench(experiment: &str, snapshot: &Snapshot) -> PathBuf {
-    let path = PathBuf::from(format!("BENCH_{experiment}.json"));
-    let text = bench_json(experiment, snapshot);
-    std::fs::write(&path, &text).expect("write BENCH json");
-    println!("wrote {}", path.display());
-    path
-}
-
-/// Validates the `BENCH_*.json` schema: a JSON object with a string
-/// `experiment` and a `snapshot` parseable as an [`Snapshot`]. Returns
-/// the experiment id on success.
-pub fn check_bench_schema(text: &str) -> Result<String, String> {
-    let doc = Json::parse(text).ok_or("not valid JSON")?;
-    let obj = doc.as_object().ok_or("top level is not an object")?;
-    let experiment = obj
-        .get("experiment")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"experiment\"")?;
-    let snap_val = obj.get("snapshot").ok_or("missing field \"snapshot\"")?;
-    Snapshot::from_value(snap_val).ok_or("\"snapshot\" is not a registry snapshot")?;
-    Ok(experiment.to_string())
-}
+//! Table, format and verdict helpers shared by the experiments.
 
 /// Prints a Markdown-style table header.
 pub fn table_header(cols: &[&str]) {
@@ -55,6 +12,17 @@ pub fn table_header(cols: &[&str]) {
 /// Prints one table row.
 pub fn table_row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
+}
+
+/// One gated verdict of an experiment: prints `check ok: <name>` when
+/// `ok` holds, else fails naming the check and what was `measured`.
+pub fn check(name: &str, ok: bool, measured: impl std::fmt::Display) -> Result<(), String> {
+    if ok {
+        println!("check ok: {name}");
+        Ok(())
+    } else {
+        Err(format!("check `{name}` failed: {measured}"))
+    }
 }
 
 /// Formats nanoseconds human-readably.
@@ -88,32 +56,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_json_round_trips_schema() {
-        let mut snap = Snapshot::default();
-        snap.counters.insert("cluster.messages_in".into(), 42);
-        snap.gauges
-            .insert("partition.high_watermark{tp=t-0}".into(), 7);
-        let text = bench_json("e2", &snap);
-        assert_eq!(check_bench_schema(&text).unwrap(), "e2");
-        let doc = Json::parse(&text).unwrap();
-        let back = Snapshot::from_value(doc.as_object().unwrap().get("snapshot").unwrap()).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn bench_schema_rejects_malformed_documents() {
-        assert!(check_bench_schema("not json").is_err());
-        assert!(check_bench_schema("{}").is_err());
-        assert!(check_bench_schema("{\"experiment\":7,\"snapshot\":{}}").is_err());
-        assert!(check_bench_schema("{\"experiment\":\"e1\",\"snapshot\":[]}").is_err());
-        assert!(check_bench_schema(
-            "{\"experiment\":\"e1\",\
-                 \"snapshot\":{\"counters\":{},\"gauges\":{},\"histograms\":{}}}"
-        )
-        .is_ok());
-    }
-
-    #[test]
     fn formats() {
         assert_eq!(fmt_ns(500), "500ns");
         assert_eq!(fmt_ns(1_500), "1.50us");
@@ -123,5 +65,14 @@ mod tests {
         assert_eq!(fmt_bytes(2048), "2.00KiB");
         assert_eq!(fmt_bytes(3 << 20), "3.00MiB");
         assert_eq!(fmt_bytes(5 << 30), "5.00GiB");
+    }
+
+    #[test]
+    fn check_names_the_failed_verdict() {
+        assert_eq!(check("holds", true, "x"), Ok(()));
+        assert_eq!(
+            check("lost nothing", false, "lost 3"),
+            Err("check `lost nothing` failed: lost 3".to_string())
+        );
     }
 }

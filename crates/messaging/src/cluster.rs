@@ -1424,6 +1424,41 @@ mod tests {
         assert_eq!(msgs[0].value, b("hello"));
     }
 
+    /// The copy budget of the produce → fetch round trip: no per-record
+    /// deep copy of payload bytes. A fetched record's key and value are
+    /// slices of the frame the batch was stored as, packed back to back;
+    /// a per-field copy (`to_vec`, `Bytes::copy_from_slice`) anywhere on
+    /// the way lands them in separate allocations.
+    #[test]
+    fn fetched_key_and_value_are_adjacent_slices_of_one_frame() {
+        let (c, _) = cluster(1);
+        c.create_topic("t", TopicConfig::with_partitions(1))
+            .unwrap();
+        let tp = TopicPartition::new("t", 0);
+        let mut batch = RecordBatch::builder();
+        for i in 0..64u32 {
+            batch.push(
+                Some(format!("key-{i:04}").as_bytes()),
+                format!("value-{i:04}-0123456789").as_bytes(),
+                0,
+            );
+        }
+        c.produce_batch(&tp, batch.build(), AckLevel::Leader, None)
+            .unwrap();
+        let fetched = c.fetch_batch(&tp, 0, u64::MAX).unwrap();
+        assert_eq!(fetched.len(), 64, "the whole batch comes back");
+        for rec in fetched.records() {
+            let key = rec.key.as_ref().expect("every record is keyed");
+            let key_end = key.as_slice().as_ptr() as usize + key.len();
+            assert_eq!(
+                key_end,
+                rec.value.as_slice().as_ptr() as usize,
+                "key and value of offset {} are not adjacent in one frame",
+                rec.offset
+            );
+        }
+    }
+
     #[test]
     fn duplicate_topic_rejected() {
         let (c, _) = cluster(1);

@@ -2,8 +2,8 @@
 //! small recursive-descent parser.
 //!
 //! The writer backs [`crate::Snapshot::to_json`] and the trace export;
-//! the parser backs the snapshot round-trip tests and the CI schema
-//! check for `BENCH_*.json`. Both are panic-free: the parser returns
+//! the parser backs [`crate::Snapshot::from_json`] and its round-trip
+//! tests. Both are panic-free: the parser returns
 //! `None` on malformed input (including inputs nested deeper than
 //! [`MAX_DEPTH`]) instead of recursing unboundedly or indexing out of
 //! bounds.

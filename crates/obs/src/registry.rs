@@ -336,8 +336,8 @@ impl HistogramSummary {
 
 /// A point-in-time view of a registry: named counters, gauges, and
 /// histogram summaries. This is the one shape shared by
-/// `Cluster::snapshot()`, `Job::snapshot()`, the chaos-harness failure
-/// dump, and the `BENCH_*.json` files the experiment binaries write.
+/// `Cluster::snapshot()`, `Job::snapshot()` and the chaos-harness
+/// failure dump.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Counter values by rendered key.
