@@ -2,9 +2,10 @@
 //!
 //! Replication follows the paper's §4.3 design: every partition has one
 //! **leader** and N−1 **followers**; followers replicate by reading from
-//! the leader and appending to their local logs. A coordination service
-//! tracks the **in-sync replicas** (ISR) — followers caught up to the
-//! leader's log end. On leader failure a new leader is
+//! the leader and appending to their local logs. Each partition tracks
+//! its **in-sync replicas** (ISR) — followers caught up to the leader's
+//! log end — and mirrors `leader|isr` into the coordination service
+//! whenever either changes. On leader failure a new leader is
 //! elected from the ISR, so the partition tolerates N−1 failures with N
 //! in-sync replicas. The acknowledgement level chosen by producers
 //! ([`AckLevel`]) trades durability for latency: `All` waits for every
@@ -187,6 +188,9 @@ struct ClusterMetrics {
     producer_ids: CounterHandle,
     replication_fetch: CounterHandle,
     cluster_election: CounterHandle,
+    /// Partition `leader|isr` znode writes: one per change, none on an
+    /// idle tick.
+    partition_state_writes: CounterHandle,
     /// Records per produce call (group-commit size distribution; a
     /// single-record produce counts as 1).
     produce_batch_records: HistogramHandle,
@@ -210,6 +214,7 @@ impl ClusterMetrics {
             producer_ids: reg.counter("cluster.producer_ids"),
             replication_fetch: reg.counter("replication.fetch"),
             cluster_election: reg.counter("cluster.election"),
+            partition_state_writes: reg.counter("cluster.partition_state_writes"),
             produce_batch_records: reg.histogram("cluster.produce.batch_records"),
             fetch_batch_records: reg.histogram("cluster.fetch.batch_records"),
         }
@@ -257,6 +262,10 @@ struct PartitionState {
     /// `obs-off` builds, which mint no spans. Older offsets simply
     /// report span 0.
     spans: VecDeque<SpanRun>,
+    /// This partition's coordination mirror, `/liquid/topics/<t>/<p>`.
+    coord_path: String,
+    /// The `(leader, isr)` last queued for `coord_path`.
+    published: (Option<BrokerId>, Vec<BrokerId>),
 }
 
 /// The spans of one produced batch, minted as one run: the record at
@@ -314,6 +323,28 @@ impl PartitionState {
             self.spans.pop_front();
         }
         self.spans.push_back(SpanRun { base, end, first });
+    }
+
+    /// The znode data for the current leader and ISR: `leader|isr`,
+    /// with `-` for no leader and the ISR comma-separated.
+    fn coord_data(&self) -> String {
+        let leader = self
+            .leader
+            .map_or_else(|| "-".to_string(), |l| l.to_string());
+        let isr: Vec<String> = self.isr.iter().map(|b| b.to_string()).collect();
+        format!("{leader}|{}", isr.join(","))
+    }
+
+    /// Queues a write of this partition's znode if its leader or ISR
+    /// moved since the last queued write. It is marked published here,
+    /// where the write is queued, so a step that returns before this
+    /// call is compared again on the next one.
+    fn queue_publish(&mut self, writes: &mut Vec<(String, String)>) {
+        if self.published.0 == self.leader && self.published.1 == self.isr {
+            return;
+        }
+        self.published = (self.leader, self.isr.clone());
+        writes.push((self.coord_path.clone(), self.coord_data()));
     }
 
     fn span_at(&self, offset: u64) -> u64 {
@@ -511,7 +542,7 @@ impl Cluster {
             return Err(MessagingError::TopicExists(name.to_string()));
         }
         let broker_ids: Vec<BrokerId> = st.brokers.keys().copied().collect();
-        let mut partitions = Vec::with_capacity(config.partitions as usize);
+        let mut states = Vec::with_capacity(config.partitions as usize);
         for p in 0..config.partitions {
             let assignment: Vec<BrokerId> = (0..config.replication)
                 .map(|r| broker_ids[((p + r) % broker_count) as usize])
@@ -529,32 +560,41 @@ impl Cluster {
             let leader = assignment.iter().copied().find(|b| st.brokers[b].online);
             let tp_label = format!("{name}-{p}");
             let reg = self.inner.obs.registry();
+            states.push(PartitionState {
+                isr: assignment.clone(),
+                published: (leader, assignment.clone()),
+                assignment,
+                leader,
+                replicas,
+                high_watermark: Shared::new("partition.high_watermark", 0),
+                producer_seqs: HashMap::new(),
+                hw_gauge: reg.gauge_with("partition.high_watermark", &[("tp", &tp_label)]),
+                log_end_gauge: reg.gauge_with("partition.log_end", &[("tp", &tp_label)]),
+                tp_label,
+                spans: VecDeque::new(),
+                coord_path: format!("/liquid/topics/{name}/{p}"),
+            });
+        }
+        // Each partition's znode is created once, holding its first
+        // `leader|isr`; later changes are a plain `set_data`.
+        let coord = &self.inner.coord;
+        coord.ensure_path(&format!("/liquid/topics/{name}")).ok();
+        let mut partitions = Vec::with_capacity(states.len());
+        for ps in states {
+            let data = ps.coord_data();
+            let mode = liquid_coord::CreateMode::Persistent;
+            if coord
+                .create(&ps.coord_path, data.as_bytes(), mode, None)
+                .is_ok()
+            {
+                self.inner.metrics.partition_state_writes.inc();
+            }
             partitions.push(Arc::new(PartitionShard {
-                part: Mutex::new(
-                    "partition.state",
-                    PartitionState {
-                        isr: assignment.clone(),
-                        assignment,
-                        leader,
-                        replicas,
-                        high_watermark: Shared::new("partition.high_watermark", 0),
-                        producer_seqs: HashMap::new(),
-                        hw_gauge: reg.gauge_with("partition.high_watermark", &[("tp", &tp_label)]),
-                        log_end_gauge: reg.gauge_with("partition.log_end", &[("tp", &tp_label)]),
-                        tp_label,
-                        spans: VecDeque::new(),
-                    },
-                ),
+                part: Mutex::new("partition.state", ps),
             }));
         }
-        self.inner
-            .coord
-            .ensure_path(&format!("/liquid/topics/{name}"))
-            .ok();
         st.topics
             .insert(name.to_string(), TopicState { config, partitions });
-        drop(st);
-        self.publish_partition_states(name);
         Ok(())
     }
 
@@ -913,7 +953,8 @@ impl Cluster {
 
     /// Runs one replication round: every live follower copies what it is
     /// missing from its leader; ISR membership and high watermarks are
-    /// recomputed; broker sessions heartbeat. Returns messages copied.
+    /// recomputed; broker sessions heartbeat; partitions whose leader or
+    /// ISR moved rewrite their znode. Returns messages copied.
     pub fn replicate_tick(&self) -> crate::Result<u64> {
         // Replication holds only the metadata *read* lock: every
         // per-partition mutation happens under that partition's shard,
@@ -929,79 +970,103 @@ impl Cluster {
         let online: HashMap<BrokerId, bool> =
             st.brokers.iter().map(|(&id, b)| (id, b.online)).collect();
         let mut total = 0u64;
-        let topics: Vec<String> = st.topics.keys().cloned().collect();
-        for t in st.topics.values() {
+        // Znode writes of the partitions that changed, made once the
+        // locks drop; an idle tick leaves this empty and unallocated.
+        // A fault stops the pass, not the writes it already queued.
+        let mut writes = Vec::new();
+        let mut failed = None;
+        'topics: for t in st.topics.values() {
             for shard in &t.partitions {
                 let mut ps = shard.part.lock();
-                let Some(leader) = ps
-                    .leader
-                    .filter(|b| online.get(b).copied().unwrap_or(false))
-                else {
-                    // Try to recover leadership if a replica came back.
-                    self.inner.metrics.cluster_election.inc();
-                    if self.inner.config.injector.tick("cluster.election") {
-                        // Controller crash before the election: the
-                        // partition stays leaderless until the next tick.
-                        return Err(MessagingError::Injected("cluster.election"));
-                    }
-                    if elect_leader(&mut ps, &online) {
-                        self.inner.metrics.elections.inc();
-                    }
-                    continue;
-                };
-                let followers: Vec<BrokerId> = ps
-                    .assignment
-                    .iter()
-                    .copied()
-                    .filter(|&b| b != leader && online.get(&b).copied().unwrap_or(false))
-                    .collect();
-                for b in followers {
-                    self.inner.metrics.replication_fetch.inc();
-                    if self.inner.config.injector.tick("replication.fetch") {
-                        return Err(MessagingError::Injected("replication.fetch"));
-                    }
-                    let copied = catch_up(&mut ps, leader, b)?;
-                    self.note_replicated(copied);
-                    if copied.0 > 0 {
-                        // Stamp the replicate event with the span of the
-                        // newest record that reached this follower.
-                        let span = ps.span_at(ps.log_end(b).saturating_sub(1));
-                        if span != 0 {
-                            self.inner.obs.tracer().record(
-                                span,
-                                "replicate",
-                                &ps.tp_label,
-                                copied.0,
-                            );
-                        }
-                    }
-                    total += copied.0;
-                }
-                // Recompute ISR: leader plus followers caught up to the
-                // leader end.
-                let leader_end = ps.log_end(leader);
-                let mut isr = vec![leader];
-                for &b in &ps.assignment {
-                    if b != leader
-                        && online.get(&b).copied().unwrap_or(false)
-                        && ps.log_end(b) == leader_end
-                    {
-                        isr.push(b);
+                match self.replicate_partition(&mut ps, &online) {
+                    Ok(copied) => total += copied,
+                    Err(e) => {
+                        failed = Some(e);
+                        drop(ps);
+                        break 'topics;
                     }
                 }
-                isr.sort_unstable();
-                ps.isr = isr;
-                // High watermark: minimum log end across the ISR.
-                let hw = ps.high_watermark.get();
-                let min_end = ps.isr.iter().map(|&b| ps.log_end(b)).min().unwrap_or(hw);
-                ps.high_watermark.set(hw.max(min_end));
-                ps.publish_gauges();
+                ps.queue_publish(&mut writes);
             }
         }
         drop(st);
-        for topic in &topics {
-            self.publish_partition_states(topic);
+        self.write_partition_states(writes);
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(total),
         }
+    }
+
+    /// One partition's replication round: elect a leader if it has
+    /// none online, else copy what each live follower is missing and
+    /// recompute the ISR and high watermark. Returns messages copied.
+    fn replicate_partition(
+        &self,
+        ps: &mut PartitionState,
+        online: &HashMap<BrokerId, bool>,
+    ) -> crate::Result<u64> {
+        let Some(leader) = ps
+            .leader
+            .filter(|b| online.get(b).copied().unwrap_or(false))
+        else {
+            // Try to recover leadership if a replica came back.
+            self.inner.metrics.cluster_election.inc();
+            if self.inner.config.injector.tick("cluster.election") {
+                // Controller crash before the election: the partition
+                // stays leaderless until the next tick.
+                return Err(MessagingError::Injected("cluster.election"));
+            }
+            if elect_leader(ps, online) {
+                self.inner.metrics.elections.inc();
+            }
+            return Ok(0);
+        };
+        let followers: Vec<BrokerId> = ps
+            .assignment
+            .iter()
+            .copied()
+            .filter(|&b| b != leader && online.get(&b).copied().unwrap_or(false))
+            .collect();
+        let mut total = 0u64;
+        for b in followers {
+            self.inner.metrics.replication_fetch.inc();
+            if self.inner.config.injector.tick("replication.fetch") {
+                return Err(MessagingError::Injected("replication.fetch"));
+            }
+            let copied = catch_up(ps, leader, b)?;
+            self.note_replicated(copied);
+            if copied.0 > 0 {
+                // Stamp the replicate event with the span of the newest
+                // record that reached this follower.
+                let span = ps.span_at(ps.log_end(b).saturating_sub(1));
+                if span != 0 {
+                    self.inner
+                        .obs
+                        .tracer()
+                        .record(span, "replicate", &ps.tp_label, copied.0);
+                }
+            }
+            total += copied.0;
+        }
+        // Recompute ISR: leader plus followers caught up to the leader
+        // end.
+        let leader_end = ps.log_end(leader);
+        let mut isr = vec![leader];
+        for &b in &ps.assignment {
+            if b != leader
+                && online.get(&b).copied().unwrap_or(false)
+                && ps.log_end(b) == leader_end
+            {
+                isr.push(b);
+            }
+        }
+        isr.sort_unstable();
+        ps.isr = isr;
+        // High watermark: minimum log end across the ISR.
+        let hw = ps.high_watermark.get();
+        let min_end = ps.isr.iter().map(|&b| ps.log_end(b)).min().unwrap_or(hw);
+        ps.high_watermark.set(hw.max(min_end));
+        ps.publish_gauges();
         Ok(total)
     }
 
@@ -1023,8 +1088,9 @@ impl Cluster {
         self.inner.coord.expire_session(session_id);
         let online: HashMap<BrokerId, bool> =
             st.brokers.iter().map(|(&bid, b)| (bid, b.online)).collect();
-        let topics: Vec<String> = st.topics.keys().cloned().collect();
-        for t in st.topics.values() {
+        let mut writes = Vec::new();
+        let mut failed = None;
+        'topics: for t in st.topics.values() {
             for shard in &t.partitions {
                 let mut ps = shard.part.lock();
                 // The dead broker stays in the ISR: the ISR is the set of
@@ -1040,20 +1106,24 @@ impl Cluster {
                         // Controller crash mid-failover: the broker is
                         // already offline and its session expired, but no
                         // new leader was chosen. The next replicate_tick
-                        // finishes the election.
-                        return Err(MessagingError::Injected("cluster.election"));
+                        // finishes the election and publishes it.
+                        failed = Some(MessagingError::Injected("cluster.election"));
+                        drop(ps);
+                        break 'topics;
                     }
                     if elect_leader(&mut ps, &online) {
                         self.inner.metrics.elections.inc();
                     }
+                    ps.queue_publish(&mut writes);
                 }
             }
         }
         drop(st);
-        for topic in &topics {
-            self.publish_partition_states(topic);
+        self.write_partition_states(writes);
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Restarts a crashed broker. Its replicas truncate any uncommitted
@@ -1123,17 +1193,6 @@ impl Cluster {
         self.inner.state.read().brokers.keys().copied().collect()
     }
 
-    /// Whether a broker is currently online.
-    pub fn broker_online(&self, id: BrokerId) -> bool {
-        self.inner
-            .state
-            .read()
-            .brokers
-            .get(&id)
-            .map(|b| b.online)
-            .unwrap_or(false)
-    }
-
     /// Applies retention to every partition log; returns segments
     /// deleted.
     pub fn enforce_retention(&self) -> crate::Result<usize> {
@@ -1199,32 +1258,19 @@ impl Cluster {
         self.inner.metrics.replicated_frames.add(copied.2);
     }
 
-    /// Records per-partition leader/ISR into the coordination service
-    /// for observability (`/liquid/topics/<t>/<p>` → `leader|isr...`).
-    fn publish_partition_states(&self, topic: &str) {
-        let entries: Vec<(u32, String)> = {
-            let st = self.inner.state.read();
-            let Some(t) = st.topics.get(topic) else {
-                return;
-            };
-            t.partitions
-                .iter()
-                .enumerate()
-                .map(|(p, shard)| {
-                    let ps = shard.part.lock();
-                    let isr: Vec<String> = ps.isr.iter().map(|b| b.to_string()).collect();
-                    let leader = ps
-                        .leader
-                        .map(|l| l.to_string())
-                        .unwrap_or_else(|| "-".to_string());
-                    (p as u32, format!("{leader}|{}", isr.join(",")))
-                })
-                .collect()
-        };
-        for (p, data) in entries {
-            let path = format!("/liquid/topics/{topic}/{p}");
-            self.inner.coord.ensure_path(&path).ok();
-            self.inner.coord.set_data(&path, data.as_bytes(), None).ok();
+    /// Writes the `leader|isr` changes a pass queued to their znodes
+    /// (`/liquid/topics/<t>/<p>`). Runs after the pass dropped its
+    /// locks, so the mirror never lengthens a `partition.state` section.
+    fn write_partition_states(&self, writes: Vec<(String, String)>) {
+        for (path, data) in writes {
+            if self
+                .inner
+                .coord
+                .set_data(&path, data.as_bytes(), None)
+                .is_ok()
+            {
+                self.inner.metrics.partition_state_writes.inc();
+            }
         }
     }
 }
@@ -1670,8 +1716,69 @@ mod tests {
         c.create_topic("t", TopicConfig::with_partitions(1).replication(2))
             .unwrap();
         let (data, _) = c.coord().get_data("/liquid/topics/t/0").unwrap();
-        let s = String::from_utf8(data).unwrap();
-        assert!(s.contains('|'), "state format leader|isr: {s}");
+        assert_eq!(String::from_utf8(data).unwrap(), "0|0,1");
+    }
+
+    /// A partition's `leader|isr` as [`Cluster::leader`] and
+    /// [`Cluster::isr`] report it, in the znode's format.
+    fn leader_isr(c: &Cluster, tp: &TopicPartition) -> String {
+        let leader = c
+            .leader(tp)
+            .unwrap()
+            .map_or("-".to_string(), |l| l.to_string());
+        let isr: Vec<String> = c.isr(tp).unwrap().iter().map(|b| b.to_string()).collect();
+        format!("{leader}|{}", isr.join(","))
+    }
+
+    /// Each partition's znode data and `Stat.version`.
+    fn znodes(c: &Cluster, tps: &[TopicPartition]) -> Vec<(String, u64)> {
+        tps.iter()
+            .map(|tp| {
+                let path = format!("/liquid/topics/{}/{}", tp.topic, tp.partition);
+                let (data, stat) = c.coord().get_data(&path).unwrap();
+                (String::from_utf8(data).unwrap(), stat.version)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn idle_ticks_write_nothing_to_coord() {
+        let (c, _) = cluster(2);
+        c.create_topic("t", TopicConfig::with_partitions(2).replication(2))
+            .unwrap();
+        let tps = [TopicPartition::new("t", 0), TopicPartition::new("t", 1)];
+        for tp in &tps {
+            c.produce_to(tp, None, b("x"), AckLevel::All).unwrap();
+        }
+        c.replicate_tick().unwrap();
+        let writes = || c.snapshot().counter("cluster.partition_state_writes");
+        let mut seen = znodes(&c, &tps);
+        let mut written = writes();
+        for _ in 0..100 {
+            c.replicate_tick().unwrap();
+        }
+        assert_eq!(znodes(&c, &tps), seen, "an idle tick rewrote a znode");
+        assert_eq!(writes(), written, "an idle tick wrote to coord");
+        // Each change writes its partition's znode exactly once, with
+        // what the cluster reports.
+        let mut expect = |what: &str, bumped: [u64; 2], data: [&str; 2]| {
+            let now = znodes(&c, &tps);
+            for (p, tp) in tps.iter().enumerate() {
+                assert_eq!(now[p].1, seen[p].1 + bumped[p], "{what}: writes to {tp}");
+                assert_eq!(now[p].0, data[p], "{what}: znode of {tp}");
+                assert_eq!(now[p].0, leader_isr(&c, tp), "{what}: znode of {tp}");
+            }
+            #[cfg(not(feature = "obs-off"))]
+            assert_eq!(writes(), written + bumped.iter().sum::<u64>(), "{what}");
+            (seen, written) = (now, writes());
+        };
+        c.kill_broker(0).unwrap();
+        expect("leader change", [1, 0], ["1|0,1", "1|0,1"]);
+        c.replicate_tick().unwrap();
+        expect("ISR shrink", [1, 1], ["1|1", "1|1"]);
+        c.restart_broker(0).unwrap();
+        c.replicate_tick().unwrap();
+        expect("ISR growth", [1, 1], ["1|0,1", "1|0,1"]);
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //!    latest-per-key fold of the committed input (at-least-once
 //!    reprocessing from the last checkpoint converges).
 //!
+//! Recovery and the final drain also check the coordination mirror: once
+//! a replication tick has run to completion, every partition's znode
+//! `/liquid/topics/<t>/<p>` parses to the `leader|isr` the cluster
+//! reports, so a publish cut short by a fault is never lost.
+//!
 //! Every run is fully deterministic per seed: all randomness comes from
 //! the plan generator, injectors fire on fixed schedules, and cluster
 //! state iterates in sorted order. A failing seed prints a repro line:
@@ -36,7 +41,7 @@ use std::result::Result;
 
 use liquid::prelude::*;
 use liquid_log::LogError;
-use liquid_messaging::{Cluster, ClusterConfig, MessagingError, TopicConfig};
+use liquid_messaging::{BrokerId, Cluster, ClusterConfig, MessagingError, TopicConfig};
 use liquid_obs::Obs;
 use liquid_processing::ProcessingError;
 use liquid_sim::chaos::{AckChoice, ChaosOp, ChaosPlan, FaultSite};
@@ -691,6 +696,7 @@ impl Harness {
             recovered,
             "recovery did not converge within {RECOVERY_BUDGET} attempts"
         );
+        self.check_coord_mirror();
         if let Some(before) = self.pending_kv_fold.take() {
             assert_eq!(
                 before,
@@ -724,6 +730,36 @@ impl Harness {
                 "invariant 2: compacted feed serves tag {served_tag} for k{key}, \
                  older than acked {tag}"
             );
+        }
+    }
+
+    /// The coordination mirror: every partition's znode parses to the
+    /// leader and ISR the cluster reports. Leader and ISR move only in
+    /// `replicate_tick` and `kill_broker`, and both publish what they
+    /// changed even when a fault stops them part-way.
+    fn check_coord_mirror(&self) {
+        for topic in self.cluster.topic_names() {
+            for p in 0..self.cluster.partition_count(&topic).unwrap() {
+                let tp = TopicPartition::new(topic.as_str(), p);
+                let path = format!("/liquid/topics/{topic}/{p}");
+                let (data, _) = self.cluster.coord().get_data(&path).unwrap();
+                let data = String::from_utf8(data).unwrap();
+                let (leader, isr) = data.split_once('|').expect("znode holds leader|isr");
+                let leader: Option<BrokerId> = (leader != "-").then(|| leader.parse().unwrap());
+                let isr: Vec<BrokerId> = isr
+                    .split(',')
+                    .filter(|b| !b.is_empty())
+                    .map(|b| b.parse().unwrap())
+                    .collect();
+                assert_eq!(
+                    (leader, isr),
+                    (
+                        self.cluster.leader(&tp).unwrap(),
+                        self.cluster.isr(&tp).unwrap()
+                    ),
+                    "coord mirror: znode {path} ({data}) differs from the cluster's leader/ISR"
+                );
+            }
         }
     }
 
@@ -792,6 +828,7 @@ impl Harness {
             break;
         }
         assert!(drained, "final drain did not converge");
+        self.check_coord_mirror();
         self.check_acked();
         if let Some(before) = self.pending_kv_fold.take() {
             assert_eq!(
