@@ -89,9 +89,11 @@ fn liquid_pipeline_latency(stages: usize) -> u64 {
             if records.is_empty() {
                 break;
             }
-            for rec in records {
+            for rec in &records {
                 offset = rec.offset + 1;
-                logs[s + 1].append(rec.key, rec.value).unwrap();
+                logs[s + 1]
+                    .append(rec.key.clone(), rec.value.clone())
+                    .unwrap();
             }
         }
     }

@@ -433,7 +433,7 @@ mod tests {
         let reader = l.reader_from_start("shouted", "check").unwrap();
         let batches = reader.poll_batches().unwrap();
         assert_eq!(batches[0].1.len(), 10);
-        assert_eq!(batches[0].1.records()[0].value, b("MSG-0"));
+        assert_eq!(batches[0].1.records().first().unwrap().value, b("MSG-0"));
     }
 
     #[test]

@@ -277,12 +277,12 @@ mod tests {
     /// changelog restore folds the log into.
     fn latest_per_key(log: &Log) -> std::collections::BTreeMap<Bytes, Bytes> {
         let mut latest = std::collections::BTreeMap::new();
-        for rec in log.read(log.start_offset(), u64::MAX).unwrap().records {
+        for rec in &log.read(log.start_offset(), u64::MAX).unwrap().records {
             let key = rec.key.clone().unwrap();
             if rec.is_tombstone() {
                 latest.remove(&key);
             } else {
-                latest.insert(key, rec.value);
+                latest.insert(key, rec.value.clone());
             }
         }
         latest
@@ -506,7 +506,7 @@ mod tests {
         // from a cached copy of a removed segment.
         for from in [0, 17, 40] {
             let read = log.read(from, u64::MAX).unwrap().records;
-            assert_eq!(read, expected);
+            assert_eq!(read.into_vec(), expected);
             assert_eq!(log.record_at(from).unwrap(), None);
         }
         assert_eq!(log.record_at(79).unwrap().map(|r| r.value), Some(b("v79")));

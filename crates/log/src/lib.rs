@@ -26,11 +26,12 @@
 //!   write; a follower stores the leader's frames verbatim
 //!   ([`Log::append_frames_from`]) — and reads are **one
 //!   layered path**: the active segment's records are served from an
-//!   in-memory tail (slices of the stored frames), sealed segments
-//!   from a **sharded LRU read cache** of decoded records ([`cache`]),
-//!   and only a cache miss (or a log without a cache) scans storage,
-//!   one window at a time, CRC-checking every record it decodes
-//!   ([`Log::read`]);
+//!   in-memory tail of immutable per-append runs (slices of the stored
+//!   frames), handed out as [`Records`] views that share the runs
+//!   ([`view`]); sealed segments from a **sharded LRU read cache** of
+//!   decoded records ([`cache`]), and only a cache miss (or a log
+//!   without a cache) scans storage, one window at a time, CRC-checking
+//!   every record it decodes ([`Log::read`]);
 //! * **compaction** de-duplicates keyed records, keeping only the most
 //!   recent value per key ([`compaction`]) — the mechanism changelogs
 //!   rely on for bounded size and fast recovery (§4.1). It rewrites one
@@ -49,6 +50,7 @@ pub mod log;
 pub mod record;
 pub mod segment;
 pub mod storage;
+pub mod view;
 
 pub use batch::{BatchBuilder, RecordBatch};
 pub use cache::{ReadCacheConfig, SegmentReadCache};
@@ -57,6 +59,7 @@ pub use error::LogError;
 pub use log::{Log, LogConfig, ReadOutcome, RetentionPolicy};
 pub use record::Record;
 pub use storage::{FileStorage, MemStorage, SegmentStorage, StorageKind};
+pub use view::Records;
 
 /// Result alias for log operations.
 pub type Result<T> = std::result::Result<T, LogError>;

@@ -2,6 +2,7 @@
 //! page-cache hook used by the anti-caching experiments.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -17,6 +18,7 @@ use crate::error::LogError;
 use crate::record::Record;
 use crate::segment::{encode_frame, frame_suffix, Segment};
 use crate::storage::StorageKind;
+use crate::view::Records;
 
 /// How old data is reclaimed (paper: "one month worth of data", or a
 /// maximum size "for operational reasons"; §4.1 for compacted feeds).
@@ -178,8 +180,9 @@ impl LogMetrics {
 /// model is attached (0 otherwise).
 #[derive(Debug)]
 pub struct ReadOutcome {
-    /// Records starting at the requested offset.
-    pub records: Vec<Record>,
+    /// Records starting at the requested offset: views of the hot
+    /// head's runs, or records a sealed read built for itself.
+    pub records: Records,
     /// Simulated nanoseconds charged by the page-cache model.
     pub simulated_cost_ns: u64,
 }
@@ -199,38 +202,104 @@ pub struct Log {
     read_cache: Option<(Arc<SegmentReadCache>, u64)>,
     /// Number of completed compaction passes (tombstone lifecycle).
     compaction_generation: u64,
-    /// The hot head: every record of the active segment, in offset
-    /// order, as appended — each key and value a slice of the frame
-    /// its append stored, so tail, `MemStorage` and (once the segment
-    /// is sealed and cached) the read cache share one copy of the
-    /// bytes, and so does every replica the frame was shipped to.
-    /// Reads at or after the active base are served from here and
+    /// The hot head: the active segment's records as a few runs, in
+    /// offset order, each key and value a slice of the frame its append
+    /// stored — so tail, `MemStorage` and (once the segment is sealed
+    /// and cached) the read cache share one copy of the bytes, and so
+    /// does every replica the frame was shipped to. Reads at or after
+    /// the active base are served from here as views of the runs and
     /// never touch storage (paper §4.1: the head of the log is served
-    /// from memory). Plain data under the `&mut self` of the write
-    /// path; cleared on roll, rebuilt by `truncate_to`, empty after
-    /// `open`. Bound: one active segment of `Record` structs (80 B
-    /// each) and `tail_frames` entries (40 B a frame) — plus, on a
-    /// file-backed log, that segment's frames, which `tail_frames`
-    /// keeps alive.
-    tail: Vec<Record>,
-    /// The frames behind `tail`, in order: `(index in tail of the
-    /// frame's first record, the frame)`. A frame's records run to the
-    /// next entry's index (the last one's to the end of `tail`); every
-    /// tail record belongs to exactly one. What replication ships:
-    /// pushed with the records, cleared with them.
-    tail_frames: Vec<(usize, Bytes)>,
+    /// from memory). No record a run holds ever changes: an append adds
+    /// to the last run only while this log alone holds it, and starts a
+    /// new run otherwise, so no append copies or moves a record a reader
+    /// or replica still holds. Plain data under the `&mut self` of the
+    /// write path; cleared on roll, rebuilt by `truncate_to`, empty
+    /// after `open`. Bound: one active segment of `Record` structs (80
+    /// B each) plus one `TailFrame` (56 B) per append — and, on a
+    /// file-backed log, that segment's frames, which `frames` keeps
+    /// alive.
+    tail: Vec<Run>,
+    /// The frames behind `tail`, in order, each with where its records
+    /// sit: what replication ships. Every tail record belongs to
+    /// exactly one; pushed with the records, cleared with them.
+    frames: Vec<TailFrame>,
+    /// The buffer of the largest run the tail let go of at its last
+    /// roll that nothing else still held, emptied: the next segment's
+    /// first new run starts in it, so a log whose appends all extend
+    /// one run does not regrow it every segment. Bound: one segment's
+    /// records.
+    spare: Vec<Record>,
     /// Registry handles for the hot paths.
     metrics: LogMetrics,
 }
 
+/// Records of the hot head: `records[range]`, in offset order, never
+/// empty. Readers and replicas hold the same `Arc`; a log adds records
+/// to a run only while it alone holds it (`Log::store_frame`).
+#[derive(Clone)]
+struct Run {
+    records: Arc<Vec<Record>>,
+    range: Range<usize>,
+    /// Offset of the run's last record, kept beside the `Arc` so that a
+    /// search over the runs reads no run's records.
+    last_offset: u64,
+}
+
+impl Run {
+    /// A run of records nothing else holds.
+    fn owned(records: Vec<Record>) -> Run {
+        let end = records.len();
+        let mut run = Run {
+            records: Arc::new(records),
+            range: 0..0,
+            last_offset: 0,
+        };
+        run.set_end(end);
+        run
+    }
+
+    fn records(&self) -> &[Record] {
+        self.records.get(self.range.clone()).unwrap_or_default()
+    }
+
+    /// Moves the end of the run's range to `end`.
+    fn set_end(&mut self, end: usize) {
+        self.range.end = end;
+        self.last_offset = self.records().last().map_or(0, |r| r.offset);
+    }
+}
+
+/// One frame of the hot head: its bytes, the range of `tail[run]`'s
+/// records it encodes, and the offset of the last of them.
+struct TailFrame {
+    bytes: Bytes,
+    run: usize,
+    range: Range<usize>,
+    last_offset: u64,
+}
+
 /// What one layer of the read path served from one segment.
 struct Served {
-    records: Vec<Record>,
+    records: Records,
+    /// Encoded size of `records`, what the read budget is charged.
+    bytes: u64,
     /// `(start position, bytes)` of the storage span behind the
     /// records: what an attached page-cache model is charged for.
     /// `None` for a read-cache hit, which touches nothing on the medium
     /// (and for a tail read with no model attached to look at it).
     scanned: Option<(u64, u64)>,
+}
+
+impl Served {
+    /// Records a sealed read built for itself: one owned part.
+    fn owned(records: Vec<Record>, scanned: Option<(u64, u64)>) -> Self {
+        let bytes = records.iter().map(|r| r.wire_size() as u64).sum();
+        Served {
+            records: records.into(),
+            bytes,
+            scanned,
+        }
+    }
 }
 
 impl Log {
@@ -259,7 +328,8 @@ impl Log {
             read_cache: None,
             compaction_generation: 0,
             tail: Vec::new(),
-            tail_frames: Vec::new(),
+            frames: Vec::new(),
+            spare: Vec::new(),
         };
         // The newest recovered segment becomes active again; if none,
         // start fresh at offset 0.
@@ -361,7 +431,7 @@ impl Log {
         self.begin_group_commit()?;
         let base = self.next_offset();
         let (frame, starts) = batch.seal(base);
-        self.append_sealed(frame, starts)?;
+        self.store_frame(frame, starts)?;
         Ok((base, count, payload_bytes))
     }
 
@@ -369,14 +439,15 @@ impl Log {
     /// holds from this log's end on **as the leader framed it** — each
     /// frame the leader's append froze is stored verbatim (a reference
     /// to the same allocation on `MemStorage`, one `write` on
-    /// `FileStorage`) and the tail takes records that already point
-    /// into it. Nothing is decoded, encoded, checksummed or copied for
-    /// the hot head; sealed segments are walked through the CRC-checking
-    /// chunk cursor, never through a read cache. Records keep the
-    /// leader's offsets, so the replicas stay offset-identical: the
-    /// caller has made this log a prefix of the leader's, and a leader
-    /// whose start is past this log's end ships from its start (the
-    /// gap stays a gap).
+    /// `FileStorage`) and the tail takes the leader's run for it, the
+    /// same `Arc` narrowed to the frame. Nothing is decoded, encoded,
+    /// checksummed or copied for the hot head; sealed segments are
+    /// walked through the CRC-checking chunk cursor, never through a
+    /// read cache. Records
+    /// keep the leader's offsets, so the replicas stay offset-identical:
+    /// the caller has made this log a prefix of the leader's, and a
+    /// leader whose start is past this log's end ships from its start
+    /// (the gap stays a gap).
     ///
     /// One transfer is one group commit, like one batch on the leader:
     /// one `log.append` tick and one roll check before the first byte,
@@ -393,13 +464,12 @@ impl Log {
         }
         self.begin_group_commit()?;
         let (mut count, mut payload_bytes, mut frames) = (0u64, 0u64, 0u64);
-        let shipped = leader.for_each_frame_from(from, |frame, records| {
-            let first = self.tail.len();
-            self.tail.extend(records.iter().cloned());
-            self.store_tail_frame(frame, first)?;
-            count = count.saturating_add(records.len() as u64);
-            payload_bytes =
-                payload_bytes.saturating_add(records.iter().map(|r| r.value.len() as u64).sum());
+        let shipped = leader.for_each_frame_from(from, |frame, run| {
+            let records = run.records().len() as u64;
+            let payload: u64 = run.records().iter().map(|r| r.value.len() as u64).sum();
+            self.store_shared(frame, run)?;
+            count = count.saturating_add(records);
+            payload_bytes = payload_bytes.saturating_add(payload);
             frames = frames.saturating_add(1);
             Ok(())
         });
@@ -423,61 +493,124 @@ impl Log {
         self.metrics.append_bytes.record(payload_bytes);
     }
 
-    /// Appends a sealed, frozen `frame` whose records start at
-    /// `starts`: the tail takes them as slices of it, then the frame is
-    /// stored.
-    fn append_sealed(
-        &mut self,
-        frame: Bytes,
-        starts: impl IntoIterator<Item = usize>,
-    ) -> crate::Result<()> {
-        let first = self.tail.len();
-        for at in starts {
-            match Record::sealed_at(&frame, at) {
-                Ok((record, _)) => self.tail.push(record),
-                Err(e) => {
-                    self.tail.drain(first..);
-                    return Err(e);
-                }
-            }
-        }
-        self.store_tail_frame(frame, first)
-    }
-
     /// The bottom of the write path, under the leader's seal, the
     /// follower's verbatim append and `truncate_to`'s rebuild alike:
-    /// stores `frame` — the encoding of `tail[first..]`, which the
-    /// caller has just pushed, each record a slice of it — in the
-    /// active segment with one storage append, notes the frame boundary
-    /// and charges an attached page-cache model for the stored bytes.
-    /// On an error the records come off the tail again.
-    fn store_tail_frame(&mut self, frame: Bytes, first: usize) -> crate::Result<()> {
+    /// stores `frame` — the encoding of `records` — in the active
+    /// segment with one storage append, and charges an attached
+    /// page-cache model for the stored bytes.
+    fn persist_frame(&mut self, frame: Bytes, records: &[Record]) -> crate::Result<()> {
         let file_id = self.file_id(self.active_base());
-        let records = self.tail.get(first..).unwrap_or_default();
-        match active_of(&mut self.segments).append_frame(frame.clone(), records) {
-            Ok(pos) => {
-                if let Some((cache, _)) = &self.cache {
-                    cache.lock().write(file_id, pos, frame.len());
-                }
-                self.tail_frames.push((first, frame));
-                Ok(())
-            }
-            Err(e) => {
-                self.tail.drain(first..);
-                Err(e)
-            }
+        let len = frame.len();
+        let pos = self.active_mut().append_frame(frame, records)?;
+        if let Some((cache, _)) = &self.cache {
+            cache.lock().write(file_id, pos, len);
         }
+        Ok(())
+    }
+
+    /// Stores a sealed, frozen `frame` whose records start at `starts`
+    /// (the leader's seal, `truncate_to`'s rebuild of a sealed
+    /// segment): its records, slices of it, go onto the last run if
+    /// this log alone holds it and the run ends where its buffer does,
+    /// so no reader or replica can see it grow, and onto a new run
+    /// otherwise — the spare buffer if it is large enough, else one of
+    /// exactly their size. Only once the frame is stored do the tail
+    /// and `frames` take it: a failed append leaves them as they were.
+    fn store_frame(&mut self, frame: Bytes, starts: Vec<usize>) -> crate::Result<()> {
+        let mut run = match self.tail.pop() {
+            Some(last)
+                if last.range.end == last.records.len()
+                    && Arc::strong_count(&last.records) == 1 =>
+            {
+                last
+            }
+            last => {
+                self.tail.extend(last);
+                let buffer = if self.spare.capacity() >= starts.len() {
+                    std::mem::take(&mut self.spare)
+                } else {
+                    Vec::with_capacity(starts.len())
+                };
+                Run::owned(buffer)
+            }
+        };
+        // Never a copy: `run` is new or held by this log alone, and no
+        // weak reference to a run is ever taken.
+        let records = Arc::make_mut(&mut run.records);
+        let first = records.len();
+        let stored = push_sealed(&frame, starts, records).and_then(|()| {
+            self.persist_frame(frame.clone(), records.get(first..).unwrap_or_default())
+        });
+        match stored {
+            Ok(()) => {
+                let range = first..records.len();
+                run.set_end(range.end);
+                self.frames.push(TailFrame {
+                    bytes: frame,
+                    run: self.tail.len(),
+                    range,
+                    last_offset: run.last_offset,
+                });
+            }
+            Err(_) => records.truncate(first),
+        }
+        if !run.range.is_empty() {
+            self.tail.push(run);
+        }
+        stored
+    }
+
+    /// Stores a frame whose records `shared` already holds (a follower
+    /// adopting the leader's frame, `truncate_to` keeping its own): the
+    /// tail takes `shared` itself — the same `Arc`, merged into the last
+    /// run when it continues it.
+    fn store_shared(&mut self, frame: Bytes, shared: Run) -> crate::Result<()> {
+        self.persist_frame(frame.clone(), shared.records())?;
+        let (range, last_offset) = (shared.range.clone(), shared.last_offset);
+        let continues = self.tail.last().is_some_and(|last| {
+            Arc::ptr_eq(&last.records, &shared.records) && last.range.end == range.start
+        });
+        match self.tail.last_mut() {
+            Some(last) if continues => last.set_end(range.end),
+            _ => self.tail.push(shared),
+        }
+        self.frames.push(TailFrame {
+            bytes: frame,
+            run: self.tail.len().saturating_sub(1),
+            range,
+            last_offset,
+        });
+        Ok(())
+    }
+
+    /// The hot head's frames from the first one holding an offset at or
+    /// after `from`, each with its records as a run of their own: its
+    /// run's `Arc`, narrowed to the frame.
+    fn tail_frames_from(&self, from: u64) -> impl Iterator<Item = (&Bytes, Run)> + '_ {
+        let first = self
+            .frames
+            .partition_point(|frame| frame.last_offset < from);
+        self.frames.iter().skip(first).filter_map(|frame| {
+            let run = self.tail.get(frame.run)?;
+            let shared = Run {
+                records: Arc::clone(&run.records),
+                range: frame.range.clone(),
+                last_offset: frame.last_offset,
+            };
+            Some((&frame.bytes, shared))
+        })
     }
 
     /// Hands `visit` everything from `from` on as frames with their
     /// records, oldest first: sealed segments straight from storage
     /// (CRC-checked, one frame per cursor window, no read cache), the
-    /// hot head as the frames its appends stored — lent, not copied;
-    /// when `from` falls inside one, its suffix.
+    /// hot head as the frames its appends stored, their records the
+    /// tail's own runs — the same `Arc`, not a copy; when `from` falls
+    /// inside a frame, its suffix.
     fn for_each_frame_from(
         &self,
         from: u64,
-        mut visit: impl FnMut(Bytes, &[Record]) -> crate::Result<()>,
+        mut visit: impl FnMut(Bytes, Run) -> crate::Result<()>,
     ) -> crate::Result<()> {
         let active_base = self.active_base();
         let start_base = self
@@ -487,22 +620,13 @@ impl Log {
             .map_or(from, |(&base, _)| base);
         for (_, seg) in self.segments.range(start_base..active_base) {
             if from < seg.next_offset() {
-                seg.for_each_frame_from(from, &mut visit)?;
+                seg.for_each_frame_from(from, |frame, records| visit(frame, Run::owned(records)))?;
             }
         }
-        let start = self.tail.partition_point(|r| r.offset < from);
-        let first_frame = self
-            .tail_frames
-            .partition_point(|&(first, _)| first <= start)
-            .saturating_sub(1);
-        let mut frames = self.tail_frames.iter().skip(first_frame).peekable();
-        while let Some((first, frame)) = frames.next() {
-            let end = frames.peek().map_or(self.tail.len(), |&&(next, _)| next);
-            let records = self.tail.get(*first..end).unwrap_or_default();
-            let (frame, wanted) = frame_suffix(frame, records, from);
-            if !wanted.is_empty() {
-                visit(frame, wanted)?;
-            }
+        for (bytes, mut run) in self.tail_frames_from(from) {
+            let (frame, wanted) = frame_suffix(bytes, run.records(), from);
+            run.range.start = run.range.end.saturating_sub(wanted.len());
+            visit(frame, run)?;
         }
         Ok(())
     }
@@ -519,7 +643,7 @@ impl Log {
                 end,
             });
         }
-        let mut records = Vec::new();
+        let mut records = Records::default();
         let mut cost = 0u64;
         let mut budget = max_bytes;
         let mut cursor = offset;
@@ -561,15 +685,14 @@ impl Log {
                         .cost_ns,
                 );
             }
-            let bytes: u64 = served.records.iter().map(|r| r.wire_size() as u64).sum();
-            budget = budget.saturating_sub(bytes);
+            budget = budget.saturating_sub(served.bytes);
             if let Some(last) = served.records.last() {
                 cursor = last.offset.checked_add(1).ok_or(LogError::OffsetOverflow {
                     what: "advancing the read cursor past the last record",
                     value: last.offset,
                 })?;
             }
-            records.extend(served.records);
+            records.append(served.records);
         }
         Ok(ReadOutcome {
             records,
@@ -578,27 +701,51 @@ impl Log {
     }
 
     /// Tail layer: the active segment's records from memory, under the
-    /// `read_from` budget rule. They were never read back, so there is
-    /// nothing to verify; a page-cache model, if attached, is still
-    /// charged the span a storage scan of the same read would cover
-    /// (from the sparse-index entry through the last record returned),
-    /// so the simulated costs of E1/E3 do not depend on this layer.
+    /// `read_from` budget rule, as a view of each run the read covers —
+    /// one `Arc` clone per run, no record copied. They were never read
+    /// back, so there is nothing to verify; a page-cache model, if
+    /// attached, is still charged the span a storage scan of the same
+    /// read would cover (from the sparse-index entry through the last
+    /// record returned), so the simulated costs of E1/E3 do not depend
+    /// on this layer.
     fn read_tail(&self, seg: &Segment, from: u64, budget: u64) -> Served {
-        let records = slice_from(&self.tail, from, budget);
+        let mut records = Records::default();
+        let mut bytes = 0u64;
+        let first = self.tail.partition_point(|run| run.last_offset < from);
+        for run in self.tail.iter().skip(first) {
+            let skip = run.records().partition_point(|r| r.offset < from);
+            let start = run.range.start.saturating_add(skip);
+            let mut end = start;
+            for r in run.records.get(start..run.range.end).unwrap_or_default() {
+                end = end.saturating_add(1);
+                bytes = bytes.saturating_add(r.wire_size() as u64);
+                if bytes >= budget {
+                    break;
+                }
+            }
+            records.push_shared(&run.records, start..end);
+            if bytes >= budget {
+                break;
+            }
+        }
         let scanned = self.cache.as_ref().map(|_| {
             let (scan_from, start_pos) = seg.seek_entry(from);
             let scan_to = records.last().map_or(from, |r| r.offset);
-            let first = self.tail.partition_point(|r| r.offset < scan_from);
             let bytes = self
                 .tail
                 .iter()
-                .skip(first)
+                .flat_map(Run::records)
+                .skip_while(|r| r.offset < scan_from)
                 .take_while(|r| r.offset <= scan_to)
                 .map(|r| r.wire_size() as u64)
                 .sum();
             (start_pos, bytes)
         });
-        Served { records, scanned }
+        Served {
+            records,
+            bytes,
+            scanned,
+        }
     }
 
     /// Cache layer: a sealed segment from the read cache; a miss
@@ -613,28 +760,20 @@ impl Log {
     ) -> crate::Result<Served> {
         let sid = self.read_cache_id(seg.base_offset());
         if let Some(records) = rc.get(sid, from, budget) {
-            return Ok(Served {
-                records,
-                scanned: None,
-            });
+            return Ok(Served::owned(records, None));
         }
         let read = seg.read_from(seg.base_offset(), u64::MAX)?;
         let scanned = Some((read.start_pos, read.bytes_scanned));
         let whole = rc.insert(sid, read.records, &self.config.injector)?;
-        Ok(Served {
-            records: slice_from(&whole, from, budget),
-            scanned,
-        })
+        Ok(Served::owned(slice_from(&whole, from, budget), scanned))
     }
 
     /// Storage layer: one index seek, one cursor scan, every record
     /// CRC-checked as it is decoded.
     fn read_storage(seg: &Segment, from: u64, budget: u64) -> crate::Result<Served> {
         let read = seg.read_from(from, budget)?;
-        Ok(Served {
-            records: read.records,
-            scanned: Some((read.start_pos, read.bytes_scanned)),
-        })
+        let scanned = Some((read.start_pos, read.bytes_scanned));
+        Ok(Served::owned(read.records, scanned))
     }
 
     /// The record at exactly `offset`, or `None` when the log does not
@@ -649,8 +788,15 @@ impl Log {
             return Ok(None);
         }
         if offset >= self.active_base() {
-            let found = self.tail.binary_search_by_key(&offset, |r| r.offset);
-            return Ok(found.ok().and_then(|i| self.tail.get(i)).cloned());
+            let run = self
+                .tail
+                .get(self.tail.partition_point(|run| run.last_offset < offset));
+            let found = run.and_then(|run| {
+                let held = run.records();
+                let at = held.binary_search_by_key(&offset, |r| r.offset);
+                at.ok().and_then(|i| held.get(i))
+            });
+            return Ok(found.cloned());
         }
         let Some((_, seg)) = self.segments.range(..=offset).next_back() else {
             return Ok(None);
@@ -724,23 +870,49 @@ impl Log {
             self.remove_segment(base)?;
         }
         // Rebuild the boundary segment without the suffix: it becomes
-        // the active segment again, its kept records one frame and the
-        // new tail.
+        // the active segment again. Cut inside the hot head, it keeps
+        // the frames before the cut and their runs as they are, and the
+        // frame the cut falls in as a prefix of its bytes over a shorter
+        // range of its run; cut inside a sealed segment, its kept records
+        // become one frame and the new tail.
         if let Some((&base, seg)) = self.segments.iter().next_back() {
             if seg.next_offset() > offset {
-                let mut keep = seg.read_from(seg.base_offset(), u64::MAX)?.records;
-                keep.retain(|r| r.offset < offset);
-                self.remove_segment(base)?;
-                self.roll_new_segment(base)?;
-                if !keep.is_empty() {
-                    // The kept records keep their (possibly compacted,
-                    // sparse) offsets, so they are encoded as they are.
-                    let starts = keep.iter().scan(0usize, |at, r| {
-                        let start = *at;
-                        *at = at.saturating_add(r.wire_size());
-                        Some(start)
-                    });
-                    self.append_sealed(encode_frame(&keep), starts)?;
+                if seg.is_sealed() {
+                    let mut keep = seg.read_from(seg.base_offset(), u64::MAX)?.records;
+                    keep.retain(|r| r.offset < offset);
+                    self.remove_segment(base)?;
+                    self.roll_new_segment(base)?;
+                    if !keep.is_empty() {
+                        // The kept records keep their (possibly
+                        // compacted, sparse) offsets, so they are
+                        // encoded as they are.
+                        let starts = keep
+                            .iter()
+                            .scan(0usize, |at, r| {
+                                let start = *at;
+                                *at = at.saturating_add(r.wire_size());
+                                Some(start)
+                            })
+                            .collect();
+                        let frame = encode_frame(&keep);
+                        self.store_frame(frame, starts)?;
+                    }
+                } else {
+                    let kept: Vec<(Bytes, Run)> = self
+                        .tail_frames_from(0)
+                        .filter_map(|(bytes, mut run)| {
+                            let held = run.records();
+                            let keep = held.partition_point(|r| r.offset < offset);
+                            let len: usize = held.get(..keep)?.iter().map(Record::wire_size).sum();
+                            run.set_end(run.range.start.saturating_add(keep));
+                            (keep > 0).then(|| (bytes.slice(..len), run))
+                        })
+                        .collect();
+                    self.remove_segment(base)?;
+                    self.roll_new_segment(base)?;
+                    for (frame, run) in kept {
+                        self.store_shared(frame, run)?;
+                    }
                 }
             }
         }
@@ -784,7 +956,9 @@ impl Log {
     }
 
     fn active_mut(&mut self) -> &mut Segment {
-        active_of(&mut self.segments)
+        let active = self.segments.values_mut().next_back();
+        // lint:allow(panic-reachability, reason=open() always rolls a segment and nothing removes the last one, so the map is never empty)
+        active.expect("log non-empty")
     }
 
     pub(crate) fn sealed_bases(&self) -> Vec<u64> {
@@ -861,15 +1035,22 @@ impl Log {
     }
 
     /// Starts a fresh active segment at `base`; the tail starts over
-    /// with it.
+    /// with it, keeping as the spare the largest buffer only it held.
     fn roll_new_segment(&mut self, base: u64) -> crate::Result<()> {
         let storage = self.config.storage.create(base)?;
         self.segments.insert(
             base,
             Segment::new(base, storage, self.config.index_interval_bytes),
         );
-        self.tail.clear();
-        self.tail_frames.clear();
+        self.frames.clear();
+        for run in self.tail.drain(..) {
+            if let Ok(mut records) = Arc::try_unwrap(run.records) {
+                if records.capacity() > self.spare.capacity() {
+                    records.clear();
+                    self.spare = records;
+                }
+            }
+        }
         Ok(())
     }
 
@@ -919,11 +1100,13 @@ impl Log {
     }
 }
 
-/// The active segment of a log's segment map: borrows the map alone,
-/// so the write path can hand it records out of the tail.
-fn active_of(segments: &mut BTreeMap<u64, Segment>) -> &mut Segment {
-    // lint:allow(panic-reachability, reason=open() always rolls a segment and nothing removes the last one, so the map is never empty)
-    segments.values_mut().next_back().expect("log non-empty")
+/// Pushes onto `records` the records of the sealed, frozen `frame` that
+/// start at `starts`, each a slice of it.
+fn push_sealed(frame: &Bytes, starts: Vec<usize>, records: &mut Vec<Record>) -> crate::Result<()> {
+    for at in starts {
+        records.push(Record::sealed_at(frame, at)?.0);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -959,10 +1142,10 @@ mod tests {
         }
         let out = log.read(0, u64::MAX).unwrap();
         assert_eq!(out.records.len(), 100);
-        assert_eq!(out.records[37].value, b("v37"));
+        assert_eq!(out.records.iter().nth(37).unwrap().value, b("v37"));
         let mid = log.read(50, u64::MAX).unwrap();
         assert_eq!(mid.records.len(), 50);
-        assert_eq!(mid.records[0].offset, 50);
+        assert_eq!(mid.records.first().unwrap().offset, 50);
     }
 
     #[test]
@@ -1124,7 +1307,7 @@ mod tests {
         assert_eq!(log.next_offset(), 30);
         let out = log.read(0, u64::MAX).unwrap();
         assert_eq!(out.records.len(), 30);
-        assert_eq!(out.records[29].value, b("v29"));
+        assert_eq!(out.records.last().unwrap().value, b("v29"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1209,7 +1392,7 @@ mod tests {
         for (from, budget) in reads {
             let scan = active.read_from(from, budget).unwrap();
             let served = log.read_tail(active, from, budget);
-            assert_eq!(served.records, scan.records);
+            assert_eq!(served.records.into_vec(), scan.records);
             assert_eq!(served.scanned, Some((scan.start_pos, scan.bytes_scanned)));
         }
         let costs: Vec<u64> = reads
@@ -1271,11 +1454,11 @@ mod tests {
             let seg = log.active();
             seg.read_from(seg.base_offset(), u64::MAX).unwrap().records
         };
-        assert_eq!(log.tail, active(&log));
+        assert_eq!(tail_records(&log), active(&log));
         // The tail holds slices of the stored frame, not the caller's
         // buffers: what storage hands out is the same memory.
-        let stored = active(&log);
-        let (t, s) = (log.tail.last().unwrap(), stored.last().unwrap());
+        let (tail, stored) = (tail_records(&log), active(&log));
+        let (t, s) = (tail.last().unwrap(), stored.last().unwrap());
         assert_eq!(t.value.as_slice().as_ptr(), s.value.as_slice().as_ptr());
         // Inside the active segment, inside a sealed one, at a boundary.
         let base = log.active_base();
@@ -1286,10 +1469,99 @@ mod tests {
         ] {
             log.truncate_to(cut).unwrap();
             assert_eq!(log.next_offset(), cut);
-            assert_eq!(log.tail, active(&log), "after truncate_to({cut})");
+            assert_eq!(tail_records(&log), active(&log), "after truncate_to({cut})");
             log.append(None, b("after")).unwrap();
-            assert_eq!(log.tail, active(&log));
+            assert_eq!(tail_records(&log), active(&log));
         }
+    }
+
+    /// A tail read is a snapshot: the run it holds is the one the
+    /// leader and its follower hold — one `Arc`, no record copied — and
+    /// nothing that happens to either log afterwards (appends, a roll, a
+    /// truncation below the read, compaction, retention) changes what
+    /// it yields. While the log alone holds its last run, an append adds
+    /// to it; once a reader or replica holds it, an append starts a new
+    /// one and leaves the held run as it was — the strong counts and
+    /// the buffer's length show that.
+    #[test]
+    fn a_tail_read_is_a_snapshot_of_shared_runs() {
+        use crate::view::Part;
+        let clock = SimClock::new(0);
+        let cfg = LogConfig {
+            segment_bytes: 1_024,
+            index_interval_bytes: 256,
+            retention: RetentionPolicy::Compact {
+                max_age_ms: None,
+                max_bytes: Some(256),
+            },
+            ..LogConfig::default()
+        };
+        let mut leader = Log::open(cfg.clone(), clock.shared()).unwrap();
+        let mut follower = Log::open(cfg, clock.shared()).unwrap();
+        let mut written = 0u32;
+        let mut append = |log: &mut Log| {
+            let pairs = (0..4).map(|_| {
+                written += 1;
+                (
+                    Some(b(&format!("k{}", written % 3))),
+                    b(&format!("value-{written:04}")),
+                )
+            });
+            log.append_record_batch(RecordBatch::from_pairs(pairs, 0))
+                .unwrap();
+        };
+        append(&mut leader);
+        append(&mut leader);
+        assert_eq!(
+            (leader.tail.len(), leader.frames.len()),
+            (1, 2),
+            "the second append added to a run nothing else held"
+        );
+        follower.append_frames_from(&leader).unwrap();
+        assert_eq!((follower.tail.len(), follower.frames.len()), (1, 2));
+        let read = leader.read(1, u64::MAX).unwrap().records;
+        let held: Vec<Record> = read.iter().cloned().collect();
+        assert_eq!((held.len(), held[0].offset), (7, 1));
+        let [Part::Shared(run, range)] = read.parts() else {
+            panic!("a tail read of one run is one shared part");
+        };
+        assert_eq!(*range, 1..8);
+        let run = Arc::clone(run);
+        // Leader, follower, the read and `run`.
+        let holds = |log: &Log| Arc::ptr_eq(&run, &log.tail[0].records);
+        assert!(holds(&leader) && holds(&follower));
+        assert_eq!(Arc::strong_count(&run), 4);
+        while leader.segment_count() == 1 {
+            append(&mut leader);
+            if leader.segment_count() == 1 {
+                assert!(holds(&leader), "an append replaced a run a reader holds");
+                assert_eq!(Arc::strong_count(&run), 4);
+                assert_eq!(run.len(), 8, "an append added to a run a reader holds");
+                assert!(leader.tail.len() > 1);
+            }
+            assert_eq!(read.iter().cloned().collect::<Vec<_>>(), held);
+        }
+        // The roll let go of the leader's runs; the follower still holds
+        // the run, and a truncation below the read only narrows its range.
+        assert_eq!(Arc::strong_count(&run), 3);
+        follower.truncate_to(3).unwrap();
+        assert_eq!(follower.next_offset(), 3);
+        assert!(holds(&follower));
+        assert_eq!(follower.tail[0].range, 0..3);
+        follower.append_frames_from(&leader).unwrap();
+        assert_eq!(follower.next_offset(), leader.next_offset());
+        assert_eq!(run.len(), 8, "nothing was added past a narrowed range");
+        assert_eq!(read.iter().cloned().collect::<Vec<_>>(), held);
+        // Compaction and retention rewrite and drop the sealed segment
+        // the read came from.
+        for _ in 0..30 {
+            append(&mut leader);
+        }
+        leader.compact().unwrap();
+        assert!(!leader.enforce_retention().unwrap().is_empty());
+        assert!(leader.start_offset() > held[6].offset);
+        assert_eq!(read.iter().cloned().collect::<Vec<_>>(), held);
+        assert_eq!(read.len(), 7);
     }
 
     #[test]
@@ -1484,22 +1756,34 @@ mod tests {
             .collect()
     }
 
+    /// The tail's records, run after run.
+    fn tail_records(log: &Log) -> Vec<Record> {
+        for run in &log.tail {
+            assert_eq!(
+                run.records().last().map(|r| r.offset),
+                Some(run.last_offset)
+            );
+        }
+        log.tail.iter().flat_map(Run::records).cloned().collect()
+    }
+
     /// The frame bookkeeping beside the tail: the frames, in order,
-    /// decode (CRC-checked) to exactly the tail's records.
+    /// decode (CRC-checked) each to exactly the records it points at.
     fn framed_records(log: &Log) -> Vec<Record> {
         let mut decoded = Vec::new();
-        for (i, (first, frame)) in log.tail_frames.iter().enumerate() {
-            assert_eq!(
-                *first,
-                decoded.len(),
-                "frame {i} starts where the last ended"
-            );
+        for (i, frame) in log.frames.iter().enumerate() {
+            let first = decoded.len();
             let mut at = 0;
-            while at < frame.len() {
-                let (record, used) = Record::decode(&frame.slice(at..)).unwrap();
+            while at < frame.bytes.len() {
+                let (record, used) = Record::decode(&frame.bytes.slice(at..)).unwrap();
                 decoded.push(record);
                 at += used;
             }
+            let run = &log.tail[frame.run];
+            let records = &run.records[frame.range.clone()];
+            assert!(!records.is_empty(), "frame {i} is empty");
+            assert_eq!(records.last().unwrap().offset, frame.last_offset);
+            assert_eq!(&decoded[first..], records, "frame {i} is its records");
         }
         decoded
     }
@@ -1595,19 +1879,19 @@ mod tests {
                 let stored = stored_records(&log);
                 let active = log.active();
                 prop_assert_eq!(
-                    &log.tail,
+                    &tail_records(&log),
                     &active.read_from(active.base_offset(), u64::MAX).unwrap().records
                 );
-                prop_assert_eq!(&log.tail, &framed_records(&log));
+                prop_assert_eq!(&tail_records(&log), &framed_records(&log));
                 let (start, end) = (log.start_offset(), log.next_offset());
                 let span = end - start;
                 for from in [start, end, start + u64::from(x) % (span + 1), start + u64::from(y) % (span + 1)] {
                     for budget in [1, 40 + u64::from(y), u64::MAX] {
-                        let read = log.read(from, budget).unwrap().records;
+                        let read = log.read(from, budget).unwrap().records.into_vec();
                         prop_assert_eq!(&read, &slice_from(&stored, from, budget));
                     }
                     let looked_up = log.record_at(from).unwrap();
-                    let first = log.read(from, 1).unwrap().records.into_iter().next();
+                    let first = log.read(from, 1).unwrap().records.first().cloned();
                     prop_assert_eq!(looked_up, first.filter(|r| r.offset == from));
                 }
                 prop_assert!(log.read(end + 1, 1).is_err());
@@ -1673,7 +1957,7 @@ mod tests {
                     _ => {
                         let from = follower.next_offset().max(leader.start_offset());
                         let expected: Vec<Record> = leader.read(leader.start_offset(), u64::MAX)
-                            .unwrap().records.into_iter().filter(|r| r.offset >= from).collect();
+                            .unwrap().records.iter().filter(|r| r.offset >= from).cloned().collect();
                         let (records, payload, frames) = follower.append_frames_from(&leader).unwrap();
                         prop_assert_eq!(records, expected.len() as u64);
                         prop_assert_eq!(payload, expected.iter().map(|r| r.value.len() as u64).sum::<u64>());
@@ -1681,19 +1965,31 @@ mod tests {
                         prop_assert_eq!(follower.next_offset(), leader.next_offset());
                         // One roll check per transfer: it all landed in
                         // the active segment, as the leader's memory.
-                        let shipped = follower.tail.get(follower.tail.len() - expected.len()..).unwrap();
+                        let tail = tail_records(&follower);
+                        let shipped = tail.get(tail.len() - expected.len()..).unwrap();
                         prop_assert_eq!(shipped, &expected[..]);
                         if !on_files {
                             for (ours, theirs) in shipped.iter().zip(&expected) {
                                 prop_assert_eq!(ours.value.as_slice().as_ptr(), theirs.value.as_slice().as_ptr());
                             }
                         }
+                        // What the leader's hot head held was adopted as it
+                        // is: the follower holds the same `Record` structs,
+                        // i.e. the leader's run `Arc`.
+                        let in_tail = |log: &Log, offset: u64| {
+                            log.tail.iter().flat_map(Run::records).find(|r| r.offset == offset).map(|r| r as *const Record)
+                        };
+                        for r in &expected {
+                            if let Some(theirs) = in_tail(&leader, r.offset) {
+                                prop_assert_eq!(in_tail(&follower, r.offset), Some(theirs));
+                            }
+                        }
                         prop_assert_eq!(follower.append_frames_from(&leader).unwrap(), (0, 0, 0));
                     }
                 }
                 let held = follower.read(follower.start_offset(), u64::MAX).unwrap().records;
-                prop_assert_eq!(&held, &stored_records(&follower));
-                prop_assert_eq!(&follower.tail, &framed_records(&follower));
+                prop_assert_eq!(&held.clone().into_vec(), &stored_records(&follower));
+                prop_assert_eq!(&tail_records(&follower), &framed_records(&follower));
                 let common: Vec<&Record> = held.iter().filter(|r| r.offset >= leader.start_offset()).collect();
                 let theirs = leader.read(leader.start_offset(), u64::MAX).unwrap().records;
                 let theirs: Vec<&Record> = theirs.iter().filter(|r| r.offset < follower.next_offset()).collect();
@@ -1705,8 +2001,8 @@ mod tests {
                 drop(follower);
                 let reopened = Log::open(follower_config, clock.shared()).unwrap();
                 let held = reopened.read(reopened.start_offset(), u64::MAX).unwrap().records;
-                let common: Vec<Record> = held.into_iter().filter(|r| r.offset >= leader.start_offset()).collect();
-                prop_assert_eq!(common, leader.read(leader.start_offset(), u64::MAX).unwrap().records);
+                let common: Vec<Record> = held.iter().filter(|r| r.offset >= leader.start_offset()).cloned().collect();
+                prop_assert_eq!(common, leader.read(leader.start_offset(), u64::MAX).unwrap().records.into_vec());
                 for dir in &dirs {
                     std::fs::remove_dir_all(dir).ok();
                 }
@@ -1789,12 +2085,12 @@ mod tests {
             prop_assert_eq!(&medium, &reference);
             prop_assert_eq!(&medium, &encoded);
             prop_assert_eq!(&stored_records(&log), &expected);
-            prop_assert_eq!(&log.read(0, u64::MAX).unwrap().records, &expected);
+            prop_assert_eq!(&log.read(0, u64::MAX).unwrap().records.into_vec(), &expected);
             if on_files {
                 prop_assert_eq!(&stored_bytes(&dir), &medium);
                 drop(log);
                 let reopened = Log::open(config, clock.shared()).unwrap();
-                prop_assert_eq!(reopened.read(0, u64::MAX).unwrap().records, expected);
+                prop_assert_eq!(reopened.read(0, u64::MAX).unwrap().records.into_vec(), expected);
                 std::fs::remove_dir_all(&dir).ok();
             }
         }

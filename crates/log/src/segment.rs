@@ -361,11 +361,12 @@ impl Segment {
     /// straight from storage: per window of the chunk cursor, the
     /// CRC-verified records decoded out of it and the bytes they span —
     /// a frame [`append_frame`](Self::append_frame) stores as it is,
-    /// the records slices of it. No read cache is consulted or filled.
+    /// the records slices of it, handed over. No read cache is
+    /// consulted or filled.
     pub(crate) fn for_each_frame_from(
         &self,
         offset: u64,
-        mut visit: impl FnMut(Bytes, &[Record]) -> crate::Result<()>,
+        mut visit: impl FnMut(Bytes, Vec<Record>) -> crate::Result<()>,
     ) -> crate::Result<()> {
         let storage = self.storage.as_ref();
         let mut cursor = ChunkCursor::new(storage, self.seek_position(offset), SCAN_WINDOW);
@@ -374,8 +375,10 @@ impl Segment {
             // The scan starts at an index entry, so the first run may
             // begin before `offset`.
             let (frame, wanted) = frame_suffix(&run, &records, offset);
-            if !wanted.is_empty() {
-                visit(frame, wanted)?;
+            let skip = records.len().saturating_sub(wanted.len());
+            if skip < records.len() {
+                records.drain(..skip);
+                visit(frame, std::mem::take(&mut records))?;
             }
         }
         Ok(())
@@ -858,7 +861,7 @@ mod tests {
         let (mut shipped, mut bytes, mut frames) = (Vec::new(), Vec::new(), 0);
         s.for_each_frame_from(5, |frame, records| {
             let mut at = 0;
-            for r in records {
+            for r in &records {
                 assert_eq!(
                     Record::decode_at(&frame, at).unwrap(),
                     (r.clone(), r.wire_size())
@@ -866,7 +869,7 @@ mod tests {
                 at += r.wire_size();
             }
             assert_eq!(at, frame.len(), "a frame is its records and no more");
-            shipped.extend_from_slice(records);
+            shipped.extend(records);
             bytes.extend_from_slice(&frame);
             frames += 1;
             Ok(())

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use liquid_coord::{CoordService, Session};
-use liquid_log::{Log, LogError, ReadCacheConfig, Record, RecordBatch, SegmentReadCache};
+use liquid_log::{Log, LogError, ReadCacheConfig, RecordBatch, Records, SegmentReadCache};
 use liquid_obs::{CounterHandle, GaugeHandle, HistogramHandle, Obs};
 use liquid_sim::clock::SharedClock;
 use liquid_sim::failure::FailureInjector;
@@ -357,7 +357,7 @@ impl PartitionState {
 
     /// The span of each of `records` (in offset order), 0 where none is
     /// remembered: one walk along the runs, no lookup per record.
-    fn spans_of(&self, records: &[Record]) -> Vec<u64> {
+    fn spans_of(&self, records: &Records) -> Vec<u64> {
         let first = records.first().map_or(0, |r| r.offset);
         let skip = self.spans.partition_point(|run| run.end <= first);
         let mut runs = self.spans.range(skip..).peekable();
@@ -831,7 +831,7 @@ impl Cluster {
             return Ok(MessageBatch::empty(offset, hw));
         }
         let mut records = log.read(offset, max_bytes)?.records;
-        records.retain(|r| r.offset < hw);
+        records.keep_below(hw);
         let bytes: u64 = records.iter().map(|r| r.value.len() as u64).sum();
         let spans = ps.spans_of(&records);
         let traced = records
@@ -1429,7 +1429,7 @@ fn partition_shard(st: &State, tp: &TopicPartition) -> crate::Result<Arc<Partiti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use liquid_log::RetentionPolicy;
+    use liquid_log::{Record, RetentionPolicy};
     use liquid_sim::clock::SimClock;
 
     const DROP_AFTER_1S: RetentionPolicy = RetentionPolicy::DropByAge {
@@ -1503,6 +1503,62 @@ mod tests {
                 rec.offset
             );
         }
+    }
+
+    /// A tail fetch shares the log's runs instead of copying records:
+    /// two consumers fetching the same range get the very same
+    /// `Record` structs, and after a replication tick the follower's
+    /// tail holds the leader's runs, not copies of them. (That reads
+    /// still equal storage scans across segment boundaries, cache hits
+    /// and compaction gaps is `log`'s
+    /// `reads_equal_storage_scans_after_every_operation`.)
+    #[test]
+    fn tail_fetches_share_records_with_readers_and_replicas() {
+        use crate::consumer::{Consumer, StartPosition};
+        let (c, _) = cluster(2);
+        c.create_topic("t", TopicConfig::with_partitions(1).replication(2))
+            .unwrap();
+        let tp = TopicPartition::new("t", 0);
+        for round in 0..3u32 {
+            let mut batch = RecordBatch::builder();
+            for i in 0..16u32 {
+                batch.push(Some(b"k"), format!("value-{round}-{i:02}").as_bytes(), 0);
+            }
+            c.produce_batch(&tp, batch.build(), AckLevel::Leader, None)
+                .unwrap();
+        }
+        c.replicate_tick().unwrap();
+        let polled: Vec<MessageBatch> = ["c1", "c2"]
+            .into_iter()
+            .map(|member| {
+                let consumer = Consumer::new(&c, member);
+                consumer
+                    .assign(tp.clone(), StartPosition::Earliest)
+                    .unwrap();
+                let mut batches = consumer.poll_batches().unwrap();
+                assert_eq!(batches.len(), 1);
+                batches.remove(0).1
+            })
+            .collect();
+        let (one, two) = (polled[0].records(), polled[1].records());
+        assert_eq!(one.len(), 48);
+        assert_eq!(one, two);
+        assert!(
+            one.iter().zip(two).all(|(a, b)| std::ptr::eq(a, b)),
+            "two readers of one range hold the same records"
+        );
+        let (leader, follower) = follower_of(&c, &tp);
+        let st = c.inner.state.read();
+        let shard = partition_shard(&st, &tp).unwrap();
+        let ps = shard.part.lock();
+        let read = |id: BrokerId| ps.replicas[&id].read(0, u64::MAX).unwrap().records;
+        let (ours, theirs) = (read(leader), read(follower));
+        assert_eq!(ours.len(), 48);
+        assert!(
+            ours.iter().zip(&theirs).all(|(a, b)| std::ptr::eq(a, b)),
+            "the follower adopted the leader's runs"
+        );
+        assert!(ours.iter().zip(one).all(|(a, b)| std::ptr::eq(a, b)));
     }
 
     #[test]
@@ -2035,7 +2091,7 @@ mod tests {
         }
         let batches = consumer.poll_batches().unwrap();
         assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].1.records()[0].offset, earliest);
+        assert_eq!(batches[0].1.records().first().unwrap().offset, earliest);
         assert_eq!(
             consumer.position(&tp),
             Some(c.latest_offset(&tp).unwrap()),
@@ -2149,7 +2205,7 @@ mod tests {
         let ps = shard.part.lock();
         let log = &ps.replicas[&id];
         let held = log.read(log.start_offset(), u64::MAX).unwrap().records;
-        (held, log.next_offset())
+        (held.into_vec(), log.next_offset())
     }
 
     fn follower_of(c: &Cluster, tp: &TopicPartition) -> (BrokerId, BrokerId) {

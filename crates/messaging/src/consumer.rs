@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use liquid_obs::GaugeHandle;
 use liquid_sim::lockdep::Mutex;
 
 use crate::cluster::Cluster;
@@ -40,11 +41,27 @@ pub struct Consumer {
 
 #[derive(Default)]
 struct ConsumerState {
-    positions: HashMap<TopicPartition, u64>,
+    positions: HashMap<TopicPartition, Position>,
     /// Group generation the current assignment was taken at.
     generation: u64,
     /// Default start for partitions gained via rebalance.
     group_start: Option<StartPosition>,
+}
+
+/// One assigned partition: the offset of the next record to poll, and
+/// the handle of its `consumer.lag{tp=…}` gauge — resolved on the
+/// partition's first poll and kept, so a poll renders no key and takes
+/// no registry lock.
+#[derive(Default)]
+struct Position {
+    next: u64,
+    lag: Option<GaugeHandle>,
+}
+
+impl Position {
+    fn at(next: u64) -> Self {
+        Position { next, lag: None }
+    }
 }
 
 impl Consumer {
@@ -85,7 +102,7 @@ impl Consumer {
     /// Manually assigns a partition (standalone mode).
     pub fn assign(&self, tp: TopicPartition, start: StartPosition) -> crate::Result<()> {
         let offset = self.resolve_start(&tp, start)?;
-        self.state.lock().positions.insert(tp, offset);
+        self.state.lock().positions.entry(tp).or_default().next = offset;
         Ok(())
     }
 
@@ -109,35 +126,43 @@ impl Consumer {
         st.positions.clear();
         for tp in assignment.partitions {
             let offset = self.resolve_start(&tp, start)?;
-            st.positions.insert(tp, offset);
+            st.positions.insert(tp, Position::at(offset));
         }
         Ok(())
     }
 
     /// Refreshes the assignment if the group rebalanced since the last
-    /// poll; returns whether it changed.
+    /// poll; returns whether it changed. Every poll asks for the group's
+    /// generation alone; the assignment itself, a copy of the member's
+    /// partition list, is fetched only when the generation moved.
     pub fn refresh_assignment(&self) -> crate::Result<bool> {
         let Some(group) = self.group.as_deref() else {
             return Ok(false);
         };
-        let Some(current) = self.cluster.group_assignment(group, &self.member_id) else {
+        let Some(generation) = self.cluster.group_generation(group) else {
             return Ok(false);
         };
         // lint:allow(lock-cost, reason=rebalance epoch check: position rebuild must be atomic with the generation bump or a racing poll reads positions from a stale assignment; runs once per rebalance, not per batch)
         // lint:allow(shard, reason=consumer.state is a per-consumer instance lock, not a cluster-wide one; splitting it per partition would let a racing rebalance tear the position map mid-rebuild)
         let mut st = self.state.lock();
+        if generation == st.generation {
+            return Ok(false);
+        }
+        let Some(current) = self.cluster.group_assignment(group, &self.member_id) else {
+            return Ok(false);
+        };
         if current.generation == st.generation {
             return Ok(false);
         }
         let start = st.group_start.unwrap_or(StartPosition::Committed);
         st.generation = current.generation;
-        let old: HashMap<TopicPartition, u64> = st.positions.drain().collect();
+        let mut old: HashMap<TopicPartition, Position> = st.positions.drain().collect();
         for tp in current.partitions {
-            let offset = match old.get(&tp) {
-                Some(&o) => o,
-                None => self.resolve_start(&tp, start)?,
+            let position = match old.remove(&tp) {
+                Some(kept) => kept,
+                None => Position::at(self.resolve_start(&tp, start)?),
             };
-            st.positions.insert(tp, offset);
+            st.positions.insert(tp, position);
         }
         Ok(true)
     }
@@ -156,7 +181,7 @@ impl Consumer {
     /// is consumer-local state and moves only when this consumer polls
     /// or seeks.
     pub fn position(&self, tp: &TopicPartition) -> Option<u64> {
-        self.state.lock().positions.get(tp).copied()
+        self.state.lock().positions.get(tp).map(|p| p.next)
     }
 
     /// Consumer lag for a partition: the offset distance between this
@@ -194,7 +219,12 @@ impl Consumer {
 
     /// Moves the position for a partition.
     pub fn seek(&self, tp: &TopicPartition, offset: u64) {
-        self.state.lock().positions.insert(tp.clone(), offset);
+        self.state
+            .lock()
+            .positions
+            .entry(tp.clone())
+            .or_default()
+            .next = offset;
     }
 
     /// Rewinds to the first record at/after `ts` (metadata-based access,
@@ -228,25 +258,25 @@ impl Consumer {
         // lint:allow(shard, reason=consumer.state is a per-consumer instance lock; per-partition position shards would let a concurrent rebalance interleave with the poll loop and double-deliver)
         let mut st = self.state.lock();
         let mut out = Vec::new();
-        let tps: Vec<TopicPartition> = st.positions.keys().cloned().collect();
-        for tp in tps {
-            let Some(&pos) = st.positions.get(&tp) else {
-                continue; // assignment revoked between listing and fetch
-            };
-            let batch = self.cluster.fetch_batch(&tp, pos, self.max_poll_bytes)?;
-            let next = batch.end_offset();
-            st.positions.insert(tp.clone(), next);
+        for (tp, position) in st.positions.iter_mut() {
+            let batch = self
+                .cluster
+                .fetch_batch(tp, position.next, self.max_poll_bytes)?;
+            position.next = batch.end_offset();
             // Batch-aware lag gauge: distance from the *advanced*
             // position to the watermark the fetch observed. Publishing
             // per batch (not per record) keeps this off the per-message
-            // path.
-            self.cluster
-                .obs()
-                .registry()
-                .gauge_with("consumer.lag", &[("tp", &tp.to_string())])
-                .set(batch.high_watermark().saturating_sub(next));
+            // path; the handle is resolved on the partition's first poll.
+            let lag = position.lag.get_or_insert_with(|| {
+                let tp = tp.to_string();
+                self.cluster
+                    .obs()
+                    .registry()
+                    .gauge_with("consumer.lag", &[("tp", &tp)])
+            });
+            lag.set(batch.high_watermark().saturating_sub(position.next));
             if !batch.is_empty() {
-                out.push((tp, batch));
+                out.push((tp.clone(), batch));
             }
         }
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -263,7 +293,7 @@ impl Consumer {
         // Sorted so the commit order (and any injected fault) is
         // deterministic.
         let mut positions: Vec<(&TopicPartition, u64)> =
-            st.positions.iter().map(|(tp, &o)| (tp, o)).collect();
+            st.positions.iter().map(|(tp, p)| (tp, p.next)).collect();
         positions.sort_by(|a, b| a.0.cmp(b.0));
         for (tp, offset) in positions {
             self.cluster
@@ -355,7 +385,7 @@ mod tests {
         fill(&c, &tp, 2);
         let batches = consumer.poll_batches().unwrap();
         assert_eq!(batches[0].1.len(), 2);
-        assert_eq!(batches[0].1.records()[0].offset, 5);
+        assert_eq!(batches[0].1.records().first().unwrap().offset, 5);
     }
 
     #[test]
@@ -371,7 +401,7 @@ mod tests {
         consumer.seek(&tp, 3);
         let batches = consumer.poll_batches().unwrap();
         assert_eq!(batches[0].1.len(), 7);
-        assert_eq!(batches[0].1.records()[0].offset, 3);
+        assert_eq!(batches[0].1.records().first().unwrap().offset, 3);
     }
 
     #[test]
@@ -415,7 +445,7 @@ mod tests {
             .unwrap();
         let batches = c2.poll_batches().unwrap();
         assert_eq!(batches[0].1.len(), 3);
-        assert_eq!(batches[0].1.records()[0].offset, 10);
+        assert_eq!(batches[0].1.records().first().unwrap().offset, 10);
     }
 
     #[test]

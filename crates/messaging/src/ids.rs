@@ -3,6 +3,7 @@
 use std::fmt;
 
 use bytes::Bytes;
+use liquid_log::Records;
 use liquid_sim::clock::Ts;
 
 /// Identifies one broker in the cluster.
@@ -63,9 +64,12 @@ impl From<liquid_log::Record> for Message {
 }
 
 /// A fetched run of committed records delivered as one unit, with the
-/// causal span of each record alongside. Payloads stay ref-counted
-/// [`Bytes`] slices all the way from the log's page, so decomposing the
-/// batch into [`Message`]s bumps reference counts instead of copying.
+/// causal span of each record alongside. The records are a [`Records`]
+/// view: a fetch from the hot head shares the log's runs — the same
+/// `Record` structs every other reader of the range gets — and payloads
+/// stay ref-counted [`Bytes`] slices all the way from the log's page, so
+/// decomposing the batch into [`Message`]s bumps reference counts
+/// instead of copying.
 ///
 /// The batch also carries the offset bookkeeping a consumer needs to
 /// advance exactly: [`end_offset`](Self::end_offset) is the next fetch
@@ -76,7 +80,7 @@ impl From<liquid_log::Record> for Message {
 /// exact when compaction has punched holes in the offset sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageBatch {
-    records: Vec<liquid_log::Record>,
+    records: Records,
     /// Span id per record (parallel to `records`; 0 = none).
     spans: Vec<u64>,
     end_offset: u64,
@@ -85,12 +89,7 @@ pub struct MessageBatch {
 
 impl MessageBatch {
     /// Assembles a batch. `spans` must parallel `records`.
-    pub fn new(
-        records: Vec<liquid_log::Record>,
-        spans: Vec<u64>,
-        end_offset: u64,
-        high_watermark: u64,
-    ) -> Self {
+    pub fn new(records: Records, spans: Vec<u64>, end_offset: u64, high_watermark: u64) -> Self {
         debug_assert_eq!(records.len(), spans.len());
         MessageBatch {
             records,
@@ -103,7 +102,7 @@ impl MessageBatch {
     /// An empty batch: the consumer was tailing at `offset`.
     pub fn empty(offset: u64, high_watermark: u64) -> Self {
         MessageBatch {
-            records: Vec::new(),
+            records: Records::default(),
             spans: Vec::new(),
             end_offset: offset,
             high_watermark,
@@ -137,7 +136,7 @@ impl MessageBatch {
     }
 
     /// The raw records, in offset order.
-    pub fn records(&self) -> &[liquid_log::Record] {
+    pub fn records(&self) -> &Records {
         &self.records
     }
 
@@ -167,6 +166,7 @@ impl MessageBatch {
     pub fn into_messages(self) -> Vec<Message> {
         let spans = self.spans;
         self.records
+            .into_vec()
             .into_iter()
             .enumerate()
             .map(|(i, r)| {
@@ -212,7 +212,7 @@ mod tests {
             value: Bytes::from_static(b"beta"),
         };
         let backing = r0.value.as_slice().as_ptr();
-        let batch = MessageBatch::new(vec![r0, r1], vec![11, 0], 7, 7);
+        let batch = MessageBatch::new(vec![r0, r1].into(), vec![11, 0], 7, 7);
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.base_offset(), Some(4));
         assert_eq!(batch.end_offset(), 7, "one past the last record");

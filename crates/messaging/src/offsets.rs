@@ -268,7 +268,7 @@ impl OffsetManager {
         let records = inner.log.read(start, u64::MAX)?.records;
         let mut rebuilt: HashMap<(String, TopicPartition), Vec<(u64, OffsetCommit)>> =
             HashMap::new();
-        for rec in records {
+        for rec in &records {
             let Some(key) = &rec.key else { continue };
             let Some((group, tp)) = decode_commit_key(key) else {
                 continue;

@@ -124,7 +124,7 @@ proptest! {
         // Newest readable record per key: (value, is_tombstone).
         let latest_view = |log: &Log| {
             let mut latest = std::collections::BTreeMap::new();
-            for rec in log.read(log.start_offset(), u64::MAX).unwrap().records {
+            for rec in &log.read(log.start_offset(), u64::MAX).unwrap().records {
                 if let Some(k) = rec.key.clone() {
                     latest.insert(k, (rec.value.to_vec(), rec.is_tombstone()));
                 }
@@ -383,6 +383,7 @@ proptest! {
             log.read(0, u64::MAX)
                 .unwrap()
                 .records
+                .into_vec()
                 .into_iter()
                 .map(|r| (r.offset, r.key, r.value, r.timestamp))
                 .collect::<Vec<_>>()
