@@ -1,6 +1,10 @@
-//! Topic and durability configuration.
+//! Cluster, topic and durability configuration.
 
 use liquid_log::{LogConfig, RetentionPolicy};
+use liquid_obs::Obs;
+use liquid_sim::failure::FailureInjector;
+
+use crate::error::MessagingError;
 
 /// How many acknowledgements a produce waits for (paper §4.3: the
 /// durability/latency trade-off).
@@ -74,6 +78,123 @@ impl TopicConfig {
     pub fn segment_ms(mut self, ms: u64) -> Self {
         self.log.segment_ms = Some(ms);
         self
+    }
+}
+
+/// Cluster-wide configuration.
+#[derive(Debug, Clone)]
+pub struct ClusterConfig {
+    /// Number of brokers.
+    pub brokers: u32,
+    /// Default topic replication factor; [`ClusterConfigBuilder::build`]
+    /// holds it to `1..=brokers`.
+    pub default_replication: u32,
+    /// Fault injector for replication fetches, leader elections and
+    /// offset commits. Disabled by default.
+    pub injector: FailureInjector,
+    /// Observability sink: every cluster instrument registers here and
+    /// produce spans are minted from its tracer.
+    pub obs: Obs,
+    /// Byte capacity of the cluster-wide sealed-segment read cache
+    /// shared by every replica log. Hot fetches are served from cached
+    /// decoded segments; cold fetches fall through to the log's
+    /// storage. Zero disables caching.
+    pub segment_cache_bytes: u64,
+    /// Lock shards in the segment read cache (concurrent fetches on
+    /// different segments only contend within one shard).
+    pub segment_cache_shards: usize,
+}
+
+impl Default for ClusterConfig {
+    fn default() -> Self {
+        ClusterConfig {
+            brokers: 1,
+            default_replication: 1,
+            injector: FailureInjector::disabled(),
+            obs: Obs::default(),
+            segment_cache_bytes: 64 * 1024 * 1024,
+            segment_cache_shards: 8,
+        }
+    }
+}
+
+impl ClusterConfig {
+    /// A validating builder; prefer this over struct literals so
+    /// impossible combinations are rejected before the cluster starts.
+    pub fn builder() -> ClusterConfigBuilder {
+        ClusterConfigBuilder::default()
+    }
+
+    /// A cluster with `n` brokers and default tuning.
+    pub fn with_brokers(n: u32) -> Self {
+        ClusterConfig {
+            brokers: n,
+            ..ClusterConfig::default()
+        }
+    }
+}
+
+/// Builder for [`ClusterConfig`] with typed validation at
+/// [`build`](ClusterConfigBuilder::build) time.
+#[derive(Debug, Clone, Default)]
+pub struct ClusterConfigBuilder {
+    config: ClusterConfig,
+}
+
+impl ClusterConfigBuilder {
+    /// Sets the broker count (must end up > 0).
+    pub fn brokers(mut self, n: u32) -> Self {
+        self.config.brokers = n;
+        self
+    }
+
+    /// Sets the default topic replication factor (must end up in
+    /// `1..=brokers`).
+    pub fn replication(mut self, replication: u32) -> Self {
+        self.config.default_replication = replication;
+        self
+    }
+
+    /// Installs a fault injector on replication/election/commit paths.
+    pub fn injector(mut self, injector: FailureInjector) -> Self {
+        self.config.injector = injector;
+        self
+    }
+
+    /// Installs the observability sink instruments register into.
+    pub fn obs(mut self, obs: Obs) -> Self {
+        self.config.obs = obs;
+        self
+    }
+
+    /// Sets the byte capacity of the shared sealed-segment read cache
+    /// (0 disables it).
+    pub fn segment_cache_bytes(mut self, bytes: u64) -> Self {
+        self.config.segment_cache_bytes = bytes;
+        self
+    }
+
+    /// Sets the shard count of the segment read cache.
+    pub fn segment_cache_shards(mut self, shards: usize) -> Self {
+        self.config.segment_cache_shards = shards;
+        self
+    }
+
+    /// Validates and returns the config: rejects zero brokers and a
+    /// default replication factor outside `1..=brokers`.
+    pub fn build(self) -> crate::Result<ClusterConfig> {
+        if self.config.brokers == 0 {
+            return Err(MessagingError::ZeroBrokers);
+        }
+        if self.config.default_replication == 0
+            || self.config.default_replication > self.config.brokers
+        {
+            return Err(MessagingError::ReplicationOutOfRange {
+                replication: self.config.default_replication,
+                brokers: self.config.brokers,
+            });
+        }
+        Ok(self.config)
     }
 }
 

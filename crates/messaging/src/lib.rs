@@ -33,6 +33,7 @@ pub mod group;
 pub mod ids;
 pub mod mirror;
 pub mod offsets;
+mod partition;
 pub mod producer;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterConfigBuilder};

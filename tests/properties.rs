@@ -12,13 +12,17 @@ use liquid::log::{
 use liquid_messaging::consumer::StartPosition;
 use liquid_messaging::Message;
 use liquid_messaging::{
-    AckLevel, AssignmentStrategy, BatchConfig, Cluster, ClusterConfig, Consumer, Producer,
-    TopicConfig, TopicPartition,
+    AckLevel, AssignmentStrategy, BatchConfig, Cluster, ClusterConfig, Consumer, MessagingError,
+    Producer, TopicConfig, TopicPartition,
 };
 use liquid_processing::{FnTask, Job, JobConfig, ProcessingError, StreamTask, TaskContext};
 use liquid_sim::clock::SimClock;
 use liquid_sim::failure::FailureInjector;
 use proptest::prelude::*;
+
+#[path = "replica_model.rs"]
+mod replica_model;
+use replica_model::{Fail, Fault, Model, Rec};
 
 fn small_log(segment_bytes: u64, compact: bool) -> Log {
     let cfg = LogConfig {
@@ -827,72 +831,122 @@ fn failed_checkpoint_never_commits_past_the_changelog() {
     }
 }
 
-#[test]
-fn replication_invariant_followers_prefix_of_leader() {
-    // Deterministic but adversarial: after arbitrary kill/restart and
-    // tick sequences, every follower's log is a prefix of the leader's
-    // committed log.
-    let clock = SimClock::new(0);
-    let cluster = Cluster::new(ClusterConfig::with_brokers(3), clock.shared());
-    cluster
-        .create_topic("t", TopicConfig::with_partitions(1).replication(3))
-        .unwrap();
-    let tp = liquid_messaging::TopicPartition::new("t", 0);
-    let mut rng_state = 88172645463325252u64;
-    let mut rand = || {
-        rng_state ^= rng_state << 13;
-        rng_state ^= rng_state >> 7;
-        rng_state ^= rng_state << 17;
-        rng_state
+/// What one lockstep op did, as the reference model words it.
+fn outcome<T>(result: liquid_messaging::Result<T>) -> Result<T, Fail> {
+    result.map_err(|e| match e {
+        MessagingError::PartitionUnavailable(_) => Fail::Unavailable,
+        other => panic!("no replication rule fails with {other}"),
+    })
+}
+
+/// Asserts that the cluster serves what the model holds: leader, ISR,
+/// HW, every replica's log end, the leader's lag and the committed
+/// records below the HW.
+fn diff_against_model(cluster: &Cluster, tp: &TopicPartition, model: &Model, at: &str) {
+    assert_eq!(cluster.leader(tp).unwrap(), model.leader, "leader at {at}");
+    assert_eq!(cluster.isr(tp).unwrap(), model.isr, "ISR at {at}");
+    let hw = cluster.latest_offset(tp).unwrap();
+    assert_eq!(hw, model.hw, "HW at {at}");
+    let ends: Vec<(u32, u64)> = model.logs.keys().map(|&b| (b, model.end(b))).collect();
+    let held: Vec<(u32, u64)> = cluster.replica_ends(tp).unwrap().into_iter().collect();
+    assert_eq!(held, ends, "replica log ends at {at}");
+    let Some(leader) = model.leader else {
+        return;
     };
-    let mut down: Vec<u32> = Vec::new();
-    for i in 0..500 {
-        match rand() % 10 {
-            0 if down.len() < 2 => {
-                let v = (rand() % 3) as u32;
-                if !down.contains(&v) {
-                    cluster.kill_broker(v).unwrap();
-                    down.push(v);
-                }
-            }
-            1 => {
-                if let Some(v) = down.pop() {
-                    cluster.restart_broker(v).unwrap();
-                }
-            }
-            2 | 3 => {
-                cluster.replicate_tick().unwrap();
-            }
-            _ => {
-                let _ = cluster.produce_to(
-                    &tp,
-                    None,
-                    Bytes::from(format!("m{i}")),
-                    liquid_messaging::AckLevel::Leader,
-                );
-            }
-        }
-        // Invariant: high watermark never exceeds the leader's log end.
-        if let Ok(Some(_)) = cluster.leader(&tp) {
-            let hw = cluster.latest_offset(&tp).unwrap();
-            let end = cluster.log_end_offset(&tp).unwrap();
-            assert!(hw <= end, "hw {hw} > log end {end} at step {i}");
-        }
-    }
-    // Drain: everyone back up, fully replicated.
-    for v in down {
-        cluster.restart_broker(v).unwrap();
-    }
-    cluster.replicate_tick().unwrap();
-    let isr = cluster.isr(&tp).unwrap();
-    assert_eq!(isr.len(), 3, "all replicas back in sync: {isr:?}");
-    // Committed data is readable from start to high watermark with
-    // contiguous offsets.
-    let msgs = cluster
-        .fetch_batch(&tp, 0, u64::MAX)
+    let lag = cluster.log_end_offset(tp).unwrap() - hw;
+    assert_eq!(lag, model.end(leader) - model.hw, "leader lag at {at}");
+    let committed: Vec<(u64, Rec)> = cluster
+        .fetch_batch(tp, 0, u64::MAX)
         .unwrap()
-        .into_messages();
-    for (i, m) in msgs.iter().enumerate() {
-        assert_eq!(m.offset, i as u64);
+        .into_messages()
+        .into_iter()
+        .map(|m| (m.offset, (m.key.map(|k| k.to_vec()), m.value.to_vec())))
+        .collect();
+    let want: Vec<(u64, Rec)> = (0u64..).zip(model.committed()).collect();
+    assert_eq!(committed, want, "committed records at {at}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Adversarial kill/restart, tick and produce sequences (acks None,
+    /// Leader or All, batches of 1–3) on 3 brokers: the high watermark
+    /// never passes the leader's log end, and once every broker is back
+    /// and replicated all three replicas are in sync and the committed
+    /// log is contiguous. The reference model runs the same ops beside
+    /// the cluster, and the two are diffed after every op.
+    #[test]
+    fn replication_invariant_followers_prefix_of_leader(
+        ops in prop::collection::vec((0u8..10, 0u32..3, 1usize..=3, 0u8..3), 1..300),
+    ) {
+        let clock = SimClock::new(0);
+        let cluster = Cluster::new(ClusterConfig::with_brokers(3), clock.shared());
+        cluster
+            .create_topic("t", TopicConfig::with_partitions(1).replication(3))
+            .unwrap();
+        let tp = TopicPartition::new("t", 0);
+        let mut model = Model::new(3, vec![0, 1, 2]);
+        let mut down: Vec<u32> = Vec::new();
+        for (i, &(kind, v, n, acks)) in ops.iter().enumerate() {
+            let at = format!("op {i} {:?}", (kind, v, n, acks));
+            match kind {
+                0 if down.len() < 2 => {
+                    if !down.contains(&v) {
+                        let want = model.kill(v);
+                        prop_assert_eq!(outcome(cluster.kill_broker(v)), want, "{}", at);
+                        down.push(v);
+                    }
+                }
+                1 => {
+                    if let Some(v) = down.pop() {
+                        cluster.restart_broker(v).unwrap();
+                        model.restart(v);
+                    }
+                }
+                2 | 3 => {
+                    let want = model.tick(Fault::None);
+                    prop_assert_eq!(outcome(cluster.replicate_tick()), want, "{}", at);
+                }
+                _ => {
+                    let recs: Vec<Rec> = (0..n)
+                        .map(|j| (None, format!("m{i}-{j}").into_bytes()))
+                        .collect();
+                    let pairs = recs.iter().map(|(_, v)| (None, Bytes::copy_from_slice(v)));
+                    let level = [AckLevel::None, AckLevel::Leader, AckLevel::All][acks as usize];
+                    let batch = RecordBatch::from_pairs(pairs, 0);
+                    let got = cluster.produce_batch(&tp, batch, level, None);
+                    let want = model.produce(recs, level == AckLevel::All, None, Fault::None);
+                    prop_assert_eq!(outcome(got), want, "{}", at);
+                }
+            }
+            // Invariant: high watermark never exceeds the leader's log end.
+            if let Ok(Some(_)) = cluster.leader(&tp) {
+                let hw = cluster.latest_offset(&tp).unwrap();
+                let end = cluster.log_end_offset(&tp).unwrap();
+                prop_assert!(hw <= end, "hw {} > log end {} at step {}", hw, end, i);
+            }
+            diff_against_model(&cluster, &tp, &model, &at);
+        }
+        // Drain: everyone back up, a leader elected if the partition
+        // lost its own, and fully replicated.
+        for v in down {
+            cluster.restart_broker(v).unwrap();
+            model.restart(v);
+        }
+        for round in 0..2 {
+            prop_assert_eq!(outcome(cluster.replicate_tick()), model.tick(Fault::None));
+            diff_against_model(&cluster, &tp, &model, &format!("drain round {round}"));
+        }
+        let isr = cluster.isr(&tp).unwrap();
+        prop_assert_eq!(isr.len(), 3, "all replicas back in sync: {:?}", isr);
+        // Committed data is readable from start to high watermark with
+        // contiguous offsets.
+        let msgs = cluster
+            .fetch_batch(&tp, 0, u64::MAX)
+            .unwrap()
+            .into_messages();
+        for (i, m) in msgs.iter().enumerate() {
+            prop_assert_eq!(m.offset, i as u64);
+        }
     }
 }
