@@ -52,10 +52,6 @@ pub const LOCK_FIELDS: &[(&str, &str, &str)] = &[
     // its `Arc` cloned) under a brief `cluster.state` read guard.
     ("cluster.rs", "part", "partition.state"),
     ("offsets.rs", "inner", "offsets.inner"),
-    // Per-(group, topic-partition) offset shards: each committed-offset
-    // slot sits behind its own mutex inside an `OffsetShard`, resolved
-    // (and its `Arc` cloned) under a brief `offsets.inner` guard.
-    ("offsets.rs", "slot", "offsets.shard"),
     ("lib.rs", "state", "dfs.state"),
     ("lib.rs", "stats", "dfs.stats"),
     ("stack.rs", "feeds", "stack.feeds"),

@@ -69,12 +69,7 @@ pub const CROSS_COLLECTIONS: &[&str] = &["topics", "brokers"];
 /// partition *replica* — finer than a per-partition shard.
 /// `log.readcache` is the segment-read cache, sharded by segment id at
 /// construction — each shard's entry map sits behind its own mutex.
-pub const PARTITION_SHARDED_RANKS: &[&str] = &[
-    "partition.state",
-    "log.pagecache",
-    "offsets.shard",
-    "log.readcache",
-];
+pub const PARTITION_SHARDED_RANKS: &[&str] = &["partition.state", "log.pagecache", "log.readcache"];
 
 fn is_partition_key(name: &str) -> bool {
     PARTITION_KEY_NAMES.contains(&name)

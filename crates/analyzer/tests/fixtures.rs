@@ -26,10 +26,9 @@ pub const RANKS: &[(&str, u32)] = &[
     ("producer.batches", 65),
     ("consumer.state", 60),
     ("group.groups", 50),
+    ("offsets.inner", 45),
     ("cluster.state", 40),
     ("partition.state", 35),
-    ("offsets.inner", 30),
-    ("offsets.shard", 28),
     ("coord.tree", 15),
     ("log.readcache", 8),
     ("log.pagecache", 5),
@@ -1487,9 +1486,8 @@ fn atomicity_lint_spares_carried_keys_and_cold_sections() {
 #[test]
 fn atomicity_census_of_real_tree_has_no_unknown_gaps() {
     // Whole-tree acceptance: every ranked guard carries a verdict, no
-    // gap anywhere is unknown-classified, and the offsets split's
-    // commit path is machine-validated (the resolved shard Arc is the
-    // reacquire witness).
+    // gap anywhere is unknown-classified, and no offset-index site has
+    // a gap at all.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
@@ -1514,30 +1512,16 @@ fn atomicity_census_of_real_tree_has_no_unknown_gaps() {
             );
         }
     }
-    let commit = guards
+    // The offset index is one lock held across each whole call: no
+    // `offsets.inner` site carries a value across a drop and reacquire.
+    let offsets: Vec<_> = guards
         .iter()
-        .find(|g| g.rank == "offsets.inner" && g.function.ends_with("OffsetManager::commit"))
-        .expect("commit acquire site in the census");
-    assert!(commit.gap, "commit path must have a detected gap");
-    assert_eq!(
-        commit.gap_verdict,
-        liquid_lint::atomicity::Verdict::Validated,
-        "the commit snapshot\u{2192}commit gap must be proven validated"
-    );
-    assert!(
-        commit.gap_witness.iter().any(|w| w.kind == "reacquire"),
-        "the shard-lock reacquire must be the witness: {:?}",
-        commit.gap_witness
-    );
-    // Every offsets.shard site is gap-free: slot sections consult only
-    // fresh slot state.
-    assert!(
-        guards
-            .iter()
-            .filter(|g| g.rank == "offsets.shard")
-            .all(|g| g.gap_verdict == liquid_lint::atomicity::Verdict::Validated),
-        "offsets.shard sections must be validated"
-    );
+        .filter(|g| g.rank == "offsets.inner")
+        .collect();
+    assert!(!offsets.is_empty(), "offsets.inner sites in the census");
+    for g in offsets {
+        assert!(!g.gap, "offsets.inner site with a gap: {g:?}");
+    }
 }
 
 #[test]

@@ -40,7 +40,7 @@ use crate::config::{AckLevel, TopicConfig};
 pub use crate::config::{ClusterConfig, ClusterConfigBuilder};
 use crate::error::MessagingError;
 use crate::ids::{BrokerId, MessageBatch, TopicPartition};
-use crate::offsets::OffsetManager;
+use crate::offsets::{OffsetIndex, OffsetManager, OFFSETS_TOPIC};
 use crate::partition::{Copied, Hooks, Live, PartitionCore, Site};
 
 /// Coordination session timeout for brokers.
@@ -374,7 +374,7 @@ struct Inner {
     /// Mints a unique id per replica log so cache keys from different
     /// logs never collide.
     log_ids: AtomicU64,
-    offsets: OffsetManager,
+    offsets: OffsetIndex,
     groups: crate::group::GroupRegistry,
 }
 
@@ -412,7 +412,7 @@ impl Cluster {
         });
         Cluster {
             inner: Arc::new(Inner {
-                clock: clock.clone(),
+                clock,
                 coord,
                 state: RwLock::new(
                     "cluster.state",
@@ -426,7 +426,7 @@ impl Cluster {
                 producer_ids: AtomicU64::new(0),
                 read_cache,
                 log_ids: AtomicU64::new(0),
-                offsets: OffsetManager::with_obs(clock, injector, &obs),
+                offsets: OffsetIndex::new(injector, &obs),
                 groups: crate::group::GroupRegistry::default(),
                 obs,
                 config,
@@ -457,9 +457,13 @@ impl Cluster {
         self.inner.obs.snapshot()
     }
 
-    /// The offset manager (consumer checkpoints + metadata annotations).
-    pub fn offsets(&self) -> &OffsetManager {
-        &self.inner.offsets
+    /// The offset manager (consumer checkpoints + metadata annotations),
+    /// a view of the internal `__offsets` topic.
+    pub fn offsets(&self) -> OffsetManager<'_> {
+        OffsetManager {
+            cluster: self,
+            index: &self.inner.offsets,
+        }
     }
 
     /// The shared clock.
@@ -468,10 +472,25 @@ impl Cluster {
     }
 
     /// Creates a topic; partitions are assigned to brokers round-robin
-    /// and replicas to the following brokers. Rejects zero partitions,
-    /// a replication factor outside `1..=brokers` and a retention
-    /// policy with a zero bound.
+    /// and replicas to the following brokers. Rejects a name that is not
+    /// 1–249 characters of `[A-Za-z0-9._-]` or is the reserved
+    /// `__offsets`, zero partitions, a replication factor outside
+    /// `1..=brokers` and a retention policy with a zero bound.
     pub fn create_topic(&self, name: &str, config: TopicConfig) -> crate::Result<()> {
+        let legal = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-');
+        let reason = match name {
+            OFFSETS_TOPIC => "reserved for the offset manager",
+            _ if name.is_empty() || name.len() > 249 => "not 1–249 characters long",
+            _ if !name.chars().all(legal) => "a character outside [A-Za-z0-9._-]",
+            _ => return self.add_topic(name, config),
+        };
+        let name = name.to_string();
+        Err(MessagingError::InvalidTopicName { name, reason })
+    }
+
+    /// [`create_topic`](Self::create_topic) without the name check: the
+    /// offset manager creates `__offsets` here.
+    pub(crate) fn add_topic(&self, name: &str, config: TopicConfig) -> crate::Result<()> {
         if config.partitions == 0 {
             return Err(MessagingError::ZeroPartitions);
         }
@@ -620,6 +639,20 @@ impl Cluster {
         acks: AckLevel,
         dedup: Option<(u64, u64)>,
     ) -> crate::Result<u64> {
+        self.produce_led(tp, batch, acks, dedup)
+            .map(|(base, _)| base)
+    }
+
+    /// [`produce_batch`](Self::produce_batch), also returning the leader
+    /// that appended the batch: the offset manager learns of a new
+    /// `__offsets` leader from its own commit.
+    pub(crate) fn produce_led(
+        &self,
+        tp: &TopicPartition,
+        batch: RecordBatch,
+        acks: AckLevel,
+        dedup: Option<(u64, u64)>,
+    ) -> crate::Result<(u64, Option<BrokerId>)> {
         let now = self.inner.clock.now();
         let (shard, live) = self.resolve(tp)?;
         // lint:allow(lock-cost, reason=crash atomicity: the leader append and the high-watermark update must be one critical section or a torn batch can be partially acknowledged; the section spans one partition shard, not the cluster-wide lock)
@@ -637,7 +670,7 @@ impl Cluster {
             metrics.bytes_in.add(bytes);
             metrics.produce_batch_records.record(records);
         }
-        Ok(base)
+        Ok((base, ps.core.leader()))
     }
 
     /// Fetches up to `max_bytes` of committed records from `offset` as
@@ -834,6 +867,11 @@ impl Cluster {
         st.brokers.insert(id, session);
         st.live = st.live.with(id, true);
         self.pass(st, Pass::Up(id)).map(|_| ())
+    }
+
+    /// How many brokers the cluster has, up or down.
+    pub(crate) fn broker_count(&self) -> u32 {
+        self.inner.config.brokers
     }
 
     /// All broker ids, sorted.

@@ -144,6 +144,33 @@ fn duplicate_topic_rejected() {
 }
 
 #[test]
+fn topic_names_are_validated() {
+    let (c, _) = cluster(1);
+    let long = "x".repeat(250);
+    let rejected = [
+        ("", "1–249"),
+        (long.as_str(), "1–249"),
+        ("a/0", "outside [A-Za-z0-9._-]"),
+        ("a b", "outside [A-Za-z0-9._-]"),
+        ("__offsets", "reserved"),
+    ];
+    for (name, why) in rejected {
+        match c.create_topic(name, TopicConfig::default()) {
+            Err(MessagingError::InvalidTopicName { name: got, reason }) => {
+                assert_eq!(got, name);
+                assert!(reason.contains(why), "{name:?}: {reason}");
+            }
+            other => panic!("{name:?} accepted or misreported: {other:?}"),
+        }
+    }
+    // "a/0" once shared the znode path of partition 0 of "a".
+    for name in ["a", "A.b_c-9", "__job-state", &long[..249]] {
+        c.create_topic(name, TopicConfig::default()).unwrap();
+    }
+    assert_eq!(c.topic_names().len(), 4);
+}
+
+#[test]
 fn replication_factor_validated() {
     let (c, _) = cluster(2);
     assert!(c

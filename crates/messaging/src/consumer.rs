@@ -289,16 +289,21 @@ impl Consumer {
         let group = self.group.as_deref().ok_or_else(|| {
             crate::MessagingError::Group("commit requires a group consumer".into())
         })?;
-        let st = self.state.lock();
         // Sorted so the commit order (and any injected fault) is
-        // deterministic.
-        let mut positions: Vec<(&TopicPartition, u64)> =
-            st.positions.iter().map(|(tp, p)| (tp, p.next)).collect();
-        positions.sort_by(|a, b| a.0.cmp(b.0));
-        for (tp, offset) in positions {
+        // deterministic. Copied out first: a commit is a replicated
+        // produce, which must not run under `consumer.state`.
+        let mut positions: Vec<(TopicPartition, u64)> = {
+            let st = self.state.lock();
+            st.positions
+                .iter()
+                .map(|(tp, p)| (tp.clone(), p.next))
+                .collect()
+        };
+        positions.sort_by(|a, b| a.0.cmp(&b.0));
+        for (tp, offset) in &positions {
             self.cluster
                 .offsets()
-                .commit(group, tp, offset, metadata.clone())?;
+                .commit(group, tp, *offset, metadata.clone())?;
         }
         Ok(())
     }

@@ -11,6 +11,13 @@ pub enum MessagingError {
     UnknownPartition(TopicPartition),
     /// Topic already exists.
     TopicExists(String),
+    /// A topic name outside Kafka's legal set, or a reserved one.
+    InvalidTopicName {
+        /// The rejected name.
+        name: String,
+        /// Why it was rejected.
+        reason: &'static str,
+    },
     /// Broker id is not part of the cluster.
     UnknownBroker(BrokerId),
     /// No in-sync replica is available to lead the partition; produces
@@ -58,6 +65,9 @@ impl std::fmt::Display for MessagingError {
             MessagingError::UnknownTopic(t) => write!(f, "unknown topic: {t}"),
             MessagingError::UnknownPartition(tp) => write!(f, "unknown partition: {tp}"),
             MessagingError::TopicExists(t) => write!(f, "topic exists: {t}"),
+            MessagingError::InvalidTopicName { name, reason } => {
+                write!(f, "invalid topic name {name:?}: {reason}")
+            }
             MessagingError::UnknownBroker(b) => write!(f, "unknown broker: {b}"),
             MessagingError::PartitionUnavailable(tp) => {
                 write!(f, "partition unavailable (no live ISR): {tp}")

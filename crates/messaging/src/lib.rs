@@ -43,7 +43,7 @@ pub use error::MessagingError;
 pub use group::{AssignmentStrategy, GroupAssignment};
 pub use ids::{BrokerId, Message, MessageBatch, TopicPartition};
 pub use mirror::MirrorMaker;
-pub use offsets::{OffsetCommit, OffsetManager};
+pub use offsets::{OffsetCommit, OffsetManager, OFFSETS_TOPIC};
 pub use producer::{BatchConfig, Partitioner, Producer};
 
 /// Result alias for messaging operations.

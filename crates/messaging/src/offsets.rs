@@ -1,52 +1,40 @@
-//! The offset manager (paper §3.1 "Metadata-based access", §4.2).
+//! The offset manager (paper §3.1, §4.2): a highly-available map from
+//! consumed offsets to annotations — timestamps, software versions —
+//! that consumers checkpoint to and ask for "the last offset my version
+//! processed" to resume or rewind.
 //!
-//! A logically-centralized, highly-available service that maps consumed
-//! offsets to arbitrary metadata annotations — timestamps, software
-//! versions, anything a back-end system wants to attach. Consumers
-//! checkpoint their positions here and, after a failure or an algorithm
-//! change, query for "the last offset my version processed" to resume or
-//! rewind.
-//!
-//! Faithful to the paper, commits are *themselves* stored in a keyed,
-//! compacted commit log (key = group + partition), so the manager's own
-//! durability and bounded size come from log compaction (§4.1) rather
-//! than an external database.
-//!
-//! # Lock layout (ROADMAP item 4 split, analyzer-proven)
-//!
-//! The in-memory view is sharded per `(group, topic-partition)`: the
-//! manager holds only the backing log and a shard directory behind the
-//! `offsets.inner` `RwLock`, and each key's committed-offset slot sits
-//! behind its own `offsets.shard` mutex inside an [`OffsetShard`].
-//! Commits serialize on the *log append* (the durability authority,
-//! §4.2) under a brief `inner` write guard, then update their slot
-//! under the shard lock alone — slot entries are keyed by the record's
-//! log offset, so in-memory state converges to log order no matter how
-//! slot-lock acquisitions interleave. Reads (`fetch`, `history`,
-//! version queries) resolve the shard under a shared read guard, drop
-//! it, and consult only the slot — two consumers touching different
-//! keys no longer contend. The `atomicity` lint proves the
-//! resolve→drop→lock gaps validated (the carried `Arc` is the
-//! revalidation), and the `shard` lint classifies the slot rank
-//! partition-local.
+//! Commits are records of [`OFFSETS_TOPIC`], a compacted topic with one
+//! partition and replication `min(3, brokers)` that the first commit
+//! creates; a commit is one `acks=All` produce. **Record keys are index
+//! keys:** a commit of `(group, tp)` with `m` annotations is `1 + m`
+//! records of the same encoded commit, keyed by `(group, tp)` and by
+//! each `(group, tp, key, value)`. The index is the partition's fold,
+//! the newest commit per key: it holds what compaction keeps, so it is
+//! bounded by keys × annotation pairs, not commits, and it reads the same
+//! after a compaction or a refold. It changes only from an acked produce
+//! or a refold, under one `offsets.inner` lock ranked above
+//! `cluster.state`; a call that finds a new leader refolds first.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use bytes::Bytes;
-use liquid_log::{Log, LogConfig, RetentionPolicy};
+use liquid_log::{RecordBatch, RetentionPolicy};
 use liquid_obs::{CounterHandle, Obs};
-use liquid_sim::clock::{SharedClock, Ts};
+use liquid_sim::clock::Ts;
 use liquid_sim::failure::FailureInjector;
-use liquid_sim::lockdep::{Mutex, RwLock};
+use liquid_sim::lockdep::RwLock;
 
-use crate::ids::TopicPartition;
+use crate::config::{AckLevel, TopicConfig};
+use crate::ids::{BrokerId, TopicPartition};
+use crate::{Cluster, MessagingError};
+
+/// The internal topic holding every commit.
+pub const OFFSETS_TOPIC: &str = "__offsets";
 
 /// A committed position plus annotations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OffsetCommit {
-    /// Next offset the consumer will process (i.e. everything below is
-    /// done).
+    /// Next offset to process: everything below it is done.
     pub offset: u64,
     /// When the commit was made.
     pub committed_at: Ts,
@@ -54,109 +42,49 @@ pub struct OffsetCommit {
     pub metadata: BTreeMap<String, String>,
 }
 
-/// The offset manager. Internally synchronized; cheap to share.
-pub struct OffsetManager {
-    inner: RwLock<Inner>,
-    clock: SharedClock,
+/// The offset manager: a view of [`OFFSETS_TOPIC`] ([`Cluster::offsets`]).
+pub struct OffsetManager<'a> {
+    pub(crate) cluster: &'a Cluster,
+    pub(crate) index: &'a OffsetIndex,
+}
+
+/// The cluster's part of the offset manager.
+pub(crate) struct OffsetIndex {
+    tp: TopicPartition,
+    inner: RwLock<Index>,
     injector: FailureInjector,
     /// Twin counter for the `offsets.commit` fault site.
     commits: CounterHandle,
 }
 
-struct Inner {
-    /// Backing compacted log (the "__consumer_offsets" analogue).
-    log: Log,
-    /// Shard directory: one committed-offset slot per key. The
-    /// directory itself only grows; per-key state lives in the shard.
-    shards: HashMap<(String, TopicPartition), Arc<OffsetShard>>,
-}
+/// A decoded record key: `(group, tp)`, and `(key, value)` for an annotation.
+type Key = (String, TopicPartition, Option<(String, String)>);
 
-/// One `(group, topic-partition)` offset shard: the key's commit
-/// history behind its own lock.
-struct OffsetShard {
-    slot: Mutex<Slot>,
-}
-
-/// Commit history for one key, ordered by backing-log offset. The log
-/// append (under the `inner` write guard) is the single serialization
-/// point; slot updates carry the record's log offset and insert in log
-/// order, so the in-memory view converges to the log regardless of how
-/// the post-append slot-lock acquisitions interleave.
+/// The fold of [`OFFSETS_TOPIC`]: the newest commit per record key.
 #[derive(Default)]
-struct Slot {
-    entries: Vec<(u64, OffsetCommit)>,
+struct Index {
+    /// The leader it was folded from; `None` before the first commit.
+    leader: Option<BrokerId>,
+    /// The log offset it covers up to.
+    end: u64,
+    latest: HashMap<Key, OffsetCommit>,
 }
 
-impl Slot {
-    /// Inserts `commit` at its log position (almost always the tail).
-    fn insert(&mut self, log_offset: u64, commit: OffsetCommit) {
-        let pos = self.entries.partition_point(|(o, _)| *o < log_offset);
-        self.entries.insert(pos, (log_offset, commit));
-    }
-
-    /// The latest commit (highest log offset).
-    fn latest(&self) -> Option<&OffsetCommit> {
-        self.entries.last().map(|(_, c)| c)
-    }
-}
-
-impl OffsetShard {
-    fn new() -> Arc<OffsetShard> {
-        Arc::new(OffsetShard {
-            slot: Mutex::new("offsets.shard", Slot::default()),
-        })
-    }
-}
-
-impl OffsetManager {
-    /// Creates an offset manager with an in-memory compacted backing
-    /// log.
-    pub fn new(clock: SharedClock) -> Self {
-        OffsetManager::with_injector(clock, FailureInjector::disabled())
-    }
-
-    /// Like [`new`](Self::new) but with a fault injector on the commit
-    /// path (chaos testing).
-    pub fn with_injector(clock: SharedClock, injector: FailureInjector) -> Self {
-        OffsetManager::with_obs(clock, injector, &Obs::default())
-    }
-
-    /// Full constructor: fault injector plus the observability sink the
-    /// commit counter registers into.
-    pub fn with_obs(clock: SharedClock, injector: FailureInjector, obs: &Obs) -> Self {
-        let cfg = LogConfig {
-            retention: RetentionPolicy::Compact {
-                max_age_ms: None,
-                max_bytes: None,
-            },
-            segment_bytes: 64 * 1024,
-            ..LogConfig::default()
-        };
-        OffsetManager {
-            inner: RwLock::new(
-                "offsets.inner",
-                Inner {
-                    // lint:allow(panic-reachability, reason=the config above uses in-memory storage with a disabled injector; open has no fallible step on that path)
-                    log: Log::open(cfg, clock.clone()).expect("memory log"),
-                    shards: HashMap::new(),
-                },
-            ),
-            clock,
+impl OffsetIndex {
+    pub(crate) fn new(injector: FailureInjector, obs: &Obs) -> Self {
+        OffsetIndex {
+            tp: TopicPartition::new(OFFSETS_TOPIC, 0),
+            inner: RwLock::new("offsets.inner", Index::default()),
             injector,
             commits: obs.registry().counter("offsets.commit"),
         }
     }
+}
 
-    /// Resolves the shard for `(group, tp)` if it exists, under a
-    /// shared directory read guard.
-    fn shard_if_exists(&self, group: &str, tp: &TopicPartition) -> Option<Arc<OffsetShard>> {
-        let inner = self.inner.read();
-        let shard = inner.shards.get(&(group.to_string(), tp.clone())).cloned();
-        drop(inner);
-        shard
-    }
-
-    /// Checkpoints `offset` for `(group, tp)` with annotations.
+impl OffsetManager<'_> {
+    /// Checkpoints `offset` for `(group, tp)` with annotations. Fails
+    /// with [`MessagingError::PartitionUnavailable`] while
+    /// [`OFFSETS_TOPIC`] has no leader.
     pub fn commit(
         &self,
         group: &str,
@@ -164,40 +92,58 @@ impl OffsetManager {
         offset: u64,
         metadata: BTreeMap<String, String>,
     ) -> crate::Result<()> {
-        self.commits.inc();
-        if self.injector.tick("offsets.commit") {
-            // Crash before the commit reaches the backing log: the
-            // consumer resumes from its previous checkpoint.
-            return Err(crate::MessagingError::Injected("offsets.commit"));
+        self.index.commits.inc();
+        if self.index.injector.tick("offsets.commit") {
+            // Crash before the commit reaches the topic.
+            return Err(MessagingError::Injected("offsets.commit"));
         }
+        let pairs = metadata.iter().map(|(k, v)| Some((k.clone(), v.clone())));
+        let keys: Vec<Key> = std::iter::once(None)
+            .chain(pairs)
+            .map(|pair| (group.to_string(), tp.clone(), pair))
+            .collect();
         let commit = OffsetCommit {
             offset,
-            committed_at: self.clock.now(),
+            committed_at: self.cluster.clock().now(),
             metadata,
         };
-        let key = commit_key(group, tp);
         let value = encode_commit(&commit);
-        // Durability first: the append under the directory write guard
-        // is the single serialization point, and the returned log
-        // offset carries that order into the slot below.
-        let mut inner = self.inner.write();
-        let log_offset = inner.log.append(Some(key), value)?;
-        let shard = inner
-            .shards
-            .entry((group.to_string(), tp.clone()))
-            .or_insert_with(OffsetShard::new)
-            .clone();
-        drop(inner);
-        let mut slot = shard.slot.lock();
-        slot.insert(log_offset, commit);
+        let records = keys.iter().map(|k| (Some(encode_key(k)), value.clone()));
+        let batch = RecordBatch::from_pairs(records, 0);
+        let mut index = self.index.inner.write();
+        // Topics are never deleted: a folded index knows it exists.
+        let created = index.leader.is_none() && {
+            let config = TopicConfig::with_partitions(1)
+                .replication(self.cluster.broker_count().min(3))
+                .retention(RetentionPolicy::compact())
+                .segment_bytes(64 * 1024);
+            match self.cluster.add_topic(OFFSETS_TOPIC, config) {
+                Err(MessagingError::TopicExists(_)) => false,
+                created => created.map(|()| true)?,
+            }
+        };
+        let acked = self
+            .cluster
+            .produce_led(&self.index.tp, batch, AckLevel::All, None);
+        let (base, leader) = acked?;
+        index.end = base.saturating_add(keys.len() as u64);
+        for key in keys {
+            index.latest.insert(key, commit.clone());
+        }
+        let moved = leader.filter(|&l| index.leader != Some(l));
+        if created {
+            index.leader = leader; // a new topic holds only this commit
+        } else if let Some(fold) = moved.and_then(|l| self.fold(l).ok()) {
+            // A new leader's log holds this commit too. A failed fold
+            // leaves the index stale, to refold on the next call.
+            *index = fold;
+        }
         Ok(())
     }
 
     /// Latest commit for `(group, tp)`, if any.
     pub fn fetch(&self, group: &str, tp: &TopicPartition) -> Option<OffsetCommit> {
-        let shard = self.shard_if_exists(group, tp)?;
-        let slot = shard.slot.lock();
-        slot.latest().cloned()
+        self.read(&(group.to_string(), tp.clone(), None))
     }
 
     /// Latest committed offset (shorthand).
@@ -214,155 +160,139 @@ impl OffsetManager {
         key: &str,
         value: &str,
     ) -> Option<OffsetCommit> {
-        let shard = self.shard_if_exists(group, tp)?;
-        let slot = shard.slot.lock();
-        slot.entries
-            .iter()
-            .rev()
-            .find(|(_, c)| c.metadata.get(key).map(String::as_str) == Some(value))
-            .map(|(_, c)| c.clone())
+        let pair = Some((key.to_string(), value.to_string()));
+        self.read(&(group.to_string(), tp.clone(), pair))
     }
 
-    /// Full commit history for `(group, tp)` in commit order.
-    pub fn history(&self, group: &str, tp: &TopicPartition) -> Vec<OffsetCommit> {
-        let Some(shard) = self.shard_if_exists(group, tp) else {
-            return Vec::new();
-        };
-        let slot = shard.slot.lock();
-        slot.entries.iter().map(|(_, c)| c.clone()).collect()
-    }
-
-    /// Groups with at least one commit.
-    pub fn groups(&self) -> Vec<String> {
-        let inner = self.inner.read();
-        let mut gs: Vec<String> = inner.shards.keys().map(|(g, _)| g.clone()).collect();
-        drop(inner);
-        gs.sort();
-        gs.dedup();
-        gs
-    }
-
-    /// Compacts the backing log (bounded size, §4.1); returns the
-    /// dedup ratio achieved.
-    pub fn compact_backing_log(&self) -> f64 {
-        let mut inner = self.inner.write();
-        inner.log.compact().map(|s| s.dedup_ratio()).unwrap_or(0.0)
-    }
-
-    /// Size of the backing log in bytes.
-    pub fn backing_log_bytes(&self) -> u64 {
-        self.inner.read().log.size_bytes()
-    }
-
-    /// Rebuilds the in-memory shards purely from the backing log
-    /// (recovery path: proves commits survive in the log itself).
-    /// Returns the number of `(group, partition)` entries recovered.
-    ///
-    /// Slot locks nest under the directory write guard here —
-    /// `offsets.inner` (30) → `offsets.shard` (28), descending, so
-    /// lockdep stays happy — and the exclusive directory guard keeps
-    /// concurrent commits out while the view is swapped.
-    pub fn recover_index_from_log(&self) -> crate::Result<usize> {
-        let mut inner = self.inner.write();
-        let start = inner.log.start_offset();
-        let records = inner.log.read(start, u64::MAX)?.records;
-        let mut rebuilt: HashMap<(String, TopicPartition), Vec<(u64, OffsetCommit)>> =
-            HashMap::new();
-        for rec in &records {
-            let Some(key) = &rec.key else { continue };
-            let Some((group, tp)) = decode_commit_key(key) else {
-                continue;
-            };
-            if let Some(commit) = decode_commit(&rec.value) {
-                rebuilt
-                    .entry((group, tp))
-                    .or_default()
-                    .push((rec.offset, commit));
+    /// The commit under `key`, after a refold if [`OFFSETS_TOPIC`] has a
+    /// new leader; that fold runs outside the lock, as a consumer's poll
+    /// reaches it. Reads never create the topic.
+    fn read(&self, key: &Key) -> Option<OffsetCommit> {
+        let from = self.folded_from();
+        let leader = from.and_then(|_| self.cluster.leader(&self.index.tp).ok().flatten());
+        let moved = leader.filter(|&l| from != Some(l));
+        if let Some(fold) = moved.and_then(|l| self.fold(l).ok()) {
+            // Acked commits sit below any later leader's high watermark:
+            // a fold ending short of the index missed a commit since.
+            let mut index = self.index.inner.write();
+            if fold.end >= index.end {
+                *index = fold;
             }
         }
-        let n = rebuilt.len();
-        inner.shards.clear();
-        for (key, mut entries) in rebuilt {
-            entries.sort_by_key(|(o, _)| *o);
-            let shard = OffsetShard::new();
-            shard.slot.lock().entries = entries;
-            inner.shards.insert(key, shard);
+        let index = self.index.inner.read();
+        index.latest.get(key).cloned()
+    }
+
+    /// The leader the index was folded from.
+    fn folded_from(&self) -> Option<BrokerId> {
+        self.index.inner.read().leader
+    }
+
+    /// Folds [`OFFSETS_TOPIC`] as `leader` serves it, earliest to high
+    /// watermark in one fetch, skipping what does not decode (anyone may
+    /// produce there).
+    fn fold(&self, leader: BrokerId) -> crate::Result<Index> {
+        let batch = self.cluster.fetch_batch(&self.index.tp, 0, u64::MAX)?;
+        let mut latest = HashMap::new();
+        for r in batch.records() {
+            let key = r.key.as_deref().and_then(decode_key);
+            if let (Some(key), Some(commit)) = (key, decode_commit(&r.value)) {
+                latest.insert(key, commit);
+            }
         }
-        Ok(n)
+        let (leader, end) = (Some(leader), batch.high_watermark());
+        Ok(Index {
+            leader,
+            end,
+            latest,
+        })
     }
 }
 
-fn commit_key(group: &str, tp: &TopicPartition) -> Bytes {
-    Bytes::from(format!("{group}\u{0}{}\u{0}{}", tp.topic, tp.partition))
-}
-
-fn decode_commit_key(key: &[u8]) -> Option<(String, TopicPartition)> {
-    let s = std::str::from_utf8(key).ok()?;
-    let mut parts = s.split('\u{0}');
-    let group = parts.next()?.to_string();
-    let topic = parts.next()?.to_string();
-    let partition: u32 = parts.next()?.parse().ok()?;
-    Some((group, TopicPartition { topic, partition }))
-}
-
-fn encode_commit(c: &OffsetCommit) -> Bytes {
-    let mut out = Vec::with_capacity(32);
-    out.extend_from_slice(&c.offset.to_le_bytes());
-    out.extend_from_slice(&c.committed_at.to_le_bytes());
-    out.extend_from_slice(&(c.metadata.len() as u32).to_le_bytes());
-    for (k, v) in &c.metadata {
-        out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-        out.extend_from_slice(k.as_bytes());
-        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-        out.extend_from_slice(v.as_bytes());
+/// Concatenates `fields`, each with a `u64` length prefix.
+fn encode(fields: &[&[u8]]) -> Bytes {
+    let mut out = Vec::with_capacity(64);
+    for field in fields {
+        out.extend_from_slice(&(field.len() as u64).to_le_bytes());
+        out.extend_from_slice(field);
     }
     Bytes::from(out)
 }
 
-fn decode_commit(data: &[u8]) -> Option<OffsetCommit> {
-    if data.len() < 20 {
-        return None;
+/// Splits one field of [`encode`] off `data`. Every read is
+/// bounds-checked, so arbitrary bytes decode to `None`, never a panic.
+fn take<'a>(data: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let n = u64::from_le_bytes(data.get(..8)?.try_into().ok()?);
+    let (field, rest) = data.get(8..)?.split_at_checked(usize::try_from(n).ok()?)?;
+    *data = rest;
+    Some(field)
+}
+
+fn string(data: &mut &[u8]) -> Option<String> {
+    std::str::from_utf8(take(data)?).ok().map(String::from)
+}
+
+fn int<const N: usize>(data: &mut &[u8]) -> Option<[u8; N]> {
+    take(data)?.try_into().ok()
+}
+
+fn encode_key((group, tp, pair): &Key) -> Bytes {
+    let partition = tp.partition.to_le_bytes();
+    let mut fields = vec![group.as_bytes(), tp.topic.as_bytes(), &partition];
+    if let Some((k, v)) = pair {
+        fields.extend([k.as_bytes(), v.as_bytes()]);
     }
-    let offset = u64::from_le_bytes(data[0..8].try_into().ok()?);
-    let committed_at = u64::from_le_bytes(data[8..16].try_into().ok()?);
-    let count = u32::from_le_bytes(data[16..20].try_into().ok()?) as usize;
-    let mut pos = 20;
-    let mut metadata = BTreeMap::new();
-    for _ in 0..count {
-        if data.len() < pos + 4 {
-            return None;
-        }
-        let klen = u32::from_le_bytes(data[pos..pos + 4].try_into().ok()?) as usize;
-        pos += 4;
-        if data.len() < pos + klen + 4 {
-            return None;
-        }
-        let k = String::from_utf8(data[pos..pos + klen].to_vec()).ok()?;
-        pos += klen;
-        let vlen = u32::from_le_bytes(data[pos..pos + 4].try_into().ok()?) as usize;
-        pos += 4;
-        if data.len() < pos + vlen {
-            return None;
-        }
-        let v = String::from_utf8(data[pos..pos + vlen].to_vec()).ok()?;
-        pos += vlen;
-        metadata.insert(k, v);
+    encode(&fields)
+}
+
+fn decode_key(mut data: &[u8]) -> Option<Key> {
+    let d = &mut data;
+    let (group, topic, partition) = (string(d)?, string(d)?, int(d)?);
+    let pair = (!d.is_empty()).then(|| Some((string(d)?, string(d)?)));
+    let pair = pair.flatten();
+    let tp = TopicPartition::new(topic, u32::from_le_bytes(partition));
+    d.is_empty().then_some((group, tp, pair))
+}
+
+/// The offset, the timestamp, then each annotation's key and value.
+fn encode_commit(c: &OffsetCommit) -> Bytes {
+    let (offset, at) = (c.offset.to_le_bytes(), c.committed_at.to_le_bytes());
+    let pairs = c
+        .metadata
+        .iter()
+        .flat_map(|(k, v)| [k.as_bytes(), v.as_bytes()]);
+    let fields: Vec<&[u8]> = [offset.as_slice(), &at].into_iter().chain(pairs).collect();
+    encode(&fields)
+}
+
+fn decode_commit(mut data: &[u8]) -> Option<OffsetCommit> {
+    let d = &mut data;
+    let mut commit = OffsetCommit {
+        offset: u64::from_le_bytes(int(d)?),
+        committed_at: u64::from_le_bytes(int(d)?),
+        metadata: BTreeMap::new(),
+    };
+    while !d.is_empty() {
+        commit.metadata.insert(string(d)?, string(d)?);
     }
-    Some(OffsetCommit {
-        offset,
-        committed_at,
-        metadata,
-    })
+    Some(commit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClusterConfig;
     use liquid_sim::clock::SimClock;
+    use proptest::prelude::*;
 
-    fn mgr() -> (OffsetManager, SimClock) {
+    fn offsets_tp() -> TopicPartition {
+        TopicPartition::new(OFFSETS_TOPIC, 0)
+    }
+
+    fn cluster(brokers: u32) -> (Cluster, SimClock) {
         let clock = SimClock::new(0);
-        (OffsetManager::new(clock.shared()), clock)
+        let c = Cluster::new(ClusterConfig::with_brokers(brokers), clock.shared());
+        (c, clock)
     }
 
     fn meta(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
@@ -372,57 +302,68 @@ mod tests {
             .collect()
     }
 
+    /// Index entries (positions and annotation pairs) under `(group, tp)`.
+    fn entries(c: &Cluster, group: &str, tp: &TopicPartition) -> usize {
+        let index = c.offsets().index.inner.read();
+        let keys = index.latest.keys();
+        keys.filter(|(g, t, _)| g == group && t == tp).count()
+    }
+
     #[test]
     fn commit_and_fetch() {
-        let (m, _) = mgr();
+        let (c, _) = cluster(1);
+        let m = c.offsets();
         let tp = TopicPartition::new("t", 0);
         assert_eq!(m.fetch("g", &tp), None);
         m.commit("g", &tp, 42, meta(&[("version", "v1")])).unwrap();
-        let c = m.fetch("g", &tp).unwrap();
-        assert_eq!(c.offset, 42);
-        assert_eq!(c.metadata["version"], "v1");
+        let got = m.fetch("g", &tp).unwrap();
+        assert_eq!(got.offset, 42);
+        assert_eq!(got.metadata["version"], "v1");
         assert_eq!(m.fetch_offset("g", &tp), Some(42));
     }
 
     #[test]
     fn latest_commit_wins() {
-        let (m, clock) = mgr();
+        let (c, clock) = cluster(1);
+        let m = c.offsets();
         let tp = TopicPartition::new("t", 0);
         m.commit("g", &tp, 10, meta(&[])).unwrap();
         clock.advance(5);
         m.commit("g", &tp, 20, meta(&[])).unwrap();
-        let c = m.fetch("g", &tp).unwrap();
-        assert_eq!(c.offset, 20);
-        assert_eq!(c.committed_at, 5);
+        let got = m.fetch("g", &tp).unwrap();
+        assert_eq!(got.offset, 20);
+        assert_eq!(got.committed_at, 5);
     }
 
     #[test]
     fn groups_are_isolated() {
-        let (m, _) = mgr();
+        let (c, _) = cluster(1);
+        let m = c.offsets();
         let tp = TopicPartition::new("t", 0);
         m.commit("g1", &tp, 1, meta(&[])).unwrap();
         m.commit("g2", &tp, 2, meta(&[])).unwrap();
         assert_eq!(m.fetch_offset("g1", &tp), Some(1));
         assert_eq!(m.fetch_offset("g2", &tp), Some(2));
-        assert_eq!(m.groups(), vec!["g1", "g2"]);
+        assert_eq!(m.fetch_offset("g3", &tp), None);
     }
 
     #[test]
     fn partitions_are_isolated() {
-        let (m, _) = mgr();
-        m.commit("g", &TopicPartition::new("t", 0), 5, meta(&[]))
-            .unwrap();
-        m.commit("g", &TopicPartition::new("t", 1), 9, meta(&[]))
-            .unwrap();
-        assert_eq!(m.fetch_offset("g", &TopicPartition::new("t", 0)), Some(5));
-        assert_eq!(m.fetch_offset("g", &TopicPartition::new("t", 1)), Some(9));
+        let (c, _) = cluster(1);
+        let m = c.offsets();
+        let (t0, t1) = (TopicPartition::new("t", 0), TopicPartition::new("t", 1));
+        m.commit("g", &t0, 5, meta(&[])).unwrap();
+        m.commit("g", &t1, 9, meta(&[])).unwrap();
+        assert_eq!(m.fetch_offset("g", &t0), Some(5));
+        assert_eq!(m.fetch_offset("g", &t1), Some(9));
     }
 
     #[test]
     fn version_annotation_rewind() {
         // §4.2: find where the old software version stopped, to
         // re-process from there with the new algorithm.
-        let (m, _) = mgr();
+        let (c, _) = cluster(1);
+        let m = c.offsets();
         let tp = TopicPartition::new("t", 0);
         m.commit("job", &tp, 100, meta(&[("sw", "v1")])).unwrap();
         m.commit("job", &tp, 200, meta(&[("sw", "v1")])).unwrap();
@@ -430,58 +371,195 @@ mod tests {
         let last_v1 = m.last_commit_with("job", &tp, "sw", "v1").unwrap();
         assert_eq!(last_v1.offset, 200);
         assert_eq!(m.last_commit_with("job", &tp, "sw", "v3"), None);
-        assert_eq!(m.history("job", &tp).len(), 3);
+        assert_eq!(m.fetch_offset("job", &tp), Some(300));
+    }
+
+    /// Marks the index as folded from another leader, so the next
+    /// read refolds it from `__offsets`.
+    fn make_stale(c: &Cluster) {
+        *c.offsets().index.inner.write() = Index {
+            leader: Some(9),
+            ..Index::default()
+        };
     }
 
     #[test]
     fn index_recovers_from_backing_log() {
-        let (m, _) = mgr();
+        let (c, _) = cluster(1);
+        let m = c.offsets();
         let tp = TopicPartition::new("t", 3);
         m.commit("g", &tp, 7, meta(&[("a", "b")])).unwrap();
         m.commit("g", &tp, 8, meta(&[("a", "c")])).unwrap();
-        let n = m.recover_index_from_log().unwrap();
-        assert_eq!(n, 1);
-        let c = m.fetch("g", &tp).unwrap();
-        assert_eq!(c.offset, 8);
-        assert_eq!(c.metadata["a"], "c");
+        make_stale(&c);
+        let got = m.fetch("g", &tp).unwrap();
+        assert_eq!(got.offset, 8);
+        assert_eq!(got.metadata["a"], "c");
+        assert_eq!(m.last_commit_with("g", &tp, "a", "b").unwrap().offset, 7);
+        assert_eq!(m.index.inner.read().leader, Some(0));
     }
 
     #[test]
     fn backing_log_compacts() {
-        let (m, _) = mgr();
+        let (c, _) = cluster(1);
+        let m = c.offsets();
         let tp = TopicPartition::new("t", 0);
         // Enough commits to roll segments (64 KiB each).
         for i in 0..5000 {
             m.commit("g", &tp, i, meta(&[("pad", "xxxxxxxxxxxxxxxx")]))
                 .unwrap();
         }
-        let before = m.backing_log_bytes();
-        let ratio = m.compact_backing_log();
-        assert!(ratio > 0.5, "dedup ratio {ratio}");
-        assert!(m.backing_log_bytes() < before);
-        // Latest commit still recoverable from the compacted log.
-        m.recover_index_from_log().unwrap();
+        let before = c.topic_size_bytes(OFFSETS_TOPIC).unwrap();
+        let stats = c.compact_topic(OFFSETS_TOPIC).unwrap();
+        assert!(stats.dedup_ratio() > 0.5, "{stats:?}");
+        assert!(c.topic_size_bytes(OFFSETS_TOPIC).unwrap() < before);
+        // The latest commit is still recoverable from the compacted log.
+        make_stale(&c);
         assert_eq!(m.fetch_offset("g", &tp), Some(4999));
     }
 
     #[test]
-    fn commit_encoding_roundtrip() {
-        let c = OffsetCommit {
-            offset: 123,
-            committed_at: 456,
-            metadata: meta(&[("k1", "v1"), ("k2", "")]),
+    fn a_cluster_that_never_commits_has_no_offsets_topic() {
+        let (c, _) = cluster(3);
+        c.create_topic("t", TopicConfig::with_partitions(2))
+            .unwrap();
+        let tp = TopicPartition::new("t", 0);
+        assert_eq!(c.offsets().fetch("g", &tp), None);
+        assert_eq!(c.offsets().last_commit_with("g", &tp, "v", "1"), None);
+        assert_eq!(c.topic_names(), vec!["t".to_string()]);
+        c.offsets().commit("g", &tp, 1, meta(&[])).unwrap();
+        assert_eq!(c.topic_names(), vec![OFFSETS_TOPIC.to_string(), "t".into()]);
+        assert_eq!(c.isr(&offsets_tp()).unwrap().len(), 3, "min(3, brokers)");
+    }
+
+    /// The index is bounded by keys × annotation pairs, and compaction
+    /// and a rebuild after a leader kill leave every answer as it was.
+    #[test]
+    fn index_is_bounded_and_survives_compaction_and_failover() {
+        let (c, _) = cluster(3);
+        let m = c.offsets();
+        let tp = TopicPartition::new("t", 0);
+        for i in 0..20_000u64 {
+            let version = if i % 2 == 0 { "v1" } else { "v2" };
+            m.commit("g", &tp, i, meta(&[("version", version)]))
+                .unwrap();
+        }
+        assert!(entries(&c, "g", &tp) <= 3, "{}", entries(&c, "g", &tp));
+        let answers = || {
+            (
+                m.fetch("g", &tp),
+                m.last_commit_with("g", &tp, "version", "v1"),
+                m.last_commit_with("g", &tp, "version", "v2"),
+            )
         };
-        let enc = encode_commit(&c);
-        assert_eq!(decode_commit(&enc), Some(c));
-        assert_eq!(decode_commit(b"short"), None);
+        let before = answers();
+        assert_eq!(before.0.as_ref().map(|c| c.offset), Some(19_999));
+        assert_eq!(before.1.as_ref().map(|c| c.offset), Some(19_998));
+        let stats = c.compact_topic(OFFSETS_TOPIC).unwrap();
+        assert!(stats.records_after < stats.records_before / 10, "{stats:?}");
+        assert_eq!(answers(), before, "after compaction");
+        let leader = c.leader(&offsets_tp()).unwrap().unwrap();
+        c.kill_broker(leader).unwrap();
+        assert_ne!(c.leader(&offsets_tp()).unwrap(), Some(leader));
+        assert_eq!(answers(), before, "after a rebuild on the new leader");
+        assert_eq!(
+            m.index.inner.read().leader,
+            c.leader(&offsets_tp()).unwrap()
+        );
+        assert!(entries(&c, "g", &tp) <= 3);
     }
 
     #[test]
-    fn key_encoding_roundtrip() {
-        let tp = TopicPartition::new("topic-with-dashes", 42);
-        let k = commit_key("my-group", &tp);
-        let (g, tp2) = decode_commit_key(&k).unwrap();
-        assert_eq!(g, "my-group");
-        assert_eq!(tp2, tp);
+    fn commit_without_a_leader_is_unavailable_and_reads_keep_the_index() {
+        let (c, _) = cluster(1);
+        let m = c.offsets();
+        let tp = TopicPartition::new("t", 0);
+        m.commit("g", &tp, 7, meta(&[])).unwrap();
+        c.kill_broker(0).unwrap();
+        let down = m.commit("g", &tp, 8, meta(&[]));
+        assert!(matches!(down, Err(MessagingError::PartitionUnavailable(_))));
+        assert_eq!(m.fetch_offset("g", &tp), Some(7));
+        c.restart_broker(0).unwrap();
+        c.replicate_tick().unwrap();
+        m.commit("g", &tp, 9, meta(&[])).unwrap();
+        assert_eq!(m.fetch_offset("g", &tp), Some(9));
+    }
+
+    #[test]
+    fn a_rebuild_skips_records_that_do_not_decode() {
+        let (c, _) = cluster(1);
+        let m = c.offsets();
+        let tp = TopicPartition::new("t", 0);
+        m.commit("g", &tp, 5, meta(&[])).unwrap();
+        let junk = [(Some(Bytes::from_static(b"junk")), Bytes::from_static(b"x"))];
+        let key = encode_key(&("g".to_string(), tp.clone(), None));
+        let bad_value = [(Some(key), Bytes::from_static(b"short"))];
+        for pairs in [&junk[..], &bad_value[..]] {
+            let batch = RecordBatch::from_pairs(pairs.iter().cloned(), 0);
+            c.produce_batch(&offsets_tp(), batch, AckLevel::All, None)
+                .unwrap();
+        }
+        make_stale(&c);
+        assert_eq!(m.fetch_offset("g", &tp), Some(5));
+        assert_eq!(m.index.inner.read().latest.len(), 1);
+    }
+
+    /// A string over an alphabet that includes NUL and a multi-byte
+    /// character.
+    fn text(picks: &[u8]) -> String {
+        const ALPHABET: [char; 5] = ['a', '\0', 'é', '/', '0'];
+        picks.iter().map(|&p| ALPHABET[p as usize % 5]).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn key_encoding_roundtrip(
+            group in prop::collection::vec(any::<u8>(), 0..8),
+            topic in prop::collection::vec(any::<u8>(), 0..8),
+            partition in any::<u32>(),
+            pair in (prop::collection::vec(any::<u8>(), 0..8), prop::collection::vec(any::<u8>(), 0..8)),
+            annotated in any::<bool>(),
+        ) {
+            let pair = annotated.then(|| (text(&pair.0), text(&pair.1)));
+            let key = (text(&group), TopicPartition::new(text(&topic), partition), pair);
+            prop_assert_eq!(decode_key(&encode_key(&key)), Some(key));
+        }
+
+        #[test]
+        fn commit_encoding_roundtrip(
+            offset in any::<u64>(),
+            committed_at in any::<u64>(),
+            pairs in prop::collection::vec(
+                (prop::collection::vec(any::<u8>(), 0..6), prop::collection::vec(any::<u8>(), 0..6)),
+                0..4,
+            ),
+        ) {
+            let metadata = pairs.iter().map(|(k, v)| (text(k), text(v))).collect();
+            let c = OffsetCommit { offset, committed_at, metadata };
+            prop_assert_eq!(decode_commit(&encode_commit(&c)), Some(c));
+        }
+
+        /// Arbitrary bytes, and valid encodings cut short or with one
+        /// byte changed, decode to anything or `None` without panicking.
+        #[test]
+        fn arbitrary_bytes_decode_without_panicking(
+            junk in prop::collection::vec(any::<u8>(), 0..48),
+            cut in any::<usize>(),
+            flip in (any::<usize>(), any::<u8>()),
+        ) {
+            let key = ("g".to_string(), TopicPartition::new("t", 3), Some(("v".into(), "1".into())));
+            let commit = OffsetCommit { offset: 1, committed_at: 2, metadata: meta(&[("v", "1")]) };
+            for valid in [encode_key(&key).to_vec(), encode_commit(&commit).to_vec()] {
+                let mut bent = valid.clone();
+                let i = flip.0 % bent.len();
+                bent[i] ^= flip.1;
+                let short = &valid[..cut % valid.len()];
+                for data in [&junk[..], &bent[..], short] {
+                    let _ = decode_key(data);
+                    let _ = decode_commit(data);
+                }
+            }
+        }
     }
 }

@@ -27,13 +27,15 @@
 //! today's call graph: the DFS namespace locks state over stats; the
 //! stack holds its managed-job list across YARN resource-manager
 //! calls; a consumer calls into the group registry and cluster, the
-//! group registry reads cluster metadata for assignment, the cluster
+//! group registry reads cluster metadata for assignment, the offset
+//! manager holds its index (`offsets.inner`) across the cluster calls
+//! that create, write and fetch `__offsets`, the cluster
 //! resolves a partition under its metadata lock and then works inside
 //! that partition's own shard lock (`partition.state` — one mutex per
 //! partition, ranked just below `cluster.state` so the
 //! metadata-read-then-shard-lock pattern is descending; shards never
 //! nest each other, which same-rank reentrancy checking enforces),
-//! commits offsets, fires coordination-tree watches and touches the
+//! fires coordination-tree watches and touches the
 //! segment-read cache shards (`log.readcache`) and log page caches —
 //! a cache miss fills under its shard lock and charges the page-cache
 //! model below it, so the read-cache rank sits above `log.pagecache`;
@@ -52,10 +54,9 @@ pub const RANKS: &[(&str, u32)] = &[
     ("producer.batches", 65),
     ("consumer.state", 60),
     ("group.groups", 50),
+    ("offsets.inner", 45),
     ("cluster.state", 40),
     ("partition.state", 35),
-    ("offsets.inner", 30),
-    ("offsets.shard", 28),
     ("coord.tree", 15),
     ("log.readcache", 8),
     ("log.pagecache", 5),
@@ -454,9 +455,9 @@ mod tests {
     #[test]
     fn rwlock_read_then_lower_lock_is_clean() {
         let state = RwLock::new("cluster.state", 7u32);
-        let inner = Mutex::new("offsets.inner", ());
+        let part = Mutex::new("partition.state", ());
         let g = state.read();
-        let _h = inner.lock();
+        let _h = part.lock();
         assert_eq!(*g, 7);
     }
 

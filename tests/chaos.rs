@@ -20,6 +20,11 @@
 //!    latest-per-key fold of the committed input (at-least-once
 //!    reprocessing from the last checkpoint converges).
 //!
+//! After **every** operation the offset manager is checked as well: the
+//! position `fetch_offset` answers for the readers' group is the last
+//! commit that was acked or one attempted after it — across kills of
+//! the `__offsets` leader, which make the next read refold the index.
+//!
 //! Recovery and the final drain also check the coordination mirror: once
 //! a replication tick has run to completion, every partition's znode
 //! `/liquid/topics/<t>/<p>` parses to the `leader|isr` the cluster
@@ -41,7 +46,9 @@ use std::result::Result;
 
 use liquid::prelude::*;
 use liquid_log::LogError;
-use liquid_messaging::{BrokerId, Cluster, ClusterConfig, MessagingError, TopicConfig};
+use liquid_messaging::{
+    BrokerId, Cluster, ClusterConfig, MessagingError, TopicConfig, OFFSETS_TOPIC,
+};
 use liquid_obs::Obs;
 use liquid_processing::ProcessingError;
 use liquid_sim::chaos::{AckChoice, ChaosOp, ChaosPlan, FaultSite};
@@ -59,6 +66,8 @@ const RETAINED: &str = "retained";
 /// Job name; its changelog topic is `__chaos-state`.
 const JOB: &str = "chaos";
 const CHANGELOG: &str = "__chaos-state";
+/// The group whose position `ChaosOp::Consume` commits.
+const READERS: &str = "chaos-readers";
 const BROKERS: u32 = 3;
 const PLAN_LEN: usize = 120;
 const SEEDS: u64 = 64;
@@ -151,6 +160,9 @@ struct RunReport {
     /// (operations, failures) at the two segment-lifecycle fault sites:
     /// `log.segment-drop`, `log.cache-evict`.
     retention_site_counts: [(u64, u64); 2],
+    /// Offset reads that found a different `__offsets` leader than the
+    /// last acked commit or read did.
+    failover_reads: u64,
 }
 
 struct Harness {
@@ -166,6 +178,12 @@ struct Harness {
     /// then crashed; checked for equality after recovery.
     pending_kv_fold: Option<BTreeMap<Bytes, Bytes>>,
     consume_pos: u64,
+    /// The readers' last acked commit, and every commit attempted since.
+    commits: (Option<u64>, Vec<u64>),
+    /// The `__offsets` leader at the last acked commit or offset read.
+    offsets_leader: Option<BrokerId>,
+    /// See [`RunReport::failover_reads`].
+    failover_reads: u64,
     /// Cache sweeps run so far; every other sweep arms a one-shot
     /// fault so `log.cache-evict` absorbs injected crashes.
     sweeps: u64,
@@ -236,6 +254,9 @@ impl Harness {
             kv_acked: BTreeMap::new(),
             pending_kv_fold: None,
             consume_pos: 0,
+            commits: (None, Vec::new()),
+            offsets_leader: None,
+            failover_reads: 0,
             sweeps: 0,
             crashes: 0,
             torn_batches: [0; 2],
@@ -493,14 +514,42 @@ impl Harness {
             Err(e) if messaging_injected(&e) => return Err(format!("consume: {e}")),
             Err(e) => panic!("unexpected fetch error: {e}"),
         }
+        let pos = self.consume_pos;
+        self.commits.1.push(pos);
         match self
             .cluster
             .offsets()
-            .commit("chaos-readers", &tp, self.consume_pos, BTreeMap::new())
+            .commit(READERS, &tp, pos, BTreeMap::new())
         {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.commits = (Some(pos), Vec::new());
+                self.offsets_leader = self.cluster.leader(&self::tp(OFFSETS_TOPIC)).unwrap();
+                Ok(())
+            }
+            // Mid-outage the commit fails; the position stays attempted.
+            Err(MessagingError::PartitionUnavailable(_)) => Ok(()),
             Err(e) if messaging_injected(&e) => Err(format!("offset commit: {e}")),
             Err(e) => panic!("unexpected offset commit error: {e}"),
+        }
+    }
+
+    /// The offset manager never loses an acked commit: the readers'
+    /// position is the last acked commit or one attempted after it (an
+    /// unacked commit may still reach the log, and a refold then finds
+    /// it).
+    fn check_offsets(&mut self) {
+        let got = self.cluster.offsets().fetch_offset(READERS, &tp(EVENTS));
+        let (acked, attempted) = &self.commits;
+        assert!(
+            got == *acked || got.is_some_and(|o| attempted.contains(&o)),
+            "offsets: fetch_offset is {got:?}, last acked {acked:?}, attempted since {attempted:?}"
+        );
+        let leader = self.cluster.leader(&tp(OFFSETS_TOPIC)).ok().flatten();
+        if acked.is_some() && leader.is_some() && leader != self.offsets_leader {
+            self.failover_reads += 1;
+            self.offsets_leader = leader;
+            self.trace
+                .push(format!("offsets: read on new leader {leader:?}"));
         }
     }
 
@@ -892,6 +941,7 @@ impl Harness {
                 site_count(&self.inj.log, "log.segment-drop"),
                 site_count(&self.inj.log, "log.cache-evict"),
             ],
+            failover_reads: self.failover_reads,
         }
     }
 }
@@ -920,6 +970,7 @@ fn run_seed(seed: u64, obs: &Obs) -> RunReport {
                 h.recover(why);
             }
         }
+        h.check_offsets();
         if verbose {
             for line in &h.trace[before..] {
                 eprintln!("[seed {seed}] {line}");
@@ -986,10 +1037,12 @@ fn chaos_seeds_hold_invariants() {
     let mut fired = [0u64; 4];
     let mut torn_batches = [0u64; 2];
     let mut retention_sites = [(0u64, 0u64); 2];
+    let mut failover_reads = 0;
     for seed in 0..SEEDS {
         let report = run_seed_checked(seed);
         crashes += report.crashes;
         acked += report.acked_events;
+        failover_reads += report.failover_reads;
         for (i, &(_, f)) in report.injector_counts.iter().enumerate() {
             fired[i] += f;
         }
@@ -1010,6 +1063,12 @@ fn chaos_seeds_hold_invariants() {
     assert!(
         acked >= 500,
         "only {acked} acked-All records across {SEEDS} seeds"
+    );
+    // The offset invariant must see the refold: some read follows a
+    // change of the `__offsets` leader after an acked commit.
+    assert!(
+        failover_reads > 0,
+        "no offset read followed an `__offsets` leader change across {SEEDS} seeds"
     );
     for (i, name) in ["log", "cluster", "job", "state"].iter().enumerate() {
         assert!(

@@ -23,7 +23,7 @@ use bytes::Bytes;
 use liquid_log::{RecordBatch, RetentionPolicy};
 use liquid_messaging::{
     AckLevel, AssignmentStrategy, Cluster, ClusterConfig, Message, MessagingError, TopicConfig,
-    TopicPartition,
+    TopicPartition, OFFSETS_TOPIC,
 };
 use liquid_processing::{FnTask, Job, JobConfig, StreamTask, TaskContext};
 use liquid_sim::clock::SimClock;
@@ -468,18 +468,19 @@ fn model_sharded_producers_distinct_partitions() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 3d: sharded offset store — commits on distinct keys vs. rebalance
+// Scenario 3d: offset commits on distinct keys vs. rebalance
 // ---------------------------------------------------------------------------
 
-/// Two consumers commit to *distinct* per-(group, partition) offset
-/// shards while a third member joins and forces a rebalance. This is
-/// the model-checked half of the `offsets.inner` split (the atomicity
-/// pass proves the commit path's resolve→drop→lock gap validated
-/// statically): in every interleaving the lock order
-/// `group.groups` → `offsets.inner` → `offsets.shard` holds — any rank
-/// inversion panics inside lockdep and fails the run — and neither
-/// commit is lost, duplicated, or torn by the other's shard update or
-/// the concurrent rebalance.
+/// Two consumers commit to *distinct* `(group, partition)` keys while a
+/// third member joins and forces a rebalance. The first commit creates
+/// the `__offsets` topic, and both commits hold the one `offsets.inner`
+/// lock across that creation, the `acks=All` produce and the index
+/// update. In every interleaving the lock order `group.groups` →
+/// `offsets.inner` → `cluster.state` → `partition.state` holds — any
+/// rank inversion panics inside lockdep and fails the run — the topic
+/// is created once, and neither commit is lost, clobbered or
+/// duplicated: `__offsets` holds exactly one record per key, and the
+/// index answers each key's own offset.
 #[test]
 fn model_offsets_sharded_commit_vs_rebalance() {
     let report = check(
@@ -515,7 +516,7 @@ fn model_offsets_sharded_commit_vs_rebalance() {
             a.join();
             b.join();
             joiner.join();
-            // Exactly one commit per shard, at the committed offset:
+            // Exactly one commit per key, at the committed offset:
             // nothing lost, nothing duplicated, in any interleaving.
             for (p, want) in [(0u32, 5u64), (1, 9)] {
                 let tp = TopicPartition::new("t", p);
@@ -524,12 +525,19 @@ fn model_offsets_sharded_commit_vs_rebalance() {
                     Some(want),
                     "partition {p} commit lost or clobbered"
                 );
-                assert_eq!(
-                    cluster.offsets().history("g", &tp).len(),
-                    1,
-                    "partition {p} commit duplicated"
-                );
             }
+            let log = cluster
+                .fetch_batch(&TopicPartition::new(OFFSETS_TOPIC, 0), 0, u64::MAX)
+                .unwrap();
+            let mut per_key = BTreeMap::new();
+            for r in log.records() {
+                *per_key.entry(r.key.clone()).or_insert(0) += 1;
+            }
+            assert_eq!(per_key.len(), 2, "one record key per (g, tp)");
+            assert!(
+                per_key.values().all(|&n| n == 1),
+                "commit duplicated: {per_key:?}"
+            );
             assert!(
                 cluster.group_generation("g").unwrap() > gen0,
                 "joining bumps the generation"

@@ -100,8 +100,10 @@ fn one_snapshot_spans_all_layers() {
         "state-store layer instrumented"
     );
     // 10 input records + 10 task outputs + the round's changelog: ten
-    // writes of one key, coalesced into one record.
-    assert_eq!(snap.counter("cluster.messages_in"), 21);
+    // writes of one key, coalesced into one record. The checkpoint adds
+    // two `__offsets` records per input partition: the position and its
+    // `version` annotation.
+    assert_eq!(snap.counter("cluster.messages_in"), 25);
     assert!(snap.counter("job.rounds") > 0, "job layer instrumented");
     assert_eq!(snap.counter("job.messages"), 10);
     assert!(snap.counter("offsets.commit") > 0, "checkpoint committed");
