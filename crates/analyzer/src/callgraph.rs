@@ -92,8 +92,6 @@ pub struct FnNode {
     pub has_self: bool,
     /// Parameter count excluding `self`.
     pub arity: usize,
-    /// Whether the declared return type mentions `Result`.
-    pub returns_result: bool,
     /// 1-based line of the `fn`.
     pub line: u32,
     /// Whether the function sits in a test region.
@@ -514,7 +512,6 @@ fn collect_fn(
         is_pub: f.is_pub,
         has_self: f.has_self,
         arity: f.params.len(),
-        returns_result: f.ret.as_deref().is_some_and(|r| r.contains("Result")),
         line: f.line,
         in_test: in_test(regions, f.line),
         panics,

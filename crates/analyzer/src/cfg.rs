@@ -2,16 +2,18 @@
 //!
 //! The CFG does not try to be a general-purpose IR: each basic block
 //! carries a sequence of [`Op`]s — the *rule-relevant events* of the
-//! function (lock acquisitions, fault-injection ticks, raw I/O,
-//! variable mentions and assignments, length observations, indexing,
-//! raw arithmetic) — in evaluation order, with edges for `if`/`match`
-//! branches, loop back edges, and the early exits introduced by
-//! `return` and `?`. Closures are lowered as *optional* branches
-//! (taken zero or one time), which over-approximates both "never runs"
-//! and "runs many times" for the may-analyses built on top.
+//! function (lock acquisitions and guard deaths, assignments, calls,
+//! length observations, indexing, raw arithmetic) — in evaluation
+//! order, with edges for `if`/`match` branches, loop back edges, and
+//! the early exits introduced by `return` and `?`. Closures are
+//! lowered as *optional* branches (taken zero or one time), which
+//! over-approximates both "never runs" and "runs many times" for the
+//! may-analyses built on top.
 //!
 //! The flow-sensitive rules in [`crate::rules`] run the generic
 //! worklist solver in [`crate::dataflow`] over these ops.
+
+use std::collections::BTreeSet;
 
 use crate::ast::{Block as AstBlock, Expr, Fn, Pat, Stmt};
 
@@ -26,31 +28,11 @@ pub enum Op {
     Kill {
         /// The binding that dies.
         var: String,
-        /// 1-based source line of an explicit `drop(var)` or shadowing
-        /// `let`; `0` for scope-end and pattern-rebinding kills, which
-        /// have no single source line. The atomicity pass renders `0`
-        /// as "scope end" in its drop-site witness hops.
-        line: u32,
     },
     /// End of statement: temporary (unbound) guards die.
     KillTemps,
-    /// A fault-injection `injector.tick("...")` call.
-    Tick {
-        /// 1-based source line.
-        line: u32,
-    },
-    /// Raw filesystem I/O (`std::fs`, `File::`, `OpenOptions::`).
-    Io {
-        /// 1-based source line.
-        line: u32,
-    },
-    /// A read of a local identifier (liveness "use").
-    Mention {
-        /// Identifier text.
-        name: String,
-    },
     /// `let to = …` / `to = …` where the right-hand side mentions
-    /// `froms` (alias and taint propagation; liveness "def").
+    /// `froms` (alias and taint propagation).
     Assign {
         /// Binding being (re)defined.
         to: String,
@@ -89,10 +71,9 @@ pub enum Op {
         line: u32,
     },
     /// Any function or method call, kept in evaluation order so the
-    /// interprocedural passes (hot-copy taint, lock-cost summaries)
-    /// can resolve what executes under a live guard. Special-cased
-    /// calls (`lock`/`tick`/`drop`) are emitted as their dedicated ops
-    /// instead, never as `Call`.
+    /// hot-copy taint can resolve callees and spot copy sinks.
+    /// Special-cased calls (`lock`/`drop`) are emitted as their
+    /// dedicated ops instead, never as `Call`.
     Call {
         /// Final segment of the callee (`Vec::with_capacity` →
         /// `with_capacity`).
@@ -116,20 +97,6 @@ pub enum Op {
         /// 1-based source line.
         line: u32,
     },
-    /// A heap allocation on the hot path: `Vec::with_capacity`,
-    /// `.to_vec()`, `.collect()`, `format!`/`vec!`, `Box::new`, ….
-    Alloc {
-        /// What allocated (method or macro name), for messages.
-        what: String,
-        /// 1-based source line.
-        line: u32,
-    },
-    /// Entry into a `for`/`while`/`loop` body — loops over partitions
-    /// or records are unbounded work when executed under a guard.
-    Loop {
-        /// 1-based source line.
-        line: u32,
-    },
 }
 
 /// One lock-shaped acquisition site.
@@ -141,8 +108,6 @@ pub struct AcquireSite {
     /// Final field/identifier name of the receiver (`self.inner.state`
     /// → `state`): the key into the ranked-lock table.
     pub field: String,
-    /// The method used (`lock`, `read`, `write`).
-    pub method: String,
     /// 1-based source line.
     pub line: u32,
 }
@@ -202,6 +167,30 @@ pub fn lower_fn(f: &Fn) -> Cfg {
     let exit = b.cfg.exit;
     b.edge_to(exit);
     b.cfg
+}
+
+/// The flow-insensitive closure of `set` over one function's
+/// assignments: every binding whose initializer `taints` (given its
+/// right-hand names and the closure so far) joins it, to fixpoint.
+pub fn closure(
+    cfg: &Cfg,
+    mut set: BTreeSet<String>,
+    taints: &dyn std::ops::Fn(&[String], &BTreeSet<String>) -> bool,
+) -> BTreeSet<String> {
+    loop {
+        let mut changed = false;
+        for op in cfg.blocks.iter().flat_map(|b| &b.ops) {
+            if let Op::Assign { to, froms, .. } = op {
+                if !set.contains(to) && taints(froms, &set) {
+                    set.insert(to.clone());
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return set;
+        }
+    }
 }
 
 /// Flattens an expression to stable receiver text for matching
@@ -377,18 +366,17 @@ impl Builder {
                     // about to be named after the same binding, and the
                     // shadow-kill must not destroy the new guard.
                     for name in &bound {
-                        self.push(Op::Kill {
-                            var: name.clone(),
-                            line: *line,
-                        });
+                        self.push(Op::Kill { var: name.clone() });
                     }
                     let acquires_before = self.cfg.acquires.len();
                     if let Some(init) = init {
                         self.lower_expr(init);
                     }
-                    // A single-binding `let` names the guard acquired in
-                    // its initializer (if any).
-                    if bound.len() == 1 {
+                    // A single-binding `let` whose initializer *is* a
+                    // guard names it; any other guard taken in the
+                    // initializer is a temporary that dies with the
+                    // statement (`let n = m.read().len();`).
+                    if bound.len() == 1 && init.as_ref().is_some_and(is_guard) {
                         if let Some(site) = self.cfg.acquires[acquires_before..]
                             .iter_mut()
                             .rev()
@@ -433,11 +421,13 @@ impl Builder {
                 Stmt::Item(_) => {}
             }
         }
+        self.kill_all(&scope);
+    }
+
+    /// Scope exit: every binding in `scope` dies, innermost first.
+    fn kill_all(&mut self, scope: &[String]) {
         for var in scope.iter().rev() {
-            self.push(Op::Kill {
-                var: var.clone(),
-                line: 0,
-            });
+            self.push(Op::Kill { var: var.clone() });
         }
     }
 
@@ -445,10 +435,7 @@ impl Builder {
         let mut bound = Vec::new();
         pat.bound_names(&mut bound);
         for name in bound {
-            self.push(Op::Kill {
-                var: name.clone(),
-                line: 0,
-            });
+            self.push(Op::Kill { var: name.clone() });
             self.push(Op::Assign {
                 to: name.clone(),
                 froms: froms.to_vec(),
@@ -470,12 +457,27 @@ impl Builder {
             self.lower_pat_bindings(pat, &mut scope, &froms);
         }
         self.lower_block(block);
-        for var in scope.iter().rev() {
-            self.push(Op::Kill {
-                var: var.clone(),
-                line: 0,
-            });
+        self.kill_all(&scope);
+    }
+
+    /// A closure is an optional branch: it may or may not run. Its
+    /// parameters are bound from `froms` — the receiver's names when it
+    /// is passed to a method (`records.map(|r| …)` yields items of
+    /// `records`), none otherwise.
+    fn lower_closure(&mut self, params: &[Pat], body: &Expr, froms: &[String]) {
+        let clos_b = self.new_block();
+        let join = self.new_block();
+        self.edge_to(clos_b);
+        self.edge_to(join);
+        self.cur = clos_b;
+        let mut scope = Vec::new();
+        for p in params {
+            self.lower_pat_bindings(p, &mut scope, froms);
         }
+        self.lower_expr(body);
+        self.kill_all(&scope);
+        self.edge_to(join);
+        self.cur = join;
     }
 
     fn lower_opt(&mut self, e: Option<&Expr>) {
@@ -486,16 +488,7 @@ impl Builder {
 
     fn lower_expr(&mut self, e: &Expr) {
         match e {
-            Expr::Path { segs, line } => {
-                if segs.len() == 1 {
-                    self.push(Op::Mention {
-                        name: segs[0].clone(),
-                    });
-                } else if is_raw_io_path(segs) {
-                    self.push(Op::Io { line: *line });
-                }
-            }
-            Expr::Lit { .. } => {}
+            Expr::Path { .. } | Expr::Lit { .. } => {}
             Expr::FieldAccess { base, .. } => self.lower_expr(base),
             Expr::MethodCall {
                 recv,
@@ -504,8 +497,15 @@ impl Builder {
                 line,
             } => {
                 self.lower_expr(recv);
+                let mut recv_ns = Vec::new();
+                names(recv, &mut recv_ns);
                 for a in args {
-                    self.lower_expr(a);
+                    match a {
+                        Expr::Closure { params, body, .. } => {
+                            self.lower_closure(params, body, &recv_ns)
+                        }
+                        _ => self.lower_expr(a),
+                    }
                 }
                 let mut consumed = true;
                 match method.as_str() {
@@ -514,19 +514,10 @@ impl Builder {
                             self.cfg.acquires.push(AcquireSite {
                                 var: None,
                                 field,
-                                method: method.clone(),
                                 line: *line,
                             });
                             let idx = self.cfg.acquires.len() - 1;
                             self.push(Op::Acquire(idx));
-                        }
-                    }
-                    "tick" => {
-                        let recv_name = last_name(recv).unwrap_or_default();
-                        if recv_name == "injector" || recv_name.ends_with("_injector") {
-                            self.push(Op::Tick { line: *line });
-                        } else {
-                            consumed = false;
                         }
                     }
                     "len" | "is_empty" | "get" | "get_mut" | "contains_key" | "contains"
@@ -538,14 +529,6 @@ impl Builder {
                     _ => consumed = false,
                 }
                 if !consumed {
-                    if is_alloc_method(method) {
-                        self.push(Op::Alloc {
-                            what: format!(".{method}()"),
-                            line: *line,
-                        });
-                    }
-                    let mut recv_ns = Vec::new();
-                    names(recv, &mut recv_ns);
                     let mut arg_ns = Vec::new();
                     for a in args {
                         names(a, &mut arg_ns);
@@ -562,8 +545,7 @@ impl Builder {
                 }
             }
             Expr::Call { callee, args, line } => {
-                // `drop(g)` releases the guard without counting as a
-                // liveness use of `g`.
+                // `drop(g)` releases the guard.
                 let mut call: Option<(String, Option<String>)> = None;
                 if let Expr::Path { segs, .. } = callee.as_ref() {
                     if segs.len() == 1 && segs[0] == "drop" && args.len() == 1 {
@@ -571,15 +553,12 @@ impl Builder {
                             if arg.len() == 1 {
                                 self.push(Op::Kill {
                                     var: arg[0].clone(),
-                                    line: *line,
                                 });
                                 return;
                             }
                         }
                     }
-                    if is_raw_io_path(segs) {
-                        self.push(Op::Io { line: *line });
-                    } else if let Some(name) = segs.last() {
+                    if let Some(name) = segs.last() {
                         call = Some((name.clone(), (segs.len() > 1).then(|| segs[0].clone())));
                     }
                 } else {
@@ -589,15 +568,6 @@ impl Builder {
                     self.lower_expr(a);
                 }
                 if let Some((name, qual)) = call {
-                    if is_alloc_call(&name, qual.as_deref()) {
-                        self.push(Op::Alloc {
-                            what: match &qual {
-                                Some(q) => format!("{q}::{name}"),
-                                None => name.clone(),
-                            },
-                            line: *line,
-                        });
-                    }
                     let mut arg_ns = Vec::new();
                     for a in args {
                         names(a, &mut arg_ns);
@@ -728,23 +698,14 @@ impl Builder {
                         self.lower_expr(guard);
                     }
                     self.lower_expr(&arm.body);
-                    for var in scope.iter().rev() {
-                        self.push(Op::Kill {
-                            var: var.clone(),
-                            line: 0,
-                        });
-                    }
+                    self.kill_all(&scope);
                     self.edge_to(join);
                 }
                 self.cur = join;
             }
             Expr::While {
-                pat,
-                cond,
-                body,
-                line,
+                pat, cond, body, ..
             } => {
-                self.push(Op::Loop { line: *line });
                 let head = self.new_block();
                 let exit_b = self.new_block();
                 self.edge_to(head);
@@ -760,8 +721,7 @@ impl Builder {
                 self.edge_to(head);
                 self.cur = exit_b;
             }
-            Expr::Loop { body, line } => {
-                self.push(Op::Loop { line: *line });
+            Expr::Loop { body, .. } => {
                 let head = self.new_block();
                 let exit_b = self.new_block();
                 self.edge_to(head);
@@ -773,13 +733,9 @@ impl Builder {
                 self.cur = exit_b;
             }
             Expr::For {
-                pat,
-                iter,
-                body,
-                line,
+                pat, iter, body, ..
             } => {
                 self.lower_expr(iter);
-                self.push(Op::Loop { line: *line });
                 let head = self.new_block();
                 let exit_b = self.new_block();
                 self.edge_to(head);
@@ -811,38 +767,10 @@ impl Builder {
                 let target = self.loops.last().map_or(self.cfg.exit, |l| l.head);
                 self.divert(target);
             }
-            Expr::Closure { params, body, .. } => {
-                // Optional branch: the closure may or may not run.
-                let clos_b = self.new_block();
-                let join = self.new_block();
-                self.edge_to(clos_b);
-                self.edge_to(join);
-                self.cur = clos_b;
-                let mut scope = Vec::new();
-                for p in params {
-                    self.lower_pat_bindings(p, &mut scope, &[]);
-                }
-                self.lower_expr(body);
-                for var in scope.iter().rev() {
-                    self.push(Op::Kill {
-                        var: var.clone(),
-                        line: 0,
-                    });
-                }
-                self.edge_to(join);
-                self.cur = join;
-            }
-            Expr::MacroCall {
-                name, args, line, ..
-            } => {
+            Expr::Closure { params, body, .. } => self.lower_closure(params, body, &[]),
+            Expr::MacroCall { args, .. } => {
                 for a in args {
                     self.lower_expr(a);
-                }
-                if matches!(name.as_str(), "vec" | "format") {
-                    self.push(Op::Alloc {
-                        what: format!("{name}!"),
-                        line: *line,
-                    });
                 }
             }
             Expr::StructLit { fields, base, .. } => {
@@ -877,24 +805,21 @@ fn is_masked_index(e: &Expr) -> bool {
     }
 }
 
-/// Method calls that allocate a fresh heap buffer (the events the
-/// lock-cost pass charges as allocations under a guard).
-fn is_alloc_method(method: &str) -> bool {
-    // `.clone()` is deliberately absent: on the hot path it is almost
-    // always a `Bytes` refcount bump, the sanctioned zero-copy share.
-    matches!(method, "to_vec" | "to_owned" | "to_string" | "collect")
-}
-
-/// Free/qualified calls that allocate: `Vec::with_capacity`,
-/// `Box::new`, `String::from`, `Bytes::copy_from_slice`, ….
-fn is_alloc_call(name: &str, qual: Option<&str>) -> bool {
-    matches!(name, "with_capacity" | "copy_from_slice")
-        || (name == "new" && matches!(qual, Some("Box")))
-        || (name == "from" && matches!(qual, Some("String" | "Vec")))
-}
-
-/// Whether a multi-segment path is raw filesystem I/O.
-fn is_raw_io_path(segs: &[String]) -> bool {
-    (segs.len() >= 2 && segs[0] == "std" && segs[1] == "fs")
-        || (segs.len() >= 2 && matches!(segs[0].as_str(), "File" | "OpenOptions"))
+/// Whether a `let` initializer evaluates to a lock guard itself, so
+/// the binding holds it to the end of the scope: `m.lock()`, through
+/// `?`, `.unwrap()`/`.expect(..)`, `&`/`&mut` and `*` (a borrow of a
+/// deref extends the temporary's life to the binding's).
+fn is_guard(e: &Expr) -> bool {
+    match e {
+        Expr::MethodCall {
+            recv, method, args, ..
+        } => match method.as_str() {
+            "lock" | "read" | "write" => args.is_empty(),
+            "unwrap" | "expect" => is_guard(recv),
+            _ => false,
+        },
+        Expr::Try { expr, .. } | Expr::Ref { expr, .. } => is_guard(expr),
+        Expr::Unary { op, operand, .. } => *op == '*' && is_guard(operand),
+        _ => false,
+    }
 }

@@ -1,13 +1,13 @@
 //! Lint **hot-copy**: interprocedural zero-copy taint over the
 //! batched produce/fetch hot path.
 //!
-//! The ≥5M msg/s arc (ROADMAP item 1) rests on an invariant PR 6
-//! established by construction: a message's payload bytes are copied
-//! exactly once — into the [`BatchBuilder`] arena at produce time —
-//! and every later hop (append, replicate, fetch, deliver) shares them
-//! as ref-counted `Bytes` slices. Nothing in the type system enforces
-//! that; one `to_vec()` in a produce-path callee silently multiplies
-//! per-message work. This pass proves the invariant per commit:
+//! The write and read paths rest on an invariant the batched path
+//! holds by construction: a message's payload bytes are copied once —
+//! into the [`BatchBuilder`] arena at produce time — and every later
+//! hop (append, replicate, fetch, deliver) shares them as ref-counted
+//! `Bytes` slices. Nothing in the type system enforces that; one
+//! `to_vec()` in a produce-path callee silently multiplies per-message
+//! work. This pass proves the invariant per commit:
 //!
 //! 1. **Roots.** The hot path's dynamic extent is the call-graph
 //!    closure from the named entry points in [`HOT_ROOTS`]
@@ -20,18 +20,19 @@
 //!    workspace reserves for payload bytes — `value`, `key`, `arena`,
 //!    `records`, `chunk`, …) and closed over assignments
 //!    ([`Op::Assign`]), so `let v = batch.records()` taints `v`
-//!    through the accessor's name. Taint crosses calls through the
-//!    shared parameter-taint fixpoint over per-function *summaries*
-//!    ([`Core::param_taint`]): a call whose arguments mention a
-//!    tainted name marks the callee's parameters tainted and re-queues
-//!    it — no inlining, so the analysis is linear in the summary
-//!    lattice, not exponential in path count.
+//!    through the accessor's name. A closure passed to a method binds
+//!    its parameters from the receiver, so `records.map(|r| …)` taints
+//!    `r`. Taint crosses calls through a parameter-taint fixpoint
+//!    ([`param_taint`]): a call whose arguments mention a tainted name
+//!    marks the callee's parameters tainted and re-queues it — no
+//!    inlining, so the analysis is linear in the summary lattice, not
+//!    exponential in path count.
 //! 3. **Sinks.** A deep copy of a tainted carrier —
-//!    `.to_vec()`/`.to_owned()`, `extend_from_slice`,
-//!    `copy_from_slice` (method or `Bytes::`), `Vec::from` — is a
-//!    finding, carrying the full root→copy call-chain witness
-//!    (`file:line` per hop) so the reviewer can see *which* hot path
-//!    pays for the copy.
+//!    `.to_vec()`/`.to_owned()`/`.to_string()`, `extend_from_slice`,
+//!    `copy_from_slice` (method or `Bytes::`), `Vec::from`,
+//!    `String::from` — is a finding, carrying the full root→copy
+//!    call-chain witness (`file:line` per hop) so a reader can see
+//!    *which* hot path pays for the copy.
 //!
 //! `.clone()` is deliberately **not** a sink: on payload carriers it
 //! is a `Bytes` refcount bump — the sanctioned zero-copy share — and
@@ -40,14 +41,18 @@
 //! (`BatchBuilder::push` into the arena) sits *upstream* of every
 //! root, so it is outside the closure by construction.
 //!
+//! Known miss: a sink passed by path instead of called
+//! (`.map(String::from)`) is not a call op, so it copies unseen.
+//!
 //! [`BatchBuilder`]: ../../liquid_log/batch/struct.BatchBuilder.html
 //! [`CallGraph::reach_from_named`]: crate::callgraph::CallGraph::reach_from_named
 //! [`Op::Assign`]: crate::cfg::Op::Assign
-//! [`Core::param_taint`]: crate::guards::Core::param_taint
 
-use crate::cfg::Op;
-use crate::guards::{self, Core};
-use crate::Finding;
+use std::collections::{BTreeSet, HashMap};
+
+use crate::callgraph::{CallGraph, CallSite, Reachability};
+use crate::cfg::{self, Cfg, Op};
+use crate::{rules, Finding, SourceData};
 
 /// The hot-path entry points: taint propagates through everything the
 /// call graph proves reachable from a non-test function with one of
@@ -74,6 +79,93 @@ fn is_payload(name: &str) -> bool {
     PAYLOAD_NAMES.contains(&name)
 }
 
+/// One non-test function body in the hot closure, lowered once.
+struct Body {
+    /// Index into `graph.fns`.
+    id: usize,
+    cfg: Cfg,
+    /// Parameter binding names, `self` included.
+    params: Vec<String>,
+}
+
+/// The workspace functions a call op may resolve to (none for any
+/// other op).
+fn callees(graph: &CallGraph, body: &Body, op: &Op) -> Vec<usize> {
+    let Op::Call {
+        name,
+        arity,
+        is_method,
+        qual,
+        line,
+        ..
+    } = op
+    else {
+        return Vec::new();
+    };
+    let site = CallSite {
+        name: name.clone(),
+        arity: *arity,
+        is_method: *is_method,
+        qual: qual.clone(),
+        line: *line,
+    };
+    graph.resolve(body.id, &site)
+}
+
+/// The names tainted inside `body` besides the payload names
+/// themselves: the closure over assignments of the seeds, starting
+/// from every parameter when the caller-side fixpoint tainted them.
+fn seeded(body: &Body, params_tainted: bool) -> BTreeSet<String> {
+    let init = if params_tainted {
+        body.params.iter().cloned().collect()
+    } else {
+        BTreeSet::new()
+    };
+    cfg::closure(&body.cfg, init, &|froms, set| {
+        froms.iter().any(|n| is_payload(n) || set.contains(n))
+    })
+}
+
+/// Interprocedural parameter taint over the hot bodies: a call whose
+/// receiver or argument names are tainted ([`seeded`]) taints the
+/// parameters of every hot callee that has any. Monotone (flags only
+/// flip false→true), so it terminates in at most |fns| rounds.
+fn param_taint(graph: &CallGraph, bodies: &[Body], hot: &Reachability) -> Vec<bool> {
+    let mut taint = vec![false; graph.fns.len()];
+    loop {
+        let mut changed = false;
+        for body in bodies {
+            let local = seeded(body, taint[body.id]);
+            for op in body.cfg.blocks.iter().flat_map(|b| &b.ops) {
+                let Op::Call {
+                    recv_names,
+                    arg_names,
+                    ..
+                } = op
+                else {
+                    continue;
+                };
+                if !recv_names
+                    .iter()
+                    .chain(arg_names)
+                    .any(|n| is_payload(n) || local.contains(n))
+                {
+                    continue;
+                }
+                for t in callees(graph, body, op) {
+                    if hot.reachable[t] && graph.fns[t].arity > 0 && !taint[t] {
+                        taint[t] = true;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        if !changed {
+            return taint;
+        }
+    }
+}
+
 /// Whether an op is a deep-copy sink. Returns the display name of the
 /// copy, the names of its *source* operand and its line: the receiver
 /// for `src.to_vec()`-shaped sinks, the arguments for
@@ -95,7 +187,7 @@ fn copy_kind(op: &Op) -> Option<(String, &[String], u32)> {
     };
     let (what, sources) = if *is_method {
         match name.as_str() {
-            "to_vec" | "to_owned" => (format!(".{name}()"), &recv_names[..]),
+            "to_vec" | "to_owned" | "to_string" => (format!(".{name}()"), &recv_names[..]),
             "extend_from_slice" | "copy_from_slice" => (format!(".{name}()"), &arg_names[..]),
             _ => return None,
         }
@@ -104,7 +196,7 @@ fn copy_kind(op: &Op) -> Option<(String, &[String], u32)> {
             (Some("Bytes"), "copy_from_slice") => {
                 ("Bytes::copy_from_slice".to_string(), &arg_names[..])
             }
-            (Some("Vec"), "from") => ("Vec::from".to_string(), &arg_names[..]),
+            (Some(q @ ("Vec" | "String")), "from") => (format!("{q}::from"), &arg_names[..]),
             _ => return None,
         }
     };
@@ -114,15 +206,42 @@ fn copy_kind(op: &Op) -> Option<(String, &[String], u32)> {
 /// Runs the pass over the whole workspace; findings are appended to
 /// `out` (the framework routes them through per-file `lint:allow`
 /// suppression like any other lint).
-pub(crate) fn hot_copy(core: &Core, out: &mut Vec<Finding>) {
-    if !core.hot.reachable.iter().any(|&r| r) {
+pub(crate) fn hot_copy(graph: &CallGraph, files: &[SourceData], out: &mut Vec<Finding>) {
+    let hot = graph.reach_from_named(HOT_ROOTS);
+    if !hot.reachable.iter().any(|&r| r) {
         return; // no hot roots in this tree (small fixture workspaces)
     }
-    let hot = |id: usize| core.hot.reachable[id];
-    let taint = core.param_taint(&is_payload, &hot);
-    for body in core.bodies.iter().filter(|b| hot(b.id)) {
-        let local = guards::seeded(body, &is_payload, taint[body.id]);
-        for op in body.ops() {
+    let by_site: HashMap<(&str, u32, &str), usize> = graph
+        .fns
+        .iter()
+        .enumerate()
+        .map(|(i, f)| ((f.file.as_str(), f.line, f.name.as_str()), i))
+        .collect();
+    let mut bodies = Vec::new();
+    for file in files {
+        let Some(ast) = &file.ast else { continue };
+        rules::for_each_fn(&ast.items, &mut |f| {
+            let Some(&id) = by_site.get(&(file.rel.as_str(), f.line, f.name.as_str())) else {
+                return;
+            };
+            if !hot.reachable[id] || graph.fns[id].in_test || f.body.is_none() {
+                return;
+            }
+            let mut params = Vec::new();
+            for p in &f.params {
+                p.pat.bound_names(&mut params);
+            }
+            bodies.push(Body {
+                id,
+                cfg: cfg::lower_fn(f),
+                params,
+            });
+        });
+    }
+    let taint = param_taint(graph, &bodies, &hot);
+    for body in &bodies {
+        let local = seeded(body, taint[body.id]);
+        for op in body.cfg.blocks.iter().flat_map(|b| &b.ops) {
             let Some((what, sources, line)) = copy_kind(op) else {
                 continue;
             };
@@ -133,14 +252,14 @@ pub(crate) fn hot_copy(core: &Core, out: &mut Vec<Finding>) {
                 continue;
             };
             out.push(Finding {
-                file: core.graph.fns[body.id].file.clone(),
+                file: graph.fns[body.id].file.clone(),
                 line,
                 lint: "hot-copy",
                 message: format!(
                     "`{what}` deep-copies payload bytes flowing through `{carrier}` on the \
                      batched hot path — share the existing buffer with Bytes::slice (refcount) \
                      or move the copy off the hot path (reached via: {})",
-                    core.graph.witness(&core.hot, body.id)
+                    graph.witness(&hot, body.id)
                 ),
             });
         }

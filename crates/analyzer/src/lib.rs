@@ -15,18 +15,10 @@
 //!   reachable from the public API of the fault-injected crates
 //!   (`log`, `kv`, `messaging`, `processing`). Findings carry the call
 //!   chain that reaches the site.
-//! * **dropped-result** — a call resolving to a workspace function
-//!   that returns `Result` is discarded (`expr;` or `let _ = expr;`).
 //! * **unchecked-offset-arithmetic** — raw `+`/`-`/`*` on values
 //!   flowing from offset/high-watermark/epoch fields (seeded from the
 //!   `log`/`messaging` struct declarations) must be
 //!   `checked_*`/`saturating_*`.
-//! * **guard-liveness** — a fault-injection tick or raw I/O while a
-//!   ranked lock guard is held *dead* (never used again): the guard
-//!   should be dropped first. Flow- and liveness-sensitive, so
-//!   deliberate critical sections are not flagged.
-//! * **panic** — `panic!`/`todo!`/`unimplemented!` forbidden in the
-//!   remaining library crates.
 //! * **lock-order** — nested lock acquisitions must follow the rank
 //!   table declared in `sim::lockdep::RANKS` (strictly descending),
 //!   checked over the CFG's may-held lock sets.
@@ -39,8 +31,6 @@
 //!   so an injected failure is always visible in an [`obs
 //!   snapshot`](../liquid_obs/stats/index.html). Skipped when the
 //!   `obs` crate is absent (fixture trees).
-//! * **raw-io** — `std::fs`/`File::` I/O is confined to the storage
-//!   layers that route through the failure injector.
 //! * **raw-thread** — `std::thread::spawn`/`scope`/`Builder` and
 //!   `parking_lot` primitives are confined to `crates/sim`; everything
 //!   else spawns through `liquid_sim::thread` and locks through
@@ -48,37 +38,18 @@
 //! * **forbid-unsafe** — every crate's `lib.rs` carries
 //!   `#![forbid(unsafe_code)]` and no `unsafe` token appears anywhere.
 //! * **hot-copy** — interprocedural zero-copy taint over the batched
-//!   produce/fetch hot path: no deep copy (`to_vec`,
-//!   `extend_from_slice`, …) of payload bytes reachable from the hot
-//!   roots; findings carry the root→copy call-chain witness (see
-//!   [`hotpath`]).
-//! * **lock-cost** — interprocedural critical-section audit of every
-//!   ranked lockdep guard: hot-path guards held across injectable I/O
-//!   or a nested ranked acquisition are findings, and every guard's
-//!   static cost (I/O, allocations, loops, nested locks) lands in the
-//!   lock analysis report (see [`lockcost`]).
-//! * **shard** — interprocedural lock-shardability classification:
-//!   every ranked guard is proven *partition-local* (all accesses
-//!   keyed by a partition identity), *cross-partition*, or *unknown*,
-//!   with witness access chains in the report; hot exclusive guards
-//!   proven partition-local but not yet sharded are findings (see
-//!   [`shard`]).
-//! * **atomicity** — interprocedural lock-gap atomicity analysis:
-//!   every value derived from a ranked guard's deref is tainted, the
-//!   guard-drop point detected (explicit `drop` or scope end), and any
-//!   gap-crossing consult of the stale value inside a later ranked
-//!   critical section is a finding with a full
-//!   read-site → drop-site → use witness chain, unless
-//!   machine-validated (reacquire / carried-key shapes) or allowed;
-//!   per-site verdicts land in the report (see [`atomicity`]).
+//!   produce/fetch hot path: no deep copy (`to_vec`, `to_string`,
+//!   `extend_from_slice`, `String::from`, …) of payload bytes reachable
+//!   from the hot roots; findings carry the root→copy call-chain
+//!   witness (see [`hotpath`]).
 //!
-//! The last four share one core ([`guards`]): each function is lowered
-//! once, each function holding a ranked guard is walked once, and the
-//! three lock passes fill one `target/analysis/analysis.json` report
-//! whose per-rank census is held against `ci/analysis-baseline.json`
-//! when that file exists.
+//! DESIGN.md §9 keeps the catch ledger: what each lint caught, the
+//! mutation that re-introduces it, and what fires on it first. A lint
+//! with no catch does not belong here; lockdep, the chaos sweep and the
+//! model checker hold the locking rules at run time.
 //!
-//! Findings can be suppressed with a `lint:allow` comment directive
+//! The analyzer writes nothing but its findings. Findings can be
+//! suppressed with a `lint:allow` comment directive
 //! (see [`lexer::AllowDirective`]); a directive that is malformed,
 //! names an unknown lint, or suppresses nothing is itself a finding
 //! (lint **lint-allow**), so the escape hatch cannot rot silently.
@@ -86,19 +57,15 @@
 //! first non-directive line below them.
 
 pub mod ast;
-pub mod atomicity;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
-pub mod guards;
 pub mod hotpath;
 pub mod lexer;
-pub mod lockcost;
 pub mod parse;
 pub mod rules;
-pub mod shard;
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -109,20 +76,13 @@ use lexer::{lex, Lexed, Token, TokenKind};
 /// reference).
 pub const LINTS: &[&str] = &[
     "panic-reachability",
-    "dropped-result",
     "unchecked-offset-arithmetic",
-    "guard-liveness",
-    "panic",
     "lock-order",
     "fault-site",
     "obs-instrument",
-    "raw-io",
     "raw-thread",
     "forbid-unsafe",
     "hot-copy",
-    "lock-cost",
-    "shard",
-    "atomicity",
     "lint-allow",
 ];
 
@@ -149,8 +109,8 @@ impl fmt::Display for Finding {
     }
 }
 
-/// RFC 8259 string escape, shared by the `--json` output and the lock
-/// analysis report (hand-rolled — the build environment has no serde).
+/// RFC 8259 string escape for the `--json` output (hand-rolled — the
+/// build environment has no serde).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -198,26 +158,19 @@ impl RankTable {
 /// Cross-file context the rules need. The single-source-of-truth
 /// tables live in the `sim` crate's *source* and are parsed from it
 /// with the same lexer, so the analyzer can never drift from the
-/// runtime checks without a finding; the workspace-derived fields
-/// (offset seeds, Result signatures) are filled in by
-/// [`analyze_root`]'s context phase.
+/// runtime checks without a finding; the offset seeds are filled in
+/// by [`analyze_root`]'s context phase.
 #[derive(Debug, Clone, Default)]
 pub struct Context {
     /// `None` when `failure.rs` is absent (fixture trees); membership
     /// checks are skipped then, but sites are still collected.
     pub sites: Option<SiteRegistry>,
-    /// `None` when `lockdep.rs` is absent; the lock-order and
-    /// guard-liveness rules are skipped then.
+    /// `None` when `lockdep.rs` is absent; the lock-order rule is
+    /// skipped then.
     pub ranks: Option<RankTable>,
     /// Offset-domain field names parsed from `log`/`messaging` struct
     /// declarations (taint seeds for unchecked-offset-arithmetic).
     pub offset_seeds: BTreeSet<String>,
-    /// `(name, is_method, arity)` call shapes where *every* matching
-    /// workspace function returns `Result` (dropped-result lint).
-    pub result_sigs: HashSet<(String, bool, usize)>,
-    /// Type names with a workspace `impl` block (used to decide
-    /// whether a qualified call points back into the workspace).
-    pub known_types: BTreeSet<String>,
     /// Whether the tree ships the `obs` crate; the obs-instrument
     /// twin-metric check only runs when it does, so fixture trees
     /// exercising other lints are not forced to register metrics.
@@ -469,14 +422,11 @@ pub fn analyze_file_raw(ctx: &Context, data: &SourceData) -> (Vec<Finding>, Vec<
     let mut raw = Vec::new();
     let mut tick_sites = Vec::new();
     let tokens = &data.lexed.tokens;
-    rules::panic_free_lib(crate_name, &data.rel, tokens, &data.regions, &mut raw);
     rules::fault_sites(ctx, &data.rel, tokens, &mut raw, &mut tick_sites);
-    rules::raw_io(crate_name, &data.rel, tokens, &data.regions, &mut raw);
     rules::raw_thread(crate_name, &data.rel, tokens, &data.regions, &mut raw);
     rules::forbid_unsafe(&data.rel, tokens, &mut raw);
     if let Some(ast) = &data.ast {
         rules::lock_order(ctx, &data.rel, ast, &mut raw);
-        rules::guard_liveness(ctx, &data.rel, ast, &data.regions, &mut raw);
         rules::unchecked_offset_arithmetic(
             ctx,
             crate_name,
@@ -485,7 +435,6 @@ pub fn analyze_file_raw(ctx: &Context, data: &SourceData) -> (Vec<Finding>, Vec<
             &data.regions,
             &mut raw,
         );
-        rules::dropped_result(ctx, &data.rel, ast, &data.regions, &mut raw);
     }
     (raw, tick_sites)
 }
@@ -678,10 +627,9 @@ fn collect_struct_seeds(items: &[ast::Item], seeds: &mut BTreeSet<String>) {
 }
 
 /// Runs every rule over the whole workspace plus the cross-tree checks
-/// (panic reachability, unused registry entries, rank-table drift, the
-/// lock census baseline); returns the findings and the lock analysis
-/// report (the CLI writes it to `target/analysis/analysis.json`).
-pub fn analyze_root(root: &Path) -> Result<(Vec<Finding>, guards::Report), String> {
+/// (panic reachability, hot-copy, unused registry entries, rank-table
+/// drift) and returns the findings.
+pub fn analyze_root(root: &Path) -> Result<Vec<Finding>, String> {
     // Phase A: read, lex, parse.
     let (mut ctx, ctx_findings) = Context::from_root(root);
     let mut files = Vec::new();
@@ -691,8 +639,7 @@ pub fn analyze_root(root: &Path) -> Result<(Vec<Finding>, guards::Report), Strin
         files.push(load_source(&rel, &src));
     }
 
-    // Phase B: workspace context — taint seeds, the call graph, and
-    // the Result-signature map derived from it.
+    // Phase B: workspace context — taint seeds and the call graph.
     ctx.offset_seeds = offset_seeds(&files);
     let sources: Vec<callgraph::SourceFile<'_>> = files
         .iter()
@@ -705,27 +652,6 @@ pub fn analyze_root(root: &Path) -> Result<(Vec<Finding>, guards::Report), Strin
         })
         .collect();
     let graph = callgraph::CallGraph::build(&sources, workspace_deps(root));
-    let mut sig_stats: BTreeMap<(String, bool, usize), (usize, usize)> = BTreeMap::new();
-    for f in &graph.fns {
-        if f.in_test {
-            continue;
-        }
-        let entry = sig_stats
-            .entry((f.name.clone(), f.has_self, f.arity))
-            .or_insert((0, 0));
-        entry.0 += 1;
-        if f.returns_result {
-            entry.1 += 1;
-        }
-        if let Some(ty) = &f.self_ty {
-            ctx.known_types.insert(ty.clone());
-        }
-    }
-    ctx.result_sigs = sig_stats
-        .into_iter()
-        .filter(|(_, (total, result))| *total > 0 && total == result)
-        .map(|(k, _)| k)
-        .collect();
 
     // Phase C: per-file rules, the interprocedural proof, then
     // `lint:allow` suppression per file.
@@ -751,7 +677,7 @@ pub fn analyze_root(root: &Path) -> Result<(Vec<Finding>, guards::Report), Strin
     }
     let mut cross_findings = Vec::new();
     rules::panic_reachability(&graph, &mut cross_findings);
-    let report = guards::analyze(&ctx, &graph, &files, &mut cross_findings);
+    hotpath::hot_copy(&graph, &files, &mut cross_findings);
     for finding in cross_findings {
         match files.iter().find(|f| f.rel == finding.file) {
             Some(f) => raw_by_file.entry(&f.rel).or_default().push(finding),
@@ -816,7 +742,7 @@ pub fn analyze_root(root: &Path) -> Result<(Vec<Finding>, guards::Report), Strin
         }
         // The reverse direction: a rank declared in the runtime table
         // that no [`rules::LOCK_FIELDS`] entry maps to is invisible to
-        // the static checkers (lock-order, guard-liveness, lock-cost).
+        // the lock-order check.
         for (name, _) in &ranks.entries {
             if !rules::LOCK_FIELDS.iter().any(|(_, _, rank)| rank == name) {
                 findings.push(Finding {
@@ -832,12 +758,7 @@ pub fn analyze_root(root: &Path) -> Result<(Vec<Finding>, guards::Report), Strin
             }
         }
     }
-    // The lock census against its checked-in baseline, when there is
-    // one.
-    if let Ok(baseline) = fs::read_to_string(root.join(guards::BASELINE)) {
-        report.check_baseline(&baseline, &mut findings);
-    }
     findings.sort();
     findings.dedup();
-    Ok((findings, report))
+    Ok(findings)
 }

@@ -21,7 +21,7 @@ fn main() -> ExitCode {
                 None => {
                     eprintln!(
                         "liquid-lint: --only requires a path prefix (e.g. crates/analyzer) \
-                         or a lint name (e.g. shard)"
+                         or a lint name (e.g. hot-copy)"
                     );
                     return ExitCode::from(2);
                 }
@@ -41,21 +41,13 @@ fn main() -> ExitCode {
                      \n\
                      Walks crates/*/src/**/*.rs, builds the AST → CFG → call-graph analysis\n\
                      IR, and enforces: panic-reachability (no panic/unwrap/unguarded indexing\n\
-                     reachable from fault-crate public APIs), dropped-result,\n\
-                     unchecked-offset-arithmetic, guard-liveness, panic, lock-order\n\
-                     (rank table from sim::lockdep::RANKS), fault-site (registry in\n\
-                     sim::failure::SITES), raw-io, raw-thread, forbid-unsafe, hot-copy\n\
-                     (no deep copy of payload bytes reachable from the produce/fetch hot\n\
-                     path), lock-cost (no I/O or nested ranked locks inside hot-path\n\
-                     critical sections), shard (ranked guards classified partition-local /\n\
-                     cross-partition / unknown; hot exclusive guards proven partition-local\n\
-                     but not yet split are findings), atomicity (no stale use of\n\
-                     guard-derived state across a drop/reacquire gap unless\n\
-                     machine-validated; witness chains per finding). Every run writes the\n\
-                     target/analysis/analysis.json lock report and, when\n\
-                     ci/analysis-baseline.json exists, holds the report's per-rank census\n\
-                     against it. Suppress a finding with a comment directive on or above\n\
-                     the offending line:\n\
+                     reachable from fault-crate public APIs),\n\
+                     unchecked-offset-arithmetic, lock-order (rank table from\n\
+                     sim::lockdep::RANKS), fault-site (registry in sim::failure::SITES),\n\
+                     obs-instrument, raw-thread, forbid-unsafe, hot-copy (no deep copy of\n\
+                     payload bytes reachable from the produce/fetch hot path) and\n\
+                     lint-allow. It writes nothing but its findings. Suppress a finding with a comment directive on or above the\n\
+                     offending line:\n\
                      \n\
                      \x20   // lint:allow(<lint>, reason=<why this one is sound>)\n\
                      \n\
@@ -63,7 +55,7 @@ fn main() -> ExitCode {
                      --json        machine-readable output: {{\"findings\":[...],\"count\":N}}\n\
                      --only <sel>  keep only findings under the given path prefix\n\
                      \x20             (e.g. --only crates/analyzer for the self-lint step)\n\
-                     \x20             or of the given lint (e.g. --only shard); an\n\
+                     \x20             or of the given lint (e.g. --only hot-copy); an\n\
                      \x20             unknown lint name is a usage error\n\
                      --root        workspace root (default: nearest ancestor with a\n\
                      \x20             crates/ dir)"
@@ -102,19 +94,7 @@ fn main() -> ExitCode {
     };
 
     match liquid_lint::analyze_root(&root) {
-        Ok((mut findings, report)) => {
-            // The lock report is a build artifact, not lint output:
-            // written on every run, clean or not.
-            let report_dir = root.join("target/analysis");
-            let report_path = report_dir.join("analysis.json");
-            if let Err(e) = std::fs::create_dir_all(&report_dir)
-                .and_then(|()| std::fs::write(&report_path, report.to_json()))
-            {
-                eprintln!(
-                    "liquid-lint: warning: could not write {}: {e}",
-                    report_path.display()
-                );
-            }
+        Ok(mut findings) => {
             if let Some(sel) = &only {
                 if sel.contains('/') {
                     findings.retain(|f| f.file.starts_with(sel.as_str()));

@@ -9,11 +9,10 @@
 
 use std::collections::BTreeSet;
 
-use crate::ast::{self, Block, Expr, Item, Pat, Stmt};
+use crate::ast::{self, Item, Stmt};
 use crate::callgraph::CallGraph;
-use crate::cfg::{self, AcquireSite, Cfg, Op};
+use crate::cfg::{self, closure, AcquireSite, Cfg, Op};
 use crate::dataflow::{self, Analysis};
-use crate::guards::closure;
 use crate::lexer::{Token, TokenKind};
 use crate::{in_test, Context, Finding};
 
@@ -29,14 +28,6 @@ pub const FAULT_CRATES: &[&str] = &["log", "kv", "messaging", "processing"];
 /// asserts are *supposed* to abort), and the analyzer never runs on a
 /// fault path.
 pub const PANIC_EXEMPT_CRATES: &[&str] = &["sim", "analyzer"];
-
-/// The storage layers allowed to touch `std::fs` directly: everything
-/// else must route I/O through them so the failure injector sees it.
-pub const RAW_IO_ALLOWED: &[&str] = &[
-    "crates/log/src/storage.rs",
-    "crates/kv/src/wal.rs",
-    "crates/kv/src/sstable.rs",
-];
 
 /// Which struct fields are ranked locks: `(file basename, field name,
 /// rank name)`. The rank *orders* live in `sim::lockdep::RANKS` (the
@@ -81,37 +72,6 @@ pub fn is_offset_name(name: &str) -> bool {
         || n.contains("epoch")
         || n == "hw"
         || n.ends_with("_hw")
-}
-
-/// Lint **panic**: library crates outside the fault set must not
-/// contain `panic!`/`todo!`/`unimplemented!` outside tests — they just
-/// get to keep `.unwrap()` where the call graph proves it unreachable
-/// from a fault path (see [`panic_reachability`]).
-pub fn panic_free_lib(
-    crate_name: &str,
-    rel: &str,
-    tokens: &[Token],
-    regions: &[(u32, u32)],
-    out: &mut Vec<Finding>,
-) {
-    if FAULT_CRATES.contains(&crate_name) {
-        return; // covered by the stricter panic-reachability lint
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || in_test(regions, t.line) {
-            continue;
-        }
-        if matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-            && tokens.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            out.push(Finding {
-                file: rel.to_string(),
-                line: t.line,
-                lint: "panic",
-                message: format!("`{}!` in non-test library code", t.text),
-            });
-        }
-    }
 }
 
 /// Lint **panic-reachability**: the interprocedural proof that no
@@ -177,88 +137,6 @@ pub fn panic_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
     }
 }
 
-/// Lint **dropped-result**: a call that (nominally) resolves to a
-/// workspace function returning `Result` has its value discarded —
-/// either as an expression statement or bound to `_`. Resolution is
-/// by name/kind/arity against [`Context::result_sigs`], which only
-/// contains signatures where *every* workspace candidate returns
-/// `Result`, so common names shared with non-Result functions never
-/// fire.
-pub fn dropped_result(
-    ctx: &Context,
-    rel: &str,
-    file: &ast::File,
-    regions: &[(u32, u32)],
-    out: &mut Vec<Finding>,
-) {
-    if ctx.result_sigs.is_empty() {
-        return;
-    }
-    for_each_fn(&file.items, &mut |f| {
-        let Some(body) = &f.body else { return };
-        if in_test(regions, f.line) {
-            return;
-        }
-        each_block(body, &mut |b| {
-            for stmt in &b.stmts {
-                let discarded = match stmt {
-                    Stmt::Expr { expr, semi: true } => Some(expr),
-                    Stmt::Let {
-                        pat: Pat::Wild,
-                        init: Some(init),
-                        ..
-                    } => Some(init),
-                    _ => None,
-                };
-                let Some(e) = discarded else { continue };
-                let (name, is_method, arity, line, qual) = match e {
-                    Expr::MethodCall {
-                        method, args, line, ..
-                    } => (method.clone(), true, args.len(), *line, None),
-                    Expr::Call { callee, args, line } => match callee.as_ref() {
-                        Expr::Path { segs, .. } if !segs.is_empty() => (
-                            segs.last().cloned().unwrap_or_default(),
-                            false,
-                            args.len(),
-                            *line,
-                            (segs.len() > 1).then(|| segs[0].clone()),
-                        ),
-                        _ => continue,
-                    },
-                    _ => continue,
-                };
-                if in_test(regions, line) {
-                    continue;
-                }
-                // A qualified free call must point back into the
-                // workspace (a liquid crate, `Self`, or a workspace
-                // type) — `std::fs::read(..)` and friends are out of
-                // scope for this lint.
-                if let Some(q) = &qual {
-                    let workspace_qual = q == "Self"
-                        || q == "liquid"
-                        || q.starts_with("liquid_")
-                        || ctx.known_types.contains(q);
-                    if !workspace_qual {
-                        continue;
-                    }
-                }
-                if ctx.result_sigs.contains(&(name.clone(), is_method, arity)) {
-                    out.push(Finding {
-                        file: rel.to_string(),
-                        line,
-                        lint: "dropped-result",
-                        message: format!(
-                            "result of `{name}` is discarded but every workspace `{name}` \
-                             returns Result — handle the error or propagate it with `?`"
-                        ),
-                    });
-                }
-            }
-        });
-    });
-}
-
 /// Lint **unchecked-offset-arithmetic**: raw `+`/`-`/`*` (binary or
 /// compound) over values flowing from the offset domain — log offsets,
 /// high-watermarks, epochs — inside the fault crates. Seeds are the
@@ -284,40 +162,24 @@ pub fn unchecked_offset_arithmetic(
             return;
         }
         let g = cfg::lower_fn(f);
-        let mut assigns: Vec<(&String, &Vec<String>)> = Vec::new();
-        let mut ariths: Vec<(char, &Vec<String>, u32)> = Vec::new();
-        for b in &g.blocks {
-            for op in &b.ops {
-                match op {
-                    Op::Assign { to, froms, .. } => assigns.push((to, froms)),
-                    Op::Arith { op, names, line } => ariths.push((*op, names, *line)),
-                    _ => {}
-                }
-            }
-        }
-        // Flow-insensitive taint closure over assignments.
-        let mut extra: BTreeSet<&str> = BTreeSet::new();
-        let seeded = |extra: &BTreeSet<&str>, n: &str| {
-            is_offset_name(n) || ctx.offset_seeds.contains(n) || extra.contains(n)
-        };
-        loop {
-            let mut changed = false;
-            for (to, froms) in &assigns {
-                if !extra.contains(to.as_str()) && froms.iter().any(|n| seeded(&extra, n)) {
-                    extra.insert(to.as_str());
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let seed = |n: &str| is_offset_name(n) || ctx.offset_seeds.contains(n);
+        let extra = closure(&g, BTreeSet::new(), &|froms, set| {
+            froms.iter().any(|n| seed(n) || set.contains(n))
+        });
         let mut seen_lines = BTreeSet::new();
-        for (op, names, line) in ariths {
+        for op in g.blocks.iter().flat_map(|b| &b.ops) {
+            let &Op::Arith {
+                op,
+                ref names,
+                line,
+            } = op
+            else {
+                continue;
+            };
             if in_test(regions, line) || !seen_lines.insert((line, op)) {
                 continue;
             }
-            if let Some(name) = names.iter().find(|n| seeded(&extra, n)) {
+            if let Some(name) = names.iter().find(|n| seed(n) || extra.contains(*n)) {
                 let verb = match op {
                     '-' => "sub",
                     '*' => "mul",
@@ -434,44 +296,6 @@ pub fn obs_instruments(tokens: &[Token], out: &mut BTreeSet<String>) {
             if arg.kind == TokenKind::Str {
                 out.insert(arg.text.clone());
             }
-        }
-    }
-}
-
-/// Lint **raw-io**: in fault crates, `std::fs` / `File::` /
-/// `OpenOptions::` usage outside [`RAW_IO_ALLOWED`] bypasses the
-/// injector and makes the I/O untestable under chaos.
-pub fn raw_io(
-    crate_name: &str,
-    rel: &str,
-    tokens: &[Token],
-    regions: &[(u32, u32)],
-    out: &mut Vec<Finding>,
-) {
-    if !FAULT_CRATES.contains(&crate_name) || RAW_IO_ALLOWED.contains(&rel) {
-        return;
-    }
-    let path_sep = |i: usize| {
-        tokens.get(i).is_some_and(|t: &Token| t.is_punct(':'))
-            && tokens.get(i + 1).is_some_and(|t: &Token| t.is_punct(':'))
-    };
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || in_test(regions, t.line) {
-            continue;
-        }
-        let hit = (t.text == "std"
-            && path_sep(i + 1)
-            && tokens.get(i + 3).is_some_and(|t| t.is_ident("fs")))
-            || (matches!(t.text.as_str(), "File" | "OpenOptions") && path_sep(i + 1));
-        if hit {
-            out.push(Finding {
-                file: rel.to_string(),
-                line: t.line,
-                lint: "raw-io",
-                message: "raw filesystem I/O outside the injectable storage layer — route \
-                          through log::storage or the kv WAL/SSTable instead"
-                    .to_string(),
-            });
         }
     }
 }
@@ -594,7 +418,7 @@ pub fn raw_thread(
 
 /// The ranked-lock fields of one file, as `(field, rank)` pairs.
 /// Empty for files with no [`LOCK_FIELDS`] entry.
-pub(crate) fn ranked_fields(rel: &str) -> Vec<(&'static str, &'static str)> {
+fn ranked_fields(rel: &str) -> Vec<(&'static str, &'static str)> {
     let base = rel.rsplit('/').next().unwrap_or(rel);
     LOCK_FIELDS
         .iter()
@@ -607,8 +431,8 @@ pub(crate) fn ranked_fields(rel: &str) -> Vec<(&'static str, &'static str)> {
 /// [`Cfg::acquires`]) whose guard may still be live. Named guards die
 /// on `drop`, shadowing, or scope exit ([`Op::Kill`]); temporaries die
 /// at the end of their statement ([`Op::KillTemps`]).
-pub(crate) struct HeldLocks<'a> {
-    pub(crate) acquires: &'a [AcquireSite],
+struct HeldLocks<'a> {
+    acquires: &'a [AcquireSite],
 }
 
 impl Analysis for HeldLocks<'_> {
@@ -645,46 +469,9 @@ impl Analysis for HeldLocks<'_> {
     }
 }
 
-/// Backward may-analysis: the set of binding names read on some path
-/// after a point. `drop(x)` and scope exits are deliberately *not*
-/// uses.
-struct Liveness;
-
-impl Analysis for Liveness {
-    type Fact = BTreeSet<String>;
-    const BACKWARD: bool = true;
-
-    fn boundary(&self) -> Self::Fact {
-        BTreeSet::new()
-    }
-
-    fn init(&self) -> Self::Fact {
-        BTreeSet::new()
-    }
-
-    fn join(&self, fact: &mut Self::Fact, other: &Self::Fact) -> bool {
-        let before = fact.len();
-        fact.extend(other.iter().cloned());
-        fact.len() != before
-    }
-
-    fn transfer(&self, op: &Op, fact: &mut Self::Fact) {
-        match op {
-            Op::Mention { name } => {
-                fact.insert(name.clone());
-            }
-            Op::Assign { to, froms, .. } => {
-                fact.remove(to);
-                fact.extend(froms.iter().cloned());
-            }
-            _ => {}
-        }
-    }
-}
-
 /// `(rank, order)` of each acquire site that maps to a ranked lock
 /// field of this file, `None` for unranked acquisitions.
-pub(crate) fn site_ranks(
+fn site_ranks(
     g: &Cfg,
     fields: &[(&'static str, &'static str)],
     order_of: &dyn Fn(&str) -> Option<u32>,
@@ -755,122 +542,6 @@ pub fn lock_order(ctx: &Context, rel: &str, file: &ast::File, out: &mut Vec<Find
     });
 }
 
-/// Lint **guard-liveness**: a fault-injection tick or raw filesystem
-/// I/O executed while a ranked lock guard is held *and the guard is
-/// already dead* — never read again on any path (per the backward
-/// [`Liveness`] dataflow, closed over aliases). Under liquid-check a
-/// tick is a schedule point: parking the thread with a lock held
-/// serializes every contender, and under chaos injection the
-/// "crashed" component keeps the lock. Since the guard has no further
-/// use, the fix is mechanical: `drop(guard)` before the fallible
-/// operation. Holds whose guard *is* still used afterwards are
-/// deliberate critical sections and are not flagged — this is what
-/// retires the old token-level held-io rule and its allow churn.
-/// Guards named `_`-something (explicit scope-holds) and unnamed
-/// statement temporaries are skipped.
-pub fn guard_liveness(
-    ctx: &Context,
-    rel: &str,
-    file: &ast::File,
-    regions: &[(u32, u32)],
-    out: &mut Vec<Finding>,
-) {
-    let Some(ranks) = &ctx.ranks else {
-        return;
-    };
-    let fields = ranked_fields(rel);
-    if fields.is_empty() {
-        return;
-    }
-    for_each_fn(&file.items, &mut |f| {
-        if f.body.is_none() || in_test(regions, f.line) {
-            return;
-        }
-        let g = cfg::lower_fn(f);
-        if g.acquires.is_empty() {
-            return;
-        }
-        let site_rank = site_ranks(&g, &fields, &|r| ranks.order_of(r));
-        let held_analysis = HeldLocks {
-            acquires: &g.acquires,
-        };
-        let held = dataflow::solve(&g, &held_analysis);
-        // (block, op index) → the fallible op and the ranked, named
-        // guards that may be held across it.
-        let mut events: Vec<(usize, usize, u32, bool, Vec<usize>)> = Vec::new();
-        for b in 0..g.blocks.len() {
-            dataflow::walk_ops(&g, &held_analysis, &held, b, |idx, op, fact| {
-                let (line, is_tick) = match op {
-                    Op::Tick { line } => (*line, true),
-                    Op::Io { line } => (*line, false),
-                    _ => return,
-                };
-                if in_test(regions, line) {
-                    return;
-                }
-                let held_sites: Vec<usize> = fact
-                    .iter()
-                    .copied()
-                    .filter(|&i| {
-                        site_rank[i].is_some()
-                            && g.acquires[i]
-                                .var
-                                .as_deref()
-                                .is_some_and(|v| !v.starts_with('_'))
-                    })
-                    .collect();
-                if !held_sites.is_empty() {
-                    events.push((b, idx, line, is_tick, held_sites));
-                }
-            });
-        }
-        if events.is_empty() {
-            return;
-        }
-        let live = dataflow::solve(&g, &Liveness);
-        for b in 0..g.blocks.len() {
-            dataflow::walk_ops(&g, &Liveness, &live, b, |idx, _, after| {
-                for (eb, eidx, line, is_tick, held_sites) in &events {
-                    if *eb != b || *eidx != idx {
-                        continue;
-                    }
-                    for &site in held_sites {
-                        let Some(var) = g.acquires[site].var.as_deref() else {
-                            continue;
-                        };
-                        // Any binding assigned *from* the guard (or an
-                        // alias of it) keeps the guard "in use".
-                        let aliases =
-                            closure(&g, BTreeSet::from([var.to_string()]), &|froms, set| {
-                                froms.iter().any(|f| set.contains(f))
-                            });
-                        if aliases.iter().any(|a| after.contains(a)) {
-                            continue; // guard (or an alias) still in use
-                        }
-                        let (rank, order) = site_rank[site].unwrap_or(("?", 0));
-                        out.push(Finding {
-                            file: rel.to_string(),
-                            line: *line,
-                            lint: "guard-liveness",
-                            message: format!(
-                                "{} while holding ranked lock \"{rank}\" (order {order}, taken \
-                                 on line {}) whose guard `{var}` is never used afterwards — \
-                                 drop({var}) before the fallible operation",
-                                if *is_tick {
-                                    "fault-injection tick"
-                                } else {
-                                    "raw filesystem I/O"
-                                },
-                                g.acquires[site].line
-                            ),
-                        });
-                    }
-                }
-            });
-        }
-    });
-}
-
 /// Calls `f` for every function item in the tree, descending into
 /// impls, traits, modules, and function-local items.
 pub fn for_each_fn<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a ast::Fn)) {
@@ -894,16 +565,4 @@ pub fn for_each_fn<'a>(items: &'a [Item], f: &mut dyn FnMut(&'a ast::Fn)) {
             Item::Struct(_) | Item::Other { .. } => {}
         }
     }
-}
-
-/// Calls `f` on `root` and every block nested inside it (branch
-/// bodies, loop bodies, bare blocks).
-fn each_block<'a>(root: &'a Block, f: &mut dyn FnMut(&'a Block)) {
-    f(root);
-    ast::walk_block(root, &mut |e| match e {
-        Expr::Block(b) => f(b),
-        Expr::If { then, .. } => f(then),
-        Expr::While { body, .. } | Expr::Loop { body, .. } | Expr::For { body, .. } => f(body),
-        _ => {}
-    });
 }

@@ -138,11 +138,9 @@ impl LsmStore {
         let mut next_table_id = 1;
         let (wal, replayed) = match &config.dir {
             Some(dir) => {
-                // lint:allow(raw-io, reason=directory creation is store setup, not data-path I/O; faults here surface as open() errors)
                 std::fs::create_dir_all(dir)?;
                 // Load SSTables: files named L{level}-{id}.sst.
                 let mut found: Vec<(usize, u64, PathBuf)> = Vec::new();
-                // lint:allow(raw-io, reason=directory listing during recovery; the injectable path is the per-table read_from below)
                 for entry in std::fs::read_dir(dir)? {
                     let entry = entry?;
                     let name = entry.file_name();
@@ -191,7 +189,7 @@ impl LsmStore {
 
     /// Fully in-memory store with default tuning.
     pub fn in_memory() -> Self {
-        // lint:allow(panic-reachability, reason=default config has no dir and a disabled injector, so open takes only the infallible in-memory path)
+        // lint:allow(panic-reachability, reason=default config has no dir and a disabled injector, so open takes only the infallible in-memory path; store::tests::put_get_delete)
         LsmStore::open(LsmConfig::default()).expect("in-memory open cannot fail")
     }
 
@@ -389,7 +387,6 @@ impl LsmStore {
             if let Some(dir) = &self.config.dir {
                 let path = dir.join(format!("L{level}-{}.sst", victim.id()));
                 if path.exists() {
-                    // lint:allow(raw-io, reason=whole-table unlink after the drop commits; the fault point is the kv.sst-drop tick above)
                     std::fs::remove_file(path)?;
                 }
             }
@@ -439,7 +436,6 @@ impl LsmStore {
                     for lvl in 0..self.levels.len().max(target + 1) {
                         let path = dir.join(format!("L{lvl}-{}.sst", old.id()));
                         if path.exists() {
-                            // lint:allow(raw-io, reason=deleting superseded tables after a compaction commit; the fault point is the write_to above)
                             std::fs::remove_file(path)?;
                         }
                     }

@@ -343,7 +343,7 @@ impl Log {
 
     /// Convenience: in-memory log with default config.
     pub fn in_memory(clock: SharedClock) -> Self {
-        // lint:allow(panic-reachability, reason=default config uses in-memory storage with a disabled injector; open has no fallible step on that path)
+        // lint:allow(panic-reachability, reason=default config uses in-memory storage with a disabled injector; open has no fallible step on that path; log::tests::in_memory_log_opens_with_one_empty_segment)
         Log::open(LogConfig::default(), clock).expect("memory log cannot fail")
     }
 
@@ -946,18 +946,18 @@ impl Log {
     }
 
     pub(crate) fn active(&self) -> &Segment {
-        // lint:allow(panic-reachability, reason=open() always rolls a segment and nothing removes the last one, so the map is never empty)
+        // lint:allow(panic-reachability, reason=open() always rolls a segment and nothing removes the last one, so the map is never empty; log::tests::retention_never_deletes_active_segment, log::tests::truncate_to_discards_suffix)
         self.segments.values().next_back().expect("log non-empty")
     }
 
     pub(crate) fn active_base(&self) -> u64 {
-        // lint:allow(panic-reachability, reason=open() always rolls a segment and nothing removes the last one, so the map is never empty)
+        // lint:allow(panic-reachability, reason=open() always rolls a segment and nothing removes the last one, so the map is never empty; log::tests::retention_never_deletes_active_segment, log::tests::truncate_to_discards_suffix)
         *self.segments.keys().next_back().expect("log non-empty")
     }
 
     fn active_mut(&mut self) -> &mut Segment {
         let active = self.segments.values_mut().next_back();
-        // lint:allow(panic-reachability, reason=open() always rolls a segment and nothing removes the last one, so the map is never empty)
+        // lint:allow(panic-reachability, reason=open() always rolls a segment and nothing removes the last one, so the map is never empty; log::tests::retention_never_deletes_active_segment, log::tests::truncate_to_discards_suffix)
         active.expect("log non-empty")
     }
 
@@ -1129,6 +1129,13 @@ mod tests {
 
     fn b(s: &str) -> Bytes {
         Bytes::from(s.to_string())
+    }
+
+    #[test]
+    fn in_memory_log_opens_with_one_empty_segment() {
+        let log = Log::in_memory(SimClock::new(0).shared());
+        assert_eq!(log.segment_count(), 1);
+        assert_eq!(log.next_offset(), 0);
     }
 
     #[test]

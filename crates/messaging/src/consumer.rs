@@ -142,8 +142,8 @@ impl Consumer {
         let Some(generation) = self.cluster.group_generation(group) else {
             return Ok(false);
         };
-        // lint:allow(lock-cost, reason=rebalance epoch check: position rebuild must be atomic with the generation bump or a racing poll reads positions from a stale assignment; runs once per rebalance, not per batch)
-        // lint:allow(shard, reason=consumer.state is a per-consumer instance lock, not a cluster-wide one; splitting it per partition would let a racing rebalance tear the position map mid-rebuild)
+        // The position rebuild is atomic with the generation bump, or a
+        // racing poll would read positions from a stale assignment.
         let mut st = self.state.lock();
         if generation == st.generation {
             return Ok(false);
@@ -254,8 +254,8 @@ impl Consumer {
             self.cluster.heartbeat_group(group, &self.member_id).ok();
         }
         self.refresh_assignment()?;
-        // lint:allow(lock-cost, reason=position tracking must be atomic with the fetch or a concurrent rebalance double-delivers; nested acquisitions are rank-ordered (cluster.state 40, log.pagecache 5 under consumer.state 60))
-        // lint:allow(shard, reason=consumer.state is a per-consumer instance lock; per-partition position shards would let a concurrent rebalance interleave with the poll loop and double-deliver)
+        // Positions advance atomically with the fetch, or a concurrent
+        // rebalance would double-deliver.
         let mut st = self.state.lock();
         let mut out = Vec::new();
         for (tp, position) in st.positions.iter_mut() {

@@ -168,7 +168,7 @@ impl OffsetManager<'_> {
     /// new leader; that fold runs outside the lock, as a consumer's poll
     /// reaches it. Reads never create the topic.
     fn read(&self, key: &Key) -> Option<OffsetCommit> {
-        let from = self.folded_from();
+        let from = self.index.inner.read().leader;
         let leader = from.and_then(|_| self.cluster.leader(&self.index.tp).ok().flatten());
         let moved = leader.filter(|&l| from != Some(l));
         if let Some(fold) = moved.and_then(|l| self.fold(l).ok()) {
@@ -181,11 +181,6 @@ impl OffsetManager<'_> {
         }
         let index = self.index.inner.read();
         index.latest.get(key).cloned()
-    }
-
-    /// The leader the index was folded from.
-    fn folded_from(&self) -> Option<BrokerId> {
-        self.index.inner.read().leader
     }
 
     /// Folds [`OFFSETS_TOPIC`] as `leader` serves it, earliest to high

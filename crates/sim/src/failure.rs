@@ -295,7 +295,7 @@ mod tests {
     #[cfg_attr(not(debug_assertions), ignore = "site check is debug-only")]
     #[should_panic(expected = "not registered in sim::failure::SITES")]
     fn unregistered_site_aborts_in_debug() {
-        // lint:allow(fault-site, reason=this test exists to prove unregistered names abort)
+        // lint:allow(fault-site, reason=unregistered_site_aborts_in_debug exists to prove unregistered names abort)
         FailureInjector::disabled().tick("no.such.site");
     }
 

@@ -71,7 +71,6 @@ pub fn order_of(rank: &str) -> Option<u32> {
 fn resolve(rank: &'static str) -> u32 {
     match order_of(rank) {
         Some(o) => o,
-        // lint:allow(panic, reason=lockdep's contract is to abort on misuse in debug builds; an unranked lock is a config bug)
         None => panic!("lockdep: rank {rank:?} is not declared in sim::lockdep::RANKS"),
     }
 }
@@ -277,7 +276,6 @@ mod tracking {
             for e in held.iter() {
                 if order >= e.order {
                     let stack: Vec<&str> = held.iter().map(|e| e.rank).collect();
-                    // lint:allow(panic, reason=lockdep's contract is to abort on ordering violations in debug builds)
                     panic!(
                         "lockdep: rank inversion — acquiring {rank:?} (order {order}) while \
                          holding {:?} (order {}); held stack: {stack:?}. Locks must be taken \
@@ -315,7 +313,6 @@ mod tracking {
         // other thread acquired these ranks in the opposite order.
         for e in held {
             if let Some(path) = find_path(&graph, to, e.rank) {
-                // lint:allow(panic, reason=lockdep's contract is to abort on ordering violations in debug builds)
                 panic!(
                     "lockdep: cycle in the global acquisition graph — {:?} is already \
                      acquired after {to:?} elsewhere (path {path:?}), but this thread holds \

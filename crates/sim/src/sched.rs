@@ -608,10 +608,7 @@ where
             let builder = std::thread::Builder::new().name(name);
             let inner = builder
                 .spawn(move || thread_main(ctrl, tid, f))
-                .unwrap_or_else(|e| {
-                    // lint:allow(panic, reason=OS thread exhaustion inside a model run is unrecoverable test-harness failure)
-                    panic!("liquid-check: failed to spawn virtual thread: {e}")
-                });
+                .unwrap_or_else(|e| panic!("liquid-check: failed to spawn virtual thread: {e}"));
             JoinHandle {
                 tid: Some(tid),
                 inner,
@@ -619,10 +616,9 @@ where
         }
         None => {
             let builder = std::thread::Builder::new().name(name);
-            let inner = builder.spawn(move || Some(f())).unwrap_or_else(|e| {
-                // lint:allow(panic, reason=OS thread exhaustion is unrecoverable; mirrors std::thread::spawn)
-                panic!("sim::sched::spawn: failed to spawn thread: {e}")
-            });
+            let inner = builder
+                .spawn(move || Some(f()))
+                .unwrap_or_else(|e| panic!("sim::sched::spawn: failed to spawn thread: {e}"));
             JoinHandle { tid: None, inner }
         }
     }
@@ -706,10 +702,9 @@ impl<T> Receiver<T> {
                 id: chan_id(&self.inner),
             });
             let mut q = self.inner.q.lock().unwrap_or_else(|p| p.into_inner());
-            return q.pop_front().unwrap_or_else(|| {
-                // lint:allow(panic, reason=the model grants ChanRecv only when non-empty; an empty pop is a scheduler bug)
-                panic!("liquid-check: ChanRecv granted on an empty channel")
-            });
+            return q
+                .pop_front()
+                .unwrap_or_else(|| panic!("liquid-check: ChanRecv granted on an empty channel"));
         }
         let mut q = self.inner.q.lock().unwrap_or_else(|p| p.into_inner());
         loop {
@@ -993,10 +988,7 @@ fn run_once(
         std::thread::Builder::new()
             .name("model-main".to_string())
             .spawn(move || thread_main(ctrl, root, move || f()))
-            .unwrap_or_else(|e| {
-                // lint:allow(panic, reason=OS thread exhaustion makes the whole model run unrecoverable)
-                panic!("liquid-check: failed to spawn root thread: {e}")
-            })
+            .unwrap_or_else(|e| panic!("liquid-check: failed to spawn root thread: {e}"))
     };
     let mut steps = 0usize;
     let mut pruned = false;
@@ -1189,7 +1181,6 @@ fn splitmix64(state: &mut u64) -> u64 {
 fn fail_run(name: &str, failure: &str, schedule: &[usize], names: &[String]) -> ! {
     let text = format_failure(name, failure, schedule, names);
     write_artifact(name, &text);
-    // lint:allow(panic, reason=a model-checking failure must abort the test with the repro schedule)
     panic!("{text}");
 }
 
@@ -1215,7 +1206,6 @@ fn replay_once(name: &str, f: &Arc<dyn Fn() + Send + Sync>, cfg: &Config, sched:
         }
     });
     if let Some(d) = diverged {
-        // lint:allow(panic, reason=replay divergence means the scenario is nondeterministic; abort with diagnostics)
         panic!("liquid-check[{name}]: {d}");
     }
     if let Some(fail) = res.failure {

@@ -407,9 +407,8 @@ fn model_batch_group_commit_vs_leader_kill() {
 /// in rank order — a rank inversion or a same-rank double-acquire
 /// panics inside lockdep and fails the run — and each partition's
 /// batch lands contiguously at its own base offset, unperturbed by the
-/// other partition's commit. This is the model-checked half of the
-/// analyzer-driven lock split (`target/analysis/analysis.json`);
-/// the E12 concurrent sweep is the throughput half.
+/// other partition's commit. This is the model-checked proof of the
+/// per-partition lock split.
 #[test]
 fn model_sharded_producers_distinct_partitions() {
     let report = check(
