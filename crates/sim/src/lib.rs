@@ -40,7 +40,7 @@ pub mod vclock;
 /// Schedulable stand-ins for `std::thread`: the only spawn primitives
 /// the `raw-thread` lint permits outside `crates/sim`.
 pub mod thread {
-    pub use crate::sched::{spawn, spawn_named, yield_point, JoinHandle};
+    pub use crate::sched::{spawn, spawn_named, JoinHandle};
 }
 
 pub use clock::{Clock, SharedClock, SimClock, SystemClock, Ts};

@@ -13,30 +13,30 @@
 //! * every [`FailureInjector::tick`] fault site,
 //! * [`chan`] send/receive hand-offs,
 //! * [`Shared`] tracked-cell reads and writes,
-//! * explicit [`yield_point`]s, spawning, and joining a live thread.
+//! * a spawned thread's first step, and joining a live thread.
 //!
 //! Everything between two schedule points is thread-local by
 //! construction (the `raw-thread` lint bans untracked concurrency
 //! primitives outside this crate), so exploring all orderings of
 //! schedule points explores all distinguishable interleavings.
 //!
-//! [`check`] drives a scenario through a DFS over those orderings with
-//! two standard reductions: *sleep sets* (don't re-explore an order
-//! that only commutes independent actions) and a *preemption bound*
-//! (only consider schedules with at most N involuntary context
-//! switches — empirically where almost all concurrency bugs live).
-//! When the bounded space is still too large, it falls back to
-//! seeded-random schedule sampling. Any failing run prints a
-//! `CHECK_SCENARIO=<name> CHECK_SCHEDULE=<t0.t1...>` line; setting
-//! those environment variables replays that exact interleaving.
+//! [`check`] drives a scenario through one exhaustive DFS over those
+//! orderings, reduced by *sleep sets*: an order that only commutes
+//! independent actions is not re-explored, so each Mazurkiewicz trace
+//! runs once. Independence is mode-aware: two read-mode actions on
+//! one `RwLock` commute, as do two reads of one cell. Any failing run
+//! prints a `CHECK_SCENARIO=<name> CHECK_SCHEDULE=<t0.t1...>` line;
+//! setting those environment variables replays that exact interleaving.
 //!
 //! On top of the scheduler rides a happens-before race detector:
 //! every thread, lock, and channel carries a [`VClock`], edges are
 //! added at fork/join, release→acquire and send→receive, and a
 //! [`Shared`] cell reports any read/write pair left unordered —
-//! naming both source sites. Outside a model run every hook in this
-//! module is a no-op, so production and chaos-harness behaviour is
-//! unchanged.
+//! naming both source sites. A lock keeps two clocks: a write release
+//! orders every later acquire, a read release only later writers, so
+//! two readers stay unordered, as they are on a real `RwLock`. Outside
+//! a model run every hook in this module is a no-op, so production and
+//! chaos-harness behaviour is unchanged.
 //!
 //! [`lockdep`]: crate::lockdep
 //! [`FailureInjector::tick`]: crate::failure::FailureInjector::tick
@@ -61,8 +61,6 @@ use crate::vclock::VClock;
 pub(crate) enum Act {
     /// First scheduling of a freshly spawned thread.
     Start,
-    /// Explicit `yield_point()`.
-    Yield,
     /// Acquire a lockdep lock; `write` covers mutexes and RwLock
     /// writers. `rank` is the lockdep rank name, carried for
     /// deterministic failure messages (ids are addresses and vary
@@ -100,7 +98,6 @@ impl Act {
     fn describe(self) -> String {
         match self {
             Act::Start => "start".to_string(),
-            Act::Yield => "yield".to_string(),
             Act::LockAcq { write, rank, .. } => {
                 format!("acquire-{}({rank})", if write { "write" } else { "read" })
             }
@@ -122,16 +119,28 @@ impl Act {
     fn independent(self, other: Act) -> bool {
         use Act::*;
         match (self, other) {
-            // Purely thread-local markers commute with everything.
-            (Start | Yield, _) | (_, Start | Yield) => true,
+            // A thread's first step touches nothing shared.
+            (Start, _) | (_, Start) => true,
             // Join only observes an exit; it commutes with anything
             // except (conservatively) actions of the joined thread —
             // which can't be pending anyway once it is joinable.
             (Join { .. }, _) | (_, Join { .. }) => true,
+            // Read-mode actions on one lock commute: a reader neither
+            // blocks another nor reads the clock a read release writes.
             (
-                LockAcq { id: a, .. } | LockRel { id: a, .. },
-                LockAcq { id: b, .. } | LockRel { id: b, .. },
-            ) => a != b,
+                LockAcq {
+                    id: a, write: wa, ..
+                }
+                | LockRel {
+                    id: a, write: wa, ..
+                },
+                LockAcq {
+                    id: b, write: wb, ..
+                }
+                | LockRel {
+                    id: b, write: wb, ..
+                },
+            ) => a != b || (!wa && !wb),
             (ChanSend { id: a } | ChanRecv { id: a }, ChanSend { id: b } | ChanRecv { id: b }) => {
                 a != b
             }
@@ -177,8 +186,24 @@ struct ThreadState {
 struct LockModel {
     writer: Option<usize>,
     readers: u32,
-    /// Joined from each releaser; joined into each acquirer.
+    /// Joined from each write release; joined into every acquire.
     vc: VClock,
+    /// Joined from each read release; joined into write acquires only,
+    /// so readers are ordered before the next writer but not before
+    /// one another.
+    read_vc: VClock,
+}
+
+impl LockModel {
+    fn release(&mut self, write: bool, tvc: &VClock) {
+        if write {
+            self.writer = None;
+            self.vc.join(tvc);
+        } else {
+            self.readers = self.readers.saturating_sub(1);
+            self.read_vc.join(tvc);
+        }
+    }
 }
 
 #[derive(Default)]
@@ -246,25 +271,21 @@ impl CtrlState {
     fn commit(&mut self, tid: usize) {
         let act = self.threads[tid].pending;
         match act {
-            Act::Start | Act::Yield => {}
+            Act::Start => {}
             Act::LockAcq { id, write, .. } => {
                 let l = self.locks.entry(id).or_default();
+                let tvc = &mut self.threads[tid].vc;
+                tvc.join(&l.vc);
                 if write {
                     l.writer = Some(tid);
+                    tvc.join(&l.read_vc);
                 } else {
                     l.readers += 1;
                 }
-                let lvc = l.vc.clone();
-                self.threads[tid].vc.join(&lvc);
             }
             Act::LockRel { id, write, .. } => {
                 if let Some(l) = self.locks.get_mut(&id) {
-                    if write {
-                        l.writer = None;
-                    } else {
-                        l.readers = l.readers.saturating_sub(1);
-                    }
-                    l.vc.join(&self.threads[tid].vc);
+                    l.release(write, &self.threads[tid].vc);
                 }
             }
             Act::ChanSend { id } => {
@@ -409,14 +430,9 @@ impl Drop for LockToken {
             // Unwinding (abort drain): release the model lock without
             // parking so other drained threads don't see it held.
             let mut st = ctrl.lock();
-            let tvc = st.threads[tid].vc.clone();
+            let st = &mut *st;
             if let Some(l) = st.locks.get_mut(&self.id) {
-                if self.write {
-                    l.writer = None;
-                } else {
-                    l.readers = l.readers.saturating_sub(1);
-                }
-                l.vc.join(&tvc);
+                l.release(self.write, &st.threads[tid].vc);
             }
             ctrl.cv.notify_all();
             return;
@@ -556,11 +572,6 @@ impl<T> JoinHandle<T> {
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
-
-    /// The thread's name, mirroring `std::thread::JoinHandle`.
-    pub fn thread_name(&self) -> Option<&str> {
-        self.inner.thread().name()
-    }
 }
 
 /// Parks on `Join(child)` if the child is still live; if it already
@@ -622,16 +633,6 @@ where
             JoinHandle { tid: None, inner }
         }
     }
-}
-
-/// Explicit schedule point: inside a model run the controller may
-/// switch threads here; outside it is free. Sprinkle through long
-/// lock-free sections you want the explorer to preempt.
-pub fn yield_point() {
-    if !in_model() {
-        return;
-    }
-    schedule_point(Act::Yield);
 }
 
 // ---------------------------------------------------------------------------
@@ -903,18 +904,11 @@ fn race_report(
 /// Exploration configuration for [`check`].
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Maximum number of involuntary context switches per schedule
-    /// (CHESS-style). `None` explores the full space.
-    pub preemption_bound: Option<usize>,
-    /// DFS run budget; past it the space is declared too large and
-    /// sampling takes over.
+    /// DFS run budget (completed plus pruned runs); past it the
+    /// exploration stops with [`Report::complete`] false.
     pub max_interleavings: usize,
     /// Per-run step ceiling; exceeding it is reported as a livelock.
     pub max_steps: usize,
-    /// Seeded-random schedules to run when DFS doesn't finish.
-    pub samples: usize,
-    /// Seed for the sampling fallback.
-    pub seed: u64,
     /// Replay exactly this schedule (then first-enabled) once instead
     /// of exploring. The env vars `CHECK_SCENARIO`/`CHECK_SCHEDULE`
     /// set this too.
@@ -924,25 +918,9 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Config {
         Config {
-            preemption_bound: None,
             max_interleavings: 50_000,
             max_steps: 20_000,
-            samples: 0,
-            seed: 0,
             replay: None,
-        }
-    }
-}
-
-impl Config {
-    /// Preemption-bounded config with a sampling fallback — the shape
-    /// used for configurations too large to exhaust.
-    pub fn bounded(bound: usize, samples: usize, seed: u64) -> Config {
-        Config {
-            preemption_bound: Some(bound),
-            samples,
-            seed,
-            ..Config::default()
         }
     }
 }
@@ -957,10 +935,8 @@ pub struct Report {
     pub interleavings: usize,
     /// Runs cut short by sleep-set pruning (redundant orderings).
     pub pruned: usize,
-    /// Whether the DFS exhausted the (preemption-bounded) space.
+    /// Whether the DFS exhausted the space within the budget.
     pub complete: bool,
-    /// Random schedules run by the sampling fallback.
-    pub sampled: usize,
     /// True when this was a single-schedule replay, not exploration.
     pub replayed: bool,
 }
@@ -1074,27 +1050,16 @@ struct Node {
     /// Sleep set; grows with each explored sibling choice.
     sleep: std::collections::BTreeSet<usize>,
     chosen: usize,
-    prev: Option<usize>,
-    prev_enabled: bool,
-    /// Preemptions along the path up to (not including) this choice.
-    pre_count: usize,
 }
 
-fn candidates(node: &Node, bound: Option<usize>) -> Vec<usize> {
-    let mut c: Vec<usize> = node
-        .enabled
-        .iter()
-        .copied()
-        .filter(|t| !node.sleep.contains(t))
-        .collect();
-    if let (Some(b), Some(p)) = (bound, node.prev) {
-        if node.prev_enabled && node.pre_count >= b {
-            // Budget spent: the previously-running thread must keep
-            // going while it can (switching away would preempt it).
-            c.retain(|&t| t == p);
-        }
+impl Node {
+    /// The first enabled thread not asleep at this node.
+    fn next_candidate(&self) -> Option<usize> {
+        self.enabled
+            .iter()
+            .copied()
+            .find(|t| !self.sleep.contains(t))
     }
-    c
 }
 
 fn join_schedule(schedule: &[usize]) -> String {
@@ -1170,14 +1135,6 @@ fn write_artifact(name: &str, text: &str) {
     let _ = std::fs::write(path, text);
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn fail_run(name: &str, failure: &str, schedule: &[usize], names: &[String]) -> ! {
     let text = format_failure(name, failure, schedule, names);
     write_artifact(name, &text);
@@ -1214,8 +1171,8 @@ fn replay_once(name: &str, f: &Arc<dyn Fn() + Send + Sync>, cfg: &Config, sched:
 }
 
 /// Model-checks `scenario`: explores its interleavings by DFS with
-/// sleep sets and an optional preemption bound, falling back to
-/// seeded-random sampling past the DFS budget. Panics on the first
+/// sleep sets, one run per Mazurkiewicz trace, until the space is
+/// exhausted or [`Config::max_interleavings`] runs. Panics on the first
 /// failing interleaving with a `CHECK_SCENARIO=.. CHECK_SCHEDULE=..`
 /// repro line (also written under `target/model/`); setting those env
 /// vars — or [`Config::replay`] — replays that schedule instead of
@@ -1234,12 +1191,10 @@ pub fn check(name: &str, cfg: Config, scenario: impl Fn() + Send + Sync + 'stati
             interleavings: 1,
             pruned: 0,
             complete: false,
-            sampled: 0,
             replayed: true,
         };
     }
 
-    let bound = cfg.preemption_bound;
     let mut stack: Vec<Node> = Vec::new();
     let mut interleavings = 0usize;
     let mut pruned_runs = 0usize;
@@ -1268,55 +1223,33 @@ pub fn check(name: &str, cfg: Config, scenario: impl Fn() + Send + Sync + 'stati
                     .filter(|(_, t)| t.status == Status::Parked)
                     .map(|(i, t)| (i, t.pending))
                     .collect();
-                let (prev, prev_enabled, pre_count, sleep) = if k == 0 {
-                    (None, false, 0, std::collections::BTreeSet::new())
-                } else {
-                    let parent = &stack_ref[k - 1];
-                    let prev = Some(parent.chosen);
-                    let prev_enabled = enabled.contains(&parent.chosen);
-                    let stepped = parent.pre_count
-                        + usize::from(
-                            parent.prev_enabled && parent.prev.is_some_and(|p| p != parent.chosen),
-                        );
-                    let chosen_act = parent
-                        .acts
-                        .iter()
-                        .find(|(t, _)| *t == parent.chosen)
-                        .map(|(_, a)| *a);
-                    // Sleep sets assume the pruned order was explored
-                    // elsewhere — with a preemption bound that "elsewhere"
-                    // may itself be out of budget, so inherit sleep sets
-                    // only in unbounded mode (bounded runs keep the
-                    // per-node done-set behaviour of `sleep`).
-                    let sleep = if bound.is_some() {
-                        std::collections::BTreeSet::new()
-                    } else {
+                // A sleeping thread stays asleep while the chosen
+                // action commutes with its pending one.
+                let sleep = match k.checked_sub(1).map(|p| &stack_ref[p]) {
+                    None => std::collections::BTreeSet::new(),
+                    Some(parent) => {
+                        let act_of =
+                            |t: usize| parent.acts.iter().find(|(u, _)| *u == t).map(|(_, a)| *a);
+                        let chosen_act = act_of(parent.chosen);
                         parent
                             .sleep
                             .iter()
                             .copied()
-                            .filter(|s| {
-                                match (chosen_act, parent.acts.iter().find(|(t, _)| t == s)) {
-                                    (Some(ca), Some((_, sa))) => sa.independent(ca),
-                                    _ => false,
-                                }
+                            .filter(|&s| match (chosen_act, act_of(s)) {
+                                (Some(ca), Some(sa)) => sa.independent(ca),
+                                _ => false,
                             })
                             .collect()
-                    };
-                    (prev, prev_enabled, stepped, sleep)
+                    }
                 };
                 let mut node = Node {
                     enabled: enabled.to_vec(),
                     acts,
                     sleep,
                     chosen: 0,
-                    prev,
-                    prev_enabled,
-                    pre_count,
                 };
-                let cands = candidates(&node, bound);
-                match cands.first() {
-                    Some(&c) => {
+                match node.next_candidate() {
+                    Some(c) => {
                         node.chosen = c;
                         stack_ref.push(node);
                         Some(c)
@@ -1345,8 +1278,7 @@ pub fn check(name: &str, cfg: Config, scenario: impl Fn() + Send + Sync + 'stati
                 }
                 Some(top) => {
                     top.sleep.insert(top.chosen);
-                    let cands = candidates(top, bound);
-                    if let Some(&c) = cands.first() {
+                    if let Some(c) = top.next_candidate() {
                         top.chosen = c;
                         break;
                     }
@@ -1359,30 +1291,11 @@ pub fn check(name: &str, cfg: Config, scenario: impl Fn() + Send + Sync + 'stati
         }
     }
 
-    let mut sampled = 0usize;
-    if !complete && cfg.samples > 0 {
-        for i in 0..cfg.samples {
-            let mut state = cfg
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(i as u64 + 1);
-            let res = run_once(&f, cfg.max_steps, &mut |_st, enabled| {
-                let r = splitmix64(&mut state);
-                Some(enabled[(r % enabled.len() as u64) as usize])
-            });
-            if let Some(fail) = res.failure {
-                fail_run(name, &fail, &res.schedule, &res.names);
-            }
-            sampled += 1;
-        }
-    }
-
     Report {
         scenario: name.to_string(),
         interleavings,
         pruned: pruned_runs,
         complete,
-        sampled,
         replayed: false,
     }
 }
@@ -1404,8 +1317,10 @@ mod tests {
     #[test]
     fn single_thread_scenario_is_one_interleaving() {
         let report = check("single", Config::default(), || {
-            yield_point();
-            yield_point();
+            let m = lockdep::Mutex::new("log.pagecache", 0u64);
+            *m.lock() += 1;
+            *m.lock() += 1;
+            Shared::new("single.cell", 0u64).set(*m.lock());
         });
         assert!(report.complete);
         assert_eq!(report.interleavings, 1);
@@ -1564,28 +1479,81 @@ mod tests {
         );
     }
 
+    /// Spawns `a` and `b` over one `cluster.state` RwLock and joins
+    /// both.
+    fn two_threads_on_one_rwlock(
+        a: impl FnOnce(&lockdep::RwLock<u64>) + Send + 'static,
+        b: impl FnOnce(&lockdep::RwLock<u64>) + Send + 'static,
+    ) {
+        let l = Arc::new(lockdep::RwLock::new("cluster.state", 0u64));
+        let (la, lb) = (Arc::clone(&l), Arc::clone(&l));
+        let ha = spawn_named("a".into(), move || a(&la));
+        let hb = spawn_named("b".into(), move || b(&lb));
+        ha.join();
+        hb.join();
+    }
+
+    fn read_twice(l: &lockdep::RwLock<u64>) {
+        let first = *l.read();
+        assert_eq!(*l.read(), first);
+    }
+
     #[test]
-    fn preemption_bound_zero_still_finds_both_orders() {
-        let report = check(
-            "bounded-two-producers",
-            Config {
-                preemption_bound: Some(0),
-                ..Config::default()
-            },
-            || {
-                let m = Arc::new(lockdep::Mutex::new("log.pagecache", 0u64));
-                let a = Arc::clone(&m);
-                let b = Arc::clone(&m);
-                let ha = spawn_named("a".into(), move || *a.lock() += 1);
-                let hb = spawn_named("b".into(), move || *b.lock() += 1);
-                ha.join();
-                hb.join();
-            },
-        );
+    fn readers_of_one_rwlock_commute() {
+        let report = check("two-readers", Config::default(), || {
+            two_threads_on_one_rwlock(read_twice, read_twice);
+        });
         assert!(report.complete);
-        // Switches at blocking points are free, so both lock orders
-        // are reachable even with zero preemptions.
-        assert!(report.interleavings >= 2, "report: {report:?}");
+        // Four read acquisitions and releases, all mutually
+        // independent: one trace.
+        assert_eq!(report.interleavings, 1, "report: {report:?}");
+    }
+
+    #[test]
+    fn reader_and_writer_of_one_rwlock_explore_both_orders() {
+        let report = check("reader-vs-writer", Config::default(), || {
+            two_threads_on_one_rwlock(|l| drop(l.read()), |l| *l.write() += 1);
+        });
+        assert!(report.complete);
+        // The read section runs before or after the write section: two
+        // traces. A read that commuted with the write would collapse
+        // them to one (its pruned runs still perform the read, so
+        // counting is what tells).
+        assert_eq!(report.interleavings, 2, "report: {report:?}");
+    }
+
+    #[test]
+    fn readers_writing_one_cell_race() {
+        // One run is enough, since happens-before races show in any
+        // interleaving. The first run is the serial one, where a's read
+        // section ends before b's begins: an edge from a read release
+        // to the next reader would hide the race there.
+        let one_run = Config {
+            max_interleavings: 1,
+            ..Config::default()
+        };
+        let err = catch_unwind(|| {
+            check("readers-write-a-cell", one_run, || {
+                let c = Arc::new(Shared::new("readers.cell", 0u64));
+                let (ca, cb) = (Arc::clone(&c), Arc::clone(&c));
+                two_threads_on_one_rwlock(
+                    move |l| {
+                        let _g = l.read();
+                        ca.with(|v| *v += 1);
+                    },
+                    move |l| {
+                        let _g = l.read();
+                        cb.with(|v| *v += 1);
+                    },
+                );
+            });
+        })
+        .expect_err("a read lock does not order its holders' writes");
+        let msg = panic_text(err);
+        assert!(
+            msg.contains("data race on cell 'readers.cell'"),
+            "msg: {msg}"
+        );
     }
 
     #[test]
@@ -1611,7 +1579,6 @@ mod tests {
     #[test]
     fn outside_a_model_run_primitives_are_passthrough() {
         assert!(!in_model());
-        yield_point();
         let (tx, rx) = chan::<u32>();
         tx.send(7).ok();
         assert_eq!(rx.try_recv(), Some(7));

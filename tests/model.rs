@@ -5,15 +5,15 @@
 //! which runs it under the deterministic model-checking scheduler:
 //! every ranked-lock acquire/release, fault-injection tick, channel
 //! hand-off and [`Shared`] cell access is a schedule point, and the
-//! DFS explorer (sleep-set partial-order reduction) enumerates every
-//! distinct interleaving. A failing interleaving panics with a
+//! DFS explorer (sleep-set partial-order reduction, with read-mode
+//! acquisitions of one lock commuting) runs every distinct
+//! interleaving once. A failing interleaving panics with a
 //! `CHECK_SCENARIO=.. CHECK_SCHEDULE=..` line that replays the exact
 //! schedule byte-for-byte.
 //!
-//! The configurations here are deliberately tiny (1–2 brokers, 1–2
-//! messages): the point is *exhaustiveness*, not scale. The env-gated
-//! `sampled_large_config_*` test covers the other end with a
-//! pinned-seed random sweep.
+//! The configurations are small (1–2 brokers, 1–6 records, 2–3
+//! threads): the point is *exhaustiveness*, not scale. Every scenario
+//! runs under `Config::default()` and must exhaust its space.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -787,27 +787,16 @@ fn model_ordered_twin_is_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// Pinned-seed sampled large configuration (env-gated; the CI
-// model-check job runs it with LIQUID_MODEL_LARGE=1)
+// Scenario 5: three producers on a replicated partition
 // ---------------------------------------------------------------------------
 
-/// Three producers against a replicated topic: too many interleavings
-/// to exhaust, so a preemption-bounded DFS runs first and a pinned-seed
-/// random sampler sweeps whatever the bound excluded. The seed is fixed
-/// so CI failures reproduce locally without artifact archaeology.
+/// Three producers each send two `acks=All` records to one partition
+/// replicated on two brokers. In every interleaving all six records
+/// are committed exactly once: the log end and the high watermark both
+/// reach 6, and the log holds six distinct values.
 #[test]
-fn model_sampled_large_config_pinned_seed() {
-    if std::env::var("LIQUID_MODEL_LARGE").is_err() {
-        eprintln!("skipping sampled large-config run (set LIQUID_MODEL_LARGE=1)");
-        return;
-    }
-    // The DFS budget is set below the bounded space's size on purpose:
-    // this test is about the sampling fallback actually engaging.
-    let cfg = Config {
-        max_interleavings: 500,
-        ..Config::bounded(1, 200, 0x11D0)
-    };
-    let report = check("producers.large-sampled", cfg, || {
+fn model_three_producers_replicated_partition() {
+    let report = check("producers.three-replicated", Config::default(), || {
         let cluster = Cluster::new(ClusterConfig::with_brokers(2), SimClock::new(0).shared());
         cluster
             .create_topic("t", TopicConfig::with_partitions(1).replication(2))
@@ -842,12 +831,5 @@ fn model_sampled_large_config_pinned_seed() {
         let unique: BTreeSet<_> = msgs.iter().map(|m| m.value.clone()).collect();
         assert_eq!(unique.len(), 6, "no duplicates, nothing lost");
     });
-    println!(
-        "liquid-check[{}]: {} interleaving(s), {} pruned, {} sampled, complete={}",
-        report.scenario, report.interleavings, report.pruned, report.sampled, report.complete
-    );
-    assert!(
-        report.interleavings + report.sampled >= 200,
-        "the sampler must actually sweep: {report:?}"
-    );
+    assert_exhaustive(&report, 2);
 }
