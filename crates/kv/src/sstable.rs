@@ -166,7 +166,7 @@ impl SsTable {
                 None => out.push(1),
             }
         }
-        let crc = crate::wal::crc32_public(&out);
+        let crc = crc32c::crc32c(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
@@ -177,7 +177,7 @@ impl SsTable {
             return Err(KvError::Corrupt("sstable too small".into()));
         }
         let (body, crc_bytes) = data.split_at(data.len() - 4);
-        if crate::wal::crc32_public(body) != le_u32(crc_bytes)? {
+        if crc32c::crc32c(body) != le_u32(crc_bytes)? {
             return Err(KvError::Corrupt("sstable crc mismatch".into()));
         }
         let magic = le_u32(field(body, 0, 4)?)?;

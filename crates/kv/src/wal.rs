@@ -14,6 +14,8 @@
 //! | len:u32 | crc:u32 | op:u8 | klen: u32 | key | vlen: u32 | value |
 //! +---------+---------+-------+-----------+-----+-----------+-------+
 //! ```
+//!
+//! `crc` is the CRC-32C of everything after it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -128,7 +130,7 @@ fn encode(op: &WalOp) -> Vec<u8> {
         }
         None => out.extend_from_slice(&0u32.to_le_bytes()),
     }
-    let crc = crc32(&out[crc_pos + 4..]);
+    let crc = crc32c::crc32c(&out[crc_pos + 4..]);
     out[crc_pos..crc_pos + 4].copy_from_slice(&crc.to_le_bytes());
     out
 }
@@ -158,7 +160,7 @@ fn decode_all(data: &[u8]) -> (Vec<WalOp>, usize) {
         let Some(payload) = body.get(4..) else {
             break;
         };
-        if crc32(payload) != stored_crc {
+        if crc32c::crc32c(payload) != stored_crc {
             break;
         }
         match decode_body(payload) {
@@ -187,37 +189,6 @@ fn decode_body(body: &[u8]) -> Option<WalOp> {
         1 => Some(WalOp::Delete(key)),
         _ => None,
     }
-}
-
-/// CRC-32 (IEEE) over `data`; shared with SSTable serialization.
-pub fn crc32_public(data: &[u8]) -> u32 {
-    crc32(data)
-}
-
-fn crc32(data: &[u8]) -> u32 {
-    // Reuse the IEEE polynomial; small enough to duplicate rather than
-    // create a cross-crate dependency for one function.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        t
-    });
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]

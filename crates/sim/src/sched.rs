@@ -46,7 +46,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe, Location};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard, Once};
 
 use crate::vclock::VClock;
 
@@ -349,6 +349,23 @@ impl Ctrl {
 /// Marker payload used to unwind virtual threads when a run aborts;
 /// the thread wrappers recognise and swallow it.
 struct RunAborted;
+
+/// Installs, once per process, a panic hook that drops [`RunAborted`]
+/// payloads and hands every other panic to the hook it replaces. Every
+/// pruned or failed run unwinds each of its virtual threads with one,
+/// and the default hook would print each (thousands a suite), burying a
+/// real failure's report among them.
+fn silence_run_aborts() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload().downcast_ref::<RunAborted>().is_none() {
+                previous(info);
+            }
+        }));
+    });
+}
 
 thread_local! {
     /// `(controller, my virtual tid)` — present only on threads spawned
@@ -956,6 +973,7 @@ fn run_once(
     max_steps: usize,
     decide: &mut dyn FnMut(&CtrlState, &[usize]) -> Option<usize>,
 ) -> RunResult {
+    silence_run_aborts();
     let ctrl = Arc::new(Ctrl::new());
     let root = register_thread(&ctrl, "main".to_string(), None);
     let handle = {
